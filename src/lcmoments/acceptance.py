@@ -29,11 +29,13 @@ from .harness import (
     WORKERS_ENV,
     ExperimentConfig,
     ExperimentResult,
+    _cell_seed,
     coefficient_profile,
     rows_to_csv_bytes,
     run_experiment,
 )
 from .montecarlo import (
+    _MASK64,
     dependent_vs_independent,
     estimate_fourth_moment,
     estimate_joint_tail,
@@ -51,8 +53,6 @@ __all__ = [
     "CHECKS",
     "SUITES",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 # sub-stream tags; the equivalence grid tag is shared so the envelope and the
 # quartic probe reuse one set of Monte-Carlo rows
@@ -79,11 +79,6 @@ class CheckResult:
     passed: bool
     detail: dict
     seconds: float
-
-
-def _child_seed(seed: int, tag: int) -> int:
-    ss = np.random.SeedSequence((int(seed) & _MASK64, tag))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -243,7 +238,7 @@ def check_tail_program_grid_oracle(seed: int) -> CheckResult:
 
 def check_fourth_moment_extremality(seed: int) -> CheckResult:
     start = time.perf_counter()
-    base = _child_seed(seed, _STREAM_MOMENT4)
+    base = _cell_seed(seed, _STREAM_MOMENT4)
     cases = (
         ("exp", 2, 6.0, 0.05),
         ("cube", 2, 1.8, 0.02),
@@ -255,7 +250,7 @@ def check_fourth_moment_extremality(seed: int) -> CheckResult:
     passed = True
     for k, (spec, n, target, window) in enumerate(cases):
         family = family_from_spec(spec, n)
-        rec = estimate_fourth_moment(family, 0, 10_000_000, _child_seed(base, k))
+        rec = estimate_fourth_moment(family, 0, 10_000_000, _cell_seed(base, k))
         ok_window = True
         if target is not None:
             ok_window = abs(rec.value - target) <= window
@@ -293,7 +288,7 @@ def _grid_reference(row) -> float:
 def check_moment_equivalence_envelope(seed: int,
                                       n_samples: int = GRID_SAMPLES) -> CheckResult:
     start = time.perf_counter()
-    result = _equivalence_grid(_child_seed(seed, _STREAM_GRID), n_samples)
+    result = _equivalence_grid(_cell_seed(seed, _STREAM_GRID), n_samples)
     lo_bound, hi_bound = 0.1, 10.0
     envelopes: dict[str, dict] = {}
     violations = []
@@ -315,7 +310,7 @@ def check_moment_equivalence_envelope(seed: int,
 def check_quartic_upper_probe(seed: int,
                               n_samples: int = GRID_SAMPLES) -> CheckResult:
     start = time.perf_counter()
-    result = _equivalence_grid(_child_seed(seed, _STREAM_GRID), n_samples)
+    result = _equivalence_grid(_cell_seed(seed, _STREAM_GRID), n_samples)
     worst = 0.0
     worst_cell = None
     for row in result.rows:
@@ -336,7 +331,7 @@ def check_quartic_upper_probe(seed: int,
 
 def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
     start = time.perf_counter()
-    base = _child_seed(seed, _STREAM_FLAT_BAND)
+    base = _cell_seed(seed, _STREAM_FLAT_BAND)
     rows = []
     passed = True
     k = 0
@@ -344,7 +339,7 @@ def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
         family = product_exponential(n)
         a = np.full(n, 1.0 / math.sqrt(n))
         for p in (3.0, 4.0, 6.0, 8.0):
-            rec = estimate_pnorm(family, a, p, 1_000_000, _child_seed(base, k))
+            rec = estimate_pnorm(family, a, p, 1_000_000, _cell_seed(base, k))
             k += 1
             gap = abs(rec.value - gaussian_pnorm(p))
             allowance = p / math.sqrt(n) + 3.0 * rec.stderr
@@ -360,7 +355,7 @@ def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
 def check_ball_lower_band(seed: int) -> CheckResult:
     start = time.perf_counter()
     rng = _rng(seed, _STREAM_LOWER_BAND)
-    base = _child_seed(seed, _STREAM_LOWER_BAND)
+    base = _cell_seed(seed, _STREAM_LOWER_BAND)
     cells = 0
     violations = []
     worst_slack = math.inf
@@ -373,7 +368,7 @@ def check_ball_lower_band(seed: int) -> CheckResult:
                 l2 = float(np.sqrt(np.sum(a * a)))
                 quartic = float(np.sqrt(np.sum(a ** 4))) / l2
                 for p in (2.0, 4.0, 8.0):
-                    rec = estimate_pnorm(ball, a, p, 200_000, _child_seed(base, k))
+                    rec = estimate_pnorm(ball, a, p, 200_000, _cell_seed(base, k))
                     k += 1
                     lower = gaussian_pnorm(p) * l2 - math.sqrt(3.0) * p * quartic
                     slack = rec.value - (lower - 3.0 * rec.stderr)
@@ -410,7 +405,7 @@ def _disk_independent_fourth() -> float:
 
 def check_dependent_moment_deficit(seed: int) -> CheckResult:
     start = time.perf_counter()
-    base = _child_seed(seed, _STREAM_NEG_ASSOC)
+    base = _cell_seed(seed, _STREAM_NEG_ASSOC)
     rows = []
     passed = True
     k = 0
@@ -418,7 +413,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
         ball = UniformBall.isotropic(3, q)
         for p in (3.0, 4.0, 6.0):
             dep, ind = dependent_vs_independent(ball, (1.0, 1.0, 1.0), p,
-                                                10_000_000, _child_seed(base, k))
+                                                10_000_000, _cell_seed(base, k))
             k += 1
             combined = math.hypot(dep.stderr, ind.stderr)
             ok = dep.value <= ind.value + 3.0 * combined
@@ -441,7 +436,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
 def check_joint_tail_factorization(seed: int) -> CheckResult:
     start = time.perf_counter()
     rng = _rng(seed, _STREAM_JOINT_TAIL)
-    base = _child_seed(seed, _STREAM_JOINT_TAIL)
+    base = _cell_seed(seed, _STREAM_JOINT_TAIL)
     probes = []
     passed = True
     for k in range(20):
@@ -452,7 +447,7 @@ def check_joint_tail_factorization(seed: int) -> CheckResult:
         if budget > 8.0:
             t *= 8.0 / budget
         target = math.exp(-math.sqrt(2.0) * float(np.sum(t)))
-        rec = estimate_joint_tail(family, t, 4_000_000, _child_seed(base, k))
+        rec = estimate_joint_tail(family, t, 4_000_000, _cell_seed(base, k))
         ok = abs(rec.value - target) <= 3.0 * rec.stderr
         passed = passed and ok
         probes.append({"n": n, "target": target, "empirical": rec.value,
@@ -495,7 +490,7 @@ def check_report_determinism(seed: int) -> CheckResult:
         n_list=(4,),
         p_grid=(2.0, 4.0),
         n_samples=10_000,
-        seed=_child_seed(seed, _STREAM_DETERMINISM),
+        seed=_cell_seed(seed, _STREAM_DETERMINISM),
     )
     with _workers(1):
         serial = rows_to_csv_bytes(run_experiment(config).rows)

@@ -16,15 +16,12 @@ from .coeffs import CoefficientVector
 from .errors import MomentsError
 from .harness import (
     ExperimentConfig,
-    ReportRow,
+    build_rows,
     coefficient_profile,
     rows_to_csv_bytes,
     run_experiment,
     write_report,
-    _cell_seed,
 )
-from .montecarlo import estimate_pnorm
-from .surrogates import surrogate_bundle
 
 __all__ = ["main"]
 
@@ -48,21 +45,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise MomentsError(
             f"profile {args.profile!r} has the wrong length for n = {args.n}")
     a = CoefficientVector.from_values(values)
-    rows = []
-    for k, p in enumerate(_parse_orders(args.p)):
-        mc = estimate_pnorm(family, a, p, args.samples, _cell_seed(args.seed, k))
-        bundle = surrogate_bundle(a, p, family=family)
-        rows.append(ReportRow(
-            family=args.family, n=args.n, profile=args.profile, p=p,
-            mc_value=mc.value, mc_stderr=mc.stderr,
-            hitczenko=bundle.hitczenko, bn_upper=bundle.bn_upper,
-            gk=bundle.gk, bqn=bundle.bqn, momunc=bundle.momunc,
-            band_lo=bundle.band.lower,
-            band_up_indep=bundle.band.upper_indep,
-            band_up_klartag=bundle.band.upper_klartag,
-            ratio_lo=mc.value / bundle.hitczenko,
-            ratio_hi=bundle.bn_upper / mc.value,
-        ))
+    rows = build_rows(args.family, args.profile, family, a, _parse_orders(args.p),
+                      args.samples, args.seed)
     for row in rows:
         extras = "".join(
             f"  {name}={value:.6g}" for name, value in

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import betaln, gammaln
 
-from .errors import InvalidArgumentError, UnsupportedFamilyError
+from .errors import InvalidArgumentError, OutOfRangeError, UnsupportedFamilyError
 from .tails import TailFunction, tail_from_spec
 
 __all__ = [
@@ -149,7 +149,10 @@ def isotropic_radius(n: int, q: float) -> float:
     m2 = math.exp(betaln(3.0 / q, s + 1.0) - betaln(1.0 / q, s + 1.0))
     r = 1.0 / math.sqrt(m2)
     # r grows like n^{1/q}; far outside that window the moment ratio is wrong
-    assert 0.1 <= r / n ** (1.0 / q) <= 10.0
+    if not 0.1 <= r / n ** (1.0 / q) <= 10.0:
+        raise OutOfRangeError(
+            f"isotropic radius {r!r} at n={n}, q={q} is outside [0.1, 10] * n^(1/q); "
+            "the Beta-function moment ratio lost precision")
     return r
 
 

@@ -1,12 +1,13 @@
 """Experiment harness: configs, coefficient profiles, report generation.
 
-A report run walks the cell grid family x n x profile x p in a fixed order,
-estimates the Monte-Carlo p-norm of each cell with a seed derived from
-(config seed, cell index), evaluates every applicable surrogate, and emits
-one CSV row per cell.  Cells are dispatched to a thread pool sized by the
-``LCM_WORKERS`` environment variable, but rows are assembled in cell order
-and all randomness is keyed per cell, so the written bytes are identical for
-any worker count.
+A report run walks the grid family x n x profile x p in a fixed order.  The
+unit of Monte-Carlo work is a row (family, n, profile): one draw, seeded from
+(config seed, row index), gives the estimate at every order of ``p_grid``,
+and every applicable surrogate is evaluated per order, giving one CSV row per
+cell.  Rows are dispatched to a thread pool sized by the ``LCM_WORKERS``
+environment variable, but cells are assembled in grid order and all
+randomness is keyed per row, so the written bytes are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ import numpy as np
 
 from .coeffs import CoefficientVector
 from .errors import InvalidArgumentError
-from .families import ProductFamily, UniformBall, family_from_spec
-from .montecarlo import MAX_MOMENT_ORDER, MIN_SAMPLES, estimate_pnorm
+from .families import Family, ProductFamily, UniformBall, family_from_spec
+from .montecarlo import _MASK64, MAX_MOMENT_ORDER, MIN_SAMPLES, estimate_pnorm
 from .surrogates import surrogate_bundle
 
 __all__ = [
     "ExperimentConfig",
     "ReportRow",
     "ExperimentResult",
+    "build_rows",
     "coefficient_profile",
     "run_experiment",
     "rows_to_csv_bytes",
@@ -67,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.families or not self.profiles or not self.n_list or not self.p_grid:
             raise InvalidArgumentError("families, profiles, n_list and p_grid must be non-empty")
+        for name in ("families", "profiles", "n_list"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidArgumentError(f"{name} has duplicate entries: {list(values)}")
         if any(n < 1 for n in self.n_list):
             raise InvalidArgumentError("dimensions must be >= 1")
         ps = self.p_grid
@@ -88,13 +94,13 @@ class ExperimentConfig:
         if missing:
             raise InvalidArgumentError(f"missing config keys: {sorted(missing)}")
         return cls(
-            families=tuple(str(f) for f in data["families"]),
-            profiles=tuple(str(p) for p in data["profiles"]),
-            n_list=tuple(int(n) for n in data["n_list"]),
-            p_grid=tuple(float(p) for p in data["p_grid"]),
-            n_samples=int(data["n_samples"]),
-            seed=int(data["seed"]),
-            output_dir=str(data.get("output_dir", "out")),
+            families=_typed_list(data["families"], "families", (str,)),
+            profiles=_typed_list(data["profiles"], "profiles", (str,)),
+            n_list=_typed_list(data["n_list"], "n_list", (int,)),
+            p_grid=tuple(float(p) for p in _typed_list(data["p_grid"], "p_grid", (int, float))),
+            n_samples=_typed(data["n_samples"], "n_samples", (int,)),
+            seed=_typed(data["seed"], "seed", (int,)),
+            output_dir=_typed(data.get("output_dir", "out"), "output_dir", (str,)),
         )
 
     @classmethod
@@ -107,6 +113,20 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise InvalidArgumentError("config must be a JSON object")
         return cls.from_mapping(data)
+
+
+def _typed(value, name: str, kinds: tuple[type, ...]):
+    # bool is an int subclass, but true/false is never a count or a seed
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidArgumentError(f"config field {name} must be {expected}, got {value!r}")
+    return value
+
+
+def _typed_list(value, name: str, kinds: tuple[type, ...]) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidArgumentError(f"config field {name} must be a list, got {value!r}")
+    return tuple(_typed(entry, f"{name} entry", kinds) for entry in value)
 
 
 def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
@@ -195,52 +215,74 @@ def worker_count() -> int:
 
 
 def _cell_seed(seed: int, index: int) -> int:
-    ss = np.random.SeedSequence((int(seed) & ((1 << 64) - 1), index))
+    """Child seed number ``index`` of ``seed``: report rows and acceptance
+    checks each draw from their own child of the run seed."""
+    ss = np.random.SeedSequence((int(seed) & _MASK64, index))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _iter_cells(config: ExperimentConfig):
+def _iter_rows(config: ExperimentConfig):
     for family_spec in config.families:
         for n in config.n_list:
             for profile_spec in config.profiles:
-                for p in config.p_grid:
-                    yield family_spec, n, profile_spec, p
+                yield family_spec, n, profile_spec
 
 
-def _run_cell(config: ExperimentConfig, index: int, cell) -> ReportRow | None:
-    family_spec, n, profile_spec, p = cell
+def build_rows(family_spec: str, profile_spec: str, family: Family, a: CoefficientVector,
+               orders, n_samples: int, seed: int) -> tuple[ReportRow, ...]:
+    """One report row per moment order of a (family, n, profile) row.
+
+    A single Monte-Carlo draw, seeded with ``seed``, gives the estimate at
+    every order; the surrogates are evaluated per order.
+    """
+    estimates = estimate_pnorm(family, a, orders, n_samples, seed)
+    rows = []
+    for p, mc in zip(orders, estimates):
+        bundle = surrogate_bundle(a, p, family=family)
+        rows.append(ReportRow(
+            family=family_spec,
+            n=family.n,
+            profile=profile_spec,
+            p=p,
+            mc_value=mc.value,
+            mc_stderr=mc.stderr,
+            hitczenko=bundle.hitczenko,
+            bn_upper=bundle.bn_upper,
+            gk=bundle.gk,
+            bqn=bundle.bqn,
+            momunc=bundle.momunc,
+            band_lo=bundle.band.lower,
+            band_up_indep=bundle.band.upper_indep,
+            band_up_klartag=bundle.band.upper_klartag,
+            ratio_lo=mc.value / bundle.hitczenko,
+            ratio_hi=bundle.bn_upper / mc.value,
+        ))
+    return tuple(rows)
+
+
+def _skipped(index: int, key, reason: str, why) -> tuple[tuple, str]:
+    family_spec, n, profile_spec = key
+    logger.info("row %d (%s, n=%d, %s) skipped: %s", index, family_spec, n, profile_spec, why)
+    return (), reason
+
+
+def _run_row(config: ExperimentConfig, index: int, key
+             ) -> tuple[tuple[ReportRow, ...], str | None]:
+    """The row's cells, or no cells and the reason the row was skipped."""
+    family_spec, n, profile_spec = key
     try:
         family = family_from_spec(family_spec, n)
+    except InvalidArgumentError as exc:
+        return _skipped(index, key, "family spec", exc)
+    try:
         values = coefficient_profile(profile_spec, n)
     except InvalidArgumentError as exc:
-        logger.info("cell %d (%s, n=%d, %s, p=%g) skipped: %s",
-                    index, family_spec, n, profile_spec, p, exc)
-        return None
+        return _skipped(index, key, "profile spec", exc)
     if values is None:
-        logger.info("cell %d (%s, n=%d, %s, p=%g) skipped: profile inapplicable at n=%d",
-                    index, family_spec, n, profile_spec, p, n)
-        return None
+        return _skipped(index, key, "profile length", f"profile inapplicable at n={n}")
     a = CoefficientVector.from_values(values)
-    mc = estimate_pnorm(family, a, p, config.n_samples, _cell_seed(config.seed, index))
-    bundle = surrogate_bundle(a, p, family=family)
-    return ReportRow(
-        family=family_spec,
-        n=n,
-        profile=profile_spec,
-        p=p,
-        mc_value=mc.value,
-        mc_stderr=mc.stderr,
-        hitczenko=bundle.hitczenko,
-        bn_upper=bundle.bn_upper,
-        gk=bundle.gk,
-        bqn=bundle.bqn,
-        momunc=bundle.momunc,
-        band_lo=bundle.band.lower,
-        band_up_indep=bundle.band.upper_indep,
-        band_up_klartag=bundle.band.upper_klartag,
-        ratio_lo=mc.value / bundle.hitczenko,
-        ratio_hi=bundle.bn_upper / mc.value,
-    )
+    return build_rows(family_spec, profile_spec, family, a, config.p_grid,
+                      config.n_samples, _cell_seed(config.seed, index)), None
 
 
 def _reference_surrogate(family_spec: str, row: ReportRow) -> tuple[str, float | None]:
@@ -253,20 +295,19 @@ def _reference_surrogate(family_spec: str, row: ReportRow) -> tuple[str, float |
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    cells = list(enumerate(_iter_cells(config)))
-    results: dict[int, ReportRow | None] = {}
+    keys = list(enumerate(_iter_rows(config)))
     workers = worker_count()
     if workers == 1:
-        for index, cell in cells:
-            results[index] = _run_cell(config, index, cell)
+        outcomes = [_run_row(config, index, key) for index, key in keys]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {index: pool.submit(_run_cell, config, index, cell)
-                       for index, cell in cells}
-            for index, fut in futures.items():
-                results[index] = fut.result()
-    rows = tuple(results[index] for index, _ in cells if results[index] is not None)
-    skipped = sum(1 for index, _ in cells if results[index] is None)
+            futures = [pool.submit(_run_row, config, index, key) for index, key in keys]
+            outcomes = [fut.result() for fut in futures]
+    rows = tuple(row for built, _ in outcomes for row in built)
+    skipped_by_reason: dict[str, int] = {}
+    for _, reason in outcomes:
+        if reason is not None:
+            skipped_by_reason[reason] = skipped_by_reason.get(reason, 0) + len(config.p_grid)
 
     families_summary = {}
     for family_spec in config.families:
@@ -291,7 +332,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "seed": config.seed,
         "n_samples": config.n_samples,
         "cells": len(rows),
-        "skipped": skipped,
+        "skipped": sum(skipped_by_reason.values()),
+        "skipped_by_reason": skipped_by_reason,
         "families": families_summary,
     }
     return ExperimentResult(rows=rows, summary=summary)

@@ -136,17 +136,25 @@ def _validate_batching(n_samples: int, batches: int) -> None:
 
 
 def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
-                  a_arr: np.ndarray, p: float, n_samples: int, seed: int,
-                  batches: int, tag: int) -> EstimateRecord:
+                  a_arr: np.ndarray, ps: np.ndarray, n_samples: int, seed: int,
+                  batches: int, tag: int) -> tuple[EstimateRecord, ...]:
+    """One record per order in ``ps``, every order reduced from the same draws."""
     counts = _batch_counts(n_samples, batches)
-    log_means = np.empty(batches)
+    log_means = np.empty((len(ps), batches))
     for b, m in enumerate(counts):
         rng = _substream(seed, tag, b)
         s = sampler(rng, m) @ a_arr
         with np.errstate(divide="ignore"):
-            logs = p * np.log(np.abs(s))
-        log_means[b] = logsumexp(logs) - math.log(m)
+            log_abs = np.log(np.abs(s))
+        log_means[:, b] = logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(m)
     weights = np.asarray(counts, dtype=float)
+    return tuple(_pnorm_record(row, weights, float(p), n_samples, seed)
+                 for row, p in zip(log_means, ps))
+
+
+def _pnorm_record(log_means: np.ndarray, weights: np.ndarray, p: float,
+                  n_samples: int, seed: int) -> EstimateRecord:
+    batches = len(log_means)
     log_moment = logsumexp(log_means + np.log(weights)) - math.log(n_samples)
     value = math.exp(log_moment / p)
     shift = np.max(log_means)
@@ -159,22 +167,41 @@ def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
     return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
 
 
-def estimate_pnorm(family: Family, a, p: float, n_samples: int, seed: int,
-                   batches: int = 64) -> EstimateRecord:
-    """Monte-Carlo ||sum a_i X_i||_p with a batch-means standard error."""
+def _check_order(p: float, minimum: float) -> None:
+    if not p >= minimum:
+        raise InvalidArgumentError(f"moment order must satisfy p >= {minimum:g}, got {p}")
+    if p > MAX_MOMENT_ORDER:
+        raise OutOfRangeError(f"moment order {p} above supported maximum {MAX_MOMENT_ORDER}")
+
+
+def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int,
+                   seed: int, batches: int = 64
+                   ) -> EstimateRecord | tuple[EstimateRecord, ...]:
+    """Monte-Carlo ||sum a_i X_i||_p with a batch-means standard error.
+
+    ``p`` is one order, which returns one record, or a sequence of orders,
+    which returns one record per order, all reduced from the same draws.  An
+    order sequence therefore costs about one scalar call, and its values are
+    nondecreasing in p (the power-mean inequality on one sample).  Entry i of
+    the tuple equals the scalar call at ``p[i]`` with the same seed.
+    """
     cv = as_coefficients(a)
     if family.n != cv.n:
         raise InvalidArgumentError(
             f"family dimension {family.n} does not match coefficient length {cv.n}")
-    if p < 2:
-        raise InvalidArgumentError(f"moment order must satisfy p >= 2, got {p}")
-    if p > MAX_MOMENT_ORDER:
-        raise OutOfRangeError(f"moment order {p} above supported maximum {MAX_MOMENT_ORDER}")
+    scalar = np.ndim(p) == 0
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    if ps.ndim != 1 or ps.size == 0:
+        raise InvalidArgumentError(
+            f"moment orders must be a number or a non-empty flat sequence, got {p!r}")
+    for order in ps:
+        _check_order(float(order), 2.0)
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
     _validate_batching(n_samples, batches)
-    return _pnorm_engine(lambda rng, m: sample(family, rng, m), cv.array,
-                         p, n_samples, seed, batches, _TAG_PNORM)
+    records = _pnorm_engine(lambda rng, m: sample(family, rng, m), cv.array,
+                            ps, n_samples, seed, batches, _TAG_PNORM)
+    return records[0] if scalar else records
 
 
 def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
@@ -247,11 +274,8 @@ def dependent_vs_independent(ball: UniformBall, a, p: float, n_samples: int,
     if ball.n != cv.n:
         raise InvalidArgumentError(
             f"family dimension {ball.n} does not match coefficient length {cv.n}")
-    if p < 3:
-        raise InvalidArgumentError(
-            f"the moment comparison requires p >= 3 (|x|^p convex second derivative), got {p}")
-    if p > MAX_MOMENT_ORDER:
-        raise OutOfRangeError(f"moment order {p} above supported maximum {MAX_MOMENT_ORDER}")
+    # p >= 3 keeps the second derivative of |x|^p convex
+    _check_order(p, 3.0)
     _validate_batching(n_samples, batches)
     tables = _marginal_sampler_tables(ball)
     lo = float(tables.cdf_values[0])
@@ -261,10 +285,11 @@ def dependent_vs_independent(ball: UniformBall, a, p: float, n_samples: int,
         u = np.clip(rng.random((m, ball.n)), lo, hi)
         return tables.quantile(u)
 
-    dep = _pnorm_engine(lambda rng, m: _sample_ball(ball, rng, m), cv.array,
-                        p, n_samples, seed, batches, _TAG_NA_DEPENDENT)
-    indep = _pnorm_engine(indep_sampler, cv.array,
-                          p, n_samples, seed, batches, _TAG_NA_INDEPENDENT)
+    ps = np.array([float(p)])
+    (dep,) = _pnorm_engine(lambda rng, m: _sample_ball(ball, rng, m), cv.array,
+                           ps, n_samples, seed, batches, _TAG_NA_DEPENDENT)
+    (indep,) = _pnorm_engine(indep_sampler, cv.array,
+                             ps, n_samples, seed, batches, _TAG_NA_INDEPENDENT)
     return dep, indep
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from lcmoments.errors import InvalidArgumentError, UnsupportedFamilyError
+from lcmoments.errors import InvalidArgumentError, OutOfRangeError, UnsupportedFamilyError
 from lcmoments.families import (
     GaussianStd,
     ProductFamily,
@@ -52,6 +52,15 @@ def test_isotropic_radius_validation():
         isotropic_radius(0, 2.0)
     with pytest.raises(InvalidArgumentError):
         isotropic_radius(3, 0.5)
+
+
+def test_isotropic_radius_rejects_a_lost_moment_ratio(monkeypatch):
+    import lcmoments.families as families
+
+    # a second-moment ratio of e^-10 puts r = e^5 far outside its n^{1/q} window
+    monkeypatch.setattr(families, "betaln", lambda x, y: -10.0 * x)
+    with pytest.raises(OutOfRangeError):
+        isotropic_radius(3, 2.0)
 
 
 def test_isotropic_ball_coordinate_has_unit_variance():

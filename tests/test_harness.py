@@ -66,6 +66,41 @@ def test_config_from_mapping_checks_keys():
         ExperimentConfig.from_mapping(short)
 
 
+def _mapping(**patch):
+    data = {k: list(v) if isinstance(v, tuple) else v for k, v in SMALL.items()}
+    return {**data, **patch}
+
+
+@pytest.mark.parametrize("patch", [
+    dict(families="exp"),
+    dict(profiles="flat"),
+    dict(n_list=3),
+    dict(p_grid={"2": 4}),
+    dict(families=["exp", 7]),
+    dict(profiles=["flat", None]),
+    dict(n_list=[3.0]),
+    dict(n_list=[True]),
+    dict(p_grid=[2.0, "4"]),
+    dict(p_grid=[2.0, False]),
+    dict(n_samples=10_000.9),
+    dict(n_samples=10_000.0),
+    dict(n_samples="10000"),
+    dict(seed=True),
+    dict(seed=13.0),
+    dict(output_dir=5),
+    dict(families=["exp", "cube", "exp"]),
+    dict(profiles=["flat", "flat"]),
+    dict(n_list=[3, 4, 3]),
+], ids=lambda patch: "-".join(f"{k}={v!r}" for k, v in patch.items()))
+def test_config_from_mapping_is_strict(patch):
+    with pytest.raises(InvalidArgumentError):
+        ExperimentConfig.from_mapping(_mapping(**patch))
+
+
+def test_config_from_mapping_accepts_integer_orders():
+    assert ExperimentConfig.from_mapping(_mapping(p_grid=[2, 4])).p_grid == (2.0, 4.0)
+
+
 def test_config_from_json_file(tmp_path):
     data = {k: list(v) if isinstance(v, tuple) else v for k, v in SMALL.items()}
     path = tmp_path / "config.json"
@@ -142,7 +177,19 @@ def test_run_experiment_skips_inapplicable_cells(caplog):
     assert len(result.rows) == 1
     assert result.rows[0].n == 2
     assert result.summary["skipped"] == 1
+    assert result.summary["skipped_by_reason"] == {"profile length": 1}
     assert any("skipped" in rec.message for rec in caplog.records)
+
+
+def test_inapplicable_row_counts_every_order_as_a_skipped_cell():
+    config = ExperimentConfig(
+        families=("exp", "cube"), profiles=("explicit:1,1", "flat"), n_list=(3,),
+        p_grid=(2.0, 3.0, 4.0), n_samples=10_000, seed=4)
+    result = run_experiment(config)
+    assert len(result.rows) == 6
+    assert result.summary["cells"] == 6
+    assert result.summary["skipped"] == 6
+    assert result.summary["skipped_by_reason"] == {"profile length": 6}
 
 
 def test_run_experiment_skips_invalid_family_dimension():
@@ -154,6 +201,7 @@ def test_run_experiment_skips_invalid_family_dimension():
     assert len(result.rows) == 1
     assert result.rows[0].n == 2
     assert result.summary["skipped"] == 1
+    assert result.summary["skipped_by_reason"] == {"family spec": 1}
 
 
 def test_report_bytes_identical_across_worker_counts(monkeypatch):
@@ -229,7 +277,10 @@ def test_cli_estimate_prints_rows_and_csv(tmp_path, capsys):
     assert "hitczenko=" in out and "gk=" in out
     lines = csv_path.read_bytes().decode("ascii").strip().split("\n")
     assert len(lines) == 3
-    assert row_from_csv_fields(lines[1].split(",")).p == 2.0
+    rows = [row_from_csv_fields(line.split(",")) for line in lines[1:]]
+    assert [row.p for row in rows] == [2.0, 4.0]
+    # both orders come from one draw, so the curve cannot decrease
+    assert rows[0].mc_value <= rows[1].mc_value
 
 
 def test_cli_estimate_invalid_inputs(capsys):
@@ -261,6 +312,15 @@ def test_cli_report_invalid_config(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"families": ["exp"]}))
     assert main(["report", "--config", str(config_path)]) == 2
+
+
+def test_cli_report_rejects_a_string_where_a_list_belongs(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_mapping(profiles="flat")))
+    assert main(["report", "--config", str(config_path),
+                 "--out", str(tmp_path / "report")]) == 2
+    assert "profiles" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 def test_cli_verify_reports_pass_and_fail(monkeypatch, tmp_path, capsys):

@@ -8,6 +8,7 @@ from lcmoments.families import (
     GaussianStd,
     UniformBall,
     UniformCube,
+    family_from_spec,
     product_exponential,
 )
 from lcmoments.montecarlo import (
@@ -116,6 +117,46 @@ def test_estimate_pnorm_validation():
         estimate_pnorm(fam, (1.0, 1.0), 4.0, MIN_SAMPLES - 1, 0)
     with pytest.raises(InvalidArgumentError):
         estimate_pnorm(fam, (1.0, 1.0), 4.0, 20_000, 0, batches=MIN_BATCHES - 1)
+
+
+GRID_ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+GRID_FAMILY_SPECS = ("exp", "ball:q=1", "ball:q=2", "cube")
+
+
+@pytest.mark.parametrize("spec", GRID_FAMILY_SPECS)
+def test_estimate_pnorm_order_vector_matches_scalar_calls(spec):
+    fam = family_from_spec(spec, 4)
+    a = (1.0, 0.7, 0.49, 0.343)
+    records = estimate_pnorm(fam, a, GRID_ORDERS, 20_000, SEED + 20)
+    assert isinstance(records, tuple) and len(records) == len(GRID_ORDERS)
+    for p, rec in zip(GRID_ORDERS, records):
+        assert rec == estimate_pnorm(fam, a, p, 20_000, SEED + 20)
+
+
+@pytest.mark.parametrize("spec", GRID_FAMILY_SPECS)
+def test_estimate_pnorm_order_vector_is_nondecreasing(spec):
+    fam = family_from_spec(spec, 16)
+    a = np.arange(1, 17, dtype=float) ** -1.0
+    values = [rec.value for rec in estimate_pnorm(fam, a, GRID_ORDERS, 20_000, SEED + 21)]
+    assert values == sorted(values)
+
+
+@pytest.mark.parametrize("orders,error", [
+    ((2.0, 4.0, MAX_MOMENT_ORDER + 1.0), OutOfRangeError),
+    ((4.0, 1.5), InvalidArgumentError),
+    ((4.0, math.nan), InvalidArgumentError),
+    ((), InvalidArgumentError),
+    (((2.0, 4.0),), InvalidArgumentError),
+])
+def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orders, error):
+    import lcmoments.montecarlo as mc
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating the orders")
+
+    monkeypatch.setattr(mc, "sample", no_sampling)
+    with pytest.raises(error):
+        estimate_pnorm(product_exponential(2), (1.0, 1.0), orders, 20_000, 0)
 
 
 # -- coordinate fourth moments ------------------------------------------------------
