@@ -30,6 +30,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     _cell_seed,
+    _reference_surrogate,
     coefficient_profile,
     rows_to_csv_bytes,
     run_experiment,
@@ -277,14 +278,6 @@ def _equivalence_grid(seed: int, n_samples: int) -> ExperimentResult:
     return run_experiment(config)
 
 
-def _grid_reference(row) -> float:
-    if row.family == "exp":
-        return row.gk
-    if row.family.startswith("ball"):
-        return row.bqn
-    return row.momunc
-
-
 def check_moment_equivalence_envelope(seed: int,
                                       n_samples: int = GRID_SAMPLES) -> CheckResult:
     start = time.perf_counter()
@@ -293,7 +286,7 @@ def check_moment_equivalence_envelope(seed: int,
     envelopes: dict[str, dict] = {}
     violations = []
     for row in result.rows:
-        ratio = row.mc_value / _grid_reference(row)
+        ratio = row.mc_value / _reference_surrogate(row)[1]
         env = envelopes.setdefault(row.family, {"min_ratio": math.inf,
                                                 "max_ratio": -math.inf, "cells": 0})
         env["min_ratio"] = min(env["min_ratio"], ratio)
@@ -332,15 +325,14 @@ def check_quartic_upper_probe(seed: int,
 def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
     start = time.perf_counter()
     base = _cell_seed(seed, _STREAM_FLAT_BAND)
+    orders = (3.0, 4.0, 6.0, 8.0)
     rows = []
     passed = True
-    k = 0
-    for n in (16, 64):
+    for k, n in enumerate((16, 64)):
         family = product_exponential(n)
         a = np.full(n, 1.0 / math.sqrt(n))
-        for p in (3.0, 4.0, 6.0, 8.0):
-            rec = estimate_pnorm(family, a, p, 1_000_000, _cell_seed(base, k))
-            k += 1
+        records = estimate_pnorm(family, a, orders, 1_000_000, _cell_seed(base, k))
+        for p, rec in zip(orders, records):
             gap = abs(rec.value - gaussian_pnorm(p))
             allowance = p / math.sqrt(n) + 3.0 * rec.stderr
             ok = gap <= allowance
@@ -359,6 +351,7 @@ def check_ball_lower_band(seed: int) -> CheckResult:
     cells = 0
     violations = []
     worst_slack = math.inf
+    orders = (2.0, 4.0, 8.0)
     k = 0
     for q in (1.0, 2.0):
         for n in (4, 16):
@@ -367,9 +360,9 @@ def check_ball_lower_band(seed: int) -> CheckResult:
                 ball = UniformBall.isotropic(n, q)
                 l2 = float(np.sqrt(np.sum(a * a)))
                 quartic = float(np.sqrt(np.sum(a ** 4))) / l2
-                for p in (2.0, 4.0, 8.0):
-                    rec = estimate_pnorm(ball, a, p, 200_000, _cell_seed(base, k))
-                    k += 1
+                records = estimate_pnorm(ball, a, orders, 200_000, _cell_seed(base, k))
+                k += 1
+                for p, rec in zip(orders, records):
                     lower = gaussian_pnorm(p) * l2 - math.sqrt(3.0) * p * quartic
                     slack = rec.value - (lower - 3.0 * rec.stderr)
                     worst_slack = min(worst_slack, slack)
@@ -406,15 +399,14 @@ def _disk_independent_fourth() -> float:
 def check_dependent_moment_deficit(seed: int) -> CheckResult:
     start = time.perf_counter()
     base = _cell_seed(seed, _STREAM_NEG_ASSOC)
+    orders = (3.0, 4.0, 6.0)
     rows = []
     passed = True
-    k = 0
-    for q in (1.0, 2.0):
+    for k, q in enumerate((1.0, 2.0)):
         ball = UniformBall.isotropic(3, q)
-        for p in (3.0, 4.0, 6.0):
-            dep, ind = dependent_vs_independent(ball, (1.0, 1.0, 1.0), p,
-                                                10_000_000, _cell_seed(base, k))
-            k += 1
+        deps, inds = dependent_vs_independent(ball, (1.0, 1.0, 1.0), orders,
+                                              10_000_000, _cell_seed(base, k))
+        for p, dep, ind in zip(orders, deps, inds):
             combined = math.hypot(dep.stderr, ind.stderr)
             ok = dep.value <= ind.value + 3.0 * combined
             passed = passed and ok

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import betaln, gammaln
+from scipy.special import betainc, betaincinv, betaln, gammaln
 
+from .coeffs import _lq
 from .errors import InvalidArgumentError, OutOfRangeError, UnsupportedFamilyError
 from .tails import TailFunction, tail_from_spec
 
@@ -161,16 +159,6 @@ def _log_ball_volume(n: int, q: float) -> float:
     return n * (math.log(2.0) + gammaln(1.0 + 1.0 / q)) - gammaln(1.0 + n / q)
 
 
-def _lq_norm(x: np.ndarray, q: float) -> float:
-    if math.isinf(q):
-        return float(np.max(np.abs(x)))
-    ax = np.abs(np.asarray(x, dtype=float))
-    top = float(np.max(ax))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((ax / top) ** q)) ** (1.0 / q)
-
-
 def log_density(family: Family, x) -> float:
     """ln g(x) of the family density (-inf outside the support)."""
     x = np.asarray(x, dtype=float)
@@ -183,7 +171,7 @@ def log_density(family: Family, x) -> float:
             return -math.inf
         return -family.n * math.log(2.0 * _SQRT3)
     if isinstance(family, UniformBall):
-        if _lq_norm(x, family.q) > family.r * (1.0 + 1e-12):
+        if _lq(np.abs(x), family.q) > family.r * (1.0 + 1e-12):
             return -math.inf
         return -(family.n * math.log(family.r) + _log_ball_volume(family.n, family.q))
     if isinstance(family, ProductFamily):
@@ -228,7 +216,7 @@ def level_set_support(family: Family, index_set, a_block, p: float) -> float:
         rates = np.array([family.tails[i].rate for i in idx])
         return p * float(np.max(np.abs(a_block) / rates))
     if isinstance(family, GaussianStd):
-        return math.sqrt(2.0 * p) * _lq_norm(a_block, 2.0)
+        return math.sqrt(2.0 * p) * _lq(np.abs(a_block), 2.0)
     if isinstance(family, UniformCube):
         return _SQRT3 * float(np.sum(np.abs(a_block)))
     if isinstance(family, UniformBall):
@@ -238,88 +226,40 @@ def level_set_support(family: Family, index_set, a_block, p: float) -> float:
             radius = family.r
         else:
             radius = family.r * (1.0 - math.exp(-p * q / (family.n - k))) ** (1.0 / q)
-        return radius * _lq_norm(a_block, qprime)
+        return radius * _lq(np.abs(a_block), qprime)
     raise UnsupportedFamilyError(f"unknown family {type(family).__name__}")
 
 
 # -- ball coordinate marginal ------------------------------------------------
 
-_PANELS = 8192  # 2*_PANELS + 1 >= 4096 quadrature nodes
+def _marginal_beta(ball: UniformBall) -> tuple[float, float]:
+    """(a, b) with |X_1| / r = B^{1/q} for B ~ Beta(a, b) = Beta(1/q, (n-1)/q + 1).
 
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """Quintic ramp with vanishing first and second derivatives at both ends."""
-    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
-def _smoothstep_deriv(t: np.ndarray) -> np.ndarray:
-    return 30.0 * t ** 2 * (1.0 - t) ** 2
-
-
-@lru_cache(maxsize=None)
-def _ball_marginal_tables(ball: UniformBall) -> SimpleNamespace:
-    """Monotone CDF table of the one-coordinate ball marginal plus interpolants.
-
-    The marginal density on [-r, r] is proportional to
-    (1 - (|x|/r)^q)^{(n-1)/q}.  The half-line CDF is accumulated with composite
-    Simpson on a uniform grid in a graded variable x = r * w(t): w is a quintic
-    smoothstep, so the transformed integrand vanishes to second order at both
-    endpoints and the edge singularity of the density derivative (q > n - 1)
-    cannot poison the panel error.
+    The marginal density on [-r, r] is proportional to (1 - (|x|/r)^q)^{(n-1)/q};
+    the substitution u = (|x|/r)^q turns it into the Beta(a, b) density.
     """
     if ball.n < 2:
         raise InvalidArgumentError("coordinate marginal requires dimension >= 2")
-    s = (ball.n - 1) / ball.q
-    nodes = np.linspace(0.0, 1.0, 2 * _PANELS + 1)
-    x = ball.r * _smoothstep(nodes)
-    u = np.clip(x / ball.r, 0.0, 1.0)
-    dens = (1.0 - u ** ball.q) ** s
-    integrand = dens * ball.r * _smoothstep_deriv(nodes)
-    h = nodes[1] - nodes[0]
-    panel = (h / 3.0) * (integrand[0:-2:2] + 4.0 * integrand[1::2] + integrand[2::2])
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    half = cum[-1]
-    x_even = x[::2]
-    cdf_right = 0.5 + 0.5 * cum / half
-    # mirror to the negative half-line; drop the duplicated center point
-    x_full = np.concatenate([-x_even[::-1], x_even[1:]])
-    cdf_full = np.concatenate([1.0 - cdf_right[::-1], cdf_right[1:]])
-    # panels near the support edge can underflow to zero mass; PCHIP needs
-    # strictly increasing data, so collapse the flat steps
-    keep = np.concatenate([[True], np.diff(cdf_full) > 0.0])
-    x_keep = x_full[keep]
-    cdf_keep = cdf_full[keep]
-    return SimpleNamespace(
-        x=x_keep,
-        cdf_values=cdf_keep,
-        cdf=PchipInterpolator(x_keep, cdf_keep, extrapolate=False),
-        quantile=PchipInterpolator(cdf_keep, x_keep, extrapolate=False),
-    )
+    return 1.0 / ball.q, (ball.n - 1) / ball.q + 1.0
 
 
 def marginal_cdf(ball: UniformBall, x):
     """CDF of a single ball coordinate, vectorized; clamps outside [-r, r]."""
-    tables = _ball_marginal_tables(ball)
+    a, b = _marginal_beta(ball)
     xv = np.asarray(x, dtype=float)
-    clipped = np.clip(xv, tables.x[0], tables.x[-1])
-    out = tables.cdf(clipped)
+    u = np.clip(np.abs(xv) / ball.r, 0.0, 1.0) ** ball.q
+    out = 0.5 + 0.5 * np.sign(xv) * betainc(a, b, u)
     return float(out) if out.ndim == 0 else out
 
 
 def marginal_quantile(ball: UniformBall, u):
     """Inverse marginal CDF; defined for u strictly inside (0, 1)."""
-    tables = _ball_marginal_tables(ball)
+    a, b = _marginal_beta(ball)
     uv = np.asarray(u, dtype=float)
     if np.any(uv <= 0.0) or np.any(uv >= 1.0):
         raise InvalidArgumentError("quantile argument must lie strictly inside (0, 1)")
-    clipped = np.clip(uv, tables.cdf_values[0], tables.cdf_values[-1])
-    out = tables.quantile(clipped)
+    out = np.sign(uv - 0.5) * ball.r * betaincinv(a, b, np.abs(2.0 * uv - 1.0)) ** (1.0 / ball.q)
     return float(out) if out.ndim == 0 else out
-
-
-def _marginal_sampler_tables(ball: UniformBall):
-    """Internal: quantile interpolant for iid marginal sampling (clamps at 0/1)."""
-    return _ball_marginal_tables(ball)
 
 
 # -- family spec strings -----------------------------------------------------

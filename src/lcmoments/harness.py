@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import CoefficientVector
 from .errors import InvalidArgumentError
-from .families import Family, ProductFamily, UniformBall, family_from_spec
+from .families import Family, family_from_spec
 from .montecarlo import _MASK64, MAX_MOMENT_ORDER, MIN_SAMPLES, estimate_pnorm
 from .surrogates import surrogate_bundle
 
@@ -84,6 +84,10 @@ class ExperimentConfig:
         if self.n_samples < MIN_SAMPLES:
             raise InvalidArgumentError(
                 f"n_samples must be >= {MIN_SAMPLES}, got {self.n_samples}")
+        for spec in self.families:
+            _check_spec("family", spec, self.n_list, family_from_spec)
+        for spec in self.profiles:
+            _check_spec("profile", spec, self.n_list, coefficient_profile)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
@@ -127,6 +131,23 @@ def _typed_list(value, name: str, kinds: tuple[type, ...]) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise InvalidArgumentError(f"config field {name} must be a list, got {value!r}")
     return tuple(_typed(entry, f"{name} entry", kinds) for entry in value)
+
+
+def _check_spec(kind: str, spec: str, n_list: tuple[int, ...], build) -> None:
+    """Reject a spec that ``build(spec, n)`` refuses at every n of the grid.
+
+    A spec that builds at some n only (a multi-tail product, say) is valid;
+    its rows at the other dimensions are skipped at run time.
+    """
+    first_error = None
+    for n in n_list:
+        try:
+            build(spec, n)
+            return
+        except InvalidArgumentError as exc:
+            first_error = first_error or exc
+    raise InvalidArgumentError(
+        f"{kind} spec {spec!r} applies at no n in {list(n_list)}: {first_error}")
 
 
 def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
@@ -274,10 +295,7 @@ def _run_row(config: ExperimentConfig, index: int, key
         family = family_from_spec(family_spec, n)
     except InvalidArgumentError as exc:
         return _skipped(index, key, "family spec", exc)
-    try:
-        values = coefficient_profile(profile_spec, n)
-    except InvalidArgumentError as exc:
-        return _skipped(index, key, "profile spec", exc)
+    values = coefficient_profile(profile_spec, n)
     if values is None:
         return _skipped(index, key, "profile length", f"profile inapplicable at n={n}")
     a = CoefficientVector.from_values(values)
@@ -285,11 +303,13 @@ def _run_row(config: ExperimentConfig, index: int, key
                       config.n_samples, _cell_seed(config.seed, index)), None
 
 
-def _reference_surrogate(family_spec: str, row: ReportRow) -> tuple[str, float | None]:
-    family = family_from_spec(family_spec, row.n)
-    if isinstance(family, ProductFamily):
+def _reference_surrogate(row: ReportRow) -> tuple[str, float | None]:
+    """The surrogate a row's Monte-Carlo value is compared with: ``gk`` for
+    product families, ``bqn`` for balls, else ``momunc``.  Only product rows
+    carry ``gk`` and only ball rows carry ``bqn``."""
+    if row.gk is not None:
         return "gk", row.gk
-    if isinstance(family, UniformBall):
+    if row.bqn is not None:
         return "bqn", row.bqn
     return "momunc", row.momunc
 
@@ -314,10 +334,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         fam_rows = [r for r in rows if r.family == family_spec]
         if not fam_rows:
             continue
-        ref_name, _ = _reference_surrogate(family_spec, fam_rows[0])
+        ref_name, _ = _reference_surrogate(fam_rows[0])
         ref_ratios = []
         for r in fam_rows:
-            _, ref = _reference_surrogate(family_spec, r)
+            _, ref = _reference_surrogate(r)
             if ref is not None and ref > 0:
                 ref_ratios.append(r.mc_value / ref)
         families_summary[family_spec] = {

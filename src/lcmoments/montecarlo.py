@@ -26,7 +26,7 @@ from .families import (
     ProductFamily,
     UniformBall,
     UniformCube,
-    _marginal_sampler_tables,
+    _marginal_beta,
 )
 
 __all__ = [
@@ -105,6 +105,15 @@ def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np
     return r * signs * gam ** (1.0 / q) / denom[:, None]
 
 
+def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
+    """iid coordinates with the ball's marginal law: X*_i = r eps_i B_i^{1/q},
+    B_i ~ Beta(1/q, (n-1)/q + 1), eps_i symmetric signs."""
+    a, b = _marginal_beta(ball)
+    mags = rng.beta(a, b, size=(size, ball.n)) ** (1.0 / ball.q)
+    signs = rng.integers(0, 2, size=(size, ball.n)) * 2 - 1
+    return ball.r * signs * mags
+
+
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` iid vectors from the family as a (size, n) array."""
     if size < 1:
@@ -135,21 +144,32 @@ def _validate_batching(n_samples: int, batches: int) -> None:
         raise InvalidArgumentError(f"batches must be >= {MIN_BATCHES}, got {batches}")
 
 
+def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
+                 statistic: Callable[[np.ndarray], object], n_samples: int, seed: int,
+                 batches: int, tag: int) -> tuple[list, np.ndarray]:
+    """``statistic`` of each batch's draw, in batch order, and the batch sizes
+    as float weights.
+
+    Batch b draws its samples from the sub-stream (seed, tag, b).
+    """
+    counts = _batch_counts(n_samples, batches)
+    stats = [statistic(draw(_substream(seed, tag, b), m)) for b, m in enumerate(counts)]
+    return stats, np.asarray(counts, dtype=float)
+
+
 def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
                   a_arr: np.ndarray, ps: np.ndarray, n_samples: int, seed: int,
                   batches: int, tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws."""
-    counts = _batch_counts(n_samples, batches)
-    log_means = np.empty((len(ps), batches))
-    for b, m in enumerate(counts):
-        rng = _substream(seed, tag, b)
-        s = sampler(rng, m) @ a_arr
+
+    def log_means(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(s))
-        log_means[:, b] = logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(m)
-    weights = np.asarray(counts, dtype=float)
+            log_abs = np.log(np.abs(x @ a_arr))
+        return logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(len(x))
+
+    stats, weights = _batch_stats(sampler, log_means, n_samples, seed, batches, tag)
     return tuple(_pnorm_record(row, weights, float(p), n_samples, seed)
-                 for row, p in zip(log_means, ps))
+                 for row, p in zip(np.stack(stats, axis=1), ps))
 
 
 def _pnorm_record(log_means: np.ndarray, weights: np.ndarray, p: float,
@@ -167,11 +187,20 @@ def _pnorm_record(log_means: np.ndarray, weights: np.ndarray, p: float,
     return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
 
 
-def _check_order(p: float, minimum: float) -> None:
-    if not p >= minimum:
-        raise InvalidArgumentError(f"moment order must satisfy p >= {minimum:g}, got {p}")
-    if p > MAX_MOMENT_ORDER:
-        raise OutOfRangeError(f"moment order {p} above supported maximum {MAX_MOMENT_ORDER}")
+def _check_orders(p: float | Sequence[float], minimum: float) -> np.ndarray:
+    """``p`` as a non-empty vector of orders in [minimum, MAX_MOMENT_ORDER]."""
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    if ps.ndim != 1 or ps.size == 0:
+        raise InvalidArgumentError(
+            f"moment orders must be a number or a non-empty flat sequence, got {p!r}")
+    for order in ps:
+        if not order >= minimum:
+            raise InvalidArgumentError(
+                f"moment order must satisfy p >= {minimum:g}, got {order}")
+        if order > MAX_MOMENT_ORDER:
+            raise OutOfRangeError(
+                f"moment order {order} above supported maximum {MAX_MOMENT_ORDER}")
+    return ps
 
 
 def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int,
@@ -189,19 +218,13 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     if family.n != cv.n:
         raise InvalidArgumentError(
             f"family dimension {family.n} does not match coefficient length {cv.n}")
-    scalar = np.ndim(p) == 0
-    ps = np.atleast_1d(np.asarray(p, dtype=float))
-    if ps.ndim != 1 or ps.size == 0:
-        raise InvalidArgumentError(
-            f"moment orders must be a number or a non-empty flat sequence, got {p!r}")
-    for order in ps:
-        _check_order(float(order), 2.0)
+    ps = _check_orders(p, 2.0)
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
     _validate_batching(n_samples, batches)
     records = _pnorm_engine(lambda rng, m: sample(family, rng, m), cv.array,
                             ps, n_samples, seed, batches, _TAG_PNORM)
-    return records[0] if scalar else records
+    return records[0] if np.ndim(p) == 0 else records
 
 
 def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
@@ -210,13 +233,10 @@ def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
     if not (0 <= coordinate < family.n):
         raise InvalidArgumentError(f"coordinate {coordinate} outside [0, {family.n})")
     _validate_batching(n_samples, batches)
-    counts = _batch_counts(n_samples, batches)
-    means = np.empty(batches)
-    for b, m in enumerate(counts):
-        rng = _substream(seed, _TAG_MOMENT4, b)
-        x = sample(family, rng, m)[:, coordinate]
-        means[b] = np.mean(x ** 4)
-    weights = np.asarray(counts, dtype=float)
+    stats, weights = _batch_stats(lambda rng, m: sample(family, rng, m),
+                                  lambda x: np.mean(x[:, coordinate] ** 4),
+                                  n_samples, seed, batches, _TAG_MOMENT4)
+    means = np.asarray(stats)
     value = float(np.sum(means * weights) / n_samples)
     stderr = float(np.std(means, ddof=1)) / math.sqrt(batches)
     return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
@@ -243,13 +263,10 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int, seed: int,
         raise OutOfRangeError(
             f"joint tails are supported up to dimension {_JOINT_MAX_DIM}, got {family.n}")
     _validate_batching(n_samples, batches)
-    counts = _batch_counts(n_samples, batches)
-    hits = 0
-    for b, m in enumerate(counts):
-        rng = _substream(seed, _TAG_JOINT, b)
-        x = sample(family, rng, m)
-        hits += int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1)))
-    value = hits / n_samples
+    stats, _ = _batch_stats(lambda rng, m: sample(family, rng, m),
+                            lambda x: int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))),
+                            n_samples, seed, batches, _TAG_JOINT)
+    value = sum(stats) / n_samples
     if value < _JOINT_MIN_PROB:
         raise OutOfRangeError(
             f"joint tail estimate {value:.3e} is below the e^-10 reliability guard")
@@ -257,14 +274,18 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int, seed: int,
     return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
 
 
-def dependent_vs_independent(ball: UniformBall, a, p: float, n_samples: int,
-                             seed: int, batches: int = 64
-                             ) -> tuple[EstimateRecord, EstimateRecord]:
+def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
+                             n_samples: int, seed: int, batches: int = 64
+                             ) -> tuple[EstimateRecord, EstimateRecord] | tuple[
+                                 tuple[EstimateRecord, ...], tuple[EstimateRecord, ...]]:
     """||sum a_i X_i||_p for the ball against its independent-marginals twin.
 
-    The twin X* has iid coordinates drawn through the marginal quantile table,
-    so each X*_i matches the law of X_i exactly.  Both runs share the batch
-    structure but live on disjoint sub-streams of the seed.
+    The twin X* has iid coordinates r eps_i B_i^{1/q} with the closed-form
+    Beta marginal of the ball, so each X*_i matches the law of X_i exactly.
+    Both runs share the batch structure but live on disjoint sub-streams of
+    the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
+    returns ``(deps, indeps)``, one record per order, all from one draw of
+    each, with entry i equal to the scalar call at ``p[i]``.
     """
     cv = as_coefficients(a)
     if not isinstance(ball, UniformBall):
@@ -275,22 +296,15 @@ def dependent_vs_independent(ball: UniformBall, a, p: float, n_samples: int,
         raise InvalidArgumentError(
             f"family dimension {ball.n} does not match coefficient length {cv.n}")
     # p >= 3 keeps the second derivative of |x|^p convex
-    _check_order(p, 3.0)
+    ps = _check_orders(p, 3.0)
     _validate_batching(n_samples, batches)
-    tables = _marginal_sampler_tables(ball)
-    lo = float(tables.cdf_values[0])
-    hi = float(tables.cdf_values[-1])
-
-    def indep_sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        u = np.clip(rng.random((m, ball.n)), lo, hi)
-        return tables.quantile(u)
-
-    ps = np.array([float(p)])
-    (dep,) = _pnorm_engine(lambda rng, m: _sample_ball(ball, rng, m), cv.array,
-                           ps, n_samples, seed, batches, _TAG_NA_DEPENDENT)
-    (indep,) = _pnorm_engine(indep_sampler, cv.array,
-                             ps, n_samples, seed, batches, _TAG_NA_INDEPENDENT)
-    return dep, indep
+    deps = _pnorm_engine(lambda rng, m: _sample_ball(ball, rng, m), cv.array,
+                         ps, n_samples, seed, batches, _TAG_NA_DEPENDENT)
+    indeps = _pnorm_engine(lambda rng, m: _sample_ball_twin(ball, rng, m), cv.array,
+                           ps, n_samples, seed, batches, _TAG_NA_INDEPENDENT)
+    if np.ndim(p) == 0:
+        return deps[0], indeps[0]
+    return deps, indeps
 
 
 _RADEMACHER_MAX_DIM = 20

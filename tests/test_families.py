@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,7 +178,7 @@ def test_level_set_support_crosspolytope_uses_sup_norm():
 
 
 def test_level_set_radius_matches_the_marginal_density_ratio():
-    # finite differences of the quadrature-built CDF confirm that the density
+    # finite differences of the closed-form Beta CDF confirm that the density
     # drops by exactly e^{-p} at the level-set boundary; this pins the
     # (n - k)/q exponent of the section density
     ball = UniformBall.isotropic(5, 2.0)
@@ -249,6 +251,16 @@ def test_marginal_quantile_domain():
 def test_marginal_needs_two_dimensions():
     with pytest.raises(InvalidArgumentError):
         marginal_cdf(UniformBall.isotropic(1, 2.0), 0.0)
+
+
+def test_library_import_leaves_out_scipy_interpolate():
+    # the ball marginal is a closed Beta form, so no interpolation tables
+    # (and none of the optimize/linalg modules they pull in) are loaded
+    code = ("import sys, lcmoments, lcmoments.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- family spec parsing ---------------------------------------------------------

@@ -47,6 +47,9 @@ def test_config_accepts_small_grid():
     dict(p_grid=(4.0, 2.0)),
     dict(p_grid=(2.0, 2.0)),
     dict(n_samples=9_999),
+    dict(families=("exp", "bal:q=2")),
+    dict(families=("product:exp,exp",)),
+    dict(profiles=("flat", "geometric:rho=2")),
 ])
 def test_config_rejects_bad_fields(patch):
     with pytest.raises(InvalidArgumentError):
@@ -91,6 +94,8 @@ def _mapping(**patch):
     dict(families=["exp", "cube", "exp"]),
     dict(profiles=["flat", "flat"]),
     dict(n_list=[3, 4, 3]),
+    dict(families=["bal:q=2"]),
+    dict(profiles=["flatt"]),
 ], ids=lambda patch: "-".join(f"{k}={v!r}" for k, v in patch.items()))
 def test_config_from_mapping_is_strict(patch):
     with pytest.raises(InvalidArgumentError):
@@ -320,6 +325,19 @@ def test_cli_report_rejects_a_string_where_a_list_belongs(tmp_path, capsys):
     assert main(["report", "--config", str(config_path),
                  "--out", str(tmp_path / "report")]) == 2
     assert "profiles" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("patch,culprit", [
+    (dict(families=["exp", "bal:q=2"]), "bal:q=2"),
+    (dict(profiles=["flat", "geometric:rho=2"]), "geometric:rho=2"),
+])
+def test_cli_report_rejects_a_mistyped_spec(tmp_path, capsys, patch, culprit):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_mapping(**patch)))
+    assert main(["report", "--config", str(config_path),
+                 "--out", str(tmp_path / "report")]) == 2
+    assert culprit in capsys.readouterr().err
     assert not (tmp_path / "report").exists()
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 from lcmoments.errors import InvalidArgumentError, OutOfRangeError
 from lcmoments.families import (
@@ -222,6 +223,51 @@ def test_dependent_twin_loses_on_flat_sums():
     ball = UniformBall.isotropic(3, 1.0)
     dep, ind = dependent_vs_independent(ball, (1.0, 1.0, 1.0), 4.0, 200_000, SEED + 11)
     assert dep.value < ind.value
+
+
+@pytest.mark.parametrize("n,q", [(3, 1.0), (4, 1.5), (5, 3.0)])
+def test_independent_twin_has_the_beta_marginal_moments(n, q):
+    import lcmoments.montecarlo as mc
+
+    ball = UniformBall.isotropic(n, q)
+    x = mc._sample_ball_twin(ball, np.random.default_rng(SEED + 12), 200_000).ravel()
+    # |X*_i| / r = B^{1/q} with B ~ Beta(1/q, (n-1)/q + 1)
+    a, b = 1.0 / q, (n - 1.0) / q + 1.0
+    fourth = ball.r ** 4 * math.exp(betaln(a + 4.0 / q, b) - betaln(a, b))
+    for power, exact in ((2, 1.0), (4, fourth)):
+        values = x ** power
+        stderr = float(np.std(values)) / math.sqrt(values.size)
+        assert float(np.mean(values)) == pytest.approx(exact, abs=4.0 * stderr)
+
+
+def test_dependent_vs_independent_order_vector_matches_scalar_calls():
+    ball = UniformBall.isotropic(3, 1.5)
+    a = (1.0, 0.6, 0.3)
+    orders = (3.0, 4.0, 6.0, 12.0)
+    deps, indeps = dependent_vs_independent(ball, a, orders, 20_000, SEED + 13)
+    assert len(deps) == len(indeps) == len(orders)
+    for p, dep, ind in zip(orders, deps, indeps):
+        assert (dep, ind) == dependent_vs_independent(ball, a, p, 20_000, SEED + 13)
+
+
+@pytest.mark.parametrize("orders,error", [
+    ((3.0, 4.0, MAX_MOMENT_ORDER + 1.0), OutOfRangeError),
+    ((4.0, 2.0), InvalidArgumentError),
+    ((4.0, math.nan), InvalidArgumentError),
+    ((), InvalidArgumentError),
+])
+def test_dependent_vs_independent_orders_validated_before_sampling(monkeypatch, orders,
+                                                                    error):
+    import lcmoments.montecarlo as mc
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating the orders")
+
+    monkeypatch.setattr(mc, "_sample_ball", no_sampling)
+    monkeypatch.setattr(mc, "_sample_ball_twin", no_sampling)
+    with pytest.raises(error):
+        dependent_vs_independent(UniformBall.isotropic(3, 2.0), (1.0, 1.0, 1.0), orders,
+                                 20_000, 0)
 
 
 def test_dependent_vs_independent_validation():
