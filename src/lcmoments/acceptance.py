@@ -36,7 +36,7 @@ from .harness import (
     run_experiment,
 )
 from .montecarlo import (
-    _MASK64,
+    _substream,
     dependent_vs_independent,
     estimate_fourth_moment,
     estimate_joint_tail,
@@ -82,10 +82,6 @@ class CheckResult:
     seconds: float
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & _MASK64, tag)))
-
-
 def _finish(name: str, passed: bool, detail: dict, start: float) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail,
                        seconds=round(time.perf_counter() - start, 3))
@@ -112,7 +108,7 @@ def check_gaussian_moment_quadrature(seed: int) -> CheckResult:
 
 def check_rademacher_gaussian_domination(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _rng(seed, _STREAM_KHINTCHINE)
+    rng = _substream(seed, _STREAM_KHINTCHINE)
     orders = (2.0, 3.0, 4.0, 8.0, 16.0)
     worst = -math.inf
     worst_case = None
@@ -203,7 +199,7 @@ def _random_tail(rng: np.random.Generator) -> TailFunction:
 
 def check_tail_program_grid_oracle(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _rng(seed, _STREAM_GK_ORACLE)
+    rng = _substream(seed, _STREAM_GK_ORACLE)
     worst_rel = 0.0
     worst_case = None
     overshoot = 0
@@ -346,7 +342,7 @@ def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
 
 def check_ball_lower_band(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _rng(seed, _STREAM_LOWER_BAND)
+    rng = _substream(seed, _STREAM_LOWER_BAND)
     base = _cell_seed(seed, _STREAM_LOWER_BAND)
     cells = 0
     violations = []
@@ -427,7 +423,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
 
 def check_joint_tail_factorization(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _rng(seed, _STREAM_JOINT_TAIL)
+    rng = _substream(seed, _STREAM_JOINT_TAIL)
     base = _cell_seed(seed, _STREAM_JOINT_TAIL)
     probes = []
     passed = True

@@ -32,7 +32,7 @@ from scipy.special import betainc, betaincinv, betaln, gammaln
 
 from .coeffs import _lq
 from .errors import InvalidArgumentError, OutOfRangeError, UnsupportedFamilyError
-from .tails import TailFunction, tail_from_spec
+from .tails import TailFunction, _parse_param, tail_from_spec
 
 __all__ = [
     "ProductFamily",
@@ -281,15 +281,7 @@ def family_from_spec(spec: str, n: int) -> Family:
     if spec == "cube":
         return UniformCube(n=n)
     if spec.startswith("ball:"):
-        body = spec[len("ball:"):]
-        key, _, raw = body.partition("=")
-        if key.strip() != "q" or not raw:
-            raise InvalidArgumentError(f"malformed ball spec {spec!r}")
-        try:
-            q = float(raw)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"malformed ball spec {spec!r}") from exc
-        return UniformBall.isotropic(n, q)
+        return UniformBall.isotropic(n, _parse_param(spec, "ball", "q"))
     if spec.startswith("product:"):
         parts = [part for part in spec[len("product:"):].split(",") if part.strip()]
         if not parts:

@@ -28,6 +28,7 @@ from .errors import InvalidArgumentError
 from .families import Family, family_from_spec
 from .montecarlo import _MASK64, MAX_MOMENT_ORDER, MIN_SAMPLES, estimate_pnorm
 from .surrogates import surrogate_bundle
+from .tails import _parse_param
 
 __all__ = [
     "ExperimentConfig",
@@ -136,14 +137,17 @@ def _typed_list(value, name: str, kinds: tuple[type, ...]) -> tuple:
 def _check_spec(kind: str, spec: str, n_list: tuple[int, ...], build) -> None:
     """Reject a spec that ``build(spec, n)`` refuses at every n of the grid.
 
-    A spec that builds at some n only (a multi-tail product, say) is valid;
-    its rows at the other dimensions are skipped at run time.
+    ``build`` refuses by raising or by returning None (an explicit profile of
+    the wrong length).  A spec that builds at some n only (a multi-tail
+    product, say) is valid; its rows at the other dimensions are skipped at
+    run time.
     """
     first_error = None
     for n in n_list:
         try:
-            build(spec, n)
-            return
+            if build(spec, n) is not None:
+                return
+            first_error = first_error or f"inapplicable at n={n}"
         except InvalidArgumentError as exc:
             first_error = first_error or exc
     raise InvalidArgumentError(
@@ -183,17 +187,6 @@ def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
             raise InvalidArgumentError(f"malformed explicit profile {spec!r}") from exc
         return np.asarray(vals) if len(vals) == n else None
     raise InvalidArgumentError(f"unknown profile spec {spec!r}")
-
-
-def _parse_param(spec: str, name: str, param: str) -> float:
-    body = spec[len(name) + 1:]
-    key, _, raw = body.partition("=")
-    if key.strip() != param or not raw:
-        raise InvalidArgumentError(f"malformed {name} profile {spec!r}")
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"malformed {name} profile {spec!r}") from exc
 
 
 @dataclass(frozen=True)

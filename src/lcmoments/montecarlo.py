@@ -3,8 +3,8 @@
 Reproducibility contract: every estimator splits its sample budget into
 batches and derives one RNG sub-stream per batch from the entropy tuple
 (seed, stream tag, batch index).  Batch statistics are reduced in batch-index
-order, so a result is a pure function of (seed, n_samples, batches) no matter
-how the batches are scheduled.  p-th moments are accumulated in log space and
+order, so a result is a pure function of (seed, n_samples) no matter how the
+batches are scheduled.  p-th moments are accumulated in log space and
 batch-means give the standard error, propagated through the 1/p power by the
 delta method.
 """
@@ -39,12 +39,13 @@ __all__ = [
     "rademacher_pnorm_exact",
     "MAX_MOMENT_ORDER",
     "MIN_SAMPLES",
-    "MIN_BATCHES",
 ]
 
 MAX_MOMENT_ORDER = 32.0
 MIN_SAMPLES = 10_000
-MIN_BATCHES = 32
+
+# every estimator splits its samples into this many batch-means batches
+_BATCHES = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,9 +57,10 @@ _TAG_NA_DEPENDENT = 4
 _TAG_NA_INDEPENDENT = 5
 
 
-def _substream(seed: int, tag: int, batch: int) -> np.random.Generator:
-    entropy = (int(seed) & _MASK64, tag, batch)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _substream(seed: int, *path: int) -> np.random.Generator:
+    """The generator of sub-stream ``path`` (a stream tag, then a batch
+    index or nothing) of ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed) & _MASK64, *path)))
 
 
 @dataclass(frozen=True)
@@ -131,35 +133,33 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 
 # -- batch engine ---------------------------------------------------------------
 
-def _batch_counts(n_samples: int, batches: int) -> list[int]:
-    base, rem = divmod(n_samples, batches)
-    return [base + 1] * rem + [base] * (batches - rem)
+def _batch_counts(n_samples: int) -> list[int]:
+    base, rem = divmod(n_samples, _BATCHES)
+    return [base + 1] * rem + [base] * (_BATCHES - rem)
 
 
-def _validate_batching(n_samples: int, batches: int) -> None:
+def _validate_batching(n_samples: int) -> None:
     if n_samples < MIN_SAMPLES:
         raise InvalidArgumentError(
             f"n_samples must be >= {MIN_SAMPLES} for stable batch means, got {n_samples}")
-    if batches < MIN_BATCHES:
-        raise InvalidArgumentError(f"batches must be >= {MIN_BATCHES}, got {batches}")
 
 
 def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
                  statistic: Callable[[np.ndarray], object], n_samples: int, seed: int,
-                 batches: int, tag: int) -> tuple[list, np.ndarray]:
+                 tag: int) -> tuple[list, np.ndarray]:
     """``statistic`` of each batch's draw, in batch order, and the batch sizes
     as float weights.
 
     Batch b draws its samples from the sub-stream (seed, tag, b).
     """
-    counts = _batch_counts(n_samples, batches)
+    counts = _batch_counts(n_samples)
     stats = [statistic(draw(_substream(seed, tag, b), m)) for b, m in enumerate(counts)]
     return stats, np.asarray(counts, dtype=float)
 
 
 def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
                   a_arr: np.ndarray, ps: np.ndarray, n_samples: int, seed: int,
-                  batches: int, tag: int) -> tuple[EstimateRecord, ...]:
+                  tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws."""
 
     def log_means(x: np.ndarray) -> np.ndarray:
@@ -167,7 +167,7 @@ def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
             log_abs = np.log(np.abs(x @ a_arr))
         return logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(len(x))
 
-    stats, weights = _batch_stats(sampler, log_means, n_samples, seed, batches, tag)
+    stats, weights = _batch_stats(sampler, log_means, n_samples, seed, tag)
     return tuple(_pnorm_record(row, weights, float(p), n_samples, seed)
                  for row, p in zip(np.stack(stats, axis=1), ps))
 
@@ -204,8 +204,7 @@ def _check_orders(p: float | Sequence[float], minimum: float) -> np.ndarray:
 
 
 def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int,
-                   seed: int, batches: int = 64
-                   ) -> EstimateRecord | tuple[EstimateRecord, ...]:
+                   seed: int) -> EstimateRecord | tuple[EstimateRecord, ...]:
     """Monte-Carlo ||sum a_i X_i||_p with a batch-means standard error.
 
     ``p`` is one order, which returns one record, or a sequence of orders,
@@ -221,33 +220,33 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     ps = _check_orders(p, 2.0)
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
-    _validate_batching(n_samples, batches)
+    _validate_batching(n_samples)
     records = _pnorm_engine(lambda rng, m: sample(family, rng, m), cv.array,
-                            ps, n_samples, seed, batches, _TAG_PNORM)
+                            ps, n_samples, seed, _TAG_PNORM)
     return records[0] if np.ndim(p) == 0 else records
 
 
 def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
-                           seed: int, batches: int = 64) -> EstimateRecord:
+                           seed: int) -> EstimateRecord:
     """Monte-Carlo E X_j^4 of a single coordinate."""
     if not (0 <= coordinate < family.n):
         raise InvalidArgumentError(f"coordinate {coordinate} outside [0, {family.n})")
-    _validate_batching(n_samples, batches)
+    _validate_batching(n_samples)
     stats, weights = _batch_stats(lambda rng, m: sample(family, rng, m),
                                   lambda x: np.mean(x[:, coordinate] ** 4),
-                                  n_samples, seed, batches, _TAG_MOMENT4)
+                                  n_samples, seed, _TAG_MOMENT4)
     means = np.asarray(stats)
     value = float(np.sum(means * weights) / n_samples)
-    stderr = float(np.std(means, ddof=1)) / math.sqrt(batches)
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
+    stderr = float(np.std(means, ddof=1)) / math.sqrt(_BATCHES)
+    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, _BATCHES)
 
 
 _JOINT_MAX_DIM = 8
 _JOINT_MIN_PROB = math.exp(-10.0)
 
 
-def estimate_joint_tail(family: Family, thresholds, n_samples: int, seed: int,
-                        batches: int = 64) -> EstimateRecord:
+def estimate_joint_tail(family: Family, thresholds, n_samples: int,
+                        seed: int) -> EstimateRecord:
     """Empirical P(|X_i| >= t_i for all i) with a binomial standard error.
 
     Guarded to n <= 8 and estimates above e^{-10}: deeper joint tails are not
@@ -262,20 +261,20 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int, seed: int,
     if family.n > _JOINT_MAX_DIM:
         raise OutOfRangeError(
             f"joint tails are supported up to dimension {_JOINT_MAX_DIM}, got {family.n}")
-    _validate_batching(n_samples, batches)
+    _validate_batching(n_samples)
     stats, _ = _batch_stats(lambda rng, m: sample(family, rng, m),
                             lambda x: int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))),
-                            n_samples, seed, batches, _TAG_JOINT)
+                            n_samples, seed, _TAG_JOINT)
     value = sum(stats) / n_samples
     if value < _JOINT_MIN_PROB:
         raise OutOfRangeError(
             f"joint tail estimate {value:.3e} is below the e^-10 reliability guard")
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
+    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, _BATCHES)
 
 
 def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
-                             n_samples: int, seed: int, batches: int = 64
+                             n_samples: int, seed: int
                              ) -> tuple[EstimateRecord, EstimateRecord] | tuple[
                                  tuple[EstimateRecord, ...], tuple[EstimateRecord, ...]]:
     """||sum a_i X_i||_p for the ball against its independent-marginals twin.
@@ -297,11 +296,11 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
             f"family dimension {ball.n} does not match coefficient length {cv.n}")
     # p >= 3 keeps the second derivative of |x|^p convex
     ps = _check_orders(p, 3.0)
-    _validate_batching(n_samples, batches)
+    _validate_batching(n_samples)
     deps = _pnorm_engine(lambda rng, m: _sample_ball(ball, rng, m), cv.array,
-                         ps, n_samples, seed, batches, _TAG_NA_DEPENDENT)
+                         ps, n_samples, seed, _TAG_NA_DEPENDENT)
     indeps = _pnorm_engine(lambda rng, m: _sample_ball_twin(ball, rng, m), cv.array,
-                           ps, n_samples, seed, batches, _TAG_NA_INDEPENDENT)
+                           ps, n_samples, seed, _TAG_NA_INDEPENDENT)
     if np.ndim(p) == 0:
         return deps[0], indeps[0]
     return deps, indeps

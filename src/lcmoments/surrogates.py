@@ -89,8 +89,6 @@ def bobkov_nazarov_upper(a, p: float) -> float:
 
 _LAMBDA_LO = 1e-12
 _LAMBDA_HI = 1e12
-_MAX_BISECT = 200
-_FILL_ROUNDS = 256
 
 
 def _tilt_points(bs: np.ndarray, tails: Sequence[TailFunction], caps: np.ndarray,
@@ -112,11 +110,14 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     power tails) or a slope scan (tabulated), and the spent budget
     phi(lambda) = sum N_i(t_i(lambda)) is nonincreasing.  Coordinates are
     capped at N_i^{-1}(p), which never cuts feasible points since every N_j is
-    nonnegative.  The feasible iterate at the bracket's high end is finished
-    by water-filling rounds that spend any remaining budget on the coordinate
-    with the best marginal gain; with piecewise-linear tails this closes the
-    duality gap exactly, so pure exponential tails return p max b_i / rate_i
-    to machine accuracy.
+    nonnegative.  The bisection runs until its bracket collapses to two
+    adjacent floats, keeping the over-budget iterate t_lo and the feasible
+    iterate t_hi.  Between them only coordinates on a linear piece of their
+    tail move (a linear tail, a tabulated segment or a cap; power tails move
+    by an ulp), so the budget is linear on the segment and the optimum is
+    t_hi + theta (t_lo - t_hi) with theta = (p - phi_hi) / (phi_lo - phi_hi).
+    Convexity of N keeps this point feasible, and pure exponential tails
+    return p max b_i / rate_i to machine accuracy.
     """
     _require_moment_order(p)
     b = np.asarray(b, dtype=float)
@@ -137,44 +138,30 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
 
     lo, hi = _LAMBDA_LO, _LAMBDA_HI
     t_lo = _tilt_points(bs, tails, caps, lo)
-    if _budget(tails, t_lo) <= p * (1.0 + 1e-12):
+    spent_lo = _budget(tails, t_lo)
+    if spent_lo <= p * (1.0 + 1e-12):
         # budget slack even at vanishing multiplier: caps are jointly feasible
         return scale * float(bs @ t_lo)
     t_hi = _tilt_points(bs, tails, caps, hi)
-    if _budget(tails, t_hi) > p:
+    spent_hi = _budget(tails, t_hi)
+    if spent_hi > p:
         raise SolverError("multiplier bracket does not cover the budget constraint")
     best_dual = math.inf
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         t_mid = _tilt_points(bs, tails, caps, mid)
         spent = _budget(tails, t_mid)
         dual = float(bs @ t_mid) - mid * spent + mid * p
         best_dual = min(best_dual, dual)
         if spent > p:
-            lo = mid
+            lo, t_lo, spent_lo = mid, t_mid, spent
         else:
-            hi = mid
-            t_hi = t_mid
+            hi, t_hi, spent_hi = mid, t_mid, spent
+        mid = 0.5 * (lo + hi)
 
-    t = t_hi.copy()
-    # water-filling completion: spend leftover budget greedily
-    for _ in range(_FILL_ROUNDS):
-        leftover = p - _budget(tails, t)
-        if leftover <= 1e-13 * max(p, 1.0):
-            break
-        best_gain, best_i, best_t = 0.0, -1, 0.0
-        for i, tail in enumerate(tails):
-            if bs[i] <= 0:
-                continue
-            t_new = float(tail.inverse(tail.value(float(t[i])) + leftover))
-            gain = bs[i] * (t_new - t[i])
-            if gain > best_gain:
-                best_gain, best_i, best_t = gain, i, t_new
-        if best_i < 0:
-            break
-        t[best_i] = best_t
-
-    value = scale * float(bs @ t)
+    # spent_lo > p >= spent_hi, and the budget is linear between the iterates
+    theta = (p - spent_hi) / (spent_lo - spent_hi)
+    value = scale * float(bs @ (t_hi + theta * (t_lo - t_hi)))
     if best_dual < math.inf and value > scale * best_dual * (1.0 + 1e-9):
         raise SolverError("primal value exceeds the dual bound")
     return value

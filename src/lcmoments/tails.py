@@ -193,13 +193,16 @@ def tail_from_spec(spec: str) -> TailFunction:
     if spec == "exp":
         return TailFunction.exponential()
     if spec.startswith("pow:"):
-        body = spec[len("pow:"):]
-        key, _, raw = body.partition("=")
-        if key.strip() != "alpha" or not raw:
-            raise InvalidArgumentError(f"malformed power tail spec {spec!r}")
-        try:
-            alpha = float(raw)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"malformed power tail spec {spec!r}") from exc
-        return TailFunction.power(alpha)
+        return TailFunction.power(_parse_param(spec, "pow", "alpha"))
     raise InvalidArgumentError(f"unknown tail spec {spec!r}")
+
+
+def _parse_param(spec: str, name: str, param: str) -> float:
+    """The float value of a ``<name>:<param>=<value>`` spec string."""
+    key, _, raw = spec[len(name) + 1:].partition("=")
+    if key.strip() != param or not raw:
+        raise InvalidArgumentError(f"malformed {name} spec {spec!r}")
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"malformed {name} spec {spec!r}") from exc

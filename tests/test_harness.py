@@ -50,6 +50,7 @@ def test_config_accepts_small_grid():
     dict(families=("exp", "bal:q=2")),
     dict(families=("product:exp,exp",)),
     dict(profiles=("flat", "geometric:rho=2")),
+    dict(profiles=("explicit:1,1",)),
 ])
 def test_config_rejects_bad_fields(patch):
     with pytest.raises(InvalidArgumentError):
@@ -188,11 +189,11 @@ def test_run_experiment_skips_inapplicable_cells(caplog):
 
 def test_inapplicable_row_counts_every_order_as_a_skipped_cell():
     config = ExperimentConfig(
-        families=("exp", "cube"), profiles=("explicit:1,1", "flat"), n_list=(3,),
+        families=("exp", "cube"), profiles=("explicit:1,1", "flat"), n_list=(2, 3),
         p_grid=(2.0, 3.0, 4.0), n_samples=10_000, seed=4)
     result = run_experiment(config)
-    assert len(result.rows) == 6
-    assert result.summary["cells"] == 6
+    assert len(result.rows) == 18
+    assert result.summary["cells"] == 18
     assert result.summary["skipped"] == 6
     assert result.summary["skipped_by_reason"] == {"profile length": 6}
 
@@ -331,6 +332,7 @@ def test_cli_report_rejects_a_string_where_a_list_belongs(tmp_path, capsys):
 @pytest.mark.parametrize("patch,culprit", [
     (dict(families=["exp", "bal:q=2"]), "bal:q=2"),
     (dict(profiles=["flat", "geometric:rho=2"]), "geometric:rho=2"),
+    (dict(profiles=["explicit:1,1"]), "explicit:1,1"),
 ])
 def test_cli_report_rejects_a_mistyped_spec(tmp_path, capsys, patch, culprit):
     config_path = tmp_path / "config.json"

@@ -14,7 +14,6 @@ from lcmoments.families import (
 )
 from lcmoments.montecarlo import (
     MAX_MOMENT_ORDER,
-    MIN_BATCHES,
     MIN_SAMPLES,
     dependent_vs_independent,
     estimate_fourth_moment,
@@ -116,8 +115,6 @@ def test_estimate_pnorm_validation():
         estimate_pnorm(fam, (0.0, 0.0), 4.0, 20_000, 0)
     with pytest.raises(InvalidArgumentError):
         estimate_pnorm(fam, (1.0, 1.0), 4.0, MIN_SAMPLES - 1, 0)
-    with pytest.raises(InvalidArgumentError):
-        estimate_pnorm(fam, (1.0, 1.0), 4.0, 20_000, 0, batches=MIN_BATCHES - 1)
 
 
 GRID_ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)

@@ -121,6 +121,38 @@ def test_gk_single_coordinate_uses_the_whole_budget():
         == pytest.approx(4.0 * 2.0 / math.sqrt(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p", [2.0, 5.5, 32.0])
+def test_gk_tied_exponential_coordinates_share_the_budget(k, p):
+    # every coordinate flips from 0 to its cap at the same multiplier, so the
+    # finish must split the budget between them (theta = 1/k)
+    b = 0.8
+    assert gluskin_kwapien((b,) * k, [exponential()] * k, p) == pytest.approx(
+        p * b / math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("b,tails,p", [
+    ((0.5, 2.0, 1.0), [exponential()] * 3, 8.0),
+    ((1.0, 2.0, 0.7), [power(2.0, scale=s) for s in (1.0, 0.5, 2.0)], 3.0),
+    ((1.0, 0.7, 0.4), [exponential(), power(1.5), TABLE], 16.0),
+    ((3.0, 1.0), [TABLE, TABLE], 2.5),
+])
+def test_gk_bisection_stops_when_its_bracket_collapses(monkeypatch, b, tails, p):
+    import lcmoments.surrogates as surrogates
+
+    calls = []
+    tilt = surrogates._tilt_points
+
+    def counted(*args):
+        calls.append(args)
+        return tilt(*args)
+
+    monkeypatch.setattr(surrogates, "_tilt_points", counted)
+    gluskin_kwapien(b, tails, p)
+    # two bracket ends plus about 93-132 halvings of [1e-12, 1e12]
+    assert len(calls) <= 140
+
+
 def test_gk_zero_vector_is_zero():
     assert gluskin_kwapien((0.0, 0.0), [exponential()] * 2, 4.0) == 0.0
 
