@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .families import (
     UniformBall,
@@ -90,6 +89,11 @@ def _finish(name: str, passed: bool, detail: dict, start: float) -> CheckResult:
 # -- 1. Gaussian moment constants against adaptive quadrature -----------------
 
 def check_gaussian_moment_quadrature(seed: int) -> CheckResult:
+    # scipy.integrate is imported where it is used, here and in the two disk
+    # integrals: it loads scipy.optimize, linalg, sparse and spatial (about
+    # 25 MB), which no other check needs
+    from scipy.integrate import quad
+
     start = time.perf_counter()
     worst = 0.0
     worst_p = None
@@ -372,6 +376,8 @@ def check_ball_lower_band(seed: int) -> CheckResult:
 # -- 9. dependent ball moments never beat the independent twin ----------------
 
 def _disk_dependent_fourth() -> float:
+    from scipy.integrate import dblquad
+
     r = 2.0
     value, _ = dblquad(
         lambda rho, theta: (rho * (math.cos(theta) + math.sin(theta))) ** 4
@@ -381,6 +387,8 @@ def _disk_dependent_fourth() -> float:
 
 
 def _disk_independent_fourth() -> float:
+    from scipy.integrate import dblquad
+
     r = 2.0
 
     def marginal(x: float) -> float:

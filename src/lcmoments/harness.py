@@ -159,7 +159,8 @@ def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
 
     ``one_hot`` | ``flat`` | ``geometric:rho=<r>`` | ``power:alpha=<a>`` |
     ``explicit:v1,v2,...``.  An explicit profile returns None when its length
-    does not match n (the cell is inapplicable, not an error).
+    does not match n (the cell is inapplicable, not an error); its entries
+    must be finite and not all zero at any length.
     """
     spec = spec.strip()
     if n < 1:
@@ -177,14 +178,17 @@ def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
         return rho ** np.arange(n)
     if spec.startswith("power:"):
         alpha = _parse_param(spec, "power", "alpha")
-        if alpha <= 0:
-            raise InvalidArgumentError(f"power decay must be positive, got {alpha}")
+        if not (0.0 < alpha < math.inf):
+            raise InvalidArgumentError(f"power decay must be positive and finite, got {alpha}")
         return np.arange(1, n + 1, dtype=float) ** (-alpha)
     if spec.startswith("explicit:"):
         try:
             vals = [float(v) for v in spec[len("explicit:"):].split(",")]
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed explicit profile {spec!r}") from exc
+        if not all(map(math.isfinite, vals)) or not any(vals):
+            raise InvalidArgumentError(
+                f"explicit profile {spec!r} must be finite and not all zero")
         return np.asarray(vals) if len(vals) == n else None
     raise InvalidArgumentError(f"unknown profile spec {spec!r}")
 

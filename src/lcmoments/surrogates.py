@@ -91,14 +91,64 @@ _LAMBDA_LO = 1e-12
 _LAMBDA_HI = 1e12
 
 
-def _tilt_points(bs: np.ndarray, tails: Sequence[TailFunction], caps: np.ndarray,
-                 lam: float) -> np.ndarray:
-    return np.array([tail.tilt_argmax(float(b), lam, float(cap))
-                     for b, tail, cap in zip(bs, tails, caps)])
+class _TiltBlock:
+    """Totals (sum_i b_i t_i, sum_i N_i(t_i)) of the tilted maximizers at lambda.
 
+    t_i(lambda) maximizes b_i t - lambda N_i(t) over [0, cap_i] with cap_i =
+    N_i^{-1}(p), as ``TailFunction.tilt_argmax`` does one coordinate at a
+    time.  Linear tails, alpha = 1 power tails and the segments of tabulated
+    tails (cut at the cap) are linear pieces: piece k of coordinate i is
+    taken in full exactly when its gain-to-cost ratio b_i / slope_ik exceeds
+    lambda.  The pieces are sorted once by that ratio, so their share of the
+    totals at any lambda is one searchsorted into cumulative sums.  Power tails with alpha > 1 take
+    their stationary point s (b s / (lambda alpha))^{1/(alpha-1)}, clipped at
+    the cap, as array expressions over the power coordinates.
+    """
 
-def _budget(tails: Sequence[TailFunction], t: np.ndarray) -> float:
-    return float(sum(tail.value(float(ti)) for tail, ti in zip(tails, t)))
+    def __init__(self, b: np.ndarray, tails: Sequence[TailFunction], p: float) -> None:
+        # coordinates that share a tail share its cap and its pieces
+        groups: dict[TailFunction, list[float]] = {}
+        for bi, tail in zip(b.tolist(), tails):
+            if bi > 0.0:
+                groups.setdefault(tail, []).append(bi)
+        gains, costs = [np.empty(0)], [np.empty(0)]
+        power = []  # (b, alpha, scale, cap) of each power coordinate with alpha > 1
+        for tail, coefs in groups.items():
+            cap = tail.inverse(p)
+            if tail.kind == "power" and tail.alpha != 1.0:
+                power.extend((bi, tail.alpha, tail.scale, cap) for bi in coefs)
+                continue
+            if tail.kind == "tabulated":
+                ts, ns = np.asarray(tail.knots_t), np.asarray(tail.knots_n)
+            else:  # linear, or power with alpha = 1: one piece up to the cap
+                ts, ns = np.array([0.0, cap]), np.array([0.0, tail.value(cap)])
+            live = ts[:-1] < cap
+            ends = np.minimum(ts[1:][live], cap)
+            gains.append(np.multiply.outer(coefs, ends - ts[:-1][live]).ravel())
+            costs.append(np.tile(tail.value(ends) - ns[:-1][live], len(coefs)))
+        # by decreasing ratio b_i / slope, so the pieces taken at any lambda
+        # are a prefix
+        gains, costs = np.concatenate(gains), np.concatenate(costs)
+        keys = gains / costs
+        order = np.argsort(-keys, kind="stable")
+        self.neg_keys = -keys[order]
+        self.cum_gain = np.concatenate(([0.0], np.cumsum(gains[order])))
+        self.cum_cost = np.concatenate(([0.0], np.cumsum(costs[order])))
+        self.b, self.alpha, self.scale, self.cap = np.array(power).reshape(-1, 4).T
+        # log(t_free / cap) = offset - exponent log(lambda), kept in log space
+        # because the exponent 1 / (alpha - 1) blows up as alpha -> 1
+        self.exponent = 1.0 / (self.alpha - 1.0)
+        self.offset = np.log(self.scale / self.cap) + self.exponent * np.log(
+            self.b * self.scale / self.alpha)
+
+    def evaluate(self, lam: float) -> tuple[float, float]:
+        k = self.neg_keys.searchsorted(-lam)
+        gain, spent = float(self.cum_gain[k]), float(self.cum_cost[k])
+        if self.b.size:
+            t = self.cap * np.exp(np.minimum(self.offset - self.exponent * math.log(lam), 0.0))
+            gain += float(self.b.dot(t))
+            spent += float(((t / self.scale) ** self.alpha).sum())
+        return gain, spent
 
 
 def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
@@ -106,18 +156,21 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
 
     The program is concave with a single budget constraint, so the optimum is
     found by bisecting the Lagrange multiplier: for each lambda the separable
-    inner problems max_t (b_i t - lambda N_i(t)) have closed forms (linear and
-    power tails) or a slope scan (tabulated), and the spent budget
-    phi(lambda) = sum N_i(t_i(lambda)) is nonincreasing.  Coordinates are
-    capped at N_i^{-1}(p), which never cuts feasible points since every N_j is
-    nonnegative.  The bisection runs until its bracket collapses to two
-    adjacent floats, keeping the over-budget iterate t_lo and the feasible
-    iterate t_hi.  Between them only coordinates on a linear piece of their
-    tail move (a linear tail, a tabulated segment or a cap; power tails move
-    by an ulp), so the budget is linear on the segment and the optimum is
-    t_hi + theta (t_lo - t_hi) with theta = (p - phi_hi) / (phi_lo - phi_hi).
-    Convexity of N keeps this point feasible, and pure exponential tails
-    return p max b_i / rate_i to machine accuracy.
+    inner problems max_t (b_i t - lambda N_i(t)) have closed forms, and the
+    spent budget phi(lambda) = sum N_i(t_i(lambda)) is nonincreasing.
+    Coordinates are capped at N_i^{-1}(p), which never cuts feasible points
+    since every N_j is nonnegative.  The objective is linear in t, so a step
+    needs only the totals (gain, phi) at lambda: ``_TiltBlock`` reads them
+    from a piece table built once per call (one searchsorted over the sorted
+    linear pieces of linear, alpha = 1 power and tabulated tails) plus the
+    closed-form stationary points of power tails with alpha > 1.  The
+    bisection runs until its bracket collapses to two adjacent floats,
+    keeping the totals of the over-budget iterate and of the feasible one.
+    Between them only coordinates on a linear piece move (power tails move
+    by an ulp), so gain and budget are linear on the segment and the optimum
+    is gain_hi + theta (gain_lo - gain_hi) with theta = (p - phi_hi) /
+    (phi_lo - phi_hi).  Convexity of N keeps this point feasible, and pure
+    exponential tails return p max b_i / rate_i to machine accuracy.
     """
     _require_moment_order(p)
     b = np.asarray(b, dtype=float)
@@ -133,35 +186,30 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
                 "a positive coefficient has its tail bounded by the budget; "
                 "the support functional is infinite")
     scale = float(np.max(b))
-    bs = b / scale
-    caps = np.array([tail.inverse(p) if bi > 0 else 0.0 for bi, tail in zip(bs, tails)])
+    block = _TiltBlock(b / scale, tails, p)
 
     lo, hi = _LAMBDA_LO, _LAMBDA_HI
-    t_lo = _tilt_points(bs, tails, caps, lo)
-    spent_lo = _budget(tails, t_lo)
+    gain_lo, spent_lo = block.evaluate(lo)
     if spent_lo <= p * (1.0 + 1e-12):
         # budget slack even at vanishing multiplier: caps are jointly feasible
-        return scale * float(bs @ t_lo)
-    t_hi = _tilt_points(bs, tails, caps, hi)
-    spent_hi = _budget(tails, t_hi)
+        return scale * gain_lo
+    gain_hi, spent_hi = block.evaluate(hi)
     if spent_hi > p:
         raise SolverError("multiplier bracket does not cover the budget constraint")
     best_dual = math.inf
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        t_mid = _tilt_points(bs, tails, caps, mid)
-        spent = _budget(tails, t_mid)
-        dual = float(bs @ t_mid) - mid * spent + mid * p
-        best_dual = min(best_dual, dual)
+        gain, spent = block.evaluate(mid)
+        best_dual = min(best_dual, gain - mid * spent + mid * p)
         if spent > p:
-            lo, t_lo, spent_lo = mid, t_mid, spent
+            lo, gain_lo, spent_lo = mid, gain, spent
         else:
-            hi, t_hi, spent_hi = mid, t_mid, spent
+            hi, gain_hi, spent_hi = mid, gain, spent
         mid = 0.5 * (lo + hi)
 
-    # spent_lo > p >= spent_hi, and the budget is linear between the iterates
+    # spent_lo > p >= spent_hi, and both totals are linear between the iterates
     theta = (p - spent_hi) / (spent_lo - spent_hi)
-    value = scale * float(bs @ (t_hi + theta * (t_lo - t_hi)))
+    value = scale * (gain_hi + theta * (gain_lo - gain_hi))
     if best_dual < math.inf and value > scale * best_dual * (1.0 + 1e-9):
         raise SolverError("primal value exceeds the dual bound")
     return value

@@ -3,11 +3,14 @@
 Each criterion runs through lcmoments.acceptance at a pinned seed and prints
 one PASS/FAIL line.  The shared estimation grid is cached inside the module,
 so the two grid-backed criteria build it only once per test process.
+Every check is marked ``slow``; ``pytest -m "not slow"`` leaves them out.
 """
 
 import pytest
 
 from lcmoments.acceptance import CHECKS
+
+pytestmark = pytest.mark.slow
 
 SEED = 0
 

@@ -263,6 +263,15 @@ def test_library_import_leaves_out_scipy_interpolate():
     assert out.stdout.strip() == "False"
 
 
+def test_acceptance_import_leaves_out_scipy_integrate():
+    # only the quadrature checks need scipy.integrate and what it pulls in
+    code = ("import sys, lcmoments.acceptance; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # -- family spec parsing ---------------------------------------------------------
 
 def test_family_from_spec_builtins():

@@ -51,6 +51,11 @@ def test_config_accepts_small_grid():
     dict(families=("product:exp,exp",)),
     dict(profiles=("flat", "geometric:rho=2")),
     dict(profiles=("explicit:1,1",)),
+    dict(profiles=("flat", "power:alpha=nan")),
+    dict(profiles=("power:alpha=inf",)),
+    dict(profiles=("explicit:1,nan,2",)),
+    dict(profiles=("explicit:1,inf,2",)),
+    dict(profiles=("explicit:0,0,0",)),
 ])
 def test_config_rejects_bad_fields(patch):
     with pytest.raises(InvalidArgumentError):
@@ -141,6 +146,8 @@ def test_explicit_profile_length_mismatch_is_inapplicable():
 @pytest.mark.parametrize("spec", [
     "nope", "geometric:rho=0", "geometric:rho=1", "geometric:alpha=0.5",
     "power:alpha=0", "power:alpha=x", "explicit:1,zz", "geometric:rho=",
+    "power:alpha=nan", "power:alpha=inf", "explicit:1,nan,2", "explicit:-inf,1,2",
+    "explicit:0,0,0", "explicit:nan",
 ])
 def test_profile_rejects_malformed_specs(spec):
     with pytest.raises(InvalidArgumentError):
@@ -333,6 +340,10 @@ def test_cli_report_rejects_a_string_where_a_list_belongs(tmp_path, capsys):
     (dict(families=["exp", "bal:q=2"]), "bal:q=2"),
     (dict(profiles=["flat", "geometric:rho=2"]), "geometric:rho=2"),
     (dict(profiles=["explicit:1,1"]), "explicit:1,1"),
+    (dict(profiles=["flat", "power:alpha=nan"]), "power:alpha=nan"),
+    (dict(profiles=["power:alpha=inf"]), "power:alpha=inf"),
+    (dict(profiles=["explicit:1,nan,2"]), "explicit:1,nan,2"),
+    (dict(profiles=["explicit:0,0,0"]), "explicit:0,0,0"),
 ])
 def test_cli_report_rejects_a_mistyped_spec(tmp_path, capsys, patch, culprit):
     config_path = tmp_path / "config.json"

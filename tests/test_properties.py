@@ -13,6 +13,9 @@ from lcmoments.coeffs import (
     tail_sq_sum,
     top_index_set,
 )
+from lcmoments.errors import InvalidArgumentError
+from lcmoments.families import family_from_spec
+from lcmoments.harness import ExperimentConfig, coefficient_profile
 from lcmoments.surrogates import (
     ball_moment_estimate,
     bobkov_nazarov_upper,
@@ -22,7 +25,7 @@ from lcmoments.surrogates import (
     gluskin_kwapien_estimate,
     hitczenko_lower,
 )
-from lcmoments.tails import TailFunction
+from lcmoments.tails import TailFunction, tail_from_spec
 
 finite = st.floats(-4.0, 4.0, allow_nan=False)
 coeff_vectors = st.tuples(st.floats(0.1, 4.0), st.lists(finite, max_size=9)).map(
@@ -204,3 +207,96 @@ def test_hitczenko_never_exceeds_gaussian_comparison_scale(a, p):
     # head + sqrt(p) tail is at most the bn majorant which is O(p) ||a||_2
     l2 = float(np.sqrt(np.sum(a * a)))
     assert hitczenko_lower(a, p) <= (p + math.sqrt(p)) * l2 * (1.0 + 1e-12)
+
+
+# -- spec and config fuzzing -----------------------------------------------------------
+
+def _spec(name, key):
+    edge = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "", "x", "1,2"])
+    values = st.one_of(edge, st.floats().map(repr), st.text(max_size=6))
+    return values.map(lambda v: f"{name}:{key}={v}")
+
+
+tail_specs = st.one_of(st.just("exp"), _spec("pow", "alpha"), st.text(max_size=8))
+family_specs = st.one_of(
+    st.sampled_from(["exp", "gauss", "cube", "product:", "product:exp,exp"]),
+    _spec("ball", "q"),
+    st.lists(tail_specs, max_size=4).map(lambda ts: "product:" + ",".join(ts)),
+    st.text(max_size=12),
+)
+profile_specs = st.one_of(
+    st.sampled_from(["one_hot", "flat", "explicit:", "explicit:0,0"]),
+    _spec("geometric", "rho"),
+    _spec("power", "alpha"),
+    st.lists(st.one_of(st.sampled_from([0.0, math.nan, math.inf]), st.floats()),
+             min_size=1, max_size=5).map(lambda vs: "explicit:" + ",".join(map(repr, vs))),
+    st.text(max_size=12),
+)
+# dimensions stay small: a profile or family materializes n entries
+dims = st.integers(-1, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_specs)
+def test_fuzzed_tail_spec_builds_or_is_rejected(spec):
+    try:
+        tail = tail_from_spec(spec)
+    except InvalidArgumentError:
+        return
+    assert tail.variance() == pytest_approx(1.0, rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_specs, dims)
+def test_fuzzed_family_spec_builds_or_is_rejected(spec, n):
+    try:
+        family = family_from_spec(spec, n)
+    except InvalidArgumentError:
+        return
+    assert family.n == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_specs, dims)
+def test_fuzzed_profile_builds_or_is_rejected(spec, n):
+    try:
+        profile = coefficient_profile(spec, n)
+    except InvalidArgumentError:
+        return
+    if profile is None:
+        assert spec.strip().startswith("explicit:")
+        return
+    assert profile.shape == (n,)
+    assert np.all(np.isfinite(profile)) and np.any(profile != 0.0)
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(),
+                         st.text(max_size=8))
+config_fields = {
+    "families": st.one_of(st.lists(family_specs, max_size=3), json_scalars),
+    "profiles": st.one_of(st.lists(profile_specs, max_size=3), json_scalars),
+    "n_list": st.one_of(st.lists(st.one_of(dims, json_scalars), max_size=3), json_scalars),
+    "p_grid": st.one_of(st.lists(st.one_of(st.floats(), json_scalars), max_size=3),
+                        json_scalars),
+    "n_samples": st.one_of(st.integers(0, 10 ** 6), json_scalars),
+    "seed": json_scalars,
+    "output_dir": json_scalars,
+}
+VALID_CONFIG = {"families": ["exp"], "profiles": ["flat"], "n_list": [3],
+                "p_grid": [2.0, 4.0], "n_samples": 10_000, "seed": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.sampled_from(sorted(config_fields)), max_size=2)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: config_fields[k] for k in keys})),
+       st.sets(st.sampled_from(sorted(VALID_CONFIG)), max_size=1))
+def test_fuzzed_config_mapping_loads_or_is_rejected(patch, dropped):
+    data = {k: v for k, v in {**VALID_CONFIG, **patch}.items() if k not in dropped}
+    try:
+        config = ExperimentConfig.from_mapping(data)
+    except InvalidArgumentError:
+        return
+    for spec in config.profiles:
+        built = [a for a in (coefficient_profile(spec, n) for n in config.n_list)
+                 if a is not None]
+        assert built and all(np.all(np.isfinite(a)) and np.any(a != 0.0) for a in built)

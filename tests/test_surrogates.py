@@ -141,16 +141,94 @@ def test_gk_bisection_stops_when_its_bracket_collapses(monkeypatch, b, tails, p)
     import lcmoments.surrogates as surrogates
 
     calls = []
-    tilt = surrogates._tilt_points
+    evaluate = surrogates._TiltBlock.evaluate
 
-    def counted(*args):
-        calls.append(args)
-        return tilt(*args)
+    def counted(block, lam):
+        calls.append(lam)
+        return evaluate(block, lam)
 
-    monkeypatch.setattr(surrogates, "_tilt_points", counted)
+    monkeypatch.setattr(surrogates._TiltBlock, "evaluate", counted)
     gluskin_kwapien(b, tails, p)
     # two bracket ends plus about 93-132 halvings of [1e-12, 1e12]
     assert len(calls) <= 140
+
+
+TABLE_WIDE = tabulated((0.0, 0.5, 1.5, 3.0, 12.0), (0.0, 0.4, 1.6, 4.6, 70.0))
+
+# linear, power (alpha 1 to 3), tabulated and mixed tails; at p = 3 the cap
+# of TABLE falls exactly on its knot t = 2
+PIECE_MIXES = [
+    ([exponential(), linear(0.7), linear(2.5), exponential()], 5.5),
+    ([power(a) for a in (1.0, 1.004, 2.0, 3.0)], 7.0),
+    ([power(1.0, scale=0.6), power(1.004, scale=1.3), power(2.0), power(3.0, scale=0.8)], 12.0),
+    ([TABLE, TABLE_WIDE, TABLE, TABLE_WIDE], 2.5),
+    ([TABLE, TABLE, TABLE_WIDE, exponential()], 3.0),
+    ([exponential(), power(1.004), power(2.0), TABLE, linear(3.0), power(1.0), TABLE_WIDE],
+     3.0),
+]
+
+
+def _coordinatewise_totals(b, tails, p, lam):
+    gain = spent = 0.0
+    for bi, tail in zip(b, tails):
+        t = tail.tilt_argmax(float(bi), lam, tail.inverse(p))
+        gain += bi * t
+        spent += tail.value(t)
+    return gain, spent
+
+
+@pytest.mark.parametrize("tails,p", PIECE_MIXES)
+def test_tilt_block_totals_match_the_coordinatewise_tilt(tails, p):
+    import lcmoments.surrogates as surrogates
+
+    rng = np.random.default_rng(len(tails))
+    b = rng.uniform(0.1, 2.0, len(tails))
+    b[0] = 0.0  # a zero coefficient takes no piece and no budget
+    block = surrogates._TiltBlock(b, tails, p)
+    lams = np.concatenate([[1e-12, 1e12], np.exp(rng.uniform(-8.0, 8.0, 300))])
+    for lam in lams:
+        gain, spent = block.evaluate(float(lam))
+        want_gain, want_spent = _coordinatewise_totals(b, tails, p, float(lam))
+        assert gain == pytest.approx(want_gain, rel=1e-12)
+        assert spent == pytest.approx(want_spent, rel=1e-12)
+
+
+def _fractional_knapsack(b, tails, p):
+    """Fill the linear pieces of piecewise-linear tails greedily by b / slope."""
+    pieces = []
+    for bi, tail in zip(b, tails):
+        cap = tail.inverse(p)
+        if tail.kind == "tabulated":
+            knots = list(zip(tail.knots_t, tail.knots_n))
+        else:
+            knots = [(0.0, 0.0), (cap, tail.value(cap))]
+        for (t0, n0), (t1, n1) in zip(knots, knots[1:]):
+            if bi > 0.0 and t0 < cap:
+                t1 = min(t1, cap)
+                cost = tail.value(t1) - n0
+                pieces.append((bi * (t1 - t0) / cost, bi * (t1 - t0), cost))
+    value, budget = 0.0, p
+    for _, gain, cost in sorted(pieces, reverse=True):
+        share = min(1.0, budget / cost)
+        value += share * gain
+        budget -= share * cost
+        if budget <= 0.0:
+            break
+    return value
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gk_matches_the_fractional_knapsack_on_piecewise_linear_tails(seed):
+    rng = np.random.default_rng(seed)
+    menu = [exponential(), linear(0.7), linear(2.5), power(1.0, scale=0.6), TABLE,
+            TABLE_WIDE]
+    d = int(rng.integers(1, 9))
+    tails = [menu[i] for i in rng.integers(0, len(menu), d)]
+    b = rng.uniform(0.05, 3.0, d)
+    b[rng.random(d) < 0.2] = 0.0
+    p = 3.0 if seed % 3 == 0 else float(rng.uniform(2.0, 32.0))
+    assert gluskin_kwapien(b, tails, p) == pytest.approx(
+        _fractional_knapsack(b, tails, p), rel=1e-12)
 
 
 def test_gk_zero_vector_is_zero():
