@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -75,6 +76,15 @@ class ProductFamily:
     @property
     def is_linear(self) -> bool:
         return all(t.kind == "linear" for t in self.tails)
+
+    @cached_property
+    def tail_columns(self) -> tuple[tuple[TailFunction, np.ndarray], ...]:
+        """Each distinct tail with the indices of the coordinates that share
+        it, in order of first appearance."""
+        columns: dict[TailFunction, list[int]] = {}
+        for j, tail in enumerate(self.tails):
+            columns.setdefault(tail, []).append(j)
+        return tuple((tail, np.asarray(cols)) for tail, cols in columns.items())
 
 
 @dataclass(frozen=True)

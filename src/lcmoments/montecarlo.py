@@ -7,16 +7,23 @@ order, so a result is a pure function of (seed, n_samples) no matter how the
 batches are scheduled.  p-th moments are accumulated in log space and
 batch-means give the standard error, propagated through the 1/p power by the
 delta method.
+
+The p-norm engine keeps each batch's log|<X, a>| vector, stacks the batches
+of one size into a block (two blocks when 64 does not divide n_samples) and
+reduces every batch of a block in one log-sum-exp pass per order; the batch
+means of all orders then go through one more pass.  ``_logsumexp`` repeats
+the arithmetic of ``scipy.special.logsumexp`` step by step, so the records
+are the same bits as a per-batch, per-order scipy reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coeffs import as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
@@ -77,11 +84,15 @@ class EstimateRecord:
 # -- samplers -----------------------------------------------------------------
 
 def _sample_product(family: ProductFamily, rng: np.random.Generator, size: int) -> np.ndarray:
+    """|X_i| = N_i^{-1}(E_i) with E_i ~ Exp(1), one inverse call per distinct tail."""
     exps = rng.standard_exponential((size, family.n))
     signs = rng.integers(0, 2, size=(size, family.n)) * 2 - 1
+    groups = family.tail_columns
+    if len(groups) == 1:
+        return groups[0][0].inverse(exps) * signs
     out = np.empty((size, family.n))
-    for j, tail in enumerate(family.tails):
-        out[:, j] = tail.inverse(exps[:, j])
+    for tail, cols in groups:
+        out[:, cols] = tail.inverse(exps[:, cols])
     return out * signs
 
 
@@ -157,29 +168,61 @@ def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
     return stats, np.asarray(counts, dtype=float)
 
 
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum exp(x) along the last axis, by the steps of
+    ``scipy.special.logsumexp``: the max m of the row, the count k of entries
+    equal to it, the sum s of exp(x - m) over the others, then
+    log1p(s / k) + log(k) + m.  A row whose max is not finite gives that max
+    (all -inf gives -inf, a +inf entry +inf, a NaN NaN), as scipy does."""
+    top = np.max(x, axis=-1, keepdims=True)
+    is_top = x == top
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.sum(np.exp(np.where(is_top, -np.inf, x) - top), axis=-1)
+        k = np.count_nonzero(is_top, axis=-1)
+        top = top[..., 0]
+        out = np.log1p(s / k) + np.log(k) + top
+    return np.where(np.isfinite(top), out, top)
+
+
 def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
                   a_arr: np.ndarray, ps: np.ndarray, n_samples: int, seed: int,
                   tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws."""
 
-    def log_means(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(x @ a_arr))
-        return logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(len(x))
+    def log_abs(x: np.ndarray) -> np.ndarray:
+        # an overflowing projection is caught by _pnorm_record
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.log(np.abs(x @ a_arr))
 
-    stats, weights = _batch_stats(sampler, log_means, n_samples, seed, tag)
-    return tuple(_pnorm_record(row, weights, float(p), n_samples, seed)
-                 for row, p in zip(np.stack(stats, axis=1), ps))
+    stats, weights = _batch_stats(sampler, log_abs, n_samples, seed, tag)
+    # log mean of |<X, a>|^p per (order, batch); equal-size batches are
+    # adjacent, so each block fills a contiguous run of columns
+    log_means = np.empty((len(ps), len(stats)))
+    start = 0
+    for size, batches in itertools.groupby(stats, key=len):
+        block = np.stack(list(batches))
+        stop = start + len(block)
+        for row, p in zip(log_means, ps):
+            row[start:stop] = _logsumexp(p * block) - math.log(size)
+        start = stop
+    log_moments = _logsumexp(log_means + np.log(weights)) - math.log(n_samples)
+    return tuple(_pnorm_record(row, log_moment, weights, float(p), n_samples, seed)
+                 for row, log_moment, p in zip(log_means, log_moments, ps))
 
 
-def _pnorm_record(log_means: np.ndarray, weights: np.ndarray, p: float,
+def _pnorm_record(log_means: np.ndarray, log_moment: float, weights: np.ndarray, p: float,
                   n_samples: int, seed: int) -> EstimateRecord:
+    """The record of one order from its per-batch log means and the log of
+    the pooled p-th moment."""
     batches = len(log_means)
-    log_moment = logsumexp(log_means + np.log(weights)) - math.log(n_samples)
-    value = math.exp(log_moment / p)
     shift = np.max(log_means)
-    if not math.isfinite(shift):
+    if shift == -math.inf:
+        # every projection was exactly 0
         return EstimateRecord(0.0, 0.0, n_samples, int(seed) & _MASK64, batches)
+    if not math.isfinite(shift):
+        raise OutOfRangeError(
+            "sum a_i X_i overflows double precision; rescale the coefficients")
+    value = math.exp(log_moment / p)
     u = np.exp(log_means - shift)
     mean_u = float(np.sum(u * weights) / n_samples)
     sd_u = float(np.std(u, ddof=1))

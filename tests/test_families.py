@@ -272,6 +272,16 @@ def test_acceptance_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_montecarlo_binds_no_logsumexp():
+    # the p-norm engine reduces with its own numpy log-sum-exp; a per-batch
+    # scipy call costs more than the sum it computes
+    code = ("import lcmoments.montecarlo as mc; "
+            "print(hasattr(mc, 'logsumexp'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # -- family spec parsing ---------------------------------------------------------
 
 def test_family_from_spec_builtins():

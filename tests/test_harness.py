@@ -354,6 +354,19 @@ def test_cli_report_rejects_a_mistyped_spec(tmp_path, capsys, patch, culprit):
     assert not (tmp_path / "report").exists()
 
 
+def test_cli_report_rejects_an_overflowing_profile(tmp_path, capsys):
+    # the profile passes config load; its projections overflow in the sampler
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_mapping(
+        families=["exp"], profiles=["explicit:1e308,1e308,1"], n_list=[3])))
+    assert main(["report", "--config", str(config_path),
+                 "--out", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report").exists()
+
+
 def test_cli_verify_reports_pass_and_fail(monkeypatch, tmp_path, capsys):
     import lcmoments.acceptance as acceptance
 

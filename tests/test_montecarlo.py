@@ -1,17 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import betaln
+from scipy.special import betaln, logsumexp
 
+import lcmoments.montecarlo as mc
 from lcmoments.errors import InvalidArgumentError, OutOfRangeError
 from lcmoments.families import (
     GaussianStd,
+    ProductFamily,
     UniformBall,
     UniformCube,
     family_from_spec,
     product_exponential,
 )
+from lcmoments.tails import TailFunction
 from lcmoments.montecarlo import (
     MAX_MOMENT_ORDER,
     MIN_SAMPLES,
@@ -147,14 +151,132 @@ def test_estimate_pnorm_order_vector_is_nondecreasing(spec):
     (((2.0, 4.0),), InvalidArgumentError),
 ])
 def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orders, error):
-    import lcmoments.montecarlo as mc
-
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating the orders")
 
     monkeypatch.setattr(mc, "sample", no_sampling)
     with pytest.raises(error):
         estimate_pnorm(product_exponential(2), (1.0, 1.0), orders, 20_000, 0)
+
+
+# -- the log-space reduction -----------------------------------------------------------
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(SEED + 30)
+    x = rng.standard_normal((12, 313)) * 40.0
+    x[1, ::7] = -np.inf                      # zero projections
+    x[2, [3, 90, 200]] = x[2].max() + 1.0    # a three-way tie at the max
+    x[3] = 5.0                               # every entry ties
+    x[4] = -np.inf                           # every projection zero
+    x[5, 0] = np.inf                         # an overflowed projection
+    x[6, 10] = np.nan
+    x[7, :-1] = -np.inf                      # a single finite entry
+    x[8] *= 32.0                             # high-order spread
+    x[9, 100] = 700.0 * 32.0
+    np.testing.assert_array_equal(mc._logsumexp(x), logsumexp(x, axis=-1))
+    for row in x:
+        assert np.array_equal(mc._logsumexp(row), logsumexp(row), equal_nan=True)
+    for size in (1, 2, 7, 8, 9, 64, 128, 129, 1000):
+        block = rng.standard_normal((3, size)) * 10.0
+        np.testing.assert_array_equal(mc._logsumexp(block), logsumexp(block, axis=-1))
+    ties = rng.standard_normal((40, 157))
+    for row, k in zip(ties, itertools.cycle((2, 3, 5, 6, 7, 11))):
+        row[rng.choice(row.size, k, replace=False)] = row.max() + 0.5
+    np.testing.assert_array_equal(mc._logsumexp(ties), logsumexp(ties, axis=-1))
+
+
+def _scipy_pnorm_pairs(sampler, a, p, n_samples, seed, tag):
+    """(value, stderr) per order by the earlier per-batch, per-order scipy loop."""
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    a = np.asarray(a, dtype=float)
+    counts = mc._batch_counts(n_samples)
+    stats = []
+    for b, m in enumerate(counts):
+        x = sampler(mc._substream(seed, tag, b), m)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(x @ a))
+        stats.append(logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(m))
+    weights = np.asarray(counts, dtype=float)
+    pairs = []
+    for row, order in zip(np.stack(stats, axis=1), ps):
+        log_moment = logsumexp(row + np.log(weights)) - math.log(n_samples)
+        value = math.exp(log_moment / float(order))
+        u = np.exp(row - np.max(row))
+        mean_u = float(np.sum(u * weights) / n_samples)
+        sd_u = float(np.std(u, ddof=1))
+        pairs.append((value, value * sd_u / (math.sqrt(len(row)) * mean_u) / float(order)))
+    return pairs
+
+
+def _pairs(records):
+    records = records if isinstance(records, tuple) else (records,)
+    return [(rec.value, rec.stderr) for rec in records]
+
+
+# 10_007 samples split into 23 batches of 157 and 41 of 156: two block sizes
+ODD_SAMPLES = 10_007
+
+
+@pytest.mark.parametrize("spec", GRID_FAMILY_SPECS + ("gauss", "product:pow:alpha=2",
+                                                      "ball:q=3"))
+def test_estimate_pnorm_matches_the_per_batch_scipy_reduction(spec):
+    fam = family_from_spec(spec, 5)
+    a = (1.0, -0.5, 0.25, 0.0, 3.0)
+
+    def draw(rng, m):
+        return sample(fam, rng, m)
+
+    for p, seed in ((GRID_ORDERS, SEED + 31), (5.5, SEED + 32)):
+        expected = _scipy_pnorm_pairs(draw, a, p, ODD_SAMPLES, seed, mc._TAG_PNORM)
+        assert _pairs(estimate_pnorm(fam, a, p, ODD_SAMPLES, seed)) == expected
+    expected = _scipy_pnorm_pairs(draw, a, 32.0, 20_000, SEED + 33, mc._TAG_PNORM)
+    assert _pairs(estimate_pnorm(fam, a, 32.0, 20_000, SEED + 33)) == expected
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
+    ball = UniformBall.isotropic(4, q)
+    a = (1.0, 0.6, -0.3, 0.1)
+    for p in ((3.0, 4.5, 8.0, 32.0), 4.0):
+        deps, indeps = dependent_vs_independent(ball, a, p, ODD_SAMPLES, SEED + 34)
+        assert _pairs(deps) == _scipy_pnorm_pairs(
+            lambda rng, m: mc._sample_ball(ball, rng, m), a, p, ODD_SAMPLES, SEED + 34,
+            mc._TAG_NA_DEPENDENT)
+        assert _pairs(indeps) == _scipy_pnorm_pairs(
+            lambda rng, m: mc._sample_ball_twin(ball, rng, m), a, p, ODD_SAMPLES,
+            SEED + 34, mc._TAG_NA_INDEPENDENT)
+
+
+def test_pnorm_record_of_zero_and_overflowed_projections():
+    weights = np.full(mc._BATCHES, 200.0)
+    n_samples = 200 * mc._BATCHES
+    zero = np.full(mc._BATCHES, -np.inf)
+    rec = mc._pnorm_record(zero, -np.inf, weights, 4.0, n_samples, 5)
+    assert (rec.value, rec.stderr) == (0.0, 0.0)
+    for bad in (np.inf, np.nan):
+        log_means = np.zeros(mc._BATCHES)
+        log_means[7] = bad
+        with pytest.raises(OutOfRangeError):
+            mc._pnorm_record(log_means, bad, weights, 4.0, n_samples, 5)
+
+
+def test_estimate_pnorm_rejects_an_overflowing_projection():
+    with pytest.raises(OutOfRangeError, match="overflows"):
+        estimate_pnorm(product_exponential(3), (1e308, 1e308, 1.0), (2.0, 4.0),
+                       MIN_SAMPLES, 0)
+
+
+def test_product_sampler_matches_the_per_column_loop():
+    exp, pow2 = TailFunction.exponential(), TailFunction.power(2.0)
+    table = TailFunction.tabulated((0.0, 50.0), (0.0, 50.0 * math.sqrt(2.0)))
+    for tails in ((exp,) * 5, (exp, pow2, exp, table, pow2, exp), (pow2,)):
+        fam = ProductFamily(tails)
+        rng = np.random.default_rng(SEED + 35)
+        exps = rng.standard_exponential((313, fam.n))
+        signs = rng.integers(0, 2, size=(313, fam.n)) * 2 - 1
+        expected = np.column_stack([t.inverse(exps[:, j]) for j, t in enumerate(tails)])
+        got = mc._sample_product(fam, np.random.default_rng(SEED + 35), 313)
+        np.testing.assert_array_equal(got, expected * signs)
 
 
 # -- coordinate fourth moments ------------------------------------------------------
@@ -224,8 +346,6 @@ def test_dependent_twin_loses_on_flat_sums():
 
 @pytest.mark.parametrize("n,q", [(3, 1.0), (4, 1.5), (5, 3.0)])
 def test_independent_twin_has_the_beta_marginal_moments(n, q):
-    import lcmoments.montecarlo as mc
-
     ball = UniformBall.isotropic(n, q)
     x = mc._sample_ball_twin(ball, np.random.default_rng(SEED + 12), 200_000).ravel()
     # |X*_i| / r = B^{1/q} with B ~ Beta(1/q, (n-1)/q + 1)
@@ -255,8 +375,6 @@ def test_dependent_vs_independent_order_vector_matches_scalar_calls():
 ])
 def test_dependent_vs_independent_orders_validated_before_sampling(monkeypatch, orders,
                                                                     error):
-    import lcmoments.montecarlo as mc
-
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating the orders")
 

@@ -13,9 +13,10 @@ from lcmoments.coeffs import (
     tail_sq_sum,
     top_index_set,
 )
-from lcmoments.errors import InvalidArgumentError
+from lcmoments.errors import InvalidArgumentError, MomentsError
 from lcmoments.families import family_from_spec
 from lcmoments.harness import ExperimentConfig, coefficient_profile
+from lcmoments.montecarlo import MIN_SAMPLES, estimate_pnorm
 from lcmoments.surrogates import (
     ball_moment_estimate,
     bobkov_nazarov_upper,
@@ -207,6 +208,32 @@ def test_hitczenko_never_exceeds_gaussian_comparison_scale(a, p):
     # head + sqrt(p) tail is at most the bn majorant which is O(p) ||a||_2
     l2 = float(np.sqrt(np.sum(a * a)))
     assert hitczenko_lower(a, p) <= (p + math.sqrt(p)) * l2 * (1.0 + 1e-12)
+
+
+# -- Monte-Carlo at extreme magnitudes ------------------------------------------------
+
+# finite coefficients whose magnitudes spread over 1e-300 ... 1e300, and zeros
+extreme_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 9.99),
+              st.integers(-300, 299), st.sampled_from([-1.0, 1.0])),
+)
+mc_family_specs = st.sampled_from(["exp", "product:pow:alpha=2", "gauss", "cube",
+                                   "ball:q=1", "ball:q=2"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mc_family_specs, st.lists(extreme_entries, min_size=1, max_size=6),
+       st.lists(orders, min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_estimate_pnorm_at_extreme_magnitudes_is_finite_or_rejected(spec, a, ps, seed):
+    family = family_from_spec(spec, len(a))
+    try:
+        records = estimate_pnorm(family, a, ps, MIN_SAMPLES, seed)
+    except MomentsError:
+        return
+    for rec in records:
+        assert math.isfinite(rec.value) and rec.value >= 0.0
+        assert math.isfinite(rec.stderr) and rec.stderr >= 0.0
 
 
 # -- spec and config fuzzing -----------------------------------------------------------
