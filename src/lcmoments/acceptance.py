@@ -3,8 +3,9 @@
 Each check is a pure function of a base seed returning a CheckResult with a
 machine-readable detail payload.  Checks are grouped into named suites for
 the ``verify`` CLI verb; the full list runs under pytest.  Every random
-quantity inside a check is drawn from a sub-stream derived from (seed, check
-tag), so two runs with the same seed produce identical verdicts.
+quantity inside a check is drawn from a generator or estimator seeded with a
+child seed of (seed, check tag), so two runs with the same seed produce
+identical verdicts.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .harness import (
     WORKERS_ENV,
     ExperimentConfig,
     ExperimentResult,
-    _cell_seed,
     _reference_surrogate,
     coefficient_profile,
     rows_to_csv_bytes,
     run_experiment,
 )
 from .montecarlo import (
-    _substream,
+    _child_seed,
     dependent_vs_independent,
     estimate_fourth_moment,
     estimate_joint_tail,
@@ -54,7 +54,7 @@ __all__ = [
     "SUITES",
 ]
 
-# sub-stream tags; the equivalence grid tag is shared so the envelope and the
+# stream tags; the equivalence grid tag is shared so the envelope and the
 # quartic probe reuse one set of Monte-Carlo rows
 _STREAM_KHINTCHINE = 2
 _STREAM_GK_ORACLE = 3
@@ -112,7 +112,7 @@ def check_gaussian_moment_quadrature(seed: int) -> CheckResult:
 
 def check_rademacher_gaussian_domination(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _substream(seed, _STREAM_KHINTCHINE)
+    rng = np.random.default_rng(_child_seed(seed, _STREAM_KHINTCHINE))
     orders = (2.0, 3.0, 4.0, 8.0, 16.0)
     worst = -math.inf
     worst_case = None
@@ -138,8 +138,12 @@ def check_rademacher_gaussian_domination(seed: int) -> CheckResult:
 
 # -- 3. tail-program solver against a refining grid oracle --------------------
 
-def _alloc_value(bs: np.ndarray, tails: list[TailFunction], budgets: np.ndarray,
-                 points: int, passes: int) -> np.ndarray:
+# the grid oracle's zoom: points per 1-D grid and refining passes per level
+_ORACLE_POINTS = 201
+_ORACLE_PASSES = 8
+
+
+def _alloc_value(bs: np.ndarray, tails: list[TailFunction], budgets: np.ndarray) -> np.ndarray:
     """max{sum b_i N_i^{-1}(s_i) : s_i >= 0, sum s_i <= budget} per entry.
 
     Recursion over the first coordinate's budget share: the remainder value
@@ -153,23 +157,22 @@ def _alloc_value(bs: np.ndarray, tails: list[TailFunction], budgets: np.ndarray,
     lo = np.zeros_like(budgets)
     hi = budgets.copy()
     best = np.full(budgets.shape, -np.inf)
-    frac = np.linspace(0.0, 1.0, points)
-    for _ in range(passes):
+    frac = np.linspace(0.0, 1.0, _ORACLE_POINTS)
+    for _ in range(_ORACLE_PASSES):
         s = lo[..., None] + (hi - lo)[..., None] * frac
         rest = np.maximum(budgets[..., None] - s, 0.0)
         vals = bs[0] * tails[0].inverse(s) \
-            + _alloc_value(bs[1:], tails[1:], rest, points, passes)
+            + _alloc_value(bs[1:], tails[1:], rest)
         k = np.argmax(vals, axis=-1)[..., None]
         best = np.maximum(best, np.take_along_axis(vals, k, -1)[..., 0])
         center = np.take_along_axis(s, k, -1)[..., 0]
-        step = (hi - lo) / (points - 1)
+        step = (hi - lo) / (_ORACLE_POINTS - 1)
         lo = np.maximum(0.0, center - step)
         hi = np.minimum(budgets, center + step)
     return best
 
 
-def gk_grid_oracle(b, tails: list[TailFunction], p: float, *,
-                   points: int = 201, passes: int = 8) -> float:
+def gk_grid_oracle(b, tails: list[TailFunction], p: float) -> float:
     """Brute-force sup{sum b_i t_i : sum N_i(t_i) <= p} by refining grids
     over budget allocations.  Every evaluated allocation is feasible, so the
     result is a certified lower bound; cost grows as points*passes per
@@ -177,7 +180,7 @@ def gk_grid_oracle(b, tails: list[TailFunction], p: float, *,
     """
     bs = np.asarray(b, dtype=float)
     budget = np.asarray([float(p)])
-    return float(_alloc_value(bs, list(tails), budget, points, passes)[0])
+    return float(_alloc_value(bs, list(tails), budget)[0])
 
 
 def _random_tabulated(rng: np.random.Generator) -> TailFunction:
@@ -203,7 +206,7 @@ def _random_tail(rng: np.random.Generator) -> TailFunction:
 
 def check_tail_program_grid_oracle(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _substream(seed, _STREAM_GK_ORACLE)
+    rng = np.random.default_rng(_child_seed(seed, _STREAM_GK_ORACLE))
     worst_rel = 0.0
     worst_case = None
     overshoot = 0
@@ -239,7 +242,6 @@ def check_tail_program_grid_oracle(seed: int) -> CheckResult:
 
 def check_fourth_moment_extremality(seed: int) -> CheckResult:
     start = time.perf_counter()
-    base = _cell_seed(seed, _STREAM_MOMENT4)
     cases = (
         ("exp", 2, 6.0, 0.05),
         ("cube", 2, 1.8, 0.02),
@@ -251,7 +253,7 @@ def check_fourth_moment_extremality(seed: int) -> CheckResult:
     passed = True
     for k, (spec, n, target, window) in enumerate(cases):
         family = family_from_spec(spec, n)
-        rec = estimate_fourth_moment(family, 0, 10_000_000, _cell_seed(base, k))
+        rec = estimate_fourth_moment(family, 0, 10_000_000, _child_seed(seed, _STREAM_MOMENT4, k))
         ok_window = True
         if target is not None:
             ok_window = abs(rec.value - target) <= window
@@ -266,22 +268,21 @@ def check_fourth_moment_extremality(seed: int) -> CheckResult:
 # -- 5 + 8. the shared moment-equivalence grid ---------------------------------
 
 @lru_cache(maxsize=2)
-def _equivalence_grid(seed: int, n_samples: int) -> ExperimentResult:
+def _equivalence_grid(seed: int) -> ExperimentResult:
     config = ExperimentConfig(
         families=GRID_FAMILIES,
         profiles=GRID_PROFILES,
         n_list=GRID_DIMS,
         p_grid=GRID_ORDERS,
-        n_samples=n_samples,
+        n_samples=GRID_SAMPLES,
         seed=seed,
     )
     return run_experiment(config)
 
 
-def check_moment_equivalence_envelope(seed: int,
-                                      n_samples: int = GRID_SAMPLES) -> CheckResult:
+def check_moment_equivalence_envelope(seed: int) -> CheckResult:
     start = time.perf_counter()
-    result = _equivalence_grid(_cell_seed(seed, _STREAM_GRID), n_samples)
+    result = _equivalence_grid(_child_seed(seed, _STREAM_GRID))
     lo_bound, hi_bound = 0.1, 10.0
     envelopes: dict[str, dict] = {}
     violations = []
@@ -300,10 +301,9 @@ def check_moment_equivalence_envelope(seed: int,
     return _finish("moment_equivalence_envelope", not violations, detail, start)
 
 
-def check_quartic_upper_probe(seed: int,
-                              n_samples: int = GRID_SAMPLES) -> CheckResult:
+def check_quartic_upper_probe(seed: int) -> CheckResult:
     start = time.perf_counter()
-    result = _equivalence_grid(_cell_seed(seed, _STREAM_GRID), n_samples)
+    result = _equivalence_grid(_child_seed(seed, _STREAM_GRID))
     worst = 0.0
     worst_cell = None
     for row in result.rows:
@@ -324,14 +324,14 @@ def check_quartic_upper_probe(seed: int,
 
 def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
     start = time.perf_counter()
-    base = _cell_seed(seed, _STREAM_FLAT_BAND)
     orders = (3.0, 4.0, 6.0, 8.0)
     rows = []
     passed = True
     for k, n in enumerate((16, 64)):
         family = product_exponential(n)
         a = np.full(n, 1.0 / math.sqrt(n))
-        records = estimate_pnorm(family, a, orders, 1_000_000, _cell_seed(base, k))
+        records = estimate_pnorm(family, a, orders, 1_000_000,
+                                 _child_seed(seed, _STREAM_FLAT_BAND, k))
         for p, rec in zip(orders, records):
             gap = abs(rec.value - gaussian_pnorm(p))
             allowance = p / math.sqrt(n) + 3.0 * rec.stderr
@@ -346,8 +346,7 @@ def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
 
 def check_ball_lower_band(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _substream(seed, _STREAM_LOWER_BAND)
-    base = _cell_seed(seed, _STREAM_LOWER_BAND)
+    rng = np.random.default_rng(_child_seed(seed, _STREAM_LOWER_BAND))
     cells = 0
     violations = []
     worst_slack = math.inf
@@ -360,7 +359,8 @@ def check_ball_lower_band(seed: int) -> CheckResult:
                 ball = UniformBall.isotropic(n, q)
                 l2 = float(np.sqrt(np.sum(a * a)))
                 quartic = float(np.sqrt(np.sum(a ** 4))) / l2
-                records = estimate_pnorm(ball, a, orders, 200_000, _cell_seed(base, k))
+                records = estimate_pnorm(ball, a, orders, 200_000,
+                                         _child_seed(seed, _STREAM_LOWER_BAND, k))
                 k += 1
                 for p, rec in zip(orders, records):
                     lower = gaussian_pnorm(p) * l2 - math.sqrt(3.0) * p * quartic
@@ -402,14 +402,13 @@ def _disk_independent_fourth() -> float:
 
 def check_dependent_moment_deficit(seed: int) -> CheckResult:
     start = time.perf_counter()
-    base = _cell_seed(seed, _STREAM_NEG_ASSOC)
     orders = (3.0, 4.0, 6.0)
     rows = []
     passed = True
     for k, q in enumerate((1.0, 2.0)):
         ball = UniformBall.isotropic(3, q)
-        deps, inds = dependent_vs_independent(ball, (1.0, 1.0, 1.0), orders,
-                                              10_000_000, _cell_seed(base, k))
+        deps, inds = dependent_vs_independent(ball, (1.0, 1.0, 1.0), orders, 10_000_000,
+                                              _child_seed(seed, _STREAM_NEG_ASSOC, k))
         for p, dep, ind in zip(orders, deps, inds):
             combined = math.hypot(dep.stderr, ind.stderr)
             ok = dep.value <= ind.value + 3.0 * combined
@@ -431,8 +430,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
 
 def check_joint_tail_factorization(seed: int) -> CheckResult:
     start = time.perf_counter()
-    rng = _substream(seed, _STREAM_JOINT_TAIL)
-    base = _cell_seed(seed, _STREAM_JOINT_TAIL)
+    rng = np.random.default_rng(_child_seed(seed, _STREAM_JOINT_TAIL))
     probes = []
     passed = True
     for k in range(20):
@@ -443,7 +441,7 @@ def check_joint_tail_factorization(seed: int) -> CheckResult:
         if budget > 8.0:
             t *= 8.0 / budget
         target = math.exp(-math.sqrt(2.0) * float(np.sum(t)))
-        rec = estimate_joint_tail(family, t, 4_000_000, _cell_seed(base, k))
+        rec = estimate_joint_tail(family, t, 4_000_000, _child_seed(seed, _STREAM_JOINT_TAIL, k))
         ok = abs(rec.value - target) <= 3.0 * rec.stderr
         passed = passed and ok
         probes.append({"n": n, "target": target, "empirical": rec.value,
@@ -486,7 +484,7 @@ def check_report_determinism(seed: int) -> CheckResult:
         n_list=(4,),
         p_grid=(2.0, 4.0),
         n_samples=10_000,
-        seed=_cell_seed(seed, _STREAM_DETERMINISM),
+        seed=_child_seed(seed, _STREAM_DETERMINISM),
     )
     with _workers(1):
         serial = rows_to_csv_bytes(run_experiment(config).rows)

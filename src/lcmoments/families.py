@@ -146,15 +146,18 @@ def isotropic_radius(n: int, q: float) -> float:
 
         E X_1^2 = B(3/q, (n-1)/q + 1) / B(1/q, (n-1)/q + 1),
 
-    evaluated in log space.  Closed forms follow: q = 2 gives sqrt(n + 2) and
-    q = 1 gives sqrt((n+1)(n+2)/2).
+    evaluated in log space through B(x, y) = B(1 + x, y) (x + y) / x, so that
+    betaln never sees the argument 1/q, which is subnormal at huge q.
+    Closed forms follow: q = 2 gives sqrt(n + 2) and q = 1 gives
+    sqrt((n+1)(n+2)/2).
     """
     if n < 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {n}")
     if q < 1 or not math.isfinite(q):
         raise InvalidArgumentError(f"ball exponent must satisfy q >= 1, got {q}")
-    s = (n - 1) / q
-    m2 = math.exp(betaln(3.0 / q, s + 1.0) - betaln(1.0 / q, s + 1.0))
+    y = (n - 1) / q + 1.0
+    m2 = (math.exp(betaln(1.0 + 3.0 / q, y) - betaln(1.0 + 1.0 / q, y))
+          * (3.0 / q + y) / (1.0 / q + y) / 3.0)
     r = 1.0 / math.sqrt(m2)
     # r grows like n^{1/q}; far outside that window the moment ratio is wrong
     if not 0.1 <= r / n ** (1.0 / q) <= 10.0:

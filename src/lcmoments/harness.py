@@ -26,7 +26,7 @@ import numpy as np
 from .coeffs import CoefficientVector
 from .errors import InvalidArgumentError
 from .families import Family, family_from_spec
-from .montecarlo import _MASK64, MAX_MOMENT_ORDER, MIN_SAMPLES, estimate_pnorm
+from .montecarlo import MAX_MOMENT_ORDER, MIN_SAMPLES, _child_seed, estimate_pnorm
 from .surrogates import surrogate_bundle
 from .tails import _parse_param
 
@@ -232,13 +232,6 @@ def worker_count() -> int:
     return value
 
 
-def _cell_seed(seed: int, index: int) -> int:
-    """Child seed number ``index`` of ``seed``: report rows and acceptance
-    checks each draw from their own child of the run seed."""
-    ss = np.random.SeedSequence((int(seed) & _MASK64, index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _iter_rows(config: ExperimentConfig):
     for family_spec in config.families:
         for n in config.n_list:
@@ -297,7 +290,7 @@ def _run_row(config: ExperimentConfig, index: int, key
         return _skipped(index, key, "profile length", f"profile inapplicable at n={n}")
     a = CoefficientVector.from_values(values)
     return build_rows(family_spec, profile_spec, family, a, config.p_grid,
-                      config.n_samples, _cell_seed(config.seed, index)), None
+                      config.n_samples, _child_seed(config.seed, index)), None
 
 
 def _reference_surrogate(row: ReportRow) -> tuple[str, float | None]:

@@ -1,12 +1,12 @@
 """Monte-Carlo ground truth for moment surrogates.
 
-Reproducibility contract: every estimator splits its sample budget into
-batches and derives one RNG sub-stream per batch from the entropy tuple
-(seed, stream tag, batch index).  Batch statistics are reduced in batch-index
-order, so a result is a pure function of (seed, n_samples) no matter how the
-batches are scheduled.  p-th moments are accumulated in log space and
-batch-means give the standard error, propagated through the 1/p power by the
-delta method.
+Reproducibility contract: every estimator draws from one generator seeded
+with the child seed (seed, stream tag) and splits its sample budget into
+batches that come from that generator one after another, so a record is a
+pure function of (seed, n_samples).  ``_child_seed`` is the only seed
+derivation: report rows and acceptance checks use it too.  p-th moments are
+accumulated in log space and batch-means give the standard error, propagated
+through the 1/p power by the delta method.
 
 The p-norm engine keeps each batch's log|<X, a>| vector, stacks the batches
 of one size into a block (two blocks when 64 does not divide n_samples) and
@@ -56,7 +56,7 @@ _BATCHES = 64
 
 _MASK64 = (1 << 64) - 1
 
-# stream tags keep estimators on disjoint sub-streams of one master seed
+# stream tags keep estimators on disjoint streams of one master seed
 _TAG_PNORM = 1
 _TAG_MOMENT4 = 2
 _TAG_JOINT = 3
@@ -64,10 +64,11 @@ _TAG_NA_DEPENDENT = 4
 _TAG_NA_INDEPENDENT = 5
 
 
-def _substream(seed: int, *path: int) -> np.random.Generator:
-    """The generator of sub-stream ``path`` (a stream tag, then a batch
-    index or nothing) of ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & _MASK64, *path)))
+def _child_seed(seed: int, *path: int) -> int:
+    """The first word of SeedSequence((seed mod 2^64, *path)); its zero
+    padding makes (seed, tag, 0) the same child as (seed, tag)."""
+    ss = np.random.SeedSequence((int(seed) & _MASK64, *path))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,10 @@ def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np
     """Uniform on r B_q^n via X = r y / (sum |y_i|^q + W)^{1/q}.
 
     Here |y_i|^q ~ Gamma(1/q, 1) with symmetric signs and W ~ Exp(1); the
-    q = 2 path reuses the Gaussian signs (|g|^2 / 2 ~ Gamma(1/2, 1)).
+    q = 2 path reuses the Gaussian signs (|g|^2 / 2 ~ Gamma(1/2, 1)).  Other
+    q draw |y_i| = U_i G_i^{1/q} with G_i ~ Gamma(1 + 1/q) and U_i uniform,
+    so |y_i|^q = U_i^q G_i ~ Gamma(1/q): a Gamma(1/q) draw raised to the
+    power 1/q underflows to 0 at large q, this product does not.
     """
     n, q, r = family.n, family.q, family.r
     if q == 2.0:
@@ -109,13 +113,16 @@ def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np
         denom = np.sqrt(0.5 * np.sum(g * g, axis=1) + w)
         return r * (g / math.sqrt(2.0)) / denom[:, None]
     if q == 1.0:
-        gam = rng.standard_exponential((size, n))
+        mags = powers = rng.standard_exponential((size, n))
     else:
-        gam = rng.gamma(1.0 / q, size=(size, n))
+        gam = rng.gamma(1.0 + 1.0 / q, size=(size, n))
+        u = rng.random((size, n))
+        mags = u * gam ** (1.0 / q)
+        powers = u ** q * gam
     w = rng.standard_exponential(size)
     signs = rng.integers(0, 2, size=(size, n)) * 2 - 1
-    denom = (np.sum(gam, axis=1) + w) ** (1.0 / q)
-    return r * signs * gam ** (1.0 / q) / denom[:, None]
+    denom = (np.sum(powers, axis=1) + w) ** (1.0 / q)
+    return r * signs * mags / denom[:, None]
 
 
 def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -159,12 +166,10 @@ def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
                  statistic: Callable[[np.ndarray], object], n_samples: int, seed: int,
                  tag: int) -> tuple[list, np.ndarray]:
     """``statistic`` of each batch's draw, in batch order, and the batch sizes
-    as float weights.
-
-    Batch b draws its samples from the sub-stream (seed, tag, b).
-    """
+    as float weights; the batches come in order from one generator."""
+    rng = np.random.default_rng(_child_seed(seed, tag))
     counts = _batch_counts(n_samples)
-    stats = [statistic(draw(_substream(seed, tag, b), m)) for b, m in enumerate(counts)]
+    stats = [statistic(draw(rng, m)) for m in counts]
     return stats, np.asarray(counts, dtype=float)
 
 
@@ -324,7 +329,7 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
 
     The twin X* has iid coordinates r eps_i B_i^{1/q} with the closed-form
     Beta marginal of the ball, so each X*_i matches the law of X_i exactly.
-    Both runs share the batch structure but live on disjoint sub-streams of
+    Both runs share the batch structure but draw from disjoint streams of
     the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
     returns ``(deps, indeps)``, one record per order, all from one draw of
     each, with entry i equal to the scalar call at ``p[i]``.

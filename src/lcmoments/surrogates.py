@@ -24,6 +24,7 @@ inequalities; the Monte-Carlo harness measures the constants empirically.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -87,10 +88,6 @@ def bobkov_nazarov_upper(a, p: float) -> float:
 
 # -- level-set support functional of independent coordinates -----------------
 
-_LAMBDA_LO = 1e-12
-_LAMBDA_HI = 1e12
-
-
 class _TiltBlock:
     """Totals (sum_i b_i t_i, sum_i N_i(t_i)) of the tilted maximizers at lambda.
 
@@ -151,6 +148,16 @@ class _TiltBlock:
         return gain, spent
 
 
+def _bits(x: float) -> int:
+    """The int64 bit pattern of a double; for x >= 0 it is ordered like x."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    """The double with int64 bit pattern ``bits``, the inverse of ``_bits``."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     """sup{sum_i b_i t_i : t_i >= 0, sum_i N_i(t_i) <= p} for b_i >= 0.
 
@@ -164,12 +171,15 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     from a piece table built once per call (one searchsorted over the sorted
     linear pieces of linear, alpha = 1 power and tabulated tails) plus the
     closed-form stationary points of power tails with alpha > 1.  The
-    bisection runs until its bracket collapses to two adjacent floats,
-    keeping the totals of the over-budget iterate and of the feasible one.
-    Between them only coordinates on a linear piece move (power tails move
-    by an ulp), so gain and budget are linear on the segment and the optimum
-    is gain_hi + theta (gain_lo - gain_hi) with theta = (p - phi_hi) /
-    (phi_lo - phi_hi).  Convexity of N keeps this point feasible, and pure
+    bisection runs over every positive double, halving the int64 bit
+    patterns (ordered like the values) of the bracket [5e-324, inf]: at the
+    smallest subnormal every coordinate sits at its cap, at infinity nothing
+    is spent, and at most 63 halvings collapse the bracket to two adjacent
+    floats.  It keeps the totals of the over-budget iterate and of the
+    feasible one; between them only coordinates on a linear piece move
+    (power tails move by an ulp), so gain and budget are linear on the
+    segment and the optimum is gain_hi + theta (gain_lo - gain_hi) with
+    theta = (p - phi_hi) / (phi_lo - phi_hi).  Convexity of N keeps this point feasible, and pure
     exponential tails return p max b_i / rate_i to machine accuracy.
     """
     _require_moment_order(p)
@@ -188,24 +198,22 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     scale = float(np.max(b))
     block = _TiltBlock(b / scale, tails, p)
 
-    lo, hi = _LAMBDA_LO, _LAMBDA_HI
-    gain_lo, spent_lo = block.evaluate(lo)
+    lo_bits, hi_bits = _bits(5e-324), _bits(math.inf)
+    gain_lo, spent_lo = block.evaluate(5e-324)
     if spent_lo <= p * (1.0 + 1e-12):
         # budget slack even at vanishing multiplier: caps are jointly feasible
         return scale * gain_lo
-    gain_hi, spent_hi = block.evaluate(hi)
-    if spent_hi > p:
-        raise SolverError("multiplier bracket does not cover the budget constraint")
+    gain_hi, spent_hi = 0.0, 0.0
     best_dual = math.inf
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
+    while hi_bits - lo_bits > 1:
+        mid_bits = (lo_bits + hi_bits) // 2
+        mid = _double(mid_bits)
         gain, spent = block.evaluate(mid)
         best_dual = min(best_dual, gain - mid * spent + mid * p)
         if spent > p:
-            lo, gain_lo, spent_lo = mid, gain, spent
+            lo_bits, gain_lo, spent_lo = mid_bits, gain, spent
         else:
-            hi, gain_hi, spent_hi = mid, gain, spent
-        mid = 0.5 * (lo + hi)
+            hi_bits, gain_hi, spent_hi = mid_bits, gain, spent
 
     # spent_lo > p >= spent_hi, and both totals are linear between the iterates
     theta = (p - spent_hi) / (spent_lo - spent_hi)

@@ -16,8 +16,8 @@ from lcmoments.harness import (
     run_experiment,
     worker_count,
     write_report,
-    _cell_seed,
 )
+from lcmoments.montecarlo import _child_seed
 
 SMALL = dict(
     families=("exp", "cube"),
@@ -271,10 +271,19 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_cell_seeds_are_stable_and_distinct():
-    seeds = [_cell_seed(13, k) for k in range(50)]
-    assert seeds == [_cell_seed(13, k) for k in range(50)]
+    seeds = [_child_seed(13, k) for k in range(50)]
+    assert seeds == [_child_seed(13, k) for k in range(50)]
     assert len(set(seeds)) == 50
-    assert _cell_seed(13, 0) != _cell_seed(14, 0)
+    assert _child_seed(13, 0) != _child_seed(14, 0)
+    # the row-seed formula of the README, with the seed taken mod 2^64
+    for seed, k in ((13, 7), (-1, 0), (2 ** 70 + 5, 3)):
+        state = np.random.SeedSequence((seed % 2 ** 64, k)).generate_state(1, np.uint64)
+        assert _child_seed(seed, k) == int(state[0])
+    # distinct tags and case indices name distinct children, in any order
+    paths = [(5,), (5, 1), (6, 1), (1, 5), (5, 1, 2), (5, 2, 1), (6,)]
+    assert len({_child_seed(13, *path) for path in paths}) == len(paths)
+    # SeedSequence pads its entropy with zeros, so a trailing 0 adds nothing
+    assert _child_seed(13, 5, 0) == _child_seed(13, 5)
 
 
 # -- command line ---------------------------------------------------------------------
@@ -319,6 +328,19 @@ def test_cli_report_runs_config(tmp_path, capsys):
     assert (out_dir / "report.csv").exists()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["cells"] == 8
+
+
+@pytest.mark.parametrize("q", ["1e20", "1.7976931348623153e+308"])
+def test_cli_report_runs_at_huge_ball_exponents(tmp_path, q):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_mapping(families=[f"ball:q={q}"])))
+    out_dir = tmp_path / "report"
+    assert main(["report", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    lines = (out_dir / "report.csv").read_text().strip().split("\n")[1:]
+    rows = [row_from_csv_fields(line.split(",")) for line in lines]
+    assert len(rows) == 4
+    for row in rows:
+        assert 0.5 < row.mc_value / row.bqn < 2.0
 
 
 def test_cli_report_invalid_config(tmp_path):

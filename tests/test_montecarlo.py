@@ -63,6 +63,20 @@ def test_sample_coordinates_are_isotropic():
         np.testing.assert_allclose(second, 1.0, atol=0.02)
 
 
+@pytest.mark.parametrize("q", [3.0, 1e3, 1e20])
+def test_ball_sampler_has_the_beta_marginal_moments(q):
+    n = 6
+    ball = UniformBall.isotropic(n, q)
+    x = mc._sample_ball(ball, np.random.default_rng(SEED + 13), 200_000)[:, 0]
+    # |X_1| / r = B^{1/q} with B ~ Beta(1/q, (n-1)/q + 1)
+    a, b = 1.0 / q, (n - 1.0) / q + 1.0
+    fourth = ball.r ** 4 * math.exp(betaln(a + 4.0 / q, b) - betaln(a, b))
+    for power, exact in ((2, 1.0), (4, fourth)):
+        values = x ** power
+        stderr = float(np.std(values)) / math.sqrt(values.size)
+        assert float(np.mean(values)) == pytest.approx(exact, abs=4.0 * stderr)
+
+
 def test_sample_rejects_empty():
     with pytest.raises(InvalidArgumentError):
         sample(GaussianStd(1), np.random.default_rng(0), 0)
@@ -105,6 +119,30 @@ def test_estimate_pnorm_is_deterministic():
     assert r1 == r2
     r3 = estimate_pnorm(fam, a, 6.0, 20_000, 100)
     assert r3.value != r1.value
+
+
+def test_each_estimate_draws_from_one_generator_per_stream(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    ball = UniformBall.isotropic(3, 2.0)
+    calls = (
+        lambda: estimate_pnorm(ball, (1.0, 0.5, 0.2), (2.0, 8.0), 20_000, 3),
+        lambda: estimate_fourth_moment(ball, 0, 20_000, 3),
+        lambda: estimate_joint_tail(ball, (0.1, 0.1, 0.1), 20_000, 3),
+        lambda: dependent_vs_independent(ball, (1.0, 0.5, 0.2), 4.0, 20_000, 3),
+    )
+    tags = ([mc._TAG_PNORM], [mc._TAG_MOMENT4], [mc._TAG_JOINT],
+            [mc._TAG_NA_DEPENDENT, mc._TAG_NA_INDEPENDENT])
+    for call, streams in zip(calls, tags):
+        seeds.clear()
+        call()
+        assert seeds == [mc._child_seed(3, tag) for tag in streams]
 
 
 def test_estimate_pnorm_validation():
@@ -190,9 +228,10 @@ def _scipy_pnorm_pairs(sampler, a, p, n_samples, seed, tag):
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     a = np.asarray(a, dtype=float)
     counts = mc._batch_counts(n_samples)
+    rng = np.random.default_rng(mc._child_seed(seed, tag))
     stats = []
-    for b, m in enumerate(counts):
-        x = sampler(mc._substream(seed, tag, b), m)
+    for m in counts:
+        x = sampler(rng, m)
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(x @ a))
         stats.append(logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(m))

@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmoments.coeffs import (
@@ -275,6 +275,7 @@ def test_fuzzed_tail_spec_builds_or_is_rejected(spec):
 
 @settings(max_examples=300, deadline=None)
 @given(family_specs, dims)
+@example("ball:q=1.7976931348623153e+308", 3)
 def test_fuzzed_family_spec_builds_or_is_rejected(spec, n):
     try:
         family = family_from_spec(spec, n)

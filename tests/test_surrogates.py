@@ -149,8 +149,20 @@ def test_gk_bisection_stops_when_its_bracket_collapses(monkeypatch, b, tails, p)
 
     monkeypatch.setattr(surrogates._TiltBlock, "evaluate", counted)
     gluskin_kwapien(b, tails, p)
-    # two bracket ends plus about 93-132 halvings of [1e-12, 1e12]
-    assert len(calls) <= 140
+    # the lower bracket end plus at most 63 halvings of the bit patterns of
+    # the doubles in [5e-324, inf]
+    assert len(calls) <= 64
+
+
+@pytest.mark.parametrize("b,tails,p,expected", [
+    # the gain-to-cost ratios b_i / slope_i (1e-13, 2.5e-14, 1e15) lie far
+    # outside [1e-12, 1e12]
+    ((1.0,), [linear(1e13)], 2.0, 2e-13),
+    ((1.0, 0.5), [linear(1e13), linear(2e13)], 4.0, 4e-13),
+    ((1.0, 1.0), [linear(1e-15)] * 2, 2.0, 2e15),
+])
+def test_gk_bisects_the_multiplier_over_every_double(b, tails, p, expected):
+    assert gluskin_kwapien(b, tails, p) == pytest.approx(expected, rel=1e-12)
 
 
 TABLE_WIDE = tabulated((0.0, 0.5, 1.5, 3.0, 12.0), (0.0, 0.4, 1.6, 4.6, 70.0))
