@@ -40,11 +40,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     from .families import family_from_spec
 
     family = family_from_spec(args.family, args.n)
-    values = coefficient_profile(args.profile, args.n)
-    if values is None:
-        raise MomentsError(
-            f"profile {args.profile!r} has the wrong length for n = {args.n}")
-    a = CoefficientVector.from_values(values)
+    a = CoefficientVector.from_values(coefficient_profile(args.profile, args.n))
     rows = build_rows(args.family, args.profile, family, a, _parse_orders(args.p),
                       args.samples, args.seed)
     for row in rows:

@@ -135,32 +135,31 @@ def _typed_list(value, name: str, kinds: tuple[type, ...]) -> tuple:
 
 
 def _check_spec(kind: str, spec: str, n_list: tuple[int, ...], build) -> None:
-    """Reject a spec that ``build(spec, n)`` refuses at every n of the grid.
+    """Reject a spec that ``build(spec, n)`` refuses, by raising, at every n
+    of the grid.
 
-    ``build`` refuses by raising or by returning None (an explicit profile of
-    the wrong length).  A spec that builds at some n only (a multi-tail
-    product, say) is valid; its rows at the other dimensions are skipped at
+    A spec that builds at some n only (a multi-tail product or an explicit
+    profile, say) is valid; its rows at the other dimensions are skipped at
     run time.
     """
     first_error = None
     for n in n_list:
         try:
-            if build(spec, n) is not None:
-                return
-            first_error = first_error or f"inapplicable at n={n}"
+            build(spec, n)
+            return
         except InvalidArgumentError as exc:
             first_error = first_error or exc
     raise InvalidArgumentError(
         f"{kind} spec {spec!r} applies at no n in {list(n_list)}: {first_error}")
 
 
-def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
+def coefficient_profile(spec: str, n: int) -> np.ndarray:
     """Materialize a coefficient profile at dimension n.
 
     ``one_hot`` | ``flat`` | ``geometric:rho=<r>`` | ``power:alpha=<a>`` |
-    ``explicit:v1,v2,...``.  An explicit profile returns None when its length
-    does not match n (the cell is inapplicable, not an error); its entries
-    must be finite and not all zero at any length.
+    ``explicit:v1,v2,...``.  An explicit profile's entries must be finite and
+    not all zero, and it raises ``InvalidArgumentError`` at any n other than
+    its length (a report skips such rows).
     """
     spec = spec.strip()
     if n < 1:
@@ -189,7 +188,10 @@ def coefficient_profile(spec: str, n: int) -> np.ndarray | None:
         if not all(map(math.isfinite, vals)) or not any(vals):
             raise InvalidArgumentError(
                 f"explicit profile {spec!r} must be finite and not all zero")
-        return np.asarray(vals) if len(vals) == n else None
+        if len(vals) != n:
+            raise InvalidArgumentError(
+                f"explicit profile {spec!r} has {len(vals)} entries, not n = {n}")
+        return np.asarray(vals)
     raise InvalidArgumentError(f"unknown profile spec {spec!r}")
 
 
@@ -285,9 +287,11 @@ def _run_row(config: ExperimentConfig, index: int, key
         family = family_from_spec(family_spec, n)
     except InvalidArgumentError as exc:
         return _skipped(index, key, "family spec", exc)
-    values = coefficient_profile(profile_spec, n)
-    if values is None:
-        return _skipped(index, key, "profile length", f"profile inapplicable at n={n}")
+    try:
+        values = coefficient_profile(profile_spec, n)
+    except InvalidArgumentError as exc:
+        # a profile spec that passed the config check fails only by its length
+        return _skipped(index, key, "profile length", exc)
     a = CoefficientVector.from_values(values)
     return build_rows(family_spec, profile_spec, family, a, config.p_grid,
                       config.n_samples, _child_seed(config.seed, index)), None

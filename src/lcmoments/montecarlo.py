@@ -4,21 +4,17 @@ Reproducibility contract: every estimator draws from one generator seeded
 with the child seed (seed, stream tag) and splits its sample budget into
 batches that come from that generator one after another, so a record is a
 pure function of (seed, n_samples).  ``_child_seed`` is the only seed
-derivation: report rows and acceptance checks use it too.  p-th moments are
-accumulated in log space and batch-means give the standard error, propagated
-through the 1/p power by the delta method.
+derivation: report rows and acceptance checks use it too.  Batch means give
+the standard error, propagated through the 1/p power by the delta method.
 
-The p-norm engine keeps each batch's log|<X, a>| vector, stacks the batches
-of one size into a block (two blocks when 64 does not divide n_samples) and
-reduces every batch of a block in one log-sum-exp pass per order; the batch
-means of all orders then go through one more pass.  ``_logsumexp`` repeats
-the arithmetic of ``scipy.special.logsumexp`` step by step, so the records
-are the same bits as a per-batch, per-order scipy reduction.
+The p-norm engine concatenates the batches' log|<X, a>| into one vector L and
+reduces each order in linear space: w = exp(p (L - max L)) stays in [0, 1],
+``np.add.reduceat`` sums it per batch, and the p-norm is
+e^{max L} (sum w / n)^{1/p}.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,14 +23,7 @@ import numpy as np
 
 from .coeffs import as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
-from .families import (
-    Family,
-    GaussianStd,
-    ProductFamily,
-    UniformBall,
-    UniformCube,
-    _marginal_beta,
-)
+from .families import Family, GaussianStd, ProductFamily, UniformBall, UniformCube
 
 __all__ = [
     "EstimateRecord",
@@ -97,14 +86,28 @@ def _sample_product(family: ProductFamily, rng: np.random.Generator, size: int) 
     return out * signs
 
 
-def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform on r B_q^n via X = r y / (sum |y_i|^q + W)^{1/q}.
+def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(y, y^q) with y^q ~ Gamma(1/q, 1).
 
-    Here |y_i|^q ~ Gamma(1/q, 1) with symmetric signs and W ~ Exp(1); the
-    q = 2 path reuses the Gaussian signs (|g|^2 / 2 ~ Gamma(1/2, 1)).  Other
-    q draw |y_i| = U_i G_i^{1/q} with G_i ~ Gamma(1 + 1/q) and U_i uniform,
-    so |y_i|^q = U_i^q G_i ~ Gamma(1/q): a Gamma(1/q) draw raised to the
-    power 1/q underflows to 0 at large q, this product does not.
+    q = 1 is an exponential draw.  Other q draw y = U G^{1/q} with
+    G ~ Gamma(1 + 1/q) and U uniform, so y^q = U^q G ~ Gamma(1/q): a
+    Gamma(1/q) draw raised to the power 1/q underflows to 0 at large q, this
+    product does not.
+    """
+    if q == 1.0:
+        e = rng.standard_exponential(shape)
+        return e, e
+    gam = rng.gamma(1.0 + 1.0 / q, size=shape)
+    u = rng.random(shape)
+    return u * gam ** (1.0 / q), u ** q * gam
+
+
+def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniform on r B_q^n via X = r eps y / (sum y_i^q + W)^{1/q}.
+
+    Here y_i^q ~ Gamma(1/q, 1) (``_gamma_root``), eps_i are symmetric signs
+    and W ~ Exp(1); the q = 2 path reuses the Gaussian signs
+    (|g|^2 / 2 ~ Gamma(1/2, 1)).
     """
     n, q, r = family.n, family.q, family.r
     if q == 2.0:
@@ -112,13 +115,7 @@ def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np
         w = rng.standard_exponential(size)
         denom = np.sqrt(0.5 * np.sum(g * g, axis=1) + w)
         return r * (g / math.sqrt(2.0)) / denom[:, None]
-    if q == 1.0:
-        mags = powers = rng.standard_exponential((size, n))
-    else:
-        gam = rng.gamma(1.0 + 1.0 / q, size=(size, n))
-        u = rng.random((size, n))
-        mags = u * gam ** (1.0 / q)
-        powers = u ** q * gam
+    mags, powers = _gamma_root(q, rng, (size, n))
     w = rng.standard_exponential(size)
     signs = rng.integers(0, 2, size=(size, n)) * 2 - 1
     denom = (np.sum(powers, axis=1) + w) ** (1.0 / q)
@@ -126,12 +123,14 @@ def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np
 
 
 def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
-    """iid coordinates with the ball's marginal law: X*_i = r eps_i B_i^{1/q},
-    B_i ~ Beta(1/q, (n-1)/q + 1), eps_i symmetric signs."""
-    a, b = _marginal_beta(ball)
-    mags = rng.beta(a, b, size=(size, ball.n)) ** (1.0 / ball.q)
-    signs = rng.integers(0, 2, size=(size, ball.n)) * 2 - 1
-    return ball.r * signs * mags
+    """iid coordinates with the ball's marginal law: X*_i = r eps_i y_i /
+    (y_i^q + H_i)^{1/q} with y_i^q ~ Gamma(1/q) and H_i ~ Gamma((n-1)/q + 1),
+    so (|X*_i| / r)^q ~ Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q."""
+    n, q = ball.n, ball.q
+    mags, powers = _gamma_root(q, rng, (size, n))
+    rest = rng.gamma((n - 1.0) / q + 1.0, size=(size, n))
+    signs = rng.integers(0, 2, size=(size, n)) * 2 - 1
+    return ball.r * signs * mags / (powers + rest) ** (1.0 / q)
 
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -173,20 +172,11 @@ def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
     return stats, np.asarray(counts, dtype=float)
 
 
-def _logsumexp(x: np.ndarray) -> np.ndarray:
-    """log sum exp(x) along the last axis, by the steps of
-    ``scipy.special.logsumexp``: the max m of the row, the count k of entries
-    equal to it, the sum s of exp(x - m) over the others, then
-    log1p(s / k) + log(k) + m.  A row whose max is not finite gives that max
-    (all -inf gives -inf, a +inf entry +inf, a NaN NaN), as scipy does."""
-    top = np.max(x, axis=-1, keepdims=True)
-    is_top = x == top
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.sum(np.exp(np.where(is_top, -np.inf, x) - top), axis=-1)
-        k = np.count_nonzero(is_top, axis=-1)
-        top = top[..., 0]
-        out = np.log1p(s / k) + np.log(k) + top
-    return np.where(np.isfinite(top), out, top)
+def _pooled(means: np.ndarray, weights: np.ndarray, n_samples: int) -> tuple[float, float]:
+    """The sample-weighted mean of the batch means and its batch-means
+    standard error."""
+    value = float(np.sum(means * weights) / n_samples)
+    return value, float(np.std(means, ddof=1)) / math.sqrt(len(means))
 
 
 def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
@@ -195,44 +185,31 @@ def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
     """One record per order in ``ps``, every order reduced from the same draws."""
 
     def log_abs(x: np.ndarray) -> np.ndarray:
-        # an overflowing projection is caught by _pnorm_record
+        # an overflowing projection is caught through the max below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.log(np.abs(x @ a_arr))
 
     stats, weights = _batch_stats(sampler, log_abs, n_samples, seed, tag)
-    # log mean of |<X, a>|^p per (order, batch); equal-size batches are
-    # adjacent, so each block fills a contiguous run of columns
-    log_means = np.empty((len(ps), len(stats)))
-    start = 0
-    for size, batches in itertools.groupby(stats, key=len):
-        block = np.stack(list(batches))
-        stop = start + len(block)
-        for row, p in zip(log_means, ps):
-            row[start:stop] = _logsumexp(p * block) - math.log(size)
-        start = stop
-    log_moments = _logsumexp(log_means + np.log(weights)) - math.log(n_samples)
-    return tuple(_pnorm_record(row, log_moment, weights, float(p), n_samples, seed)
-                 for row, log_moment, p in zip(log_means, log_moments, ps))
-
-
-def _pnorm_record(log_means: np.ndarray, log_moment: float, weights: np.ndarray, p: float,
-                  n_samples: int, seed: int) -> EstimateRecord:
-    """The record of one order from its per-batch log means and the log of
-    the pooled p-th moment."""
-    batches = len(log_means)
-    shift = np.max(log_means)
-    if shift == -math.inf:
+    seed = int(seed) & _MASK64
+    logs = np.concatenate(stats)
+    top = float(np.max(logs))
+    if top == -math.inf:
         # every projection was exactly 0
-        return EstimateRecord(0.0, 0.0, n_samples, int(seed) & _MASK64, batches)
-    if not math.isfinite(shift):
+        return tuple(EstimateRecord(0.0, 0.0, n_samples, seed, _BATCHES) for _ in ps)
+    if not math.isfinite(top):
         raise OutOfRangeError(
             "sum a_i X_i overflows double precision; rescale the coefficients")
-    value = math.exp(log_moment / p)
-    u = np.exp(log_means - shift)
-    mean_u = float(np.sum(u * weights) / n_samples)
-    sd_u = float(np.std(u, ddof=1))
-    stderr = value * sd_u / (math.sqrt(batches) * mean_u) / p
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, batches)
+    shifted = logs - top
+    starts = np.cumsum([0] + [len(batch) for batch in stats[:-1]])
+    records = []
+    for p in map(float, ps):
+        # batch means of |<X, a>|^p / e^{p top}, each in [0, 1]
+        means = np.add.reduceat(np.exp(p * shifted), starts) / weights
+        mean, se = _pooled(means, weights, n_samples)
+        value = math.exp(top) * mean ** (1.0 / p)
+        records.append(EstimateRecord(value, value * se / (mean * p), n_samples, seed,
+                                      _BATCHES))
+    return tuple(records)
 
 
 def _check_orders(p: float | Sequence[float], minimum: float) -> np.ndarray:
@@ -283,9 +260,7 @@ def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
     stats, weights = _batch_stats(lambda rng, m: sample(family, rng, m),
                                   lambda x: np.mean(x[:, coordinate] ** 4),
                                   n_samples, seed, _TAG_MOMENT4)
-    means = np.asarray(stats)
-    value = float(np.sum(means * weights) / n_samples)
-    stderr = float(np.std(means, ddof=1)) / math.sqrt(_BATCHES)
+    value, stderr = _pooled(np.asarray(stats), weights, n_samples)
     return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, _BATCHES)
 
 
@@ -327,8 +302,9 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
                                  tuple[EstimateRecord, ...], tuple[EstimateRecord, ...]]:
     """||sum a_i X_i||_p for the ball against its independent-marginals twin.
 
-    The twin X* has iid coordinates r eps_i B_i^{1/q} with the closed-form
-    Beta marginal of the ball, so each X*_i matches the law of X_i exactly.
+    The twin X* has iid coordinates drawn from the ball's closed-form
+    marginal by the same Gamma construction as the ball itself, so each
+    X*_i matches the law of X_i exactly.
     Both runs share the batch structure but draw from disjoint streams of
     the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
     returns ``(deps, indeps)``, one record per order, all from one draw of

@@ -273,7 +273,7 @@ def test_acceptance_import_leaves_out_scipy_integrate():
 
 
 def test_montecarlo_binds_no_logsumexp():
-    # the p-norm engine reduces with its own numpy log-sum-exp; a per-batch
+    # the p-norm engine reduces in linear space with numpy; a per-batch
     # scipy call costs more than the sum it computes
     code = ("import lcmoments.montecarlo as mc; "
             "print(hasattr(mc, 'logsumexp'))")

@@ -140,7 +140,8 @@ def test_profiles_materialize():
 
 
 def test_explicit_profile_length_mismatch_is_inapplicable():
-    assert coefficient_profile("explicit:1,2", 3) is None
+    with pytest.raises(InvalidArgumentError, match="2 entries, not n = 3"):
+        coefficient_profile("explicit:1,2", 3)
 
 
 @pytest.mark.parametrize("spec", [
