@@ -7,14 +7,19 @@ pure function of (seed, n_samples).  ``_child_seed`` is the only seed
 derivation: report rows and acceptance checks use it too.  Batch means give
 the standard error, propagated through the 1/p power by the delta method.
 
-The p-norm engine concatenates the batches' log|<X, a>| into one vector L and
-reduces each order in linear space: w = exp(p (L - max L)) stays in [0, 1],
-``np.add.reduceat`` sums it per batch, and the p-norm is
-e^{max L} (sum w / n)^{1/p}.
+The p-norm engine draws the projection S = <X, u> with u = a / max|a_i|, not
+the vector X (``_project``).  The Gaussian and the Euclidean ball are
+rotation invariant, so there S has the law of ||u||_2 X_1 and is drawn in one
+dimension; other balls apply their one-per-row Dirichlet denominator after
+the projection.  The engine concatenates the batches' log|S| into one vector
+L and reduces each order in linear space: w = exp(p (L - max L)) stays in
+[0, 1], ``np.add.reduceat`` sums it per batch, and the p-norm is
+max|a_i| e^{max L + log(sum w / n) / p}.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,17 +78,32 @@ class EstimateRecord:
 
 # -- samplers -----------------------------------------------------------------
 
+def _random_signs(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Give every entry of the float64 array ``x`` an independent symmetric
+    sign, in place, and return ``x``: one random bit per entry is XORed into
+    the IEEE sign bit, so |x| keeps its bits.
+
+    The bits are the generator's raw 64-bit words, unpacked in little-endian
+    byte order on every platform; ``Generator.bytes`` would cost about 10 us
+    more per call, as much as the whole sign draw on a small batch.
+    """
+    words = x.view(np.uint64)
+    raw = rng.bit_generator.random_raw((x.size + 63) // 64).astype("<u8", copy=False)
+    bits = np.unpackbits(raw.view(np.uint8), count=x.size).reshape(x.shape)
+    words ^= np.left_shift(bits, 63, dtype=np.uint64)
+    return x
+
+
 def _sample_product(family: ProductFamily, rng: np.random.Generator, size: int) -> np.ndarray:
     """|X_i| = N_i^{-1}(E_i) with E_i ~ Exp(1), one inverse call per distinct tail."""
     exps = rng.standard_exponential((size, family.n))
-    signs = rng.integers(0, 2, size=(size, family.n)) * 2 - 1
     groups = family.tail_columns
     if len(groups) == 1:
-        return groups[0][0].inverse(exps) * signs
+        return _random_signs(groups[0][0].inverse(exps), rng)
     out = np.empty((size, family.n))
     for tail, cols in groups:
         out[:, cols] = tail.inverse(exps[:, cols])
-    return out * signs
+    return _random_signs(out, rng)
 
 
 def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -102,35 +122,49 @@ def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, 
     return u * gam ** (1.0 / q), u ** q * gam
 
 
-def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform on r B_q^n via X = r eps y / (sum y_i^q + W)^{1/q}.
+def _ball_parts(ball: UniformBall, rng: np.random.Generator,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signed numerator, row denominator) of X = r eps y / (sum y_i^q + W)^{1/q}.
 
     Here y_i^q ~ Gamma(1/q, 1) (``_gamma_root``), eps_i are symmetric signs
-    and W ~ Exp(1); the q = 2 path reuses the Gaussian signs
-    (|g|^2 / 2 ~ Gamma(1/2, 1)).
+    and W ~ Exp(1).  At q = 2 the numerator is a Gaussian vector g and the
+    denominator sqrt(|g|^2 + 2W), since |g_i|^2 / 2 ~ Gamma(1/2, 1).
     """
-    n, q, r = family.n, family.q, family.r
+    n, q = ball.n, ball.q
     if q == 2.0:
         g = rng.standard_normal((size, n))
         w = rng.standard_exponential(size)
-        denom = np.sqrt(0.5 * np.sum(g * g, axis=1) + w)
-        return r * (g / math.sqrt(2.0)) / denom[:, None]
+        return g, np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * w)
     mags, powers = _gamma_root(q, rng, (size, n))
     w = rng.standard_exponential(size)
-    signs = rng.integers(0, 2, size=(size, n)) * 2 - 1
-    denom = (np.sum(powers, axis=1) + w) ** (1.0 / q)
-    return r * signs * mags / denom[:, None]
+    # at q = 1 mags is powers, so the row sums come before the signs
+    denom = (np.einsum("ij->i", powers) + w) ** (1.0 / q)
+    return _random_signs(mags, rng), denom
+
+
+def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniform on r B_q^n (see ``_ball_parts``)."""
+    numerator, denom = _ball_parts(family, rng, size)
+    return numerator * (family.r / denom)[:, None]
 
 
 def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
-    """iid coordinates with the ball's marginal law: X*_i = r eps_i y_i /
-    (y_i^q + H_i)^{1/q} with y_i^q ~ Gamma(1/q) and H_i ~ Gamma((n-1)/q + 1),
-    so (|X*_i| / r)^q ~ Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q."""
+    """iid coordinates with the ball's marginal law, (|X*_i| / r)^q ~
+    Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q.
+
+    q = 1 inverts the Beta(1, n) CDF: |X*_i| / r = 1 - (1 - U)^{1/n}.  Other q
+    draw |X*_i| = r y_i / (y_i^q + H_i)^{1/q} with y_i^q ~ Gamma(1/q) and
+    H_i ~ Gamma((n-1)/q + 1), which does not underflow at large q.
+    """
     n, q = ball.n, ball.q
-    mags, powers = _gamma_root(q, rng, (size, n))
-    rest = rng.gamma((n - 1.0) / q + 1.0, size=(size, n))
-    signs = rng.integers(0, 2, size=(size, n)) * 2 - 1
-    return ball.r * signs * mags / (powers + rest) ** (1.0 / q)
+    if q == 1.0:
+        mags = np.expm1(np.log1p(-rng.random((size, n))) / n)
+        mags *= -ball.r
+    else:
+        mags, powers = _gamma_root(q, rng, (size, n))
+        rest = rng.gamma((n - 1.0) / q + 1.0, size=(size, n))
+        mags *= ball.r / (powers + rest) ** (1.0 / q)
+    return _random_signs(mags, rng)
 
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -145,6 +179,36 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal((size, family.n))
     if isinstance(family, UniformCube):
         return (rng.random((size, family.n)) * 2.0 - 1.0) * math.sqrt(3.0)
+    raise InvalidArgumentError(f"unknown family {type(family).__name__}")
+
+
+def _project(family: Family, a: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+    """m iid draws of <X, a> as an (m,) vector, without the (m, n) array
+    where the law allows.
+
+    The Gaussian and the Euclidean ball are rotation invariant, so <X, a>
+    has the law of ||a||_2 X_1: g ||a||_2 for the Gaussian and, for the ball,
+    r ||a||_2 g / sqrt(g^2 + 2H) with g ~ N(0, 1) and H ~ Gamma((n + 1)/2),
+    the one-coordinate form of ``_ball_parts`` with the other n - 1 squared
+    Gaussians and W merged into H.  Other balls project the signed
+    numerator and divide each row once.
+    """
+    if isinstance(family, ProductFamily):
+        return _sample_product(family, rng, m) @ a
+    if isinstance(family, UniformBall):
+        if family.q == 2.0:
+            g = rng.standard_normal(m)
+            h = rng.gamma((family.n + 1.0) / 2.0, size=m)
+            return (family.r * float(np.linalg.norm(a))) * g / np.sqrt(g * g + 2.0 * h)
+        numerator, denom = _ball_parts(family, rng, m)
+        return family.r * (numerator @ a) / denom
+    if isinstance(family, GaussianStd):
+        return float(np.linalg.norm(a)) * rng.standard_normal(m)
+    if isinstance(family, UniformCube):
+        u = rng.random((m, family.n))
+        u *= 2.0
+        u -= 1.0
+        return (u @ a) * math.sqrt(3.0)
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
 
 
@@ -179,36 +243,49 @@ def _pooled(means: np.ndarray, weights: np.ndarray, n_samples: int) -> tuple[flo
     return value, float(np.std(means, ddof=1)) / math.sqrt(len(means))
 
 
-def _pnorm_engine(sampler: Callable[[np.random.Generator, int], np.ndarray],
+def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.ndarray],
                   a_arr: np.ndarray, ps: np.ndarray, n_samples: int, seed: int,
                   tag: int) -> tuple[EstimateRecord, ...]:
-    """One record per order in ``ps``, every order reduced from the same draws."""
+    """One record per order in ``ps``, every order reduced from the same draws.
 
-    def log_abs(x: np.ndarray) -> np.ndarray:
-        # an overflowing projection is caught through the max below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.log(np.abs(x @ a_arr))
+    ``project(u, rng, m)`` draws m values of <X, u>.  The draws use
+    u = a / max|a_i| and every record is max|a_i| times the norm of <X, u>,
+    so scaling ``a`` by a power of two scales the records by exactly that
+    factor, however small or large, as long as they stay normal doubles.
+    """
+    # a zero vector projects to 0 and takes the zero record below
+    scale = float(np.max(np.abs(a_arr))) or 1.0
+    unit = a_arr / scale
 
-    stats, weights = _batch_stats(sampler, log_abs, n_samples, seed, tag)
+    def log_abs(s: np.ndarray) -> np.ndarray:
+        # a non-finite projection is caught through the max below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.abs(s))
+
+    stats, weights = _batch_stats(lambda rng, m: project(unit, rng, m), log_abs,
+                                  n_samples, seed, tag)
     seed = int(seed) & _MASK64
     logs = np.concatenate(stats)
     top = float(np.max(logs))
     if top == -math.inf:
         # every projection was exactly 0
         return tuple(EstimateRecord(0.0, 0.0, n_samples, seed, _BATCHES) for _ in ps)
+    overflow = OutOfRangeError(
+        "sum a_i X_i overflows double precision; rescale the coefficients")
     if not math.isfinite(top):
-        raise OutOfRangeError(
-            "sum a_i X_i overflows double precision; rescale the coefficients")
+        raise overflow
     shifted = logs - top
     starts = np.cumsum([0] + [len(batch) for batch in stats[:-1]])
     records = []
     for p in map(float, ps):
-        # batch means of |<X, a>|^p / e^{p top}, each in [0, 1]
+        # batch means of |<X, u>|^p / e^{p top}, each in [0, 1]
         means = np.add.reduceat(np.exp(p * shifted), starts) / weights
         mean, se = _pooled(means, weights, n_samples)
-        value = math.exp(top) * mean ** (1.0 / p)
-        records.append(EstimateRecord(value, value * se / (mean * p), n_samples, seed,
-                                      _BATCHES))
+        norm = math.exp(top + math.log(mean) / p)
+        value, stderr = scale * norm, scale * (norm * se / (mean * p))
+        if not (math.isfinite(value) and math.isfinite(stderr)):
+            raise overflow
+        records.append(EstimateRecord(value, stderr, n_samples, seed, _BATCHES))
     return tuple(records)
 
 
@@ -246,8 +323,8 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
     _validate_batching(n_samples)
-    records = _pnorm_engine(lambda rng, m: sample(family, rng, m), cv.array,
-                            ps, n_samples, seed, _TAG_PNORM)
+    records = _pnorm_engine(functools.partial(_project, family), cv.array, ps, n_samples,
+                            seed, _TAG_PNORM)
     return records[0] if np.ndim(p) == 0 else records
 
 
@@ -303,8 +380,8 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     """||sum a_i X_i||_p for the ball against its independent-marginals twin.
 
     The twin X* has iid coordinates drawn from the ball's closed-form
-    marginal by the same Gamma construction as the ball itself, so each
-    X*_i matches the law of X_i exactly.
+    marginal (``_sample_ball_twin``), so each X*_i matches the law of X_i
+    exactly.
     Both runs share the batch structure but draw from disjoint streams of
     the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
     returns ``(deps, indeps)``, one record per order, all from one draw of
@@ -321,9 +398,9 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     # p >= 3 keeps the second derivative of |x|^p convex
     ps = _check_orders(p, 3.0)
     _validate_batching(n_samples)
-    deps = _pnorm_engine(lambda rng, m: _sample_ball(ball, rng, m), cv.array,
-                         ps, n_samples, seed, _TAG_NA_DEPENDENT)
-    indeps = _pnorm_engine(lambda rng, m: _sample_ball_twin(ball, rng, m), cv.array,
+    deps = _pnorm_engine(functools.partial(_project, ball), cv.array, ps, n_samples, seed,
+                         _TAG_NA_DEPENDENT)
+    indeps = _pnorm_engine(lambda u, rng, m: _sample_ball_twin(ball, rng, m) @ u, cv.array,
                            ps, n_samples, seed, _TAG_NA_INDEPENDENT)
     if np.ndim(p) == 0:
         return deps[0], indeps[0]

@@ -191,7 +191,7 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating the orders")
 
-    monkeypatch.setattr(mc, "sample", no_sampling)
+    monkeypatch.setattr(mc, "_project", no_sampling)
     with pytest.raises(error):
         estimate_pnorm(product_exponential(2), (1.0, 1.0), orders, 20_000, 0)
 
@@ -240,12 +240,13 @@ def test_estimate_pnorm_matches_the_per_batch_scipy_reduction(spec):
     a = (1.0, -0.5, 0.25, 0.0, 3.0)
 
     def draw(rng, m):
-        return sample(fam, rng, m)
+        # the engine's draws of <X, a / max|a_i|>, as one column
+        return mc._project(fam, np.asarray(a) / 3.0, rng, m)[:, None]
 
     for p, seed in ((GRID_ORDERS, SEED + 31), (5.5, SEED + 32)):
-        expected = _scipy_pnorm_pairs(draw, a, p, ODD_SAMPLES, seed, mc._TAG_PNORM)
+        expected = _scipy_pnorm_pairs(draw, (3.0,), p, ODD_SAMPLES, seed, mc._TAG_PNORM)
         _assert_matches_scipy(estimate_pnorm(fam, a, p, ODD_SAMPLES, seed), expected)
-    expected = _scipy_pnorm_pairs(draw, a, 32.0, 20_000, SEED + 33, mc._TAG_PNORM)
+    expected = _scipy_pnorm_pairs(draw, (3.0,), 32.0, 20_000, SEED + 33, mc._TAG_PNORM)
     _assert_matches_scipy(estimate_pnorm(fam, a, 32.0, 20_000, SEED + 33), expected)
 
 
@@ -256,22 +257,22 @@ def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
     for p in ((3.0, 4.5, 8.0, 32.0), 4.0):
         deps, indeps = dependent_vs_independent(ball, a, p, ODD_SAMPLES, SEED + 34)
         _assert_matches_scipy(deps, _scipy_pnorm_pairs(
-            lambda rng, m: mc._sample_ball(ball, rng, m), a, p, ODD_SAMPLES, SEED + 34,
-            mc._TAG_NA_DEPENDENT))
+            lambda rng, m: mc._project(ball, np.asarray(a), rng, m)[:, None], (1.0,), p,
+            ODD_SAMPLES, SEED + 34, mc._TAG_NA_DEPENDENT))
         _assert_matches_scipy(indeps, _scipy_pnorm_pairs(
             lambda rng, m: mc._sample_ball_twin(ball, rng, m), a, p, ODD_SAMPLES,
             SEED + 34, mc._TAG_NA_INDEPENDENT))
 
 
 def _one_entry_sampler(value, batch):
-    """Gaussian draws with ``value`` at one entry of the given batch."""
+    """Projected Gaussian draws with ``value`` at one entry of the given batch."""
     order = iter(range(mc._BATCHES))
 
-    def draw(rng, m):
+    def draw(u, rng, m):
         x = rng.standard_normal((m, 3))
         if next(order) == batch:
             x[m // 2, 0] = value
-        return x
+        return x @ u
 
     return draw
 
@@ -279,7 +280,7 @@ def _one_entry_sampler(value, batch):
 def test_pnorm_record_of_zero_and_overflowed_projections():
     a = np.array([1.0, 0.5, 2.0])
     orders = np.array([2.0, 4.0, 32.0])
-    records = mc._pnorm_engine(lambda rng, m: np.zeros((m, 3)), a, orders, ODD_SAMPLES,
+    records = mc._pnorm_engine(lambda u, rng, m: np.zeros(m), a, orders, ODD_SAMPLES,
                                5, mc._TAG_PNORM)
     assert [(rec.value, rec.stderr) for rec in records] == [(0.0, 0.0)] * len(orders)
     for bad in (np.inf, np.nan):
@@ -301,10 +302,87 @@ def test_product_sampler_matches_the_per_column_loop():
         fam = ProductFamily(tails)
         rng = np.random.default_rng(SEED + 35)
         exps = rng.standard_exponential((313, fam.n))
-        signs = rng.integers(0, 2, size=(313, fam.n)) * 2 - 1
         expected = np.column_stack([t.inverse(exps[:, j]) for j, t in enumerate(tails)])
+        expected = mc._random_signs(expected, rng)
         got = mc._sample_product(fam, np.random.default_rng(SEED + 35), 313)
-        np.testing.assert_array_equal(got, expected * signs)
+        np.testing.assert_array_equal(got, expected)
+
+
+# -- the projected draw ------------------------------------------------------------
+
+def _mixed_product(n):
+    return family_from_spec("product:" + ",".join(("pow:alpha=2", "exp")[j % 2]
+                                                  for j in range(n)), n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("build", [
+    product_exponential, _mixed_product,
+    lambda n: UniformBall.isotropic(n, 1.0), lambda n: UniformBall.isotropic(n, 2.0),
+    lambda n: UniformBall.isotropic(n, 3.0), UniformCube, GaussianStd,
+], ids=["exp", "product", "ball:q=1", "ball:q=2", "ball:q=3", "cube", "gauss"])
+def test_projection_has_the_moments_of_the_full_vector(build, n):
+    fam = build(n)
+    a = np.linspace(1.0, 0.2, n) * np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+    m = 200_000
+    projected = mc._project(fam, a, np.random.default_rng(SEED + 40), m)
+    full = sample(fam, np.random.default_rng(SEED + 41), m) @ a
+    assert projected.shape == (m,)
+    for power in (2, 4):
+        x, y = projected ** power, full ** power
+        sigma = math.sqrt((np.var(x) + np.var(y)) / m)
+        assert abs(float(np.mean(x) - np.mean(y))) <= 5.0 * sigma
+
+
+class _VectorDrawsOnly:
+    """A generator that fails on any draw of two or more dimensions."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def checked(*args, **kwargs):
+            out = method(*args, **kwargs)
+            assert np.ndim(out) < 2, f"{name} drew an array of shape {np.shape(out)}"
+            return out
+
+        return checked
+
+
+@pytest.mark.parametrize("spec", ["ball:q=2", "gauss"])
+def test_rotation_invariant_projections_draw_no_matrix(monkeypatch, spec):
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _VectorDrawsOnly(default_rng(seed)))
+    fam = family_from_spec(spec, 64)
+    records = estimate_pnorm(fam, np.linspace(1.0, 2.0, 64), GRID_ORDERS, 20_000, SEED)
+    assert all(rec.value > 0.0 for rec in records)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (1001, 3)])
+def test_random_signs_flip_only_the_sign_bit(shape):
+    rng = np.random.default_rng(SEED + 42)
+    mags = rng.standard_exponential(shape)
+    x = mc._random_signs(mags.copy(), rng)
+    assert x.shape == shape
+    np.testing.assert_array_equal(np.abs(x).view(np.uint64), mags.view(np.uint64))
+    draws = mc._random_signs(np.ones(100_003), rng)
+    share = float(np.mean(draws < 0.0))
+    assert abs(share - 0.5) <= 4.0 * math.sqrt(0.25 / draws.size)
+
+
+@pytest.mark.parametrize("spec", ["exp", "ball:q=1", "ball:q=2", "cube", "gauss"])
+def test_scaling_the_coefficients_by_a_power_of_two_scales_every_record(spec):
+    fam = family_from_spec(spec, 4)
+    a = np.array([3.0, -1.0, 0.5, 0.25]) * 2.0 ** 60
+    factor = 2.0 ** -1070
+    records = estimate_pnorm(fam, a, GRID_ORDERS, MIN_SAMPLES, SEED + 43)
+    scaled = estimate_pnorm(fam, a * factor, GRID_ORDERS, MIN_SAMPLES, SEED + 43)
+    for rec, small in zip(records, scaled):
+        assert small.value == pytest.approx(rec.value * factor, rel=1e-14, abs=0.0)
+        assert small.stderr == pytest.approx(rec.stderr * factor, rel=1e-14, abs=0.0)
 
 
 # -- coordinate fourth moments ------------------------------------------------------
@@ -373,7 +451,8 @@ def test_dependent_twin_loses_on_flat_sums():
     assert dep.value < ind.value
 
 
-@pytest.mark.parametrize("n,q", [(3, 1.0), (4, 1.5), (5, 3.0), (6, 1e3), (6, 1e6)])
+@pytest.mark.parametrize("n,q", [(3, 1.0), (4, 1.5), (5, 3.0), (6, 1e3), (6, 1e6),
+                                 (2, 1.0), (16, 1.0)])
 def test_independent_twin_has_the_beta_marginal_moments(n, q):
     ball = UniformBall.isotropic(n, q)
     x = mc._sample_ball_twin(ball, np.random.default_rng(SEED + 12), 200_000).ravel()
@@ -409,7 +488,7 @@ def test_dependent_vs_independent_orders_validated_before_sampling(monkeypatch, 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating the orders")
 
-    monkeypatch.setattr(mc, "_sample_ball", no_sampling)
+    monkeypatch.setattr(mc, "_project", no_sampling)
     monkeypatch.setattr(mc, "_sample_ball_twin", no_sampling)
     with pytest.raises(error):
         dependent_vs_independent(UniformBall.isotropic(3, 2.0), (1.0, 1.0, 1.0), orders,
