@@ -85,8 +85,8 @@ def top_index_set(a, p: float) -> tuple[int, ...]:
     deterministic function of the input.
     """
     cv = as_coefficients(a)
-    if p < 2:
-        raise InvalidArgumentError(f"p must be >= 2, got {p}")
+    if not 2 <= p < math.inf:
+        raise InvalidArgumentError(f"p must be finite and >= 2, got {p}")
     k = min(math.ceil(p), cv.n)
     order = np.argsort(-np.abs(cv.array), kind="stable")
     return tuple(sorted(int(i) for i in order[:k]))
@@ -131,8 +131,14 @@ def partial_lq(a, q: float, *, head: int | None = None, tail: int | None = None,
     return _lq(x, q)
 
 
+def _check_order(p: float) -> None:
+    if not 0.0 <= p < math.inf:
+        raise InvalidArgumentError(f"p must be finite and >= 0, got {p}")
+
+
 def head_sum(a, p: float) -> float:
     """sum_{i <= p} a*_i with linear interpolation at non-integer p."""
+    _check_order(p)
     cv = as_coefficients(a)
     ar = cv.abs_sorted
     k = math.floor(p)
@@ -148,6 +154,7 @@ def head_lq(a, p: float, q: float) -> float:
     For q = inf this is max_{i <= p} a*_i = a*_1 (p >= 1 always covers the
     leading entry of a nonincreasing sequence).
     """
+    _check_order(p)
     cv = as_coefficients(a)
     ar = cv.abs_sorted
     if math.isinf(q):
@@ -166,6 +173,7 @@ def head_lq(a, p: float, q: float) -> float:
 
 def tail_sq_sum(a, p: float) -> float:
     """sum_{i > p} (a*_i)^2, interpolated so head + tail stay complementary."""
+    _check_order(p)
     cv = as_coefficients(a)
     ar = cv.abs_sorted
     k = math.floor(p)
@@ -182,6 +190,7 @@ def excluded_sq_sum(a, p: float) -> float:
     Because the excluded multiset is exactly the n - min(ceil(p), n) smallest
     entries of a*, this equals sum_{i > min(ceil(p), n)} (a*_i)^2.
     """
+    _check_order(p)
     cv = as_coefficients(a)
     k = min(math.ceil(p), cv.n)
     sq = cv.abs_sorted * cv.abs_sorted

@@ -269,7 +269,7 @@ def marginal_quantile(ball: UniformBall, u):
     """Inverse marginal CDF; defined for u strictly inside (0, 1)."""
     a, b = _marginal_beta(ball)
     uv = np.asarray(u, dtype=float)
-    if np.any(uv <= 0.0) or np.any(uv >= 1.0):
+    if not np.all((uv > 0.0) & (uv < 1.0)):
         raise InvalidArgumentError("quantile argument must lie strictly inside (0, 1)")
     out = np.sign(uv - 0.5) * ball.r * betaincinv(a, b, np.abs(2.0 * uv - 1.0)) ** (1.0 / ball.q)
     return float(out) if out.ndim == 0 else out

@@ -7,13 +7,15 @@ pure function of (seed, n_samples).  ``_child_seed`` is the only seed
 derivation: report rows and acceptance checks use it too.  Batch means give
 the standard error, propagated through the 1/p power by the delta method.
 
-The p-norm engine draws the projection S = <X, u> with u = a / max|a_i|, not
-the vector X (``_project``).  The Gaussian and the Euclidean ball are
-rotation invariant, so there S has the law of ||u||_2 X_1 and is drawn in one
-dimension; other balls apply their one-per-row Dirichlet denominator after
-the projection.  The engine concatenates the batches' log|S| into one vector
-L and reduces each order in linear space: w = exp(p (L - max L)) stays in
-[0, 1], ``np.add.reduceat`` sums it per batch, and the p-norm is
+Every ball draw is ``_ball_parts``, the first k coordinates of the
+Barthe-Guedon-Mendelson-Naor form X = r eps y / (sum y_i^q + W)^{1/q}.  One
+engine, ``_pnorm_engine``, serves every moment estimator (p-norms, the
+dependent/independent comparison, and fourth moments as p = 4 on e_j).  It
+draws the projection S = <X, u> with u = a / max|a_i| (``_project``); the
+Gaussian and the Euclidean ball are rotation invariant, so there S is drawn
+in one dimension.  The engine joins the batches' log|S| into one vector L and
+reduces each order in linear space: w = exp(p (L - max L)) stays in [0, 1],
+``np.add.reduceat`` sums it per batch, and the p-norm is
 max|a_i| e^{max L + log(sum w / n) / p}.
 """
 
@@ -117,35 +119,33 @@ def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, 
     if q == 1.0:
         e = rng.standard_exponential(shape)
         return e, e
-    gam = rng.gamma(1.0 + 1.0 / q, size=shape)
+    gam = rng.standard_gamma(1.0 + 1.0 / q, size=shape)
     u = rng.random(shape)
     return u * gam ** (1.0 / q), u ** q * gam
 
 
-def _ball_parts(ball: UniformBall, rng: np.random.Generator,
-                size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signed numerator, row denominator) of X = r eps y / (sum y_i^q + W)^{1/q}.
+def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signed numerator (m, k), row denominator (m,)) of the first k
+    coordinates of X = r eps y / (sum y_i^q + W)^{1/q}.
 
-    Here y_i^q ~ Gamma(1/q, 1) (``_gamma_root``), eps_i are symmetric signs
-    and W ~ Exp(1).  At q = 2 the numerator is a Gaussian vector g and the
-    denominator sqrt(|g|^2 + 2W), since |g_i|^2 / 2 ~ Gamma(1/2, 1).
+    y_i^q ~ Gamma(1/q, 1) (``_gamma_root``), eps_i are symmetric signs and
+    W ~ Exp(1); the other n - k coordinates and W merge into one
+    H ~ Gamma((n - k)/q + 1).  k = n is the whole vector, k = 1 the marginal.
+    At q = 2, y = |g| / sqrt(2) with g ~ N(0, 1) carries its own sign, and
+    both parts are scaled by sqrt(2): g and sqrt(sum_{i<=k} g_i^2 + 2H).
     """
     n, q = ball.n, ball.q
     if q == 2.0:
-        g = rng.standard_normal((size, n))
-        w = rng.standard_exponential(size)
-        return g, np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * w)
-    mags, powers = _gamma_root(q, rng, (size, n))
-    w = rng.standard_exponential(size)
+        # a flat draw, so the one-coordinate projection draws no matrix
+        g = rng.standard_normal(m * k).reshape(m, k)
+        h = rng.standard_gamma((n - k) / 2.0 + 1.0, size=m)
+        return g, np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * h)
+    mags, powers = _gamma_root(q, rng, (m, k))
+    h = rng.standard_gamma((n - k) / q + 1.0, size=m)
     # at q = 1 mags is powers, so the row sums come before the signs
-    denom = (np.einsum("ij->i", powers) + w) ** (1.0 / q)
+    denom = (np.einsum("ij->i", powers) + h) ** (1.0 / q)
     return _random_signs(mags, rng), denom
-
-
-def _sample_ball(family: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform on r B_q^n (see ``_ball_parts``)."""
-    numerator, denom = _ball_parts(family, rng, size)
-    return numerator * (family.r / denom)[:, None]
 
 
 def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -153,18 +153,15 @@ def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) ->
     Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q.
 
     q = 1 inverts the Beta(1, n) CDF: |X*_i| / r = 1 - (1 - U)^{1/n}.  Other q
-    draw |X*_i| = r y_i / (y_i^q + H_i)^{1/q} with y_i^q ~ Gamma(1/q) and
-    H_i ~ Gamma((n-1)/q + 1), which does not underflow at large q.
+    draw each coordinate as the k = 1 marginal of ``_ball_parts``.
     """
     n, q = ball.n, ball.q
     if q == 1.0:
         mags = np.expm1(np.log1p(-rng.random((size, n))) / n)
         mags *= -ball.r
-    else:
-        mags, powers = _gamma_root(q, rng, (size, n))
-        rest = rng.gamma((n - 1.0) / q + 1.0, size=(size, n))
-        mags *= ball.r / (powers + rest) ** (1.0 / q)
-    return _random_signs(mags, rng)
+        return _random_signs(mags, rng)
+    numerator, denom = _ball_parts(ball, rng, size * n, 1)
+    return (numerator[:, 0] * (ball.r / denom)).reshape(size, n)
 
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -174,7 +171,8 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
     if isinstance(family, ProductFamily):
         return _sample_product(family, rng, size)
     if isinstance(family, UniformBall):
-        return _sample_ball(family, rng, size)
+        numerator, denom = _ball_parts(family, rng, size, family.n)
+        return numerator * (family.r / denom)[:, None]
     if isinstance(family, GaussianStd):
         return rng.standard_normal((size, family.n))
     if isinstance(family, UniformCube):
@@ -187,20 +185,16 @@ def _project(family: Family, a: np.ndarray, rng: np.random.Generator, m: int) ->
     where the law allows.
 
     The Gaussian and the Euclidean ball are rotation invariant, so <X, a>
-    has the law of ||a||_2 X_1: g ||a||_2 for the Gaussian and, for the ball,
-    r ||a||_2 g / sqrt(g^2 + 2H) with g ~ N(0, 1) and H ~ Gamma((n + 1)/2),
-    the one-coordinate form of ``_ball_parts`` with the other n - 1 squared
-    Gaussians and W merged into H.  Other balls project the signed
-    numerator and divide each row once.
+    has the law of ||a||_2 X_1, the k = 1 marginal for the ball.  Other balls
+    project the whole signed numerator and divide each row once.
     """
     if isinstance(family, ProductFamily):
         return _sample_product(family, rng, m) @ a
     if isinstance(family, UniformBall):
         if family.q == 2.0:
-            g = rng.standard_normal(m)
-            h = rng.gamma((family.n + 1.0) / 2.0, size=m)
-            return (family.r * float(np.linalg.norm(a))) * g / np.sqrt(g * g + 2.0 * h)
-        numerator, denom = _ball_parts(family, rng, m)
+            numerator, denom = _ball_parts(family, rng, m, 1)
+            return (family.r * float(np.linalg.norm(a))) * numerator[:, 0] / denom
+        numerator, denom = _ball_parts(family, rng, m, family.n)
         return family.r * (numerator @ a) / denom
     if isinstance(family, GaussianStd):
         return float(np.linalg.norm(a)) * rng.standard_normal(m)
@@ -219,7 +213,13 @@ def _batch_counts(n_samples: int) -> list[int]:
     return [base + 1] * rem + [base] * (_BATCHES - rem)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _validate_batching(n_samples: int) -> None:
+    if not _is_integer(n_samples):
+        raise InvalidArgumentError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < MIN_SAMPLES:
         raise InvalidArgumentError(
             f"n_samples must be >= {MIN_SAMPLES} for stable batch means, got {n_samples}")
@@ -234,13 +234,6 @@ def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
     counts = _batch_counts(n_samples)
     stats = [statistic(draw(rng, m)) for m in counts]
     return stats, np.asarray(counts, dtype=float)
-
-
-def _pooled(means: np.ndarray, weights: np.ndarray, n_samples: int) -> tuple[float, float]:
-    """The sample-weighted mean of the batch means and its batch-means
-    standard error."""
-    value = float(np.sum(means * weights) / n_samples)
-    return value, float(np.std(means, ddof=1)) / math.sqrt(len(means))
 
 
 def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.ndarray],
@@ -280,7 +273,8 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
     for p in map(float, ps):
         # batch means of |<X, u>|^p / e^{p top}, each in [0, 1]
         means = np.add.reduceat(np.exp(p * shifted), starts) / weights
-        mean, se = _pooled(means, weights, n_samples)
+        mean = float(np.sum(means * weights) / n_samples)
+        se = float(np.std(means, ddof=1)) / math.sqrt(_BATCHES)
         norm = math.exp(top + math.log(mean) / p)
         value, stderr = scale * norm, scale * (norm * se / (mean * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
@@ -330,15 +324,17 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
 
 def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
                            seed: int) -> EstimateRecord:
-    """Monte-Carlo E X_j^4 of a single coordinate."""
-    if not (0 <= coordinate < family.n):
-        raise InvalidArgumentError(f"coordinate {coordinate} outside [0, {family.n})")
+    """Monte-Carlo E X_j^4: the engine's v = ||X_j||_4 as v^4, with stderr
+    4 v^3 se(v), the batch-means standard error of the mean of X_j^4."""
+    if not _is_integer(coordinate) or not (0 <= coordinate < family.n):
+        raise InvalidArgumentError(
+            f"coordinate must be an integer in [0, {family.n}), got {coordinate!r}")
     _validate_batching(n_samples)
-    stats, weights = _batch_stats(lambda rng, m: sample(family, rng, m),
-                                  lambda x: np.mean(x[:, coordinate] ** 4),
-                                  n_samples, seed, _TAG_MOMENT4)
-    value, stderr = _pooled(np.asarray(stats), weights, n_samples)
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, _BATCHES)
+    unit = (np.arange(family.n) == coordinate).astype(float)
+    (rec,) = _pnorm_engine(functools.partial(_project, family), unit, np.array([4.0]),
+                           n_samples, seed, _TAG_MOMENT4)
+    return EstimateRecord(rec.value ** 4, 4.0 * rec.value ** 3 * rec.stderr, n_samples,
+                          rec.seed, _BATCHES)
 
 
 _JOINT_MAX_DIM = 8

@@ -52,8 +52,18 @@ def test_top_index_set_breaks_ties_toward_low_index():
 
 
 def test_top_index_set_rejects_small_p():
+    for p in (1.5, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            top_index_set(A, p)
+
+
+@pytest.mark.parametrize("fn", [head_sum, lambda a, p: head_lq(a, p, 2.0), tail_sq_sum,
+                                excluded_sq_sum],
+                         ids=["head_sum", "head_lq", "tail_sq_sum", "excluded_sq_sum"])
+@pytest.mark.parametrize("p", [-1.0, math.nan, math.inf])
+def test_partial_sums_reject_a_bad_order(fn, p):
     with pytest.raises(InvalidArgumentError):
-        top_index_set(A, 1.5)
+        fn(A, p)
 
 
 def test_head_sum_integer_and_fractional():

@@ -243,7 +243,7 @@ def test_marginal_quantile_roundtrip():
 
 def test_marginal_quantile_domain():
     ball = UniformBall.isotropic(3, 2.0)
-    for bad in (0.0, 1.0, -0.1, 1.1):
+    for bad in (0.0, 1.0, -0.1, 1.1, math.nan, [0.5, math.nan]):
         with pytest.raises(InvalidArgumentError):
             marginal_quantile(ball, bad)
 

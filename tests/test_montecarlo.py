@@ -66,14 +66,34 @@ def test_sample_coordinates_are_isotropic():
 def test_ball_sampler_has_the_beta_marginal_moments(q):
     n = 6
     ball = UniformBall.isotropic(n, q)
-    x = mc._sample_ball(ball, np.random.default_rng(SEED + 13), 200_000)[:, 0]
+    x = sample(ball, np.random.default_rng(SEED + 13), 200_000)[:, 0]
     # |X_1| / r = B^{1/q} with B ~ Beta(1/q, (n-1)/q + 1)
-    a, b = 1.0 / q, (n - 1.0) / q + 1.0
-    fourth = ball.r ** 4 * math.exp(betaln(a + 4.0 / q, b) - betaln(a, b))
-    for power, exact in ((2, 1.0), (4, fourth)):
+    for power, exact in ((2, 1.0), (4, _beta_marginal_fourth(ball))):
         values = x ** power
         stderr = float(np.std(values)) / math.sqrt(values.size)
         assert float(np.mean(values)) == pytest.approx(exact, abs=4.0 * stderr)
+
+
+def _beta_marginal_fourth(ball):
+    """E X_1^4 = r^4 B(a + 4/q, b) / B(a, b) with a = 1/q, b = (n-1)/q + 1."""
+    a, b = 1.0 / ball.q, (ball.n - 1.0) / ball.q + 1.0
+    return ball.r ** 4 * math.exp(betaln(a + 4.0 / ball.q, b) - betaln(a, b))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_ball_parts_of_the_first_coordinates_match_the_full_sample(q):
+    n, m = 5, 200_000
+    ball = UniformBall.isotropic(n, q)
+    full = sample(ball, np.random.default_rng(SEED + 14), m)
+    for k in (1, 3):
+        numerator, denom = mc._ball_parts(ball, np.random.default_rng(SEED + 15 + k), m, k)
+        assert numerator.shape == (m, k) and denom.shape == (m,)
+        head = ball.r * numerator / denom[:, None]
+        for j in range(k):
+            for power in (2, 4):
+                x, y = head[:, j] ** power, full[:, j] ** power
+                sigma = math.sqrt((np.var(x) + np.var(y)) / m)
+                assert abs(float(np.mean(x) - np.mean(y))) <= 5.0 * sigma
 
 
 def test_sample_rejects_empty():
@@ -394,6 +414,31 @@ def test_fourth_moment_known_values():
     assert rec.value == pytest.approx(3.0, abs=4.0 * rec.stderr)
     rec = estimate_fourth_moment(product_exponential(1), 0, 200_000, SEED + 7)
     assert rec.value == pytest.approx(6.0, abs=4.0 * rec.stderr)
+    for q in (1.0, 2.0):
+        ball = UniformBall.isotropic(5, q)
+        rec = estimate_fourth_moment(ball, 2, 200_000, SEED + 8)
+        assert rec.value == pytest.approx(_beta_marginal_fourth(ball), abs=4.0 * rec.stderr)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_pnorm(product_exponential(2), (1.0, 1.0), 4.0, 20_000.0, 0),
+    lambda: estimate_pnorm(product_exponential(2), (1.0, 1.0), 4.0, True, 0),
+    lambda: estimate_fourth_moment(UniformCube(2), 0, 20_000.0, 0),
+    lambda: estimate_fourth_moment(UniformCube(2), 1.0, 20_000, 0),
+    lambda: estimate_fourth_moment(UniformCube(2), True, 20_000, 0),
+    lambda: estimate_joint_tail(product_exponential(2), (0.1, 0.1), 20_000.0, 0),
+    lambda: dependent_vs_independent(UniformBall.isotropic(3, 2.0), (1.0, 1.0, 1.0), 4.0,
+                                     20_000.0, 0),
+], ids=["pnorm-float-samples", "pnorm-bool-samples", "moment4-float-samples",
+        "moment4-float-coordinate", "moment4-bool-coordinate", "joint-float-samples",
+        "dep-indep-float-samples"])
+def test_estimators_reject_non_integer_counts_before_sampling(monkeypatch, call):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating the integer arguments")
+
+    monkeypatch.setattr(mc, "_batch_stats", no_sampling)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        call()
 
 
 def test_fourth_moment_coordinate_bounds():
@@ -452,16 +497,14 @@ def test_dependent_twin_loses_on_flat_sums():
 
 
 @pytest.mark.parametrize("n,q", [(3, 1.0), (4, 1.5), (5, 3.0), (6, 1e3), (6, 1e6),
-                                 (2, 1.0), (16, 1.0)])
+                                 (2, 1.0), (16, 1.0), (6, 2.0)])
 def test_independent_twin_has_the_beta_marginal_moments(n, q):
     ball = UniformBall.isotropic(n, q)
     x = mc._sample_ball_twin(ball, np.random.default_rng(SEED + 12), 200_000).ravel()
     # the Gamma construction does not underflow at large q
     assert np.all(x != 0.0)
     # |X*_i| / r = B^{1/q} with B ~ Beta(1/q, (n-1)/q + 1)
-    a, b = 1.0 / q, (n - 1.0) / q + 1.0
-    fourth = ball.r ** 4 * math.exp(betaln(a + 4.0 / q, b) - betaln(a, b))
-    for power, exact in ((2, 1.0), (4, fourth)):
+    for power, exact in ((2, 1.0), (4, _beta_marginal_fourth(ball))):
         values = x ** power
         stderr = float(np.std(values)) / math.sqrt(values.size)
         assert float(np.mean(values)) == pytest.approx(exact, abs=4.0 * stderr)

@@ -79,6 +79,11 @@ def test_moment_order_validation():
     for fn in (hitczenko_lower, bobkov_nazarov_upper):
         with pytest.raises(InvalidArgumentError):
             fn((1.0,), 1.5)
+    a = (1.0, 0.5, 0.25)
+    with pytest.raises(InvalidArgumentError):
+        surrogate_bundle(a, math.nan, family=product_exponential(3))
+    with pytest.raises(InvalidArgumentError):
+        gluskin_kwapien_estimate(a, [exponential()] * 3, math.nan)
 
 
 # -- the level-set support program ---------------------------------------------
