@@ -73,7 +73,7 @@ class ProductFamily:
     def n(self) -> int:
         return len(self.tails)
 
-    @property
+    @cached_property
     def is_linear(self) -> bool:
         return all(t.kind == "linear" for t in self.tails)
 

@@ -3,11 +3,11 @@
 A report run walks the grid family x n x profile x p in a fixed order.  The
 unit of Monte-Carlo work is a row (family, n, profile): one draw, seeded from
 (config seed, row index), gives the estimate at every order of ``p_grid``,
-and every applicable surrogate is evaluated per order, giving one CSV row per
-cell.  Rows are dispatched to a thread pool sized by the ``LCM_WORKERS``
-environment variable, but cells are assembled in grid order and all
-randomness is keyed per row, so the written bytes are identical for any
-worker count.
+and one surrogate pass evaluates every applicable surrogate at every order,
+giving one CSV row per cell.  Rows are dispatched to a thread pool sized by
+the ``LCM_WORKERS`` environment variable, but cells are assembled in grid
+order and all randomness is keyed per row, so the written bytes are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -246,12 +246,13 @@ def build_rows(family_spec: str, profile_spec: str, family: Family, a: Coefficie
     """One report row per moment order of a (family, n, profile) row.
 
     A single Monte-Carlo draw, seeded with ``seed``, gives the estimate at
-    every order; the surrogates are evaluated per order.
+    every order, and a single ``surrogate_bundle`` call gives the surrogates
+    at every order.
     """
     estimates = estimate_pnorm(family, a, orders, n_samples, seed)
+    bundles = surrogate_bundle(a, orders, family=family)
     rows = []
-    for p, mc in zip(orders, estimates):
-        bundle = surrogate_bundle(a, p, family=family)
+    for p, mc, bundle in zip(orders, estimates, bundles):
         rows.append(ReportRow(
             family=family_spec,
             n=family.n,

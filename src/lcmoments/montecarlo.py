@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import as_coefficients
+from .coeffs import _orders, as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
 from .families import Family, GaussianStd, ProductFamily, UniformBall, UniformCube
 
@@ -140,11 +140,15 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
         # a flat draw, so the one-coordinate projection draws no matrix
         g = rng.standard_normal(m * k).reshape(m, k)
         h = rng.standard_gamma((n - k) / 2.0 + 1.0, size=m)
-        return g, np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * h)
+        # a one-term row sum is the term itself: the same bits as einsum's,
+        # without its call overhead
+        sq = g[:, 0] * g[:, 0] if k == 1 else np.einsum("ij,ij->i", g, g)
+        return g, np.sqrt(sq + 2.0 * h)
     mags, powers = _gamma_root(q, rng, (m, k))
     h = rng.standard_gamma((n - k) / q + 1.0, size=m)
     # at q = 1 mags is powers, so the row sums come before the signs
-    denom = (np.einsum("ij->i", powers) + h) ** (1.0 / q)
+    total = powers[:, 0] if k == 1 else np.einsum("ij->i", powers)
+    denom = (total + h) ** (1.0 / q)
     return _random_signs(mags, rng), denom
 
 
@@ -283,22 +287,6 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
     return tuple(records)
 
 
-def _check_orders(p: float | Sequence[float], minimum: float) -> np.ndarray:
-    """``p`` as a non-empty vector of orders in [minimum, MAX_MOMENT_ORDER]."""
-    ps = np.atleast_1d(np.asarray(p, dtype=float))
-    if ps.ndim != 1 or ps.size == 0:
-        raise InvalidArgumentError(
-            f"moment orders must be a number or a non-empty flat sequence, got {p!r}")
-    for order in ps:
-        if not order >= minimum:
-            raise InvalidArgumentError(
-                f"moment order must satisfy p >= {minimum:g}, got {order}")
-        if order > MAX_MOMENT_ORDER:
-            raise OutOfRangeError(
-                f"moment order {order} above supported maximum {MAX_MOMENT_ORDER}")
-    return ps
-
-
 def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int,
                    seed: int) -> EstimateRecord | tuple[EstimateRecord, ...]:
     """Monte-Carlo ||sum a_i X_i||_p with a batch-means standard error.
@@ -313,7 +301,7 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     if family.n != cv.n:
         raise InvalidArgumentError(
             f"family dimension {family.n} does not match coefficient length {cv.n}")
-    ps = _check_orders(p, 2.0)
+    ps = _orders(p, 2.0, MAX_MOMENT_ORDER, OutOfRangeError)
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
     _validate_batching(n_samples)
@@ -392,7 +380,7 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
         raise InvalidArgumentError(
             f"family dimension {ball.n} does not match coefficient length {cv.n}")
     # p >= 3 keeps the second derivative of |x|^p convex
-    ps = _check_orders(p, 3.0)
+    ps = _orders(p, 3.0, MAX_MOMENT_ORDER, OutOfRangeError)
     _validate_batching(n_samples)
     deps = _pnorm_engine(functools.partial(_project, ball), cv.array, ps, n_samples, seed,
                          _TAG_NA_DEPENDENT)

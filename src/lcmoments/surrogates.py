@@ -19,6 +19,10 @@ deterministic functionals of the coefficient rearrangement a*:
 
 All surrogates drop the universal constants of the corresponding two-sided
 inequalities; the Monte-Carlo harness measures the constants empirically.
+Each takes one order p or a sequence of orders, as ``coeffs`` does: a
+sequence gives one value per order (an array, or a tuple of bands or
+bundles) from one pass over the cached rearrangement, and entry i equals the
+call at ``p[i]``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import coeffs
-from .coeffs import as_coefficients
+from .coeffs import CoefficientVector, _Cuts, _cuts, _orders, _per_order, as_coefficients
 from .errors import (
     InvalidArgumentError,
     SolverError,
@@ -67,23 +71,36 @@ def gaussian_pnorm(p: float) -> float:
     return math.exp(log_moment / p)
 
 
-def _require_moment_order(p: float) -> None:
-    if p < 2 or not math.isfinite(p):
-        raise InvalidArgumentError(f"moment order must satisfy p >= 2, got {p}")
+# Each surrogate is a unit-scale kernel on a CoefficientVector and the cuts
+# of a checked order vector, times ``cv.scale``: the public functions check
+# the orders and scale one kernel, ``surrogate_bundle`` checks them once and
+# scales every kernel.
 
-
-def hitczenko_lower(a, p: float) -> float:
-    """Rademacher-sum moment body: head sum plus sqrt(p) times the l2 tail."""
-    _require_moment_order(p)
-    return coeffs.head_sum(a, p) + math.sqrt(p) * math.sqrt(coeffs.tail_sq_sum(a, p))
-
-
-def bobkov_nazarov_upper(a, p: float) -> float:
-    """Two-sided exponential envelope: p ||a||_inf + sqrt(p) ||a||_2."""
-    _require_moment_order(p)
+def _checked(a, p) -> tuple[CoefficientVector, _Cuts]:
+    """The coefficient vector and the cuts of the orders p >= 2, all checked."""
+    ps = _orders(p, 2.0)
     cv = as_coefficients(a)
-    return p * coeffs.partial_lq(cv, math.inf, head=cv.n) \
-        + math.sqrt(p) * coeffs.partial_lq(cv, 2.0, head=cv.n)
+    return cv, _cuts(cv, ps)
+
+
+def _hitczenko(cv: CoefficientVector, c: _Cuts) -> np.ndarray:
+    return coeffs._head(cv, c) + c.root * np.sqrt(coeffs._tail_sq(cv, c))
+
+
+def _bn_upper(cv: CoefficientVector, c: _Cuts) -> np.ndarray:
+    return c.ps * cv.sums.unit[0] + c.root * math.sqrt(cv.sums.tail_sq[0])
+
+
+def hitczenko_lower(a, p: float | Sequence[float]) -> float | np.ndarray:
+    """Rademacher-sum moment body: head sum plus sqrt(p) times the l2 tail."""
+    cv, c = _checked(a, p)
+    return _per_order(cv.scale * _hitczenko(cv, c), p)
+
+
+def bobkov_nazarov_upper(a, p: float | Sequence[float]) -> float | np.ndarray:
+    """Two-sided exponential envelope: p ||a||_inf + sqrt(p) ||a||_2."""
+    cv, c = _checked(a, p)
+    return _per_order(cv.scale * _bn_upper(cv, c), p)
 
 
 # -- level-set support functional of independent coordinates -----------------
@@ -128,15 +145,21 @@ class _TiltBlock:
         gains, costs = np.concatenate(gains), np.concatenate(costs)
         keys = gains / costs
         order = np.argsort(-keys, kind="stable")
-        self.neg_keys = -keys[order]
+        self.keys = keys[order]
+        self.neg_keys = -self.keys
         self.cum_gain = np.concatenate(([0.0], np.cumsum(gains[order])))
         self.cum_cost = np.concatenate(([0.0], np.cumsum(costs[order])))
         self.b, self.alpha, self.scale, self.cap = np.array(power).reshape(-1, 4).T
+        if not power:
+            return
         # log(t_free / cap) = offset - exponent log(lambda), kept in log space
         # because the exponent 1 / (alpha - 1) blows up as alpha -> 1
         self.exponent = 1.0 / (self.alpha - 1.0)
-        self.offset = np.log(self.scale / self.cap) + self.exponent * np.log(
-            self.b * self.scale / self.alpha)
+        # a subnormal b_i can underflow b_i s / alpha to 0: its log is -inf,
+        # which is the right limit (t_i = 0 at every lambda)
+        with np.errstate(divide="ignore"):
+            self.offset = np.log(self.scale / self.cap) + self.exponent * np.log(
+                self.b * self.scale / self.alpha)
 
     def evaluate(self, lam: float) -> tuple[float, float]:
         k = self.neg_keys.searchsorted(-lam)
@@ -146,6 +169,26 @@ class _TiltBlock:
             gain += float(self.b.dot(t))
             spent += float(((t / self.scale) ** self.alpha).sum())
         return gain, spent
+
+    def knapsack(self, p: float) -> float:
+        """The optimum of a block of linear pieces only: a fractional knapsack.
+
+        The pieces, taken whole by decreasing ratio, fill the budget up to the
+        last prefix whose cost cum_cost[k] fits; piece k then takes the rest of
+        the budget at its ratio, so the optimum is cum_gain[k] + (p -
+        cum_cost[k]) key_k and the multiplier is key_k.  One ``evaluate`` at
+        that multiplier gives the dual bound the value must not exceed.
+        """
+        if self.cum_cost[-1] <= p * (1.0 + 1e-12):
+            # budget slack even at vanishing multiplier: caps are jointly feasible
+            return float(self.cum_gain[-1])
+        k = int(self.cum_cost.searchsorted(p, "right")) - 1
+        key = float(self.keys[k])
+        value = float(self.cum_gain[k]) + (p - float(self.cum_cost[k])) * key
+        gain, spent = self.evaluate(key)
+        if value > (gain - key * spent + key * p) * (1.0 + 1e-9):
+            raise SolverError("primal value exceeds the dual bound")
+        return value
 
 
 def _bits(x: float) -> int:
@@ -162,27 +205,32 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     """sup{sum_i b_i t_i : t_i >= 0, sum_i N_i(t_i) <= p} for b_i >= 0.
 
     The program is concave with a single budget constraint, so the optimum is
-    found by bisecting the Lagrange multiplier: for each lambda the separable
+    a saddle of the Lagrangian: for each multiplier lambda the separable
     inner problems max_t (b_i t - lambda N_i(t)) have closed forms, and the
     spent budget phi(lambda) = sum N_i(t_i(lambda)) is nonincreasing.
     Coordinates are capped at N_i^{-1}(p), which never cuts feasible points
-    since every N_j is nonnegative.  The objective is linear in t, so a step
-    needs only the totals (gain, phi) at lambda: ``_TiltBlock`` reads them
-    from a piece table built once per call (one searchsorted over the sorted
-    linear pieces of linear, alpha = 1 power and tabulated tails) plus the
-    closed-form stationary points of power tails with alpha > 1.  The
-    bisection runs over every positive double, halving the int64 bit
-    patterns (ordered like the values) of the bracket [5e-324, inf]: at the
-    smallest subnormal every coordinate sits at its cap, at infinity nothing
-    is spent, and at most 63 halvings collapse the bracket to two adjacent
-    floats.  It keeps the totals of the over-budget iterate and of the
-    feasible one; between them only coordinates on a linear piece move
-    (power tails move by an ulp), so gain and budget are linear on the
+    since every N_j is nonnegative.  The objective is linear in t, so only
+    the totals (gain, phi) at lambda matter: ``_TiltBlock`` reads them from a
+    piece table built once per call (one searchsorted over the sorted linear
+    pieces of linear, alpha = 1 power and tabulated tails) plus the
+    closed-form stationary points of power tails with alpha > 1.
+
+    A block without power tails of alpha > 1 is a fractional knapsack over
+    its pieces, solved in one step (``_TiltBlock.knapsack``); pure
+    exponential tails return p max b_i / rate_i to machine accuracy.  A block
+    with them bisects the multiplier over every positive double, halving the
+    int64 bit patterns (ordered like the values) of the bracket [5e-324,
+    inf]: at the smallest subnormal every coordinate sits at its cap, at
+    infinity nothing is spent, and at most 63 halvings collapse the bracket
+    to two adjacent floats.  It keeps the totals of the over-budget iterate
+    and of the feasible one; between them only coordinates on a linear piece
+    move (power tails move by an ulp), so gain and budget are linear on the
     segment and the optimum is gain_hi + theta (gain_lo - gain_hi) with
-    theta = (p - phi_hi) / (phi_lo - phi_hi).  Convexity of N keeps this point feasible, and pure
-    exponential tails return p max b_i / rate_i to machine accuracy.
+    theta = (p - phi_hi) / (phi_lo - phi_hi).  Convexity of N keeps this
+    point feasible.
     """
-    _require_moment_order(p)
+    if not (p >= 2.0 and math.isfinite(p)):
+        raise InvalidArgumentError(f"moment order must satisfy p >= 2, got {p}")
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or len(tails) != b.size:
         raise InvalidArgumentError("coefficients and tails must align")
@@ -197,6 +245,8 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
                 "the support functional is infinite")
     scale = float(np.max(b))
     block = _TiltBlock(b / scale, tails, p)
+    if not block.b.size:
+        return scale * block.knapsack(p)
 
     lo_bits, hi_bits = _bits(5e-324), _bits(math.inf)
     gain_lo, spent_lo = block.evaluate(5e-324)
@@ -223,40 +273,56 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     return value
 
 
-def gluskin_kwapien_estimate(a, tails: Sequence[TailFunction], p: float) -> float:
-    """Level-set support over the top index block plus the sqrt(p) l2 tail."""
-    cv = as_coefficients(a)
+def _block_heads(cv: CoefficientVector, c: _Cuts, support) -> np.ndarray:
+    """support(index block, unit coefficients on it, p) over the top index
+    set of each order."""
+    return np.array([support(idx, cv.unit[list(idx)], order)
+                     for idx, order in zip(coeffs._index_sets(cv, c), c.ps.tolist())])
+
+
+def _gk_estimate(cv: CoefficientVector, tails: Sequence[TailFunction], c: _Cuts) -> np.ndarray:
     if len(tails) != cv.n:
         raise InvalidArgumentError("coefficients and tails must align")
-    idx = coeffs.top_index_set(cv, p)
-    block = np.abs(cv.array[list(idx)])
-    block_tails = [tails[i] for i in idx]
-    head = gluskin_kwapien(block, block_tails, p)
-    return head + math.sqrt(p) * math.sqrt(coeffs.excluded_sq_sum(cv, p))
+    heads = _block_heads(cv, c, lambda idx, block, order: gluskin_kwapien(
+        np.abs(block), [tails[i] for i in idx], order))
+    return heads + c.root * np.sqrt(coeffs._excluded_sq(cv, c))
 
 
-def ball_moment_estimate(a, q: float, p: float) -> float:
-    """Uniform B_q^n closed form: min(p,n)^{1/q} head_{q'} + sqrt(p) l2 tail."""
-    _require_moment_order(p)
+def _ball_estimate(cv: CoefficientVector, q: float, c: _Cuts) -> np.ndarray:
     if q < 1 or not math.isfinite(q):
         raise InvalidArgumentError(f"ball exponent must satisfy q >= 1, got {q}")
-    cv = as_coefficients(a)
     qprime = math.inf if q == 1.0 else q / (q - 1.0)
-    head = coeffs.head_lq(cv, p, qprime)
-    return min(p, float(cv.n)) ** (1.0 / q) * head \
-        + math.sqrt(p) * math.sqrt(coeffs.tail_sq_sum(cv, p))
+    return np.minimum(c.ps, float(cv.n)) ** (1.0 / q) * coeffs._head_lq(cv, c, qprime) \
+        + c.root * np.sqrt(coeffs._tail_sq(cv, c))
 
 
-def level_set_moment_estimate(a, family: Family, p: float) -> float:
-    """Level-set support functional over the top block plus the sqrt(p) tail."""
-    _require_moment_order(p)
-    cv = as_coefficients(a)
+def _level_set_estimate(cv: CoefficientVector, family: Family, c: _Cuts) -> np.ndarray:
     if family.n != cv.n:
         raise InvalidArgumentError(
             f"family dimension {family.n} does not match coefficient length {cv.n}")
-    idx = coeffs.top_index_set(cv, p)
-    head = level_set_support(family, idx, cv.array[list(idx)], p)
-    return head + math.sqrt(p) * math.sqrt(coeffs.excluded_sq_sum(cv, p))
+    heads = _block_heads(cv, c, lambda idx, block, order: level_set_support(
+        family, idx, block, order))
+    return heads + c.root * np.sqrt(coeffs._excluded_sq(cv, c))
+
+
+def gluskin_kwapien_estimate(a, tails: Sequence[TailFunction],
+                             p: float | Sequence[float]) -> float | np.ndarray:
+    """Level-set support over the top index block plus the sqrt(p) l2 tail."""
+    cv, c = _checked(a, p)
+    return _per_order(cv.scale * _gk_estimate(cv, tails, c), p)
+
+
+def ball_moment_estimate(a, q: float, p: float | Sequence[float]) -> float | np.ndarray:
+    """Uniform B_q^n closed form: min(p,n)^{1/q} head_{q'} + sqrt(p) l2 tail."""
+    cv, c = _checked(a, p)
+    return _per_order(cv.scale * _ball_estimate(cv, q, c), p)
+
+
+def level_set_moment_estimate(a, family: Family,
+                              p: float | Sequence[float]) -> float | np.ndarray:
+    """Level-set support functional over the top block plus the sqrt(p) tail."""
+    cv, c = _checked(a, p)
+    return _per_order(cv.scale * _level_set_estimate(cv, family, c), p)
 
 
 # -- Gaussian approximation band ---------------------------------------------
@@ -276,26 +342,35 @@ class GaussianBand:
     indep_valid: bool
 
 
-def gaussian_band(a, p: float) -> GaussianBand:
+def _bands(cv: CoefficientVector, c: _Cuts) -> tuple[GaussianBand, ...]:
+    """The band of each order, evaluated on the unit scale and scaled back."""
+    sums = cv.sums
+    l2 = math.sqrt(sums.tail_sq[0])
+    if l2 == 0.0:
+        raise InvalidArgumentError("coefficient vector must be nonzero")
+    quartic = math.sqrt(float(sums.sq @ sums.sq)) / l2
+    orders = c.ps.tolist()
+    center = np.array([gaussian_pnorm(order) for order in orders]) * l2
+    columns = (
+        np.maximum(0.0, center - c.ps * math.sqrt(3.0) * quartic),
+        center + c.ps * sums.unit[0],
+        center + c.ps ** 2.5 * quartic,
+    )
+    return tuple(
+        GaussianBand(lower, upper_indep, upper_klartag, indep_valid=order >= 3.0)
+        for lower, upper_indep, upper_klartag, order
+        in zip(*((cv.scale * column).tolist() for column in columns), orders))
+
+
+def gaussian_band(a, p: float | Sequence[float]
+                  ) -> GaussianBand | tuple[GaussianBand, ...]:
     """gamma_p ||a||_2 with quartic corrections.
 
     lower        = (gamma_p ||a||_2 - p (3 sum a_i^4)^{1/2} / ||a||_2)_+
     upper_indep  = gamma_p ||a||_2 + p ||a||_inf
     upper_klartag= gamma_p ||a||_2 + p^{5/2} (sum a_i^4)^{1/2} / ||a||_2
     """
-    _require_moment_order(p)
-    cv = as_coefficients(a)
-    l2 = coeffs.partial_lq(cv, 2.0, head=cv.n)
-    if l2 == 0.0:
-        raise InvalidArgumentError("coefficient vector must be nonzero")
-    quartic = math.sqrt(float(np.sum(cv.array ** 4))) / l2
-    center = gaussian_pnorm(p) * l2
-    return GaussianBand(
-        lower=max(0.0, center - p * math.sqrt(3.0) * quartic),
-        upper_indep=center + p * coeffs.partial_lq(cv, math.inf, head=cv.n),
-        upper_klartag=center + p ** 2.5 * quartic,
-        indep_valid=p >= 3.0,
-    )
+    return _per_order(_bands(*_checked(a, p)), p)
 
 
 # -- tail probability envelopes ----------------------------------------------
@@ -381,26 +456,34 @@ class SurrogateBundle:
             raise SolverError("lower surrogate exceeds twice the upper surrogate")
 
 
-def surrogate_bundle(a, p: float, family: Family | None = None) -> SurrogateBundle:
-    cv = as_coefficients(a)
-    gk = None
-    bqn = None
-    momunc = None
+def surrogate_bundle(a, p: float | Sequence[float], family: Family | None = None
+                     ) -> SurrogateBundle | tuple[SurrogateBundle, ...]:
+    """Every surrogate applicable to a coefficient vector and family.
+
+    ``p`` is one order, which returns one ``SurrogateBundle``, or a sequence
+    of orders, which returns a tuple with one bundle per order; entry i is
+    the scalar call at ``p[i]`` bit for bit, since the scalar call is the
+    sequence of one order.  Every order is checked before anything is
+    computed.  Each surrogate is evaluated once for all orders, from the
+    order, unit rearrangement and partial sums the coefficient vector caches
+    once.  Every surrogate is 1-homogeneous in a, so each is evaluated on
+    u = a / max_i |a_i| and multiplied by max_i |a_i|: no power of a huge or
+    tiny entry over- or underflows, and scaling a by a power of two scales
+    every field by it exactly.
+    """
+    cv, c = _checked(a, p)
+    gk = bqn = momunc = none = [None] * c.ps.size
     if isinstance(family, ProductFamily):
-        gk = gluskin_kwapien_estimate(cv, family.tails, p)
+        gk = (cv.scale * _gk_estimate(cv, family.tails, c)).tolist()
     if isinstance(family, UniformBall):
-        bqn = ball_moment_estimate(cv, family.q, p)
+        bqn = (cv.scale * _ball_estimate(cv, family.q, c)).tolist()
     if family is not None:
         try:
-            momunc = level_set_moment_estimate(cv, family, p)
+            momunc = (cv.scale * _level_set_estimate(cv, family, c)).tolist()
         except UnsupportedFamilyError:
-            momunc = None
-    return SurrogateBundle(
-        p=p,
-        hitczenko=hitczenko_lower(cv, p),
-        bn_upper=bobkov_nazarov_upper(cv, p),
-        gk=gk,
-        bqn=bqn,
-        momunc=momunc,
-        band=gaussian_band(cv, p),
-    )
+            momunc = none
+    return _per_order(tuple(
+        SurrogateBundle(p=order, hitczenko=lo, bn_upper=hi, gk=g, bqn=b, momunc=m, band=band)
+        for order, lo, hi, g, b, m, band in zip(
+            c.ps.tolist(), (cv.scale * _hitczenko(cv, c)).tolist(),
+            (cv.scale * _bn_upper(cv, c)).tolist(), gk, bqn, momunc, _bands(cv, c))), p)

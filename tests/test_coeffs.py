@@ -137,3 +137,56 @@ def test_partial_lq_large_q_does_not_overflow():
     value = partial_lq((1e160, 1e160), 64.0, head=2)
     assert math.isfinite(value)
     assert value == pytest.approx(1e160 * 2.0 ** (1 / 64), rel=1e-12)
+
+
+# -- order vectors -------------------------------------------------------------------
+
+ORDERS = (0.0, 0.5, 2.0, 2.5, 3.7, 4.0, 11.0)
+
+
+@pytest.mark.parametrize("fn", [head_sum, lambda a, p: head_lq(a, p, 2.0),
+                                lambda a, p: head_lq(a, p, 3.5), tail_sq_sum,
+                                excluded_sq_sum],
+                         ids=["head_sum", "head_lq2", "head_lq3.5", "tail_sq_sum",
+                              "excluded_sq_sum"])
+def test_order_vectors_equal_the_scalar_calls(fn):
+    values = fn(A, ORDERS)
+    assert isinstance(values, np.ndarray) and values.shape == (len(ORDERS),)
+    for p, value in zip(ORDERS, values):
+        scalar = fn(A, p)
+        assert type(scalar) is float and scalar == value
+
+
+def test_top_index_set_over_orders():
+    assert top_index_set(A, (2.0, 2.5, 32.0)) == ((0, 2), (0, 1, 2), (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("orders", [(2.0, -1.0), (2.0, math.nan), (math.inf, 2.0), (), ((2.0,),)])
+def test_every_order_of_a_vector_is_checked(orders):
+    for fn in (head_sum, tail_sq_sum, excluded_sq_sum, lambda a, p: head_lq(a, p, 2.0)):
+        with pytest.raises(InvalidArgumentError):
+            fn(A, orders)
+
+
+def test_small_tails_keep_their_relative_accuracy():
+    # a total minus a prefix would leave rounding noise of the size of the
+    # head here; the suffix sums keep the tail to a few ulps
+    a = 0.5 ** np.arange(64)
+    for p in (16.0, 32.0, 40.5):
+        k = math.floor(p)
+        frac = p - k
+        want = math.fsum([(1.0 - frac) * a[k] ** 2] + [x * x for x in a[k + 1:]])
+        assert tail_sq_sum(a, p) == pytest.approx(want, rel=1e-15, abs=0.0)
+        want = math.fsum(x * x for x in a[math.ceil(p):])
+        assert excluded_sq_sum(a, p) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("exponent", [500, -500])
+def test_reductions_scale_exactly_by_a_power_of_two(exponent):
+    factor = 2.0 ** exponent
+    scaled = np.asarray(A) * factor
+    for p in (2.0, 2.5, 9.0):
+        assert head_sum(scaled, p) == head_sum(A, p) * factor
+        assert head_lq(scaled, p, 3.0) == head_lq(A, p, 3.0) * factor
+        assert tail_sq_sum(scaled, p) == tail_sq_sum(A, p) * factor ** 2
+        assert excluded_sq_sum(scaled, p) == excluded_sq_sum(A, p) * factor ** 2

@@ -17,6 +17,7 @@ from lcmoments.harness import (
     worker_count,
     write_report,
 )
+from lcmoments.families import family_from_spec
 from lcmoments.montecarlo import _child_seed
 
 SMALL = dict(
@@ -180,6 +181,30 @@ def test_run_experiment_grid_order_and_summary():
         assert env["cells"] == 4
         assert 0.0 < env["c_lo"]
         assert 0.0 < env["c_hi"] <= 1.0 + 1e-12
+
+
+def test_each_row_makes_one_surrogate_pass(monkeypatch):
+    import lcmoments.harness as harness
+    from lcmoments.surrogates import surrogate_bundle
+
+    calls = []
+
+    def counted(a, p, family=None):
+        calls.append(p)
+        return surrogate_bundle(a, p, family=family)
+
+    monkeypatch.setattr(harness, "surrogate_bundle", counted)
+    config = ExperimentConfig(**SMALL)
+    result = run_experiment(config)
+    assert calls == [config.p_grid] * 4
+    families = {spec: family_from_spec(spec, 3) for spec in config.families}
+    for row in result.rows:
+        a = coefficient_profile(row.profile, row.n)
+        bundle = surrogate_bundle(a, row.p, family=families[row.family])
+        assert (row.hitczenko, row.bn_upper, row.gk, row.bqn, row.momunc) == (
+            bundle.hitczenko, bundle.bn_upper, bundle.gk, bundle.bqn, bundle.momunc)
+        assert (row.band_lo, row.band_up_indep, row.band_up_klartag) == (
+            bundle.band.lower, bundle.band.upper_indep, bundle.band.upper_klartag)
 
 
 def test_run_experiment_skips_inapplicable_cells(caplog):

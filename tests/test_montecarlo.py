@@ -574,3 +574,24 @@ def test_rademacher_exact_guards():
         rademacher_pnorm_exact(np.ones(21), 2.0)
     with pytest.raises(InvalidArgumentError):
         rademacher_pnorm_exact((1.0,), 0.5)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_ball_parts_at_one_coordinate_draw_the_einsum_bits(q):
+    # the k = 1 row sum is the column itself; it must equal the einsum form
+    # of the general k path bit for bit
+    ball = UniformBall.isotropic(6, q)
+    m = 313
+    numerator, denom = mc._ball_parts(ball, np.random.default_rng(SEED + 40), m, 1)
+    rng = np.random.default_rng(SEED + 40)
+    if q == 2.0:
+        g = rng.standard_normal(m).reshape(m, 1)
+        h = rng.standard_gamma((ball.n - 1) / 2.0 + 1.0, size=m)
+        want_num, want_denom = g, np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * h)
+    else:
+        mags, powers = mc._gamma_root(q, rng, (m, 1))
+        h = rng.standard_gamma((ball.n - 1) / q + 1.0, size=m)
+        want_denom = (np.einsum("ij->i", powers) + h) ** (1.0 / q)
+        want_num = mc._random_signs(mags, rng)
+    assert np.array_equal(numerator.view(np.uint64), want_num.view(np.uint64))
+    assert np.array_equal(denom.view(np.uint64), want_denom.view(np.uint64))

@@ -13,8 +13,8 @@ from lcmoments.coeffs import (
     tail_sq_sum,
     top_index_set,
 )
-from lcmoments.errors import InvalidArgumentError, MomentsError
-from lcmoments.families import family_from_spec
+from lcmoments.errors import InvalidArgumentError, MomentsError, UnsupportedFamilyError
+from lcmoments.families import ProductFamily, family_from_spec, level_set_support
 from lcmoments.harness import ExperimentConfig, coefficient_profile
 from lcmoments.montecarlo import MIN_SAMPLES, estimate_pnorm
 from lcmoments.surrogates import (
@@ -25,6 +25,7 @@ from lcmoments.surrogates import (
     gluskin_kwapien,
     gluskin_kwapien_estimate,
     hitczenko_lower,
+    surrogate_bundle,
 )
 from lcmoments.tails import TailFunction, tail_from_spec
 
@@ -210,6 +211,124 @@ def test_hitczenko_never_exceeds_gaussian_comparison_scale(a, p):
     assert hitczenko_lower(a, p) <= (p + math.sqrt(p)) * l2 * (1.0 + 1e-12)
 
 
+# -- one surrogate pass per row ---------------------------------------------------------
+#
+# The reference below is the per-order evaluation the bundle replaced: one
+# sort and one set of partial sums per order, on the unscaled coefficients.
+
+
+def _ref_lq(x, q):
+    top = float(np.max(x)) if x.size else 0.0
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((x / top) ** q)) ** (1.0 / q)
+
+
+def _ref_bundle(a, p, family):
+    ar = np.sort(np.abs(a))[::-1]
+    n = ar.size
+    k, frac = math.floor(p), p - math.floor(p)
+    head = float(np.sum(ar)) if k >= n else float(np.sum(ar[:k])) + frac * float(ar[k])
+    sq = ar * ar
+    tail = 0.0 if k >= n else (1.0 - frac) * float(sq[k]) + float(np.sum(sq[k + 1:]))
+    top_k = min(math.ceil(p), n)
+    idx = sorted(int(i) for i in np.argsort(-np.abs(a), kind="stable")[:top_k])
+    excluded = math.sqrt(p) * math.sqrt(float(np.sum(sq[top_k:])))
+    l2 = _ref_lq(ar, 2.0)
+    quartic = math.sqrt(float(np.sum(a ** 4))) / l2
+    center = gaussian_pnorm(p) * l2
+    out = {
+        "hitczenko": head + math.sqrt(p) * math.sqrt(tail),
+        "bn_upper": p * float(ar[0]) + math.sqrt(p) * l2,
+        "gk": None, "bqn": None, "momunc": None,
+        "band.lower": max(0.0, center - p * math.sqrt(3.0) * quartic),
+        "band.upper_indep": center + p * float(ar[0]),
+        "band.upper_klartag": center + p ** 2.5 * quartic,
+    }
+    if isinstance(family, ProductFamily):
+        out["gk"] = gluskin_kwapien(np.abs(a[idx]), [family.tails[i] for i in idx], p) \
+            + excluded
+    if hasattr(family, "q"):
+        q = family.q
+        qprime = math.inf if q == 1.0 else q / (q - 1.0)
+        if math.isinf(qprime):
+            head_q = float(ar[0])
+        elif k >= n:
+            head_q = _ref_lq(ar, qprime)
+        else:
+            scaled = ar / ar[0]
+            acc = float(np.sum(scaled[:k] ** qprime)) + frac * float(scaled[k] ** qprime)
+            head_q = float(ar[0]) * acc ** (1.0 / qprime)
+        out["bqn"] = min(p, float(n)) ** (1.0 / q) * head_q + math.sqrt(p) * math.sqrt(tail)
+    if family is not None:
+        try:
+            out["momunc"] = level_set_support(family, idx, a[idx], p) + excluded
+        except UnsupportedFamilyError:
+            pass
+    return out, center
+
+
+def _fields(bundle):
+    return {"hitczenko": bundle.hitczenko, "bn_upper": bundle.bn_upper, "gk": bundle.gk,
+            "bqn": bundle.bqn, "momunc": bundle.momunc, "band.lower": bundle.band.lower,
+            "band.upper_indep": bundle.band.upper_indep,
+            "band.upper_klartag": bundle.band.upper_klartag}
+
+
+def _unit_variance_table():
+    raw = TailFunction.tabulated((0.0, 0.5, 1.5, 3.0, 12.0), (0.0, 0.4, 1.6, 4.6, 70.0))
+    return TailFunction.tabulated(np.asarray(raw.knots_t) / math.sqrt(raw.variance()),
+                                  raw.knots_n)
+
+
+BUNDLE_FAMILIES = ("exp", "product:pow:alpha=2", "product:pow:alpha=1", "mixed", "table",
+                   "ball:q=1", "ball:q=1.5", "ball:q=2", "ball:q=3", "cube", "gauss", None)
+
+
+def _bundle_family(kind, n):
+    if kind in ("mixed", "table"):
+        menu = [_unit_variance_table()] if kind == "table" else [
+            TailFunction.exponential(), TailFunction.power(1.5), _unit_variance_table(),
+            TailFunction.power(1.0), TailFunction.power(3.0)]
+        return ProductFamily(tails=tuple(menu[i % len(menu)] for i in range(n)))
+    return None if kind is None else family_from_spec(kind, n)
+
+
+# ties and zeros are likely: entries come from a small menu as often as not.
+# The largest entry is at least 1e-3: below that the reference's unscaled
+# fourth powers underflow (the scale-safety tests cover that range).
+tied_entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 2.0]),
+                         st.floats(-4.0, 4.0))
+tied_vectors = st.lists(tied_entries, min_size=1, max_size=10).filter(
+    lambda xs: max(map(abs, xs)) >= 1e-3).map(np.asarray)
+order_lists = st.lists(st.one_of(st.sampled_from([2.0, 3.0, 4.0, 8.0, 32.0]),
+                                 st.floats(2.0, 32.0)), min_size=1, max_size=5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BUNDLE_FAMILIES), tied_vectors, order_lists)
+@example("exp", np.asarray([1.0, 1.0, 0.0]), [2.5, 32.0])
+@example("ball:q=2", np.asarray([0.0, -2.0]), [3.5, 2.0])
+def test_bundle_over_orders_matches_the_per_order_formulas(kind, a, ps):
+    family = _bundle_family(kind, a.size)
+    bundles = surrogate_bundle(a, ps, family=family)
+    assert isinstance(bundles, tuple) and len(bundles) == len(ps)
+    for p, bundle in zip(ps, bundles):
+        # entry i is the scalar call at p[i], bit for bit
+        assert bundle == surrogate_bundle(a, p, family=family)
+        assert bundle.p == p
+        ref, center = _ref_bundle(a, p, family)
+        for name, value in _fields(bundle).items():
+            want = ref[name]
+            assert (value is None) == (want is None), name
+            if want is None:
+                continue
+            # the lower band is a difference of terms of the size of the
+            # center, so its error is relative to the center
+            scale = max(abs(want), center) if name == "band.lower" else abs(want)
+            assert abs(value - want) <= 1e-14 * scale, (name, value, want)
+
+
 # -- Monte-Carlo at extreme magnitudes ------------------------------------------------
 
 # finite coefficients whose magnitudes spread over 1e-300 ... 1e300, and zeros
@@ -234,6 +353,16 @@ def test_estimate_pnorm_at_extreme_magnitudes_is_finite_or_rejected(spec, a, ps,
     for rec in records:
         assert math.isfinite(rec.value) and rec.value >= 0.0
         assert math.isfinite(rec.stderr) and rec.stderr >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(mc_family_specs, st.lists(extreme_entries, min_size=1, max_size=6).filter(any),
+       st.lists(orders, min_size=1, max_size=3))
+def test_surrogate_bundle_at_extreme_magnitudes_is_finite(spec, a, ps):
+    family = family_from_spec(spec, len(a))
+    for bundle in surrogate_bundle(a, ps, family=family):
+        for name, value in _fields(bundle).items():
+            assert value is None or (math.isfinite(value) and value >= 0.0), name
 
 
 # -- spec and config fuzzing -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,45 @@ def test_gk_matches_the_fractional_knapsack_on_piecewise_linear_tails(seed):
         _fractional_knapsack(b, tails, p), rel=1e-12)
 
 
+PIECEWISE_LINEAR_BLOCKS = [
+    ((0.5, 2.0, 1.0), [exponential()] * 3, 8.0),
+    ((1.0, 3.0), [linear(1.0), linear(4.0)], 6.0),
+    ((0.8, 0.8, 0.8), [exponential()] * 3, 5.5),
+    ((1.0, 0.0, 0.4), [power(1.0, scale=0.6), exponential(), TABLE], 16.0),
+    ((3.0, 1.0), [TABLE, TABLE], 2.5),
+    ((1.0, 0.7, 0.2), [TABLE, TABLE_WIDE, linear(2.5)], 3.0),
+    # slack: the caps are jointly feasible within the budget
+    ((1.0,), [TABLE], 70.0),
+]
+
+
+@pytest.mark.parametrize("b,tails,p", PIECEWISE_LINEAR_BLOCKS)
+def test_gk_solves_piecewise_linear_blocks_with_one_evaluation(monkeypatch, b, tails, p):
+    import lcmoments.surrogates as surrogates
+
+    calls = []
+    evaluate = surrogates._TiltBlock.evaluate
+
+    def counted(block, lam):
+        calls.append(lam)
+        return evaluate(block, lam)
+
+    monkeypatch.setattr(surrogates._TiltBlock, "evaluate", counted)
+    value = gluskin_kwapien(b, tails, p)
+    # the knapsack finish evaluates the block once, at its multiplier, for
+    # the dual guard; the slack return evaluates nothing
+    assert len(calls) <= 1
+    assert value == pytest.approx(_fractional_knapsack(b, tails, p), rel=1e-14)
+
+
+def test_gk_with_a_subnormal_power_coefficient_raises_no_warning():
+    # b s / alpha underflows to 0 for the second coordinate, which then
+    # contributes nothing
+    tails = [power(2.0), power(2.0)]
+    assert gluskin_kwapien((1.0, 5e-324), tails, 2.0) == pytest.approx(
+        gluskin_kwapien((1.0,), tails[:1], 2.0), rel=1e-12)
+
+
 def test_gk_zero_vector_is_zero():
     assert gluskin_kwapien((0.0, 0.0), [exponential()] * 2, 4.0) == 0.0
 
@@ -405,6 +445,75 @@ def test_surrogate_bundle_dispatch():
     bare = surrogate_bundle(a, 4.0)
     assert bare.gk is None and bare.bqn is None and bare.momunc is None
     assert bare.hitczenko <= 2.0 * bare.bn_upper
+
+
+BUNDLE_SPECS = ["exp", "ball:q=1", "ball:q=1.5", "ball:q=2", "ball:q=3", "cube", "gauss",
+                "product:pow:alpha=2"]
+ORDERS = (2.0, 3.5, 8.0, 32.0)
+
+
+def _bundle_fields(bundle):
+    return (bundle.hitczenko, bundle.bn_upper, bundle.gk, bundle.bqn, bundle.momunc,
+            bundle.band.lower, bundle.band.upper_indep, bundle.band.upper_klartag)
+
+
+@pytest.mark.parametrize("spec", BUNDLE_SPECS)
+@pytest.mark.parametrize("exponent", [1000, -1000])
+def test_bundle_scales_exactly_by_a_power_of_two(spec, exponent):
+    from lcmoments.families import family_from_spec
+
+    a = np.array([0.3, -1.7, 0.0, 1.7, 0.05, -0.9])
+    family = family_from_spec(spec, a.size)
+    factor = 2.0 ** exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = surrogate_bundle(a, ORDERS, family=family)
+        scaled = surrogate_bundle(a * factor, ORDERS, family=family)
+    for b0, b1 in zip(base, scaled):
+        for v0, v1 in zip(_bundle_fields(b0), _bundle_fields(b1)):
+            assert (v0 is None and v1 is None) or v1 == v0 * factor
+        assert b1.band.indep_valid == b0.band.indep_valid
+
+
+def test_bundle_at_tiny_scale_keeps_its_quartic_correction():
+    # unscaled, sum a_i^4 underflows to 0 at 1e-200 and the lower band rose
+    # to the center, above the moment it bounds
+    cube = UniformCube(3)
+    tiny = surrogate_bundle((1e-200, 5e-201, 1e-201), 4.0, family=cube)
+    unit = surrogate_bundle((1.0, 0.5, 0.1), 4.0, family=cube)
+    assert unit.band.lower == 0.0
+    assert tiny.band.lower == 0.0
+    assert tiny.band.upper_klartag == pytest.approx(1e-200 * unit.band.upper_klartag,
+                                                    rel=1e-14, abs=0.0)
+
+
+def test_bundle_at_huge_scale_does_not_overflow():
+    family = product_exponential(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = surrogate_bundle((1e160, 1e160, 1.0), 4.0, family=family)
+    unit = surrogate_bundle((1.0, 1.0, 1e-160), 4.0, family=family)
+    for v0, v1 in zip(_bundle_fields(unit), _bundle_fields(huge)):
+        assert (v0 is None and v1 is None) or v1 == pytest.approx(1e160 * v0, rel=1e-15)
+
+
+def test_bundle_orders_are_all_checked_before_any_surrogate(monkeypatch):
+    import lcmoments.surrogates as surrogates
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a surrogate ran before every order was checked")
+
+    monkeypatch.setattr(surrogates, "gluskin_kwapien", fail)
+    monkeypatch.setattr(surrogates, "level_set_support", fail)
+    family = product_exponential(3)
+    for orders in ([4.0, math.nan], [4.0, 1.5], [4.0, math.inf], [], [[4.0]]):
+        with pytest.raises(InvalidArgumentError):
+            surrogate_bundle((1.0, 0.5, 0.25), orders, family=family)
+
+
+def test_bundle_rejects_the_zero_vector():
+    with pytest.raises(InvalidArgumentError):
+        surrogate_bundle((0.0, 0.0), (2.0, 4.0), family=product_exponential(2))
 
 
 def test_surrogate_bundle_invariant_guard():
