@@ -65,12 +65,21 @@ class CoefficientVector:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise InvalidArgumentError("coefficient vector must be non-empty")
-        if not all(math.isfinite(v) for v in self.values):
+        if not np.isfinite(self.array).all():
             raise InvalidArgumentError("coefficients must be finite")
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "CoefficientVector":
-        return cls(tuple(float(v) for v in values))
+        if not (isinstance(values, np.ndarray) and values.ndim == 1
+                and values.dtype.kind in "biuf"):
+            return cls(tuple(float(v) for v in values))
+        # a real ndarray converts in one pass, and its float copy seeds the
+        # cached ``array`` before the finiteness check reads it
+        arr = values.astype(float)
+        vec = object.__new__(cls)
+        vec.__dict__.update(values=tuple(arr.tolist()), array=arr)
+        vec.__post_init__()
+        return vec
 
     @property
     def n(self) -> int:

@@ -78,6 +78,11 @@ class ProductFamily:
         return all(t.kind == "linear" for t in self.tails)
 
     @cached_property
+    def rates(self) -> np.ndarray:
+        """The rate of each coordinate's tail (0 for a non-linear tail)."""
+        return np.array([t.rate for t in self.tails])
+
+    @cached_property
     def tail_columns(self) -> tuple[tuple[TailFunction, np.ndarray], ...]:
         """Each distinct tail with the indices of the coordinates that share
         it, in order of first appearance."""
@@ -226,8 +231,7 @@ def level_set_support(family: Family, index_set, a_block, p: float) -> float:
         if not family.is_linear:
             raise UnsupportedFamilyError(
                 "level sets are closed-form only for linear-tail product members")
-        rates = np.array([family.tails[i].rate for i in idx])
-        return p * float(np.max(np.abs(a_block) / rates))
+        return p * float(np.max(np.abs(a_block) / family.rates[idx]))
     if isinstance(family, GaussianStd):
         return math.sqrt(2.0 * p) * _lq(np.abs(a_block), 2.0)
     if isinstance(family, UniformCube):

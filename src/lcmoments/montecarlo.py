@@ -1,11 +1,13 @@
 """Monte-Carlo ground truth for moment surrogates.
 
-Reproducibility contract: every estimator draws from one generator seeded
-with the child seed (seed, stream tag) and splits its sample budget into
-batches that come from that generator one after another, so a record is a
-pure function of (seed, n_samples).  ``_child_seed`` is the only seed
-derivation: report rows and acceptance checks use it too.  Batch means give
-the standard error, propagated through the 1/p power by the delta method.
+Reproducibility contract: every estimator draws its rows in order from one
+generator seeded with the child seed (seed, stream tag), in chunks of at most
+``_CHUNK_ENTRIES`` entries, so a record is a pure function of
+(seed, n_samples).  ``_child_seed`` is the only seed derivation: report rows
+and acceptance checks use it too.  The chunks only bound the memory of a
+draw; the statistics split the same rows into ``_BATCHES`` batch-means
+batches of consecutive samples, and the batch means give the standard error,
+propagated through the 1/p power by the delta method.
 
 Every ball draw is ``_ball_parts``, the first k coordinates of the
 Barthe-Guedon-Mendelson-Naor form X = r eps y / (sum y_i^q + W)^{1/q}.  One
@@ -13,9 +15,9 @@ engine, ``_pnorm_engine``, serves every moment estimator (p-norms, the
 dependent/independent comparison, and fourth moments as p = 4 on e_j).  It
 draws the projection S = <X, u> with u = a / max|a_i| (``_project``); the
 Gaussian and the Euclidean ball are rotation invariant, so there S is drawn
-in one dimension.  The engine joins the batches' log|S| into one vector L and
+in one dimension.  The engine joins the chunks' log|S| into one vector L and
 reduces each order in linear space: w = exp(p (L - max L)) stays in [0, 1],
-``np.add.reduceat`` sums it per batch, and the p-norm is
+``np.add.reduceat`` sums it over each batch's index range, and the p-norm is
 max|a_i| e^{max L + log(sum w / n) / p}.
 """
 
@@ -49,6 +51,9 @@ MIN_SAMPLES = 10_000
 
 # every estimator splits its samples into this many batch-means batches
 _BATCHES = 64
+# entries of the (rows, n) draw of one chunk, at most; every chunk but the
+# last has max(1, _CHUNK_ENTRIES // n) rows
+_CHUNK_ENTRIES = 2 ** 15
 
 _MASK64 = (1 << 64) - 1
 
@@ -121,7 +126,12 @@ def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, 
         return e, e
     gam = rng.standard_gamma(1.0 + 1.0 / q, size=shape)
     u = rng.random(shape)
-    return u * gam ** (1.0 / q), u ** q * gam
+    # in place: a chunk holds three arrays of its size, not five
+    y = gam ** (1.0 / q)
+    y *= u
+    u **= q
+    u *= gam
+    return y, u
 
 
 def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
@@ -140,16 +150,17 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
         # a flat draw, so the one-coordinate projection draws no matrix
         g = rng.standard_normal(m * k).reshape(m, k)
         h = rng.standard_gamma((n - k) / 2.0 + 1.0, size=m)
+        h *= 2.0
         # a one-term row sum is the term itself: the same bits as einsum's,
         # without its call overhead
-        sq = g[:, 0] * g[:, 0] if k == 1 else np.einsum("ij,ij->i", g, g)
-        return g, np.sqrt(sq + 2.0 * h)
+        h += g[:, 0] * g[:, 0] if k == 1 else np.einsum("ij,ij->i", g, g)
+        return g, np.sqrt(h, out=h)
     mags, powers = _gamma_root(q, rng, (m, k))
     h = rng.standard_gamma((n - k) / q + 1.0, size=m)
     # at q = 1 mags is powers, so the row sums come before the signs
-    total = powers[:, 0] if k == 1 else np.einsum("ij->i", powers)
-    denom = (total + h) ** (1.0 / q)
-    return _random_signs(mags, rng), denom
+    h += powers[:, 0] if k == 1 else np.einsum("ij->i", powers)
+    del powers   # one chunk-sized array fewer while the signs are drawn
+    return _random_signs(mags, rng), np.power(h, 1.0 / q, out=h)
 
 
 def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -165,7 +176,9 @@ def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) ->
         mags *= -ball.r
         return _random_signs(mags, rng)
     numerator, denom = _ball_parts(ball, rng, size * n, 1)
-    return (numerator[:, 0] * (ball.r / denom)).reshape(size, n)
+    scaled = np.divide(ball.r, denom, out=denom)
+    scaled *= numerator[:, 0]
+    return scaled.reshape(size, n)
 
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -190,9 +203,14 @@ def _project(family: Family, a: np.ndarray, rng: np.random.Generator, m: int) ->
 
     The Gaussian and the Euclidean ball are rotation invariant, so <X, a>
     has the law of ||a||_2 X_1, the k = 1 marginal for the ball.  Other balls
-    project the whole signed numerator and divide each row once.
+    project the whole signed numerator and divide each row once.  Linear
+    tails have |X_i| = E_i / rate_i, so the signed exponentials project on
+    a / rate, in the RNG order of ``_sample_product``.
     """
     if isinstance(family, ProductFamily):
+        if family.is_linear:
+            signed = _random_signs(rng.standard_exponential((m, family.n)), rng)
+            return signed @ (a / family.rates)
         return _sample_product(family, rng, m) @ a
     if isinstance(family, UniformBall):
         if family.q == 2.0:
@@ -229,15 +247,20 @@ def _validate_batching(n_samples: int) -> None:
             f"n_samples must be >= {MIN_SAMPLES} for stable batch means, got {n_samples}")
 
 
+def _chunk_rows(n_samples: int, n: int) -> list[int]:
+    """Row counts of the chunks that draw n_samples rows of dimension n."""
+    rows = max(1, _CHUNK_ENTRIES // n)
+    full, rest = divmod(n_samples, rows)
+    return [rows] * full + [rest] * (rest > 0)
+
+
 def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
-                 statistic: Callable[[np.ndarray], object], n_samples: int, seed: int,
-                 tag: int) -> tuple[list, np.ndarray]:
-    """``statistic`` of each batch's draw, in batch order, and the batch sizes
-    as float weights; the batches come in order from one generator."""
+                 statistic: Callable[[np.ndarray], object], n_samples: int, n: int,
+                 seed: int, tag: int) -> list:
+    """``statistic`` of each chunk's draw of rows of dimension n, in order;
+    the chunks come in order from one generator."""
     rng = np.random.default_rng(_child_seed(seed, tag))
-    counts = _batch_counts(n_samples)
-    stats = [statistic(draw(rng, m)) for m in counts]
-    return stats, np.asarray(counts, dtype=float)
+    return [statistic(draw(rng, m)) for m in _chunk_rows(n_samples, n)]
 
 
 def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.ndarray],
@@ -259,10 +282,9 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.abs(s))
 
-    stats, weights = _batch_stats(lambda rng, m: project(unit, rng, m), log_abs,
-                                  n_samples, seed, tag)
+    logs = np.concatenate(_batch_stats(lambda rng, m: project(unit, rng, m), log_abs,
+                                       n_samples, unit.size, seed, tag))
     seed = int(seed) & _MASK64
-    logs = np.concatenate(stats)
     top = float(np.max(logs))
     if top == -math.inf:
         # every projection was exactly 0
@@ -272,7 +294,10 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
     if not math.isfinite(top):
         raise overflow
     shifted = logs - top
-    starts = np.cumsum([0] + [len(batch) for batch in stats[:-1]])
+    # the batches are consecutive index ranges of the one vector
+    counts = _batch_counts(n_samples)
+    starts = np.cumsum([0] + counts[:-1])
+    weights = np.asarray(counts, dtype=float)
     records = []
     for p in map(float, ps):
         # batch means of |<X, u>|^p / e^{p top}, each in [0, 1]
@@ -346,10 +371,10 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int,
         raise OutOfRangeError(
             f"joint tails are supported up to dimension {_JOINT_MAX_DIM}, got {family.n}")
     _validate_batching(n_samples)
-    stats, _ = _batch_stats(lambda rng, m: sample(family, rng, m),
-                            lambda x: int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))),
-                            n_samples, seed, _TAG_JOINT)
-    value = sum(stats) / n_samples
+    hits = _batch_stats(lambda rng, m: sample(family, rng, m),
+                        lambda x: int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))),
+                        n_samples, family.n, seed, _TAG_JOINT)
+    value = sum(hits) / n_samples
     if value < _JOINT_MIN_PROB:
         raise OutOfRangeError(
             f"joint tail estimate {value:.3e} is below the e^-10 reliability guard")
@@ -366,8 +391,8 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     The twin X* has iid coordinates drawn from the ball's closed-form
     marginal (``_sample_ball_twin``), so each X*_i matches the law of X_i
     exactly.
-    Both runs share the batch structure but draw from disjoint streams of
-    the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
+    Both runs share the chunks and batches but draw from disjoint streams
+    of the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
     returns ``(deps, indeps)``, one record per order, all from one draw of
     each, with entry i equal to the scalar call at ``p[i]``.
     """

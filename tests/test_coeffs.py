@@ -33,6 +33,26 @@ def test_vector_validation():
         CoefficientVector.from_values((math.inf,))
 
 
+@pytest.mark.parametrize("values", [
+    [0.5, -2.0, 7.0], [3, -1, 0], [True, False], np.float32([0.1, -0.3]),
+    [1.0, math.nan], [math.inf, 1.0], [-math.inf], [],
+])
+def test_an_ndarray_converts_like_its_list(values):
+    arr = np.asarray(values)
+    try:
+        expected = CoefficientVector.from_values(list(values))
+    except InvalidArgumentError as err:
+        with pytest.raises(InvalidArgumentError, match=str(err)):
+            CoefficientVector.from_values(arr)
+        return
+    cv = CoefficientVector.from_values(arr)
+    assert cv == expected and all(type(v) is float for v in cv.values)
+    np.testing.assert_array_equal(cv.array, expected.array)
+    # the vector keeps its own copy of the entries
+    arr[0] = 9
+    assert cv.array[0] == cv.values[0] == expected.values[0]
+
+
 def test_as_coefficients_is_idempotent():
     cv = as_coefficients(A)
     assert as_coefficients(cv) is cv

@@ -218,18 +218,19 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 
 # -- the linear-space reduction ---------------------------------------------------------
 
-def _scipy_pnorm_pairs(sampler, a, p, n_samples, seed, tag):
-    """(value, stderr) per order by the earlier per-batch, per-order scipy loop."""
+def _scipy_pnorm_pairs(sampler, a, p, n_samples, seed, tag, n):
+    """(value, stderr) per order by the earlier per-batch, per-order scipy loop,
+    over the engine's chunks of dimension-n rows split into its batches."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     a = np.asarray(a, dtype=float)
     counts = mc._batch_counts(n_samples)
     rng = np.random.default_rng(mc._child_seed(seed, tag))
+    drawn = np.concatenate([sampler(rng, m) for m in mc._chunk_rows(n_samples, n)])
     stats = []
-    for m in counts:
-        x = sampler(rng, m)
+    for x in np.split(drawn, np.cumsum(counts)[:-1]):
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(x @ a))
-        stats.append(logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(m))
+        stats.append(logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(len(x)))
     weights = np.asarray(counts, dtype=float)
     pairs = []
     for row, order in zip(np.stack(stats, axis=1), ps):
@@ -264,9 +265,9 @@ def test_estimate_pnorm_matches_the_per_batch_scipy_reduction(spec):
         return mc._project(fam, np.asarray(a) / 3.0, rng, m)[:, None]
 
     for p, seed in ((GRID_ORDERS, SEED + 31), (5.5, SEED + 32)):
-        expected = _scipy_pnorm_pairs(draw, (3.0,), p, ODD_SAMPLES, seed, mc._TAG_PNORM)
+        expected = _scipy_pnorm_pairs(draw, (3.0,), p, ODD_SAMPLES, seed, mc._TAG_PNORM, 5)
         _assert_matches_scipy(estimate_pnorm(fam, a, p, ODD_SAMPLES, seed), expected)
-    expected = _scipy_pnorm_pairs(draw, (3.0,), 32.0, 20_000, SEED + 33, mc._TAG_PNORM)
+    expected = _scipy_pnorm_pairs(draw, (3.0,), 32.0, 20_000, SEED + 33, mc._TAG_PNORM, 5)
     _assert_matches_scipy(estimate_pnorm(fam, a, 32.0, 20_000, SEED + 33), expected)
 
 
@@ -278,20 +279,82 @@ def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
         deps, indeps = dependent_vs_independent(ball, a, p, ODD_SAMPLES, SEED + 34)
         _assert_matches_scipy(deps, _scipy_pnorm_pairs(
             lambda rng, m: mc._project(ball, np.asarray(a), rng, m)[:, None], (1.0,), p,
-            ODD_SAMPLES, SEED + 34, mc._TAG_NA_DEPENDENT))
+            ODD_SAMPLES, SEED + 34, mc._TAG_NA_DEPENDENT, 4))
         _assert_matches_scipy(indeps, _scipy_pnorm_pairs(
             lambda rng, m: mc._sample_ball_twin(ball, rng, m), a, p, ODD_SAMPLES,
-            SEED + 34, mc._TAG_NA_INDEPENDENT))
+            SEED + 34, mc._TAG_NA_INDEPENDENT, 4))
+
+
+@pytest.mark.parametrize("spec", ["gauss", "cube"])
+def test_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
+    # the draw concatenates exactly and the batches are index ranges of the
+    # joined samples, so the chunk size cannot move a record; the budget
+    # 5 * 97 gives chunks of 97 rows, which divide neither ODD_SAMPLES nor a
+    # batch of 156 or 157
+    fam = family_from_spec(spec, 5)
+    a = (1.0, -0.5, 0.25, 0.0, 3.0)
+    records = []
+    for budget in (2 ** 15, 2 ** 10, 5 * 97):
+        monkeypatch.setattr(mc, "_CHUNK_ENTRIES", budget)
+        records.append(estimate_pnorm(fam, a, GRID_ORDERS, ODD_SAMPLES, SEED + 36))
+    assert records[1] == records[0] and records[2] == records[0]
+
+
+def _recorded_sizes(monkeypatch, name):
+    """Patch the module's draw ``name`` to log the row count of every call."""
+    sizes = []
+    inner = getattr(mc, name)
+
+    def wrapped(*args):
+        sizes.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(mc, name, wrapped)
+    return sizes
+
+
+def _assert_chunks_tile(sizes, n_samples, n):
+    rows = mc._CHUNK_ENTRIES // n
+    assert max(sizes) * n <= mc._CHUNK_ENTRIES
+    assert sizes == [rows] * (n_samples // rows) + [n_samples % rows] * (n_samples % rows > 0)
+
+
+@pytest.mark.parametrize("spec", GRID_FAMILY_SPECS + ("gauss",))
+def test_every_projection_draw_is_one_chunk_of_the_budget(monkeypatch, spec):
+    n, n_samples = 64, 200_000
+    sizes = _recorded_sizes(monkeypatch, "_project")
+    estimate_pnorm(family_from_spec(spec, n), np.linspace(1.0, 0.1, n), (2.0, 8.0),
+                   n_samples, SEED + 37)
+    _assert_chunks_tile(sizes, n_samples, n)
+
+
+def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
+    n, n_samples = 64, 200_000
+    deps = _recorded_sizes(monkeypatch, "_project")
+    indeps = _recorded_sizes(monkeypatch, "_sample_ball_twin")
+    dependent_vs_independent(UniformBall.isotropic(n, 1.0), np.ones(n), 4.0, n_samples,
+                             SEED + 38)
+    _assert_chunks_tile(deps, n_samples, n)
+    _assert_chunks_tile(indeps, n_samples, n)
+    # joint tails draw whole vectors; 8 is their largest dimension
+    vectors = _recorded_sizes(monkeypatch, "sample")
+    estimate_joint_tail(product_exponential(8), np.full(8, 0.05), n_samples, SEED + 39)
+    _assert_chunks_tile(vectors, n_samples, 8)
 
 
 def _one_entry_sampler(value, batch):
-    """Projected Gaussian draws with ``value`` at one entry of the given batch."""
-    order = iter(range(mc._BATCHES))
+    """Projected Gaussian draws of ODD_SAMPLES rows with ``value`` at one
+    sample inside the given batch, whichever chunk holds it."""
+    counts = mc._batch_counts(ODD_SAMPLES)
+    target = sum(counts[:batch]) + counts[batch] // 2
+    drawn = 0
 
     def draw(u, rng, m):
+        nonlocal drawn
         x = rng.standard_normal((m, 3))
-        if next(order) == batch:
-            x[m // 2, 0] = value
+        if drawn <= target < drawn + m:
+            x[target - drawn, 0] = value
+        drawn += m
         return x @ u
 
     return draw
