@@ -103,14 +103,16 @@ def _random_signs(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _sample_product(family: ProductFamily, rng: np.random.Generator, size: int) -> np.ndarray:
     """|X_i| = N_i^{-1}(E_i) with E_i ~ Exp(1), one inverse call per distinct tail."""
-    exps = rng.standard_exponential((size, family.n))
+    mags = rng.standard_exponential((size, family.n))
     groups = family.tail_columns
+    # each inverse replaces its exponentials, so a chunk holds no third
+    # array of its size while the signs are drawn
     if len(groups) == 1:
-        return _random_signs(groups[0][0].inverse(exps), rng)
-    out = np.empty((size, family.n))
-    for tail, cols in groups:
-        out[:, cols] = tail.inverse(exps[:, cols])
-    return _random_signs(out, rng)
+        mags = groups[0][0].inverse(mags)
+    else:
+        for tail, cols in groups:
+            mags[:, cols] = tail.inverse(mags[:, cols])
+    return _random_signs(mags, rng)
 
 
 def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:

@@ -128,7 +128,8 @@ class TailFunction:
         if self.kind == "linear":
             out = v / self.rate
         elif self.kind == "power":
-            out = self.scale * v ** (1.0 / self.alpha)
+            out = v ** (1.0 / self.alpha)
+            out *= self.scale
         else:
             out = np.interp(v, self.knots_n, self.knots_t)
         return float(out) if out.ndim == 0 else out
