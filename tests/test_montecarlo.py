@@ -288,9 +288,11 @@ def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
 @pytest.mark.parametrize("spec", ["gauss", "cube"])
 def test_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
     # the draw concatenates exactly and the batches are index ranges of the
-    # joined samples, so the chunk size cannot move a record; the budget
-    # 5 * 97 gives chunks of 97 rows, which divide neither ODD_SAMPLES nor a
-    # batch of 156 or 157
+    # joined samples, so the chunk size cannot move a record (at n = 5 the
+    # cube's BLAS matvec rounds a row alike in every call of two or more
+    # rows; at n >= 8 it rounds the last m mod 4 rows of a call differently);
+    # the budget 5 * 97 gives chunks of 97 rows, which divide neither
+    # ODD_SAMPLES nor a batch of 156 or 157
     fam = family_from_spec(spec, 5)
     a = (1.0, -0.5, 0.25, 0.0, 3.0)
     records = []
