@@ -70,16 +70,10 @@ class CoefficientVector:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "CoefficientVector":
-        if not (isinstance(values, np.ndarray) and values.ndim == 1
-                and values.dtype.kind in "biuf"):
-            return cls(tuple(float(v) for v in values))
-        # a real ndarray converts in one pass, and its float copy seeds the
-        # cached ``array`` before the finiteness check reads it
-        arr = values.astype(float)
-        vec = object.__new__(cls)
-        vec.__dict__.update(values=tuple(arr.tolist()), array=arr)
-        vec.__post_init__()
-        return vec
+        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biuf":
+            # a real ndarray converts in one pass, not element by element
+            return cls(tuple(values.astype(float).tolist()))
+        return cls(tuple(float(v) for v in values))
 
     @property
     def n(self) -> int:

@@ -2,8 +2,12 @@
 
 Reproducibility contract: every estimator draws its rows in order from one
 generator seeded with the child seed (seed, stream tag), in chunks of at most
-``_CHUNK_ENTRIES`` entries, so a record is a pure function of
-(seed, n_samples).  ``_child_seed`` is the only seed derivation: report rows
+``_CHUNK_ENTRIES`` entries, so for that budget and a fixed BLAS build a
+record is a pure function of (seed, n_samples).  A draw that goes through a
+BLAS matvec (exp, cube at n >= 8, products, balls at q != 2) may move in its
+last bit with the rows of each chunk, because gemv may round the last rows
+of a call through another kernel; the Gaussian draw does not.
+``_child_seed`` is the only seed derivation: report rows
 and acceptance checks use it too.  The chunks only bound the memory of a
 draw; the statistics split the same rows into ``_BATCHES`` batch-means
 batches of consecutive samples, and the batch means give the standard error,

@@ -286,7 +286,7 @@ def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
 
 
 @pytest.mark.parametrize("spec", ["gauss", "cube"])
-def test_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
+def test_gauss_and_small_cube_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
     # the draw concatenates exactly and the batches are index ranges of the
     # joined samples, so the chunk size cannot move a record (at n = 5 the
     # cube's BLAS matvec rounds a row alike in every call of two or more

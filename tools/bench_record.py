@@ -1,11 +1,13 @@
 """Record one benchmark run as a point of the committed performance trajectory.
 
     python3 tools/bench_record.py --label L --workload {grid,surrogates,verify} \
-        --seed S [--seconds 25] [--trace {0,1}] [--checkout DIR]
+        --seed S [--checkout DIR]
 
-Runs the checkout's own ``perfbench/run.py`` unchanged, copies the result file
-that it writes under ``perfbench/out/``, adds the checkout's git revision and
-writes ``BENCH_<label>_<workload>.json`` at the root of this repository.
+Runs the checkout's own ``perfbench/run.py`` unchanged, always for the
+benchmark's 25 s and untraced, so that every point of the trajectory is
+measured alike.  It copies the result file that the run writes under
+``perfbench/out/``, adds the checkout's git revision and writes
+``BENCH_<label>_<workload>.json`` at the root of this repository.
 ``--checkout`` (default: this repository) records another checkout, for
 example a clone of the parent commit, so that the before and after files of a
 change come from the same script.  The result file carries the seed, the
@@ -35,8 +37,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--workload", required=True, choices=("grid", "surrogates", "verify"))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--checkout", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if not args.label or not all(c.isalnum() or c in "-." for c in args.label):
@@ -44,16 +44,14 @@ def main(argv=None) -> int:
 
     checkout = args.checkout.resolve()
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds),
-               "--trace", str(args.trace)]
+               "--seed", str(args.seed), "--seconds", "25", "--trace", "0"]
     proc = subprocess.run(command, cwd=checkout, check=False)
     if proc.returncode != 0:
         print(f"bench_record: perfbench/run.py exited with {proc.returncode}", file=sys.stderr)
         return proc.returncode
     result_file = (checkout / "perfbench" / "out"
-                   / f"result-{args.workload}-{args.seed}-trace{args.trace}.json")
+                   / f"result-{args.workload}-{args.seed}-trace0.json")
     record = {"label": args.label, "workload": args.workload, "seed": args.seed,
-              "seconds": args.seconds, "trace": args.trace,
               "git_revision": git_revision(checkout),
               "command": " ".join(["python3"] + command[1:]),
               **json.loads(result_file.read_text(encoding="utf-8"))}
