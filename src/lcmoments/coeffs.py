@@ -81,7 +81,7 @@ class CoefficientVector:
 
     @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return np.fromiter(self.values, dtype=float, count=len(self.values))
 
     @cached_property
     def order(self) -> np.ndarray:
