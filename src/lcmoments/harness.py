@@ -18,7 +18,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +46,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "LCM_WORKERS"
-
-CSV_COLUMNS = (
-    "family", "n", "profile", "p", "mc_value", "mc_stderr",
-    "hitczenko", "bn_upper", "gk", "bqn", "momunc",
-    "band_lo", "band_up_indep", "band_up_klartag",
-    "ratio_lo", "ratio_hi",
-)
 
 _CONFIG_KEYS = ("families", "profiles", "n_list", "p_grid", "n_samples", "seed", "output_dir")
 
@@ -213,6 +206,10 @@ class ReportRow:
     band_up_klartag: float
     ratio_lo: float
     ratio_hi: float
+
+
+# the report's columns are the row's fields, in order
+CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
 
 
 @dataclass(frozen=True)

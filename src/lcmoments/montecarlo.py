@@ -9,9 +9,8 @@ last bit with the rows of each chunk, because gemv may round the last rows
 of a call through another kernel; the Gaussian draw does not.
 ``_child_seed`` is the only seed derivation: report rows
 and acceptance checks use it too.  The chunks only bound the memory of a
-draw; the statistics split the same rows into ``_BATCHES`` batch-means
-batches of consecutive samples, and the batch means give the standard error,
-propagated through the 1/p power by the delta method.
+draw: the rows are iid, so every estimate takes the standard error of the
+mean of all of them, propagated through the 1/p power by the delta method.
 
 Every ball draw is ``_ball_parts``, the first k coordinates of the
 Barthe-Guedon-Mendelson-Naor form X = r eps y / (sum y_i^q + W)^{1/q}.  One
@@ -21,8 +20,8 @@ draws the projection S = <X, u> with u = a / max|a_i| (``_project``); the
 Gaussian and the Euclidean ball are rotation invariant, so there S is drawn
 in one dimension.  The engine joins the chunks' log|S| into one vector L and
 reduces each order in linear space: w = exp(p (L - max L)) stays in [0, 1],
-``np.add.reduceat`` sums it over each batch's index range, and the p-norm is
-max|a_i| e^{max L + log(sum w / n) / p}.
+the p-norm is max|a_i| e^{max L + log(mean w) / p}, and the standard error
+of mean w comes from sum (w - mean w)^2.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,8 +52,6 @@ __all__ = [
 MAX_MOMENT_ORDER = 32.0
 MIN_SAMPLES = 10_000
 
-# every estimator splits its samples into this many batch-means batches
-_BATCHES = 64
 # entries of the (rows, n) draw of one chunk, at most; every chunk but the
 # last has max(1, _CHUNK_ENTRIES // n) rows
 _CHUNK_ENTRIES = 2 ** 15
@@ -78,13 +75,12 @@ def _child_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One Monte-Carlo estimate with its batch-means standard error."""
+    """One Monte-Carlo estimate with the standard error of its iid samples."""
 
     value: float
     stderr: float
     n_samples: int
     seed: int
-    batches: int
 
 
 # -- samplers -----------------------------------------------------------------
@@ -96,7 +92,7 @@ def _random_signs(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
     The bits are the generator's raw 64-bit words, unpacked in little-endian
     byte order on every platform; ``Generator.bytes`` would cost about 10 us
-    more per call, as much as the whole sign draw on a small batch.
+    more per call, as much as the whole sign draw on a small chunk.
     """
     words = x.view(np.uint64)
     raw = rng.bit_generator.random_raw((x.size + 63) // 64).astype("<u8", copy=False)
@@ -234,23 +230,18 @@ def _project(family: Family, a: np.ndarray, rng: np.random.Generator, m: int) ->
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
 
 
-# -- batch engine ---------------------------------------------------------------
-
-def _batch_counts(n_samples: int) -> list[int]:
-    base, rem = divmod(n_samples, _BATCHES)
-    return [base + 1] * rem + [base] * (_BATCHES - rem)
-
+# -- chunked engine -------------------------------------------------------------
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _validate_batching(n_samples: int) -> None:
+def _validate_sample_count(n_samples: int) -> None:
     if not _is_integer(n_samples):
         raise InvalidArgumentError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < MIN_SAMPLES:
         raise InvalidArgumentError(
-            f"n_samples must be >= {MIN_SAMPLES} for stable batch means, got {n_samples}")
+            f"n_samples must be >= {MIN_SAMPLES} for a stable standard error, got {n_samples}")
 
 
 def _chunk_rows(n_samples: int, n: int) -> list[int]:
@@ -260,13 +251,12 @@ def _chunk_rows(n_samples: int, n: int) -> list[int]:
     return [rows] * full + [rest] * (rest > 0)
 
 
-def _batch_stats(draw: Callable[[np.random.Generator, int], np.ndarray],
-                 statistic: Callable[[np.ndarray], object], n_samples: int, n: int,
-                 seed: int, tag: int) -> list:
-    """``statistic`` of each chunk's draw of rows of dimension n, in order;
-    the chunks come in order from one generator."""
+def _chunks(draw: Callable[[np.random.Generator, int], np.ndarray], n_samples: int, n: int,
+            seed: int, tag: int) -> Iterator[np.ndarray]:
+    """Each chunk's draw of rows of dimension n, in order, all from one generator."""
     rng = np.random.default_rng(_child_seed(seed, tag))
-    return [statistic(draw(rng, m)) for m in _chunk_rows(n_samples, n)]
+    for m in _chunk_rows(n_samples, n):
+        yield draw(rng, m)
 
 
 def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.ndarray],
@@ -282,45 +272,43 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
     # a zero vector projects to 0 and takes the zero record below
     scale = float(np.max(np.abs(a_arr))) or 1.0
     unit = a_arr / scale
-
-    def log_abs(s: np.ndarray) -> np.ndarray:
+    parts = []
+    for s in _chunks(lambda rng, m: project(unit, rng, m), n_samples, unit.size, seed, tag):
         # a non-finite projection is caught through the max below
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(s))
-
-    logs = np.concatenate(_batch_stats(lambda rng, m: project(unit, rng, m), log_abs,
-                                       n_samples, unit.size, seed, tag))
+            parts.append(np.log(np.abs(s)))
+    logs = np.concatenate(parts)
     seed = int(seed) & _MASK64
     top = float(np.max(logs))
     if top == -math.inf:
         # every projection was exactly 0
-        return tuple(EstimateRecord(0.0, 0.0, n_samples, seed, _BATCHES) for _ in ps)
+        return tuple(EstimateRecord(0.0, 0.0, n_samples, seed) for _ in ps)
     overflow = OutOfRangeError(
         "sum a_i X_i overflows double precision; rescale the coefficients")
     if not math.isfinite(top):
         raise overflow
     shifted = logs - top
-    # the batches are consecutive index ranges of the one vector
-    counts = _batch_counts(n_samples)
-    starts = np.cumsum([0] + counts[:-1])
-    weights = np.asarray(counts, dtype=float)
     records = []
     for p in map(float, ps):
-        # batch means of |<X, u>|^p / e^{p top}, each in [0, 1]
-        means = np.add.reduceat(np.exp(p * shifted), starts) / weights
-        mean = float(np.sum(means * weights) / n_samples)
-        se = float(np.std(means, ddof=1)) / math.sqrt(_BATCHES)
+        # w = |<X, u>|^p / e^{p top}, each in [0, 1]
+        w = np.exp(p * shifted)
+        mean = float(np.sum(w)) / n_samples
+        # the sample variance of w, summed by numpy rather than a BLAS dot
+        # so that its bits do not depend on BLAS threading
+        w -= mean
+        var = float(np.sum(np.square(w, out=w))) / (n_samples - 1)
+        se = math.sqrt(var / n_samples)
         norm = math.exp(top + math.log(mean) / p)
         value, stderr = scale * norm, scale * (norm * se / (mean * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise overflow
-        records.append(EstimateRecord(value, stderr, n_samples, seed, _BATCHES))
+        records.append(EstimateRecord(value, stderr, n_samples, seed))
     return tuple(records)
 
 
 def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int,
                    seed: int) -> EstimateRecord | tuple[EstimateRecord, ...]:
-    """Monte-Carlo ||sum a_i X_i||_p with a batch-means standard error.
+    """Monte-Carlo ||sum a_i X_i||_p with a delta-method standard error.
 
     ``p`` is one order, which returns one record, or a sequence of orders,
     which returns one record per order, all reduced from the same draws.  An
@@ -335,7 +323,7 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     ps = _orders(p, 2.0, MAX_MOMENT_ORDER, OutOfRangeError)
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
-    _validate_batching(n_samples)
+    _validate_sample_count(n_samples)
     records = _pnorm_engine(functools.partial(_project, family), cv.array, ps, n_samples,
                             seed, _TAG_PNORM)
     return records[0] if np.ndim(p) == 0 else records
@@ -344,16 +332,16 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
 def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
                            seed: int) -> EstimateRecord:
     """Monte-Carlo E X_j^4: the engine's v = ||X_j||_4 as v^4, with stderr
-    4 v^3 se(v), the batch-means standard error of the mean of X_j^4."""
+    4 v^3 se(v), the standard error of the mean of X_j^4."""
     if not _is_integer(coordinate) or not (0 <= coordinate < family.n):
         raise InvalidArgumentError(
             f"coordinate must be an integer in [0, {family.n}), got {coordinate!r}")
-    _validate_batching(n_samples)
+    _validate_sample_count(n_samples)
     unit = (np.arange(family.n) == coordinate).astype(float)
     (rec,) = _pnorm_engine(functools.partial(_project, family), unit, np.array([4.0]),
                            n_samples, seed, _TAG_MOMENT4)
     return EstimateRecord(rec.value ** 4, 4.0 * rec.value ** 3 * rec.stderr, n_samples,
-                          rec.seed, _BATCHES)
+                          rec.seed)
 
 
 _JOINT_MAX_DIM = 8
@@ -376,16 +364,15 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int,
     if family.n > _JOINT_MAX_DIM:
         raise OutOfRangeError(
             f"joint tails are supported up to dimension {_JOINT_MAX_DIM}, got {family.n}")
-    _validate_batching(n_samples)
-    hits = _batch_stats(lambda rng, m: sample(family, rng, m),
-                        lambda x: int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))),
-                        n_samples, family.n, seed, _TAG_JOINT)
-    value = sum(hits) / n_samples
+    _validate_sample_count(n_samples)
+    hits = sum(int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))) for x in _chunks(
+        lambda rng, m: sample(family, rng, m), n_samples, family.n, seed, _TAG_JOINT))
+    value = hits / n_samples
     if value < _JOINT_MIN_PROB:
         raise OutOfRangeError(
             f"joint tail estimate {value:.3e} is below the e^-10 reliability guard")
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, _BATCHES)
+    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64)
 
 
 def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
@@ -397,10 +384,10 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     The twin X* has iid coordinates drawn from the ball's closed-form
     marginal (``_sample_ball_twin``), so each X*_i matches the law of X_i
     exactly.
-    Both runs share the chunks and batches but draw from disjoint streams
-    of the seed.  A scalar ``p`` returns ``(dep, indep)``; a sequence of orders
-    returns ``(deps, indeps)``, one record per order, all from one draw of
-    each, with entry i equal to the scalar call at ``p[i]``.
+    Both runs share the chunks but draw from disjoint streams of the seed.
+    A scalar ``p`` returns ``(dep, indep)``; a sequence of orders returns
+    ``(deps, indeps)``, one record per order, all from one draw of each,
+    with entry i equal to the scalar call at ``p[i]``.
     """
     cv = as_coefficients(a)
     if not isinstance(ball, UniformBall):
@@ -412,7 +399,7 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
             f"family dimension {ball.n} does not match coefficient length {cv.n}")
     # p >= 3 keeps the second derivative of |x|^p convex
     ps = _orders(p, 3.0, MAX_MOMENT_ORDER, OutOfRangeError)
-    _validate_batching(n_samples)
+    _validate_sample_count(n_samples)
     deps = _pnorm_engine(functools.partial(_project, ball), cv.array, ps, n_samples, seed,
                          _TAG_NA_DEPENDENT)
     indeps = _pnorm_engine(lambda u, rng, m: _sample_ball_twin(ball, rng, m) @ u, cv.array,

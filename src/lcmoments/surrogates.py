@@ -110,11 +110,11 @@ class _TiltBlock:
 
     t_i(lambda) maximizes b_i t - lambda N_i(t) over [0, cap_i] with cap_i =
     N_i^{-1}(p), as ``TailFunction.tilt_argmax`` does one coordinate at a
-    time.  Linear tails, alpha = 1 power tails and the segments of tabulated
-    tails (cut at the cap) are linear pieces: piece k of coordinate i is
-    taken in full exactly when its gain-to-cost ratio b_i / slope_ik exceeds
-    lambda.  The pieces are sorted once by that ratio, so their share of the
-    totals at any lambda is one searchsorted into cumulative sums.  Power tails with alpha > 1 take
+    time.  Linear tails and the segments of tabulated tails (cut at the cap)
+    are linear pieces: piece k of coordinate i is taken in full exactly when
+    its gain-to-cost ratio b_i / slope_ik exceeds lambda.  The pieces are
+    sorted once by that ratio, so their share of the totals at any lambda is
+    one searchsorted into cumulative sums.  Power tails (alpha > 1) take
     their stationary point s (b s / (lambda alpha))^{1/(alpha-1)}, clipped at
     the cap, as array expressions over the power coordinates.
     """
@@ -126,15 +126,15 @@ class _TiltBlock:
             if bi > 0.0:
                 groups.setdefault(tail, []).append(bi)
         gains, costs = [np.empty(0)], [np.empty(0)]
-        power = []  # (b, alpha, scale, cap) of each power coordinate with alpha > 1
+        power = []  # (b, alpha, scale, cap) of each power coordinate
         for tail, coefs in groups.items():
             cap = tail.inverse(p)
-            if tail.kind == "power" and tail.alpha != 1.0:
+            if tail.kind == "power":
                 power.extend((bi, tail.alpha, tail.scale, cap) for bi in coefs)
                 continue
             if tail.kind == "tabulated":
                 ts, ns = np.asarray(tail.knots_t), np.asarray(tail.knots_n)
-            else:  # linear, or power with alpha = 1: one piece up to the cap
+            else:  # linear: one piece up to the cap
                 ts, ns = np.array([0.0, cap]), np.array([0.0, tail.value(cap)])
             live = ts[:-1] < cap
             ends = np.minimum(ts[1:][live], cap)
@@ -212,17 +212,17 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     since every N_j is nonnegative.  The objective is linear in t, so only
     the totals (gain, phi) at lambda matter: ``_TiltBlock`` reads them from a
     piece table built once per call (one searchsorted over the sorted linear
-    pieces of linear, alpha = 1 power and tabulated tails) plus the
-    closed-form stationary points of power tails with alpha > 1.
+    pieces of linear and tabulated tails) plus the closed-form stationary
+    points of power tails.
 
-    A block without power tails of alpha > 1 is a fractional knapsack over
-    its pieces, solved in one step (``_TiltBlock.knapsack``); pure
-    exponential tails return p max b_i / rate_i to machine accuracy.  A block
-    with them bisects the multiplier over every positive double, halving the
-    int64 bit patterns (ordered like the values) of the bracket [5e-324,
-    inf]: at the smallest subnormal every coordinate sits at its cap, at
-    infinity nothing is spent, and at most 63 halvings collapse the bracket
-    to two adjacent floats.  It keeps the totals of the over-budget iterate
+    A block without power tails is a fractional knapsack over its pieces,
+    solved in one step (``_TiltBlock.knapsack``); pure exponential tails
+    return p max b_i / rate_i to machine accuracy.  A block with them
+    bisects the multiplier over every positive double, halving the int64 bit
+    patterns (ordered like the values) of the bracket [5e-324, inf]: at the
+    smallest subnormal every coordinate sits at its cap, at infinity nothing
+    is spent, and at most 63 halvings collapse the bracket to two adjacent
+    floats.  It keeps the totals of the over-budget iterate
     and of the feasible one; between them only coordinates on a linear piece
     move (power tails move by an ulp), so gain and budget are linear on the
     segment and the optimum is gain_hi + theta (gain_lo - gain_hi) with

@@ -6,7 +6,7 @@ buys the whole feasible set {sum_i N_i(t_i) <= p}.  Three representations
 are supported:
 
 * linear      N(t) = rate * t          (two-sided exponential law),
-* power       N(t) = (t / scale)^alpha (alpha >= 1 keeps N convex),
+* power       N(t) = (t / scale)^alpha (alpha > 1; alpha = 1 is linear),
 * tabulated   piecewise-linear through given knots.
 
 Every N satisfies N(0) = 0, is strictly increasing and convex.  Tabulated
@@ -65,7 +65,8 @@ class TailFunction:
 
         E X^2 = integral 2 t e^{-(t/s)^alpha} dt = 2 s^2 Gamma(2/alpha) / alpha,
         so s = sqrt(alpha / (2 Gamma(2/alpha))) gives variance one.  alpha = 1
-        reproduces the exponential member.
+        is the linear tail of rate 1/s, so the unit-variance default is the
+        exponential member.
         """
         if not (alpha >= 1 and math.isfinite(alpha)):
             raise InvalidArgumentError(f"power tail needs alpha >= 1, got {alpha}")
@@ -73,6 +74,8 @@ class TailFunction:
             scale = math.sqrt(alpha / (2.0 * math.exp(gammaln(2.0 / alpha))))
         if not (scale > 0 and math.isfinite(scale)):
             raise InvalidArgumentError(f"power tail needs scale > 0, got {scale}")
+        if alpha == 1.0:
+            return cls.linear(1.0 / scale)
         return cls(kind="power", alpha=float(alpha), scale=float(scale))
 
     @classmethod
@@ -163,8 +166,6 @@ class TailFunction:
         if self.kind == "linear":
             return cap if b > lam * self.rate else 0.0
         if self.kind == "power":
-            if self.alpha == 1.0:
-                return cap if b > lam / self.scale else 0.0
             if cap <= 0.0:
                 return 0.0
             # compare in log space: the exponent blows up as alpha -> 1

@@ -21,6 +21,7 @@ from lcmoments.families import (
     marginal_quantile,
     product_exponential,
 )
+from lcmoments.surrogates import surrogate_bundle
 from lcmoments.tails import exponential, linear, power
 
 # root of w^3 - 3w + 1 = 0 in (0, 1): the 0.75-quantile of the n=3, q=2
@@ -134,6 +135,20 @@ def test_log_density_exponential_product():
     assert log_density(fam, (1.0, -0.5)) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(UnsupportedFamilyError):
         log_density(ProductFamily(tails=(power(2.0), power(2.0))), (0.0, 0.0))
+
+
+def test_power_alpha_one_product_is_the_linear_exponential_family():
+    # alpha = 1 is the exponential law, so it takes the linear-tail closed
+    # forms: momunc, the knapsack GK solve and the product density
+    pow1, expo = family_from_spec("product:pow:alpha=1", 4), family_from_spec("exp", 4)
+    assert pow1.is_linear
+    a, ps = np.array([1.0, -0.5, 0.25, 2.0]), (2.0, 5.5, 32.0)
+    for got, want in zip(surrogate_bundle(a, ps, family=pow1),
+                         surrogate_bundle(a, ps, family=expo)):
+        assert got.momunc == pytest.approx(want.momunc, rel=1e-14, abs=0.0)
+        assert got.gk == pytest.approx(want.gk, rel=1e-14, abs=0.0)
+    x = (0.3, -1.2, 0.0, 2.5)
+    assert log_density(pow1, x) == pytest.approx(log_density(expo, x), rel=1e-14, abs=0.0)
 
 
 def test_log_density_shape_check():
@@ -273,7 +288,7 @@ def test_acceptance_import_leaves_out_scipy_integrate():
 
 
 def test_montecarlo_binds_no_logsumexp():
-    # the p-norm engine reduces in linear space with numpy; a per-batch
+    # the p-norm engine reduces in linear space with numpy; a per-order
     # scipy call costs more than the sum it computes
     code = ("import lcmoments.montecarlo as mc; "
             "print(hasattr(mc, 'logsumexp'))")

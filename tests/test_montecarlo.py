@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import betaln, logsumexp
+from scipy.stats import sem
 
 import lcmoments.montecarlo as mc
 from lcmoments.errors import InvalidArgumentError, OutOfRangeError
@@ -219,27 +220,19 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 # -- the linear-space reduction ---------------------------------------------------------
 
 def _scipy_pnorm_pairs(sampler, a, p, n_samples, seed, tag, n):
-    """(value, stderr) per order by the earlier per-batch, per-order scipy loop,
-    over the engine's chunks of dimension-n rows split into its batches."""
+    """(value, stderr) per order by scipy over all of the engine's chunks of
+    dimension-n rows: one logsumexp for the value, and ``scipy.stats.sem`` of
+    the shifted |S|^p through the delta method for the stderr."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    a = np.asarray(a, dtype=float)
-    counts = mc._batch_counts(n_samples)
     rng = np.random.default_rng(mc._child_seed(seed, tag))
     drawn = np.concatenate([sampler(rng, m) for m in mc._chunk_rows(n_samples, n)])
-    stats = []
-    for x in np.split(drawn, np.cumsum(counts)[:-1]):
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(x @ a))
-        stats.append(logsumexp(ps[:, None] * log_abs[None, :], axis=1) - math.log(len(x)))
-    weights = np.asarray(counts, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(drawn @ np.asarray(a, dtype=float)))
     pairs = []
-    for row, order in zip(np.stack(stats, axis=1), ps):
-        log_moment = logsumexp(row + np.log(weights)) - math.log(n_samples)
-        value = math.exp(log_moment / float(order))
-        u = np.exp(row - np.max(row))
-        mean_u = float(np.sum(u * weights) / n_samples)
-        sd_u = float(np.std(u, ddof=1))
-        pairs.append((value, value * sd_u / (math.sqrt(len(row)) * mean_u) / float(order)))
+    for order in map(float, ps):
+        value = math.exp((logsumexp(order * log_abs) - math.log(n_samples)) / order)
+        u = np.exp(order * (log_abs - np.max(log_abs)))
+        pairs.append((value, value * sem(u) / (float(np.mean(u)) * order)))
     return pairs
 
 
@@ -250,13 +243,13 @@ def _assert_matches_scipy(records, expected):
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
-# 10_007 samples split into 23 batches of 157 and 41 of 156: two batch sizes
+# a prime count of samples, so no chunk of two or more rows divides it
 ODD_SAMPLES = 10_007
 
 
 @pytest.mark.parametrize("spec", GRID_FAMILY_SPECS + ("gauss", "product:pow:alpha=2",
                                                       "ball:q=3"))
-def test_estimate_pnorm_matches_the_per_batch_scipy_reduction(spec):
+def test_estimate_pnorm_matches_the_scipy_reduction(spec):
     fam = family_from_spec(spec, 5)
     a = (1.0, -0.5, 0.25, 0.0, 3.0)
 
@@ -272,7 +265,7 @@ def test_estimate_pnorm_matches_the_per_batch_scipy_reduction(spec):
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
-def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
+def test_dependent_vs_independent_matches_the_scipy_reduction(q):
     ball = UniformBall.isotropic(4, q)
     a = (1.0, 0.6, -0.3, 0.1)
     for p in ((3.0, 4.5, 8.0, 32.0), 4.0):
@@ -285,14 +278,24 @@ def test_dependent_vs_independent_matches_the_per_batch_scipy_reduction(q):
             SEED + 34, mc._TAG_NA_INDEPENDENT, 4))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_gaussian_second_moment_stderr_matches_its_known_value(seed):
+    # S = <g, a> has E S^2 = ||a||^2 and Var S^2 = 2 ||a||^4, so the delta
+    # method gives the stderr ||a|| / sqrt(2N) of ||S||_2; the iid estimate
+    # of it has about 0.6% relative noise at N = 10^5
+    a = np.array([1.0, -0.5, 0.25, 2.0])
+    n_samples = 100_000
+    rec = estimate_pnorm(GaussianStd(4), a, 2.0, n_samples, SEED + 40 + seed)
+    assert rec.stderr == pytest.approx(np.linalg.norm(a) / math.sqrt(2 * n_samples), rel=0.03)
+
+
 @pytest.mark.parametrize("spec", ["gauss", "cube"])
 def test_gauss_and_small_cube_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
-    # the draw concatenates exactly and the batches are index ranges of the
-    # joined samples, so the chunk size cannot move a record (at n = 5 the
-    # cube's BLAS matvec rounds a row alike in every call of two or more
-    # rows; at n >= 8 it rounds the last m mod 4 rows of a call differently);
-    # the budget 5 * 97 gives chunks of 97 rows, which divide neither
-    # ODD_SAMPLES nor a batch of 156 or 157
+    # the draw concatenates exactly and the reduction runs over the joined
+    # samples, so the chunk size cannot move a record (at n = 5 the cube's
+    # BLAS matvec rounds a row alike in every call of two or more rows; at
+    # n >= 8 it rounds the last m mod 4 rows of a call differently); the
+    # budget 5 * 97 gives chunks of 97 rows, which do not divide ODD_SAMPLES
     fam = family_from_spec(spec, 5)
     a = (1.0, -0.5, 0.25, 0.0, 3.0)
     records = []
@@ -344,11 +347,9 @@ def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
     _assert_chunks_tile(vectors, n_samples, 8)
 
 
-def _one_entry_sampler(value, batch):
-    """Projected Gaussian draws of ODD_SAMPLES rows with ``value`` at one
-    sample inside the given batch, whichever chunk holds it."""
-    counts = mc._batch_counts(ODD_SAMPLES)
-    target = sum(counts[:batch]) + counts[batch] // 2
+def _one_entry_sampler(value, target):
+    """Projected Gaussian draws of ODD_SAMPLES rows with ``value`` at sample
+    index ``target``, whichever chunk holds it."""
     drawn = 0
 
     def draw(u, rng, m):
@@ -370,7 +371,7 @@ def test_pnorm_record_of_zero_and_overflowed_projections():
     assert [(rec.value, rec.stderr) for rec in records] == [(0.0, 0.0)] * len(orders)
     for bad in (np.inf, np.nan):
         with pytest.raises(OutOfRangeError, match="overflows"):
-            mc._pnorm_engine(_one_entry_sampler(bad, 40), a, orders, ODD_SAMPLES, 5,
+            mc._pnorm_engine(_one_entry_sampler(bad, 6_300), a, orders, ODD_SAMPLES, 5,
                              mc._TAG_PNORM)
 
 
@@ -501,7 +502,7 @@ def test_estimators_reject_non_integer_counts_before_sampling(monkeypatch, call)
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating the integer arguments")
 
-    monkeypatch.setattr(mc, "_batch_stats", no_sampling)
+    monkeypatch.setattr(mc, "_chunks", no_sampling)
     with pytest.raises(InvalidArgumentError, match="integer"):
         call()
 

@@ -43,6 +43,7 @@ def test_power_default_scale_gives_unit_variance():
 
 def test_power_alpha_one_is_the_exponential():
     tail = power(1.0)
+    assert tail.kind == "linear"
     assert tail.value(1.7) == pytest.approx(exponential().value(1.7), rel=1e-14)
 
 
