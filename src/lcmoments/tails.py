@@ -46,6 +46,13 @@ class TailFunction:
     knots_t: tuple[float, ...] = ()
     knots_n: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        # the power closed forms divide by alpha - 1; ``power`` builds
+        # alpha = 1 as a linear tail
+        if self.kind == "power" and not self.alpha > 1.0:
+            raise InvalidArgumentError(
+                f"a power tail needs alpha > 1 (alpha = 1 is linear), got {self.alpha}")
+
     # -- constructors -------------------------------------------------
 
     @classmethod

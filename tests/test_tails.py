@@ -45,6 +45,9 @@ def test_power_alpha_one_is_the_exponential():
     tail = power(1.0)
     assert tail.kind == "linear"
     assert tail.value(1.7) == pytest.approx(exponential().value(1.7), rel=1e-14)
+    # the power closed forms divide by alpha - 1, so no power tail has alpha = 1
+    with pytest.raises(InvalidArgumentError):
+        TailFunction(kind="power", alpha=1.0, scale=0.7)
 
 
 def test_power_alpha_two_is_the_squared_rate():
