@@ -226,12 +226,18 @@ def level_set_support(family: Family, index_set, a_block, p: float) -> float:
     if a_block.shape != (len(idx),):
         raise InvalidArgumentError(
             f"coefficient block has shape {a_block.shape}, expected ({len(idx)},)")
+    return _level_set_support(family, idx, a_block, p)
+
+
+def _level_set_support(family: Family, idx, a_block: np.ndarray, p: float) -> float:
+    """``level_set_support`` on a checked block: distinct indices in range,
+    a float array ``a_block`` aligned with them and p > 0."""
     k = len(idx)
     if isinstance(family, ProductFamily):
         if not family.is_linear:
             raise UnsupportedFamilyError(
                 "level sets are closed-form only for linear-tail product members")
-        return p * float(np.max(np.abs(a_block) / family.rates[idx]))
+        return p * float(np.max(np.abs(a_block) / family.rates[list(idx)]))
     if isinstance(family, GaussianStd):
         return math.sqrt(2.0 * p) * _lq(np.abs(a_block), 2.0)
     if isinstance(family, UniformCube):

@@ -2,26 +2,35 @@
 
 Reproducibility contract: every estimator draws its rows in order from one
 generator seeded with the child seed (seed, stream tag), in chunks of at most
-``_CHUNK_ENTRIES`` entries, so for that budget and a fixed BLAS build a
-record is a pure function of (seed, n_samples).  A draw that goes through a
-BLAS matvec (exp, cube at n >= 8, products, balls at q != 2) may move in its
-last bit with the rows of each chunk, because gemv may round the last rows
-of a call through another kernel; the Gaussian draw does not.
-``_child_seed`` is the only seed derivation: report rows
-and acceptance checks use it too.  The chunks only bound the memory of a
-draw: the rows are iid, so every estimate takes the standard error of the
-mean of all of them, propagated through the 1/p power by the delta method.
+``_CHUNK_ENTRIES`` entries of the draw's width, so for that budget and a
+fixed BLAS build a record is a pure function of (seed, n_samples).  A draw
+that goes through a BLAS matvec (the live columns of exp, cube, products and
+balls at q != 2) may move in its last bit with the rows of each chunk,
+because gemv may round the last rows of a call through another kernel; the
+Gaussian draw does not.  ``_child_seed`` is the only seed derivation: report
+rows and acceptance checks use it too.  The chunks only bound the memory of
+a draw: the rows are iid, so every estimate takes the standard error of the
+mean of all of them, propagated through the 1/p power by the delta method,
+and reports the effective sample size (sum w)^2 / sum w^2 of its weights.
 
 Every ball draw is ``_ball_parts``, the first k coordinates of the
 Barthe-Guedon-Mendelson-Naor form X = r eps y / (sum y_i^q + W)^{1/q}.  One
 engine, ``_pnorm_engine``, serves every moment estimator (p-norms, the
 dependent/independent comparison, and fourth moments as p = 4 on e_j).  It
-draws the projection S = <X, u> with u = a / max|a_i| (``_project``); the
-Gaussian and the Euclidean ball are rotation invariant, so there S is drawn
-in one dimension.  The engine joins the chunks' log|S| into one vector L and
-reduces each order in linear space: w = exp(p (L - max L)) stays in [0, 1],
-the p-norm is max|a_i| e^{max L + log(mean w) / p}, and the standard error
-of mean w comes from sum (w - mean w)^2.
+draws the projection S = <X, u> with u = a / max|a_i| from a draw plan built
+once per estimate (``_projector``), which draws only the variates the law of
+S needs.  Coordinates with u_i = 0 are never drawn: products, the cube and
+the independent twin draw their k live columns, and balls at q != 2 the
+k-coordinate marginal, whose Gamma((n - k)/q + 1) term absorbs the rest.
+The Gaussian and the Euclidean ball are rotation invariant, so there S is
+drawn in one dimension.  Linear tails are Laplace laws, a Gaussian scale
+mixture eps E = sqrt(2 E') Z, so their S is Z sqrt(2 sum_g w_g^2 G_g) with
+G_g ~ Gamma(count_g) over the distinct weights w_g = |u_i| / rate_i: equal
+weights pool into one draw and no signs are drawn.  The engine joins the
+chunks' log|S| into one vector L and reduces each order in linear space:
+w = exp(p (L - max L)) stays in [0, 1], the p-norm is
+max|a_i| e^{max L + log(mean w) / p}, and the standard error of mean w
+comes from sum (w - mean w)^2.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import numpy as np
 from .coeffs import _orders, as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
 from .families import Family, GaussianStd, ProductFamily, UniformBall, UniformCube
+from .tails import TailFunction
 
 __all__ = [
     "EstimateRecord",
@@ -52,8 +62,9 @@ __all__ = [
 MAX_MOMENT_ORDER = 32.0
 MIN_SAMPLES = 10_000
 
-# entries of the (rows, n) draw of one chunk, at most; every chunk but the
-# last has max(1, _CHUNK_ENTRIES // n) rows
+# entries of the (rows, width) draw of one chunk, at most, where width is the
+# columns a draw plan takes per row; every chunk but the last has
+# max(1, _CHUNK_ENTRIES // width) rows
 _CHUNK_ENTRIES = 2 ** 15
 
 _MASK64 = (1 << 64) - 1
@@ -75,12 +86,21 @@ def _child_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One Monte-Carlo estimate with the standard error of its iid samples."""
+    """One Monte-Carlo estimate with the standard error of its iid samples.
+
+    ``ess`` is the effective sample size (sum w)^2 / sum w^2 of the weights
+    w the estimate averages (|S|^p for a p-norm, the hit indicator for a
+    joint tail), and ``top_share`` is max w / sum w, the share of the largest
+    one.  A few dominant samples show as a small ``ess`` and a large
+    ``top_share``; the standard error alone does not show them.
+    """
 
     value: float
     stderr: float
     n_samples: int
     seed: int
+    ess: float
+    top_share: float
 
 
 # -- samplers -----------------------------------------------------------------
@@ -101,10 +121,12 @@ def _random_signs(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _sample_product(family: ProductFamily, rng: np.random.Generator, size: int) -> np.ndarray:
-    """|X_i| = N_i^{-1}(E_i) with E_i ~ Exp(1), one inverse call per distinct tail."""
-    mags = rng.standard_exponential((size, family.n))
-    groups = family.tail_columns
+def _sample_tails(groups: Sequence[tuple[TailFunction, np.ndarray]], width: int,
+                  rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, width) independent symmetric coordinates, |X_i| = N_i^{-1}(E_i)
+    with E_i ~ Exp(1), one inverse call per (tail, columns) group; the
+    groups' columns partition range(width)."""
+    mags = rng.standard_exponential((size, width))
     # each inverse replaces its exponentials, so a chunk holds no third
     # array of its size while the signs are drawn
     if len(groups) == 1:
@@ -165,22 +187,23 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
     return _random_signs(mags, rng), np.power(h, 1.0 / q, out=h)
 
 
-def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int) -> np.ndarray:
-    """iid coordinates with the ball's marginal law, (|X*_i| / r)^q ~
-    Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q.
+def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int,
+                      k: int) -> np.ndarray:
+    """(size, k) iid coordinates with the ball's marginal law, (|X*_i| / r)^q
+    ~ Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q.
 
     q = 1 inverts the Beta(1, n) CDF: |X*_i| / r = 1 - (1 - U)^{1/n}.  Other q
     draw each coordinate as the k = 1 marginal of ``_ball_parts``.
     """
     n, q = ball.n, ball.q
     if q == 1.0:
-        mags = np.expm1(np.log1p(-rng.random((size, n))) / n)
+        mags = np.expm1(np.log1p(-rng.random((size, k))) / n)
         mags *= -ball.r
         return _random_signs(mags, rng)
-    numerator, denom = _ball_parts(ball, rng, size * n, 1)
+    numerator, denom = _ball_parts(ball, rng, size * k, 1)
     scaled = np.divide(ball.r, denom, out=denom)
     scaled *= numerator[:, 0]
-    return scaled.reshape(size, n)
+    return scaled.reshape(size, k)
 
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -188,7 +211,7 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
     if size < 1:
         raise InvalidArgumentError(f"sample size must be >= 1, got {size}")
     if isinstance(family, ProductFamily):
-        return _sample_product(family, rng, size)
+        return _sample_tails(family.tail_columns, family.n, rng, size)
     if isinstance(family, UniformBall):
         numerator, denom = _ball_parts(family, rng, size, family.n)
         return numerator * (family.r / denom)[:, None]
@@ -199,35 +222,108 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
 
 
-def _project(family: Family, a: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-    """m iid draws of <X, a> as an (m,) vector, without the (m, n) array
-    where the law allows.
+# -- draw plans -------------------------------------------------------------------
 
-    The Gaussian and the Euclidean ball are rotation invariant, so <X, a>
-    has the law of ||a||_2 X_1, the k = 1 marginal for the ball.  Other balls
-    project the whole signed numerator and divide each row once.  Linear
-    tails have |X_i| = E_i / rate_i, so the signed exponentials project on
-    a / rate, in the RNG order of ``_sample_product``.
+# ``draw(rng, m)`` returns m iid draws of one projection as an (m,) vector
+Draw = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def _laplace_mixture(weights: np.ndarray) -> tuple[Draw, int]:
+    """The plan of S = sum_i w_i L_i for iid standard Laplace L_i and w_i > 0.
+
+    L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so given the E_i, S is
+    normal with variance 2 sum_i w_i^2 E_i; the E_i of equal weights sum to
+    one Gamma(count) draw.  S = w_max Z sqrt(2 sum_g (w_g / w_max)^2 G_g)
+    over the distinct weights w_g, taken in increasing order so that the
+    draw does not depend on the order of the coordinates.  Every count 1 is
+    an exponential draw, which is cheaper than ``standard_gamma(1.0)``.
     """
-    if isinstance(family, ProductFamily):
-        if family.is_linear:
-            signed = _random_signs(rng.standard_exponential((m, family.n)), rng)
-            return signed @ (a / family.rates)
-        return _sample_product(family, rng, m) @ a
+    values, counts = np.unique(weights, return_counts=True)
+    top = float(values[-1])
+    coef = 2.0 * (values / top) ** 2
+    width = values.size
+    exponential = bool(np.all(counts == 1))
+    # one distinct weight draws vectors with a scalar shape, not a
+    # one-column matrix
+    shape = float(counts[0]) if width == 1 else counts.astype(float)
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        size = m if width == 1 else (m, width)
+        if exponential:
+            mix = rng.standard_exponential(size)
+        else:
+            mix = rng.standard_gamma(shape, size=size)
+        if width == 1:
+            v = mix
+            v *= coef[0]
+        else:
+            v = mix @ coef
+        np.sqrt(v, out=v)
+        v *= rng.standard_normal(m)
+        v *= top
+        return v
+
+    return draw, width
+
+
+def _projector(family: Family, u: np.ndarray) -> tuple[Draw, int]:
+    """The draw plan of S = <X, u> for a nonzero u: ``(draw, width)``, where
+    ``draw(rng, m)`` returns m iid draws of S as an (m,) vector and ``width``
+    is the number of columns it draws per row, which sizes the chunks.
+
+    Only the k coordinates with u_i != 0 are drawn.  The Gaussian and the
+    Euclidean ball are rotation invariant, so S has the law of ||u||_2 X_1,
+    the k = 1 marginal for the ball.  Other balls draw the signed numerator
+    of the k live coordinates, whose H ~ Gamma((n - k)/q + 1) stands for the
+    others, and divide each row once.  The cube and products of non-linear
+    tails draw their live columns, the latter by the live tails' column
+    groups; products of linear tails draw the Gaussian scale mixture of
+    ``_laplace_mixture`` on |u_i| / rate_i.
+    """
+    live = np.flatnonzero(u)
+    coefs, k = u[live], live.size
+    if isinstance(family, GaussianStd):
+        norm = float(np.linalg.norm(u))
+        return (lambda rng, m: norm * rng.standard_normal(m)), 1
     if isinstance(family, UniformBall):
         if family.q == 2.0:
-            numerator, denom = _ball_parts(family, rng, m, 1)
-            return (family.r * float(np.linalg.norm(a))) * numerator[:, 0] / denom
-        numerator, denom = _ball_parts(family, rng, m, family.n)
-        return family.r * (numerator @ a) / denom
-    if isinstance(family, GaussianStd):
-        return float(np.linalg.norm(a)) * rng.standard_normal(m)
+            factor = family.r * float(np.linalg.norm(u))
+
+            def ball_l2(rng: np.random.Generator, m: int) -> np.ndarray:
+                numerator, denom = _ball_parts(family, rng, m, 1)
+                return factor * numerator[:, 0] / denom
+
+            return ball_l2, 1
+
+        def ball(rng: np.random.Generator, m: int) -> np.ndarray:
+            numerator, denom = _ball_parts(family, rng, m, k)
+            return family.r * (numerator @ coefs) / denom
+
+        return ball, k
     if isinstance(family, UniformCube):
-        u = rng.random((m, family.n))
-        u *= 2.0
-        u -= 1.0
-        return (u @ a) * math.sqrt(3.0)
+        def cube(rng: np.random.Generator, m: int) -> np.ndarray:
+            x = rng.random((m, k))
+            x *= 2.0
+            x -= 1.0
+            return (x @ coefs) * math.sqrt(3.0)
+
+        return cube, k
+    if isinstance(family, ProductFamily):
+        mask = u != 0.0
+        position = np.cumsum(mask) - 1
+        groups = tuple((tail, position[cols[mask[cols]]])
+                       for tail, cols in family.tail_columns if mask[cols].any())
+        if all(tail.kind == "linear" for tail, _ in groups):
+            return _laplace_mixture(np.abs(coefs) / family.rates[live])
+        return (lambda rng, m: _sample_tails(groups, k, rng, m) @ coefs), k
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
+
+
+def _twin_projector(ball: UniformBall, u: np.ndarray) -> tuple[Draw, int]:
+    """The draw plan of <X*, u> for the independent twin: its live coordinates."""
+    live = np.flatnonzero(u)
+    coefs, k = u[live], live.size
+    return (lambda rng, m: _sample_ball_twin(ball, rng, m, k) @ coefs), k
 
 
 # -- chunked engine -------------------------------------------------------------
@@ -244,45 +340,49 @@ def _validate_sample_count(n_samples: int) -> None:
             f"n_samples must be >= {MIN_SAMPLES} for a stable standard error, got {n_samples}")
 
 
-def _chunk_rows(n_samples: int, n: int) -> list[int]:
-    """Row counts of the chunks that draw n_samples rows of dimension n."""
-    rows = max(1, _CHUNK_ENTRIES // n)
+def _chunk_rows(n_samples: int, width: int) -> list[int]:
+    """Row counts of the chunks that draw n_samples rows of ``width`` entries."""
+    rows = max(1, _CHUNK_ENTRIES // width)
     full, rest = divmod(n_samples, rows)
     return [rows] * full + [rest] * (rest > 0)
 
 
-def _chunks(draw: Callable[[np.random.Generator, int], np.ndarray], n_samples: int, n: int,
-            seed: int, tag: int) -> Iterator[np.ndarray]:
-    """Each chunk's draw of rows of dimension n, in order, all from one generator."""
+def _chunks(draw: Draw, n_samples: int, width: int, seed: int,
+            tag: int) -> Iterator[np.ndarray]:
+    """Each chunk's draw of rows of ``width`` entries, in order, all from one
+    generator."""
     rng = np.random.default_rng(_child_seed(seed, tag))
-    for m in _chunk_rows(n_samples, n):
+    for m in _chunk_rows(n_samples, width):
         yield draw(rng, m)
 
 
-def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.ndarray],
-                  a_arr: np.ndarray, ps: np.ndarray, n_samples: int, seed: int,
+def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np.ndarray,
+                  ps: np.ndarray, n_samples: int, seed: int,
                   tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws.
 
-    ``project(u, rng, m)`` draws m values of <X, u>.  The draws use
-    u = a / max|a_i| and every record is max|a_i| times the norm of <X, u>,
-    so scaling ``a`` by a power of two scales the records by exactly that
-    factor, however small or large, as long as they stay normal doubles.
+    ``projector(u)`` is the draw plan ``(draw, width)`` of <X, u>, built once
+    per estimate.  The draws use u = a / max|a_i| and every record is
+    max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
+    scales the records by exactly that factor, however small or large, as
+    long as they stay normal doubles.
     """
-    # a zero vector projects to 0 and takes the zero record below
-    scale = float(np.max(np.abs(a_arr))) or 1.0
-    unit = a_arr / scale
+    seed = int(seed) & _MASK64
+    # every projection exactly 0: equal weights, each a 1/n_samples share
+    zero = EstimateRecord(0.0, 0.0, n_samples, seed, float(n_samples), 1.0 / n_samples)
+    scale = float(np.max(np.abs(a_arr)))
+    if scale == 0.0:
+        return (zero,) * len(ps)
+    draw, width = projector(a_arr / scale)
     parts = []
-    for s in _chunks(lambda rng, m: project(unit, rng, m), n_samples, unit.size, seed, tag):
+    for s in _chunks(draw, n_samples, width, seed, tag):
         # a non-finite projection is caught through the max below
         with np.errstate(divide="ignore", invalid="ignore"):
             parts.append(np.log(np.abs(s)))
     logs = np.concatenate(parts)
-    seed = int(seed) & _MASK64
     top = float(np.max(logs))
     if top == -math.inf:
-        # every projection was exactly 0
-        return tuple(EstimateRecord(0.0, 0.0, n_samples, seed) for _ in ps)
+        return (zero,) * len(ps)
     overflow = OutOfRangeError(
         "sum a_i X_i overflows double precision; rescale the coefficients")
     if not math.isfinite(top):
@@ -290,9 +390,10 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
     shifted = logs - top
     records = []
     for p in map(float, ps):
-        # w = |<X, u>|^p / e^{p top}, each in [0, 1]
+        # w = |<X, u>|^p / e^{p top}, each in [0, 1] and the largest exactly 1
         w = np.exp(p * shifted)
-        mean = float(np.sum(w)) / n_samples
+        total = float(np.sum(w))
+        mean = total / n_samples
         # the sample variance of w, summed by numpy rather than a BLAS dot
         # so that its bits do not depend on BLAS threading
         w -= mean
@@ -302,7 +403,9 @@ def _pnorm_engine(project: Callable[[np.ndarray, np.random.Generator, int], np.n
         value, stderr = scale * norm, scale * (norm * se / (mean * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise overflow
-        records.append(EstimateRecord(value, stderr, n_samples, seed))
+        # sum w^2 = sum (w - mean)^2 + n mean^2, and max w = 1
+        ess = total * total / ((n_samples - 1) * var + n_samples * mean * mean)
+        records.append(EstimateRecord(value, stderr, n_samples, seed, ess, 1.0 / total))
     return tuple(records)
 
 
@@ -324,7 +427,7 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     if not np.any(cv.array != 0.0):
         raise InvalidArgumentError("coefficient vector must be nonzero")
     _validate_sample_count(n_samples)
-    records = _pnorm_engine(functools.partial(_project, family), cv.array, ps, n_samples,
+    records = _pnorm_engine(functools.partial(_projector, family), cv.array, ps, n_samples,
                             seed, _TAG_PNORM)
     return records[0] if np.ndim(p) == 0 else records
 
@@ -338,10 +441,11 @@ def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
             f"coordinate must be an integer in [0, {family.n}), got {coordinate!r}")
     _validate_sample_count(n_samples)
     unit = (np.arange(family.n) == coordinate).astype(float)
-    (rec,) = _pnorm_engine(functools.partial(_project, family), unit, np.array([4.0]),
+    (rec,) = _pnorm_engine(functools.partial(_projector, family), unit, np.array([4.0]),
                            n_samples, seed, _TAG_MOMENT4)
+    # the weights X_j^4 are the same, so are their ESS and top share
     return EstimateRecord(rec.value ** 4, 4.0 * rec.value ** 3 * rec.stderr, n_samples,
-                          rec.seed)
+                          rec.seed, rec.ess, rec.top_share)
 
 
 _JOINT_MAX_DIM = 8
@@ -372,7 +476,9 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int,
         raise OutOfRangeError(
             f"joint tail estimate {value:.3e} is below the e^-10 reliability guard")
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64)
+    # the weights are the hit indicators: ESS hits, top share 1 / hits
+    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, float(hits),
+                          1.0 / hits)
 
 
 def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
@@ -400,10 +506,10 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     # p >= 3 keeps the second derivative of |x|^p convex
     ps = _orders(p, 3.0, MAX_MOMENT_ORDER, OutOfRangeError)
     _validate_sample_count(n_samples)
-    deps = _pnorm_engine(functools.partial(_project, ball), cv.array, ps, n_samples, seed,
+    deps = _pnorm_engine(functools.partial(_projector, ball), cv.array, ps, n_samples, seed,
                          _TAG_NA_DEPENDENT)
-    indeps = _pnorm_engine(lambda u, rng, m: _sample_ball_twin(ball, rng, m) @ u, cv.array,
-                           ps, n_samples, seed, _TAG_NA_INDEPENDENT)
+    indeps = _pnorm_engine(functools.partial(_twin_projector, ball), cv.array, ps, n_samples,
+                           seed, _TAG_NA_INDEPENDENT)
     if np.ndim(p) == 0:
         return deps[0], indeps[0]
     return deps, indeps

@@ -43,7 +43,7 @@ from .errors import (
     UnboundedProgramError,
     UnsupportedFamilyError,
 )
-from .families import Family, ProductFamily, UniformBall, level_set_support
+from .families import Family, ProductFamily, UniformBall, _level_set_support
 from .tails import TailFunction
 
 __all__ = [
@@ -215,9 +215,10 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
     pieces of linear and tabulated tails) plus the closed-form stationary
     points of power tails.
 
-    A block without power tails is a fractional knapsack over its pieces,
-    solved in one step (``_TiltBlock.knapsack``); pure exponential tails
-    return p max b_i / rate_i to machine accuracy.  A block with them
+    A block whose positive coefficients all have linear tails is the closed
+    form p max_i b_i / rate_i: its best piece alone spends the whole budget.
+    Another block without power tails is a fractional knapsack over its
+    pieces, solved in one step (``_TiltBlock.knapsack``).  A block with them
     bisects the multiplier over every positive double, halving the int64 bit
     patterns (ordered like the values) of the bracket [5e-324, inf]: at the
     smallest subnormal every coordinate sits at its cap, at infinity nothing
@@ -238,11 +239,14 @@ def gluskin_kwapien(b, tails: Sequence[TailFunction], p: float) -> float:
         raise InvalidArgumentError("coefficients must be finite and nonnegative")
     if not np.any(b > 0):
         return 0.0
-    for bi, tail in zip(b, tails):
-        if bi > 0 and tail.sup_value <= p:
-            raise UnboundedProgramError(
-                "a positive coefficient has its tail bounded by the budget; "
-                "the support functional is infinite")
+    live = [(bi, tail) for bi, tail in zip(b.tolist(), tails) if bi > 0.0]
+    if any(tail.sup_value <= p for _, tail in live):
+        raise UnboundedProgramError(
+            "a positive coefficient has its tail bounded by the budget; "
+            "the support functional is infinite")
+    if all(tail.kind == "linear" for _, tail in live):
+        # the best piece b_i / rate_i alone fills the budget at t_i = p / rate_i
+        return p * max(bi / tail.rate for bi, tail in live)
     scale = float(np.max(b))
     block = _TiltBlock(b / scale, tails, p)
     if not block.b.size:
@@ -300,7 +304,8 @@ def _level_set_estimate(cv: CoefficientVector, family: Family, c: _Cuts) -> np.n
     if family.n != cv.n:
         raise InvalidArgumentError(
             f"family dimension {family.n} does not match coefficient length {cv.n}")
-    heads = _block_heads(cv, c, lambda idx, block, order: level_set_support(
+    # the index sets come from ``coeffs`` itself, so they skip the checks
+    heads = _block_heads(cv, c, lambda idx, block, order: _level_set_support(
         family, idx, block, order))
     return heads + c.root * np.sqrt(coeffs._excluded_sq(cv, c))
 

@@ -504,7 +504,7 @@ def test_bundle_orders_are_all_checked_before_any_surrogate(monkeypatch):
         raise AssertionError("a surrogate ran before every order was checked")
 
     monkeypatch.setattr(surrogates, "gluskin_kwapien", fail)
-    monkeypatch.setattr(surrogates, "level_set_support", fail)
+    monkeypatch.setattr(surrogates, "_level_set_support", fail)
     family = product_exponential(3)
     for orders in ([4.0, math.nan], [4.0, 1.5], [4.0, math.inf], [], [[4.0]]):
         with pytest.raises(InvalidArgumentError):
