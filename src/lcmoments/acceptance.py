@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .families import (
     UniformBall,
     family_from_spec,
@@ -284,15 +285,12 @@ def check_moment_equivalence_envelope(seed: int) -> CheckResult:
     start = time.perf_counter()
     result = _equivalence_grid(_child_seed(seed, _STREAM_GRID))
     lo_bound, hi_bound = 0.1, 10.0
-    envelopes: dict[str, dict] = {}
+    envelopes = {family: {"min_ratio": env["ref_ratio_min"], "max_ratio": env["ref_ratio_max"],
+                          "cells": env["cells"]}
+                 for family, env in result.summary["families"].items()}
     violations = []
     for row in result.rows:
         ratio = row.mc_value / _reference_surrogate(row)[1]
-        env = envelopes.setdefault(row.family, {"min_ratio": math.inf,
-                                                "max_ratio": -math.inf, "cells": 0})
-        env["min_ratio"] = min(env["min_ratio"], ratio)
-        env["max_ratio"] = max(env["max_ratio"], ratio)
-        env["cells"] += 1
         if not lo_bound <= ratio <= hi_bound:
             violations.append({"family": row.family, "n": row.n,
                                "profile": row.profile, "p": row.p, "ratio": ratio})
@@ -527,5 +525,5 @@ def run_checks(names, seed: int) -> list[CheckResult]:
 
 def run_suite(suite: str, seed: int) -> list[CheckResult]:
     if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
+        raise InvalidArgumentError(f"unknown suite {suite!r}; expected one of {sorted(SUITES)}")
     return run_checks(SUITES[suite], seed)

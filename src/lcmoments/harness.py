@@ -13,20 +13,22 @@ identical for any worker count.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import logging
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .coeffs import CoefficientVector
+from .coeffs import CoefficientVector, _orders
 from .errors import InvalidArgumentError
 from .families import Family, family_from_spec
-from .montecarlo import MAX_MOMENT_ORDER, MIN_SAMPLES, _child_seed, estimate_pnorm
+from .montecarlo import MAX_MOMENT_ORDER, _child_seed, _validate_sample_count, estimate_pnorm
 from .surrogates import surrogate_bundle
 from .tails import _parse_param
 
@@ -47,11 +49,12 @@ logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "LCM_WORKERS"
 
-_CONFIG_KEYS = ("families", "profiles", "n_list", "p_grid", "n_samples", "seed", "output_dir")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A report grid.  Every field is checked here, for a config built in
+    Python and one loaded from JSON alike."""
+
     families: tuple[str, ...]
     profiles: tuple[str, ...]
     n_list: tuple[int, ...]
@@ -61,6 +64,13 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name, kinds in (("families", (str,)), ("profiles", (str,)), ("n_list", (int,)),
+                            ("p_grid", (int, float))):
+            object.__setattr__(self, name, _typed_list(getattr(self, name), name, kinds))
+        # integer orders are stored as floats, so every report row's p is one
+        object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
+        _typed(self.seed, "seed", (int,))
+        _typed(self.output_dir, "output_dir", (str,))
         if not self.families or not self.profiles or not self.n_list or not self.p_grid:
             raise InvalidArgumentError("families, profiles, n_list and p_grid must be non-empty")
         for name in ("families", "profiles", "n_list"):
@@ -70,14 +80,10 @@ class ExperimentConfig:
         if any(n < 1 for n in self.n_list):
             raise InvalidArgumentError("dimensions must be >= 1")
         ps = self.p_grid
-        if any(not (2.0 <= p <= MAX_MOMENT_ORDER) for p in ps):
-            raise InvalidArgumentError(
-                f"moment orders must lie in [2, {MAX_MOMENT_ORDER}], got {ps}")
+        _orders(ps, 2.0, MAX_MOMENT_ORDER)
         if any(p1 <= p0 for p0, p1 in zip(ps, ps[1:])):
             raise InvalidArgumentError("p_grid must be strictly increasing")
-        if self.n_samples < MIN_SAMPLES:
-            raise InvalidArgumentError(
-                f"n_samples must be >= {MIN_SAMPLES}, got {self.n_samples}")
+        _validate_sample_count(self.n_samples)
         for spec in self.families:
             _check_spec("family", spec, self.n_list, family_from_spec)
         for spec in self.profiles:
@@ -85,29 +91,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(_CONFIG_KEYS)
+        keys = {field.name: field.default is MISSING for field in fields(cls)}
+        unknown = set(data) - set(keys)
         if unknown:
             raise InvalidArgumentError(f"unknown config keys: {sorted(unknown)}")
-        missing = set(_CONFIG_KEYS) - {"output_dir"} - set(data)
+        missing = {name for name, required in keys.items() if required} - set(data)
         if missing:
             raise InvalidArgumentError(f"missing config keys: {sorted(missing)}")
-        return cls(
-            families=_typed_list(data["families"], "families", (str,)),
-            profiles=_typed_list(data["profiles"], "profiles", (str,)),
-            n_list=_typed_list(data["n_list"], "n_list", (int,)),
-            p_grid=tuple(float(p) for p in _typed_list(data["p_grid"], "p_grid", (int, float))),
-            n_samples=_typed(data["n_samples"], "n_samples", (int,)),
-            seed=_typed(data["seed"], "seed", (int,)),
-            output_dir=_typed(data.get("output_dir", "out"), "output_dir", (str,)),
-        )
+        return cls(**data)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidArgumentError(f"config is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidArgumentError(f"cannot read config {str(path)!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidArgumentError("config must be a JSON object")
         return cls.from_mapping(data)
@@ -231,13 +232,6 @@ def worker_count() -> int:
     return value
 
 
-def _iter_rows(config: ExperimentConfig):
-    for family_spec in config.families:
-        for n in config.n_list:
-            for profile_spec in config.profiles:
-                yield family_spec, n, profile_spec
-
-
 def build_rows(family_spec: str, profile_spec: str, family: Family, a: CoefficientVector,
                orders, n_samples: int, seed: int) -> tuple[ReportRow, ...]:
     """One report row per moment order of a (family, n, profile) row.
@@ -307,7 +301,7 @@ def _reference_surrogate(row: ReportRow) -> tuple[str, float | None]:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    keys = list(enumerate(_iter_rows(config)))
+    keys = list(enumerate(itertools.product(config.families, config.n_list, config.profiles)))
     workers = worker_count()
     if workers == 1:
         outcomes = [_run_row(config, index, key) for index, key in keys]
@@ -316,10 +310,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             futures = [pool.submit(_run_row, config, index, key) for index, key in keys]
             outcomes = [fut.result() for fut in futures]
     rows = tuple(row for built, _ in outcomes for row in built)
-    skipped_by_reason: dict[str, int] = {}
-    for _, reason in outcomes:
-        if reason is not None:
-            skipped_by_reason[reason] = skipped_by_reason.get(reason, 0) + len(config.p_grid)
+    skipped_rows = Counter(reason for _, reason in outcomes if reason is not None)
+    skipped_by_reason = {reason: count * len(config.p_grid)
+                         for reason, count in skipped_rows.items()}
 
     families_summary = {}
     for family_spec in config.families:

@@ -526,11 +526,14 @@ def rademacher_pnorm_exact(a, p: float) -> float:
             f"exact enumeration is supported up to n = {_RADEMACHER_MAX_DIM}, got {cv.n}")
     if p < 1 or not math.isfinite(p):
         raise InvalidArgumentError(f"p must be >= 1, got {p}")
+    if cv.scale == 0.0:
+        return 0.0
+    # enumerate on the unit scale a / 2^e with max|a_i| < 2^e, so no sign sum
+    # overflows; the power-of-two factor is exact, and so is scaling back
+    _, e = math.frexp(cv.scale)
     sums = np.zeros(1)
-    for v in cv.values:
+    for v in np.ldexp(cv.array, -e):
         sums = np.concatenate([sums + v, sums - v])
     mags = np.abs(sums)
     top = float(np.max(mags))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.mean((mags / top) ** p)) ** (1.0 / p)
+    return float(np.ldexp(top * float(np.mean((mags / top) ** p)) ** (1.0 / p), e))

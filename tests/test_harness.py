@@ -63,6 +63,26 @@ def test_config_rejects_bad_fields(patch):
         ExperimentConfig(**{**SMALL, **patch})
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("seed", 1.5, "seed must be int"),
+    ("n_samples", 10_000.0, "n_samples must be an integer"),
+    ("n_list", (4.0,), "n_list entry must be int"),
+    ("families", "exp", "families must be a list"),
+], ids=["seed", "n_samples", "n_list", "families"])
+def test_config_construction_checks_field_types(name, value, message):
+    # a config built in Python is checked exactly like one loaded from JSON
+    with pytest.raises(InvalidArgumentError, match=message):
+        ExperimentConfig(**{**SMALL, name: value})
+
+
+def test_config_construction_stores_lists_as_tuples_and_orders_as_floats():
+    config = ExperimentConfig(**{**SMALL, "families": ["exp", "cube"],
+                                 "profiles": ["flat", "one_hot"], "n_list": [3], "p_grid": [2, 4]})
+    assert config == ExperimentConfig(**SMALL)
+    assert all(type(p) is float for p in config.p_grid)
+    assert all(type(row.p) is float for row in run_experiment(config).rows)
+
+
 def test_config_from_mapping_checks_keys():
     data = {k: list(v) if isinstance(v, tuple) else v for k, v in SMALL.items()}
     config = ExperimentConfig.from_mapping(data)
@@ -124,6 +144,14 @@ def test_config_from_json_file(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(InvalidArgumentError, match="JSON object"):
         ExperimentConfig.from_json_file(path)
+
+
+def test_config_from_json_file_rejects_an_unreadable_file(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"families": ["\xe9"]}')
+    for path in (tmp_path / "missing.json", tmp_path, latin1):
+        with pytest.raises(InvalidArgumentError):
+            ExperimentConfig.from_json_file(path)
 
 
 # -- profiles ------------------------------------------------------------------------
@@ -413,6 +441,43 @@ def test_cli_report_rejects_an_overflowing_profile(tmp_path, capsys):
     assert "overflows" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+def test_cli_report_unreadable_config_exits_2(tmp_path, capsys, case):
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not utf-8": tmp_path / "latin1.json"}[case]
+    (tmp_path / "latin1.json").write_bytes(b'{"families": ["\xe9"]}')
+    assert main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_cli_report_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_mapping()))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["report", "--config", str(config_path),
+                 "--out", str(blocker / "report")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_estimate_csv_in_a_missing_directory_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "missing" / "cell.csv"
+    assert main(["estimate", "--family", "exp", "--n", "2", "--profile", "flat",
+                 "--p", "2", "--samples", "10000", "--csv", str(csv_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_verify_json_in_a_missing_directory_exits_2(monkeypatch, tmp_path, capsys):
+    import lcmoments.acceptance as acceptance
+
+    fake = [acceptance.CheckResult("alpha", True, {"m": 1.0}, 0.01)]
+    monkeypatch.setattr(acceptance, "run_suite", lambda suite, seed: fake)
+    json_path = tmp_path / "missing" / "verdicts.json"
+    assert main(["verify", "--suite", "core", "--json", str(json_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_verify_reports_pass_and_fail(monkeypatch, tmp_path, capsys):

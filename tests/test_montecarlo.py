@@ -734,6 +734,23 @@ def test_rademacher_exact_p2_is_l2():
             float(np.sqrt(np.sum(a * a))), rel=1e-12)
 
 
+def test_rademacher_exact_does_not_overflow_at_huge_coefficients():
+    with np.errstate(all="raise"):
+        value = rademacher_pnorm_exact([1e308, 1e308], 2.0)
+    assert math.isfinite(value)
+    assert value == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("shift", [600, -600])
+def test_rademacher_exact_scales_exactly_by_powers_of_two(shift):
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        a = rng.standard_normal(int(rng.integers(1, 13)))
+        for p in (2.0, 3.5, 16.0):
+            assert rademacher_pnorm_exact(np.ldexp(a, shift), p) == math.ldexp(
+                rademacher_pnorm_exact(a, p), shift)
+
+
 def test_rademacher_exact_guards():
     with pytest.raises(OutOfRangeError):
         rademacher_pnorm_exact(np.ones(21), 2.0)
