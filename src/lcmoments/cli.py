@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -37,9 +38,26 @@ def _parse_orders(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _check_writable(path, directory: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work runs and
+    without creating or truncating it.  A missing report directory is made by
+    ``write_report``, parents included; a file's directory must exist."""
+    target = Path(path)
+    if target.exists():
+        base, need_dir = target, directory
+    else:
+        base = next(p for p in target.parents if p.exists()) if directory else target.parent
+        need_dir = True
+    if base.is_dir() != need_dir or not os.access(base, os.W_OK):
+        what = "a writable directory" if need_dir else "a writable file"
+        raise MomentsError(f"cannot write {str(path)!r}: {str(base)!r} is not {what}")
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from .families import family_from_spec
 
+    if args.csv is not None:
+        _check_writable(args.csv)
     family = family_from_spec(args.family, args.n)
     a = CoefficientVector.from_values(coefficient_profile(args.profile, args.n))
     rows = build_rows(args.family, args.profile, family, a, _parse_orders(args.p),
@@ -60,8 +78,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    result = run_experiment(config)
     out_dir = args.out if args.out is not None else config.output_dir
+    _check_writable(out_dir, directory=True)
+    result = run_experiment(config)
     csv_path, summary_path = write_report(result, out_dir)
     print(f"wrote {csv_path} ({len(result.rows)} rows, "
           f"{result.summary['skipped']} skipped)")
@@ -75,6 +94,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .acceptance import run_suite
 
+    if args.json is not None:
+        _check_writable(args.json)
     results = run_suite(args.suite, args.seed)
     for check in results:
         status = "PASS" if check.passed else "FAIL"

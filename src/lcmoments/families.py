@@ -7,7 +7,8 @@ unit variance:
   functions (the exponential member has density prod (1/sqrt 2) e^{-sqrt2 |x_i|});
 * ``GaussianStd``    -- the standard Gaussian;
 * ``UniformCube``    -- uniform on [-sqrt 3, sqrt 3]^n;
-* ``UniformBall``    -- uniform on r B_q^n with the isotropic radius r.
+* ``UniformBall``    -- uniform on r B_q^n; ``UniformBall(n, q)`` derives the
+  isotropic radius r = ``isotropic_radius(n, q)``, which is not an argument.
 
 ``level_set_support`` evaluates the support functional of the density level
 set {g_I >= e^{-p} g_I(0)} of a marginal block I; these sets are exactly the
@@ -24,7 +25,7 @@ r (1 - e^{-pq/(n-k)})^{1/q}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -61,8 +62,10 @@ class ProductFamily:
     tails: tuple[TailFunction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.tails) == 0:
-            raise InvalidArgumentError("product family needs at least one coordinate")
+        object.__setattr__(self, "tails", tuple(self.tails))
+        if not self.tails or not all(isinstance(tail, TailFunction) for tail in self.tails):
+            raise InvalidArgumentError(
+                f"a product family needs one or more TailFunction coordinates, got {self.tails!r}")
         for i, tail in enumerate(self.tails):
             var = tail.variance()
             if abs(var - 1.0) > _ISOTROPY_TOL:
@@ -94,23 +97,18 @@ class ProductFamily:
 
 @dataclass(frozen=True)
 class UniformBall:
-    """Uniform law on r * B_q^n."""
+    """Uniform law on r * B_q^n with the isotropic radius r."""
 
     n: int
     q: float
-    r: float
+    r: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {self.n}")
-        if self.q < 1 or not math.isfinite(self.q):
-            raise InvalidArgumentError(f"ball exponent must satisfy q >= 1, got {self.q}")
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise InvalidArgumentError(f"radius must be positive, got {self.r}")
+        object.__setattr__(self, "r", isotropic_radius(self.n, self.q))
 
     @classmethod
     def isotropic(cls, n: int, q: float) -> "UniformBall":
-        return cls(n=n, q=float(q), r=isotropic_radius(n, q))
+        return cls(n=n, q=float(q))
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,7 @@ class GaussianStd:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {self.n}")
+        _check_dimension(self.n)
 
 
 @dataclass(frozen=True)
@@ -131,11 +128,19 @@ class UniformCube:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {self.n}")
+        _check_dimension(self.n)
 
 
 Family = Union[ProductFamily, UniformBall, GaussianStd, UniformCube]
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_dimension(n) -> None:
+    if not _is_integer(n) or n < 1:
+        raise InvalidArgumentError(f"dimension must be an integer >= 1, got {n!r}")
 
 
 def product_exponential(n: int) -> ProductFamily:
@@ -156,8 +161,7 @@ def isotropic_radius(n: int, q: float) -> float:
     Closed forms follow: q = 2 gives sqrt(n + 2) and q = 1 gives
     sqrt((n+1)(n+2)/2).
     """
-    if n < 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n)
     if q < 1 or not math.isfinite(q):
         raise InvalidArgumentError(f"ball exponent must satisfy q >= 1, got {q}")
     y = (n - 1) / q + 1.0
@@ -295,8 +299,7 @@ def family_from_spec(spec: str, n: int) -> Family:
     the number of tail specs must equal n.
     """
     spec = spec.strip()
-    if n < 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n)
     if spec == "exp":
         return product_exponential(n)
     if spec == "gauss":

@@ -44,7 +44,7 @@ import numpy as np
 
 from .coeffs import _orders, as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
-from .families import Family, GaussianStd, ProductFamily, UniformBall, UniformCube
+from .families import Family, GaussianStd, ProductFamily, UniformBall, UniformCube, _is_integer
 from .tails import TailFunction
 
 __all__ = [
@@ -327,10 +327,6 @@ def _twin_projector(ball: UniformBall, u: np.ndarray) -> tuple[Draw, int]:
 
 
 # -- chunked engine -------------------------------------------------------------
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
 
 def _validate_sample_count(n_samples: int) -> None:
     if not _is_integer(n_samples):

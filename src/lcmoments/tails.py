@@ -9,11 +9,13 @@ are supported:
 * power       N(t) = (t / scale)^alpha (alpha > 1; alpha = 1 is linear),
 * tabulated   piecewise-linear through given knots.
 
-Every N satisfies N(0) = 0, is strictly increasing and convex.  Tabulated
-tables must climb to at least ``TABLE_MIN_TOP`` so that any supported moment
-order keeps its constraint active inside the table; beyond the last knot the
-law is treated as having no further mass (evaluation clamps, and sampling
-returns the last knot with probability e^{-N_max} <= e^{-64}).
+Every N satisfies N(0) = 0, is strictly increasing and convex, and the
+constructor checks this per kind, so a direct ``TailFunction(...)`` is checked
+like a factory's.  Tabulated tables must climb to at least ``TABLE_MIN_TOP``
+so that any supported moment order keeps its constraint active inside the
+table; beyond the last knot the law is treated as having no further mass
+(evaluation clamps, and sampling returns the last knot with probability
+e^{-N_max} <= e^{-64}).
 """
 
 from __future__ import annotations
@@ -47,18 +49,41 @@ class TailFunction:
     knots_n: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # the power closed forms divide by alpha - 1; ``power`` builds
-        # alpha = 1 as a linear tail
-        if self.kind == "power" and not self.alpha > 1.0:
-            raise InvalidArgumentError(
-                f"a power tail needs alpha > 1 (alpha = 1 is linear), got {self.alpha}")
+        if self.kind == "linear":
+            if not (self.rate > 0 and math.isfinite(self.rate)):
+                raise InvalidArgumentError(f"linear tail needs rate > 0, got {self.rate}")
+        elif self.kind == "power":
+            if not (self.scale > 0 and math.isfinite(self.scale)):
+                raise InvalidArgumentError(f"power tail needs scale > 0, got {self.scale}")
+            # the power closed forms divide by alpha - 1; ``power`` builds
+            # alpha = 1 as a linear tail
+            if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
+                raise InvalidArgumentError(
+                    f"a power tail needs alpha > 1 (alpha = 1 is linear), got {self.alpha}")
+        elif self.kind == "tabulated":
+            ts = np.asarray(self.knots_t, dtype=float)
+            ns = np.asarray(self.knots_n, dtype=float)
+            if ts.ndim != 1 or ts.shape != ns.shape or ts.size < 2:
+                raise InvalidArgumentError("tabulated tail needs two aligned knot arrays")
+            if ts[0] != 0.0 or ns[0] != 0.0:
+                raise InvalidArgumentError("tabulated tail must start at N(0) = 0")
+            if not (np.all(np.diff(ts) > 0) and np.all(np.diff(ns) > 0)):
+                raise InvalidArgumentError("tabulated knots must be strictly increasing")
+            slopes = np.diff(ns) / np.diff(ts)
+            if np.any(np.diff(slopes) < -_CONVEXITY_SLACK * slopes.max()):
+                raise InvalidArgumentError("tabulated tail must be convex (nondecreasing slopes)")
+            if ns[-1] < TABLE_MIN_TOP - 1e-9:
+                raise InvalidArgumentError(
+                    f"tabulated tail must reach N >= {TABLE_MIN_TOP}, got {ns[-1]}")
+            object.__setattr__(self, "knots_t", tuple(ts.tolist()))
+            object.__setattr__(self, "knots_n", tuple(ns.tolist()))
+        else:
+            raise InvalidArgumentError(f"unknown tail kind {self.kind!r}")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def linear(cls, rate: float) -> "TailFunction":
-        if not (rate > 0 and math.isfinite(rate)):
-            raise InvalidArgumentError(f"linear tail needs rate > 0, got {rate}")
         return cls(kind="linear", rate=float(rate))
 
     @classmethod
@@ -79,35 +104,16 @@ class TailFunction:
             raise InvalidArgumentError(f"power tail needs alpha >= 1, got {alpha}")
         if scale is None:
             scale = math.sqrt(alpha / (2.0 * math.exp(gammaln(2.0 / alpha))))
-        if not (scale > 0 and math.isfinite(scale)):
-            raise InvalidArgumentError(f"power tail needs scale > 0, got {scale}")
-        if alpha == 1.0:
+        # a scale outside (0, inf) is left to the constructor to refuse
+        if alpha == 1.0 and 0.0 < scale < math.inf:
             return cls.linear(1.0 / scale)
         return cls(kind="power", alpha=float(alpha), scale=float(scale))
 
     @classmethod
     def tabulated(cls, knots_t, knots_n) -> "TailFunction":
-        ts = np.asarray(knots_t, dtype=float)
-        ns = np.asarray(knots_n, dtype=float)
-        if ts.ndim != 1 or ts.shape != ns.shape or ts.size < 2:
-            raise InvalidArgumentError("tabulated tail needs two aligned knot arrays")
-        if ts[0] != 0.0 or ns[0] != 0.0:
-            raise InvalidArgumentError("tabulated tail must start at N(0) = 0")
-        if not (np.all(np.diff(ts) > 0) and np.all(np.diff(ns) > 0)):
-            raise InvalidArgumentError("tabulated knots must be strictly increasing")
-        slopes = np.diff(ns) / np.diff(ts)
-        if np.any(np.diff(slopes) < -_CONVEXITY_SLACK * slopes.max()):
-            raise InvalidArgumentError("tabulated tail must be convex (nondecreasing slopes)")
-        if ns[-1] < TABLE_MIN_TOP - 1e-9:
-            raise InvalidArgumentError(
-                f"tabulated tail must reach N >= {TABLE_MIN_TOP}, got {ns[-1]}")
-        return cls(kind="tabulated", knots_t=tuple(ts), knots_n=tuple(ns))
+        return cls(kind="tabulated", knots_t=knots_t, knots_n=knots_n)
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def domain_max(self) -> float:
-        return self.knots_t[-1] if self.kind == "tabulated" else math.inf
 
     @property
     def sup_value(self) -> float:

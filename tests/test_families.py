@@ -83,6 +83,40 @@ def test_product_family_requires_isotropy():
         ProductFamily(tails=(linear(1.0),))  # variance 2
 
 
+def test_product_family_takes_a_sequence_of_tails():
+    tails = [exponential(), power(2.0)]
+    fam = ProductFamily(tails=tails)
+    assert fam.tails == tuple(tails)
+    assert fam == ProductFamily(tails=tuple(tails))
+    assert hash(fam) == hash(ProductFamily(tails=tuple(tails)))
+    for bad in ((), ("exp",), (exponential(), 1.0)):
+        with pytest.raises(InvalidArgumentError):
+            ProductFamily(tails=bad)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+def test_a_dimension_is_an_integer(n):
+    for build in (GaussianStd, UniformCube, lambda n: UniformBall(n=n, q=2.0),
+                  lambda n: isotropic_radius(n, 2.0), lambda n: family_from_spec("exp", n)):
+        with pytest.raises(InvalidArgumentError):
+            build(n)
+
+
+def test_a_numpy_integer_dimension_is_accepted():
+    assert GaussianStd(np.int64(3)) == GaussianStd(3)
+    assert UniformCube(np.int32(2)) == UniformCube(2)
+    assert UniformBall(n=np.int64(4), q=2.0) == UniformBall(n=4, q=2.0)
+    assert family_from_spec("exp", np.int64(2)) == product_exponential(2)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2.0), (4, 1.0), (4, 1.5), (16, 3.0), (64, 2)])
+def test_ball_derives_its_isotropic_radius(n, q):
+    ball = UniformBall(n, q)
+    assert ball == UniformBall.isotropic(n, q)
+    assert hash(ball) == hash(UniformBall.isotropic(n, q))
+    assert ball.r == isotropic_radius(n, q)
+
+
 def test_product_family_shape():
     fam = product_exponential(4)
     assert fam.n == 4
@@ -92,11 +126,11 @@ def test_product_family_shape():
 
 def test_ball_validation():
     with pytest.raises(InvalidArgumentError):
-        UniformBall(n=0, q=2.0, r=1.0)
+        UniformBall(n=0, q=2.0)
     with pytest.raises(InvalidArgumentError):
-        UniformBall(n=2, q=0.9, r=1.0)
-    with pytest.raises(InvalidArgumentError):
-        UniformBall(n=2, q=2.0, r=0.0)
+        UniformBall(n=2, q=0.9)
+    with pytest.raises(TypeError):
+        UniformBall(n=2, q=2.0, r=1.0)  # the radius is derived, never set
     with pytest.raises(InvalidArgumentError):
         GaussianStd(0)
     with pytest.raises(InvalidArgumentError):

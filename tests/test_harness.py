@@ -480,6 +480,44 @@ def test_cli_verify_json_in_a_missing_directory_exits_2(monkeypatch, tmp_path, c
     assert "error:" in capsys.readouterr().err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
+def test_cli_estimate_refuses_an_unwritable_csv_before_the_work(monkeypatch, tmp_path, capsys):
+    import lcmoments.cli as cli
+
+    monkeypatch.setattr(cli, "build_rows", _must_not_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["estimate", "--family", "exp", "--n", "2", "--profile", "flat",
+                 "--p", "2", "--samples", "10000", "--csv", str(blocker / "cell.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_report_refuses_an_unwritable_out_before_the_work(monkeypatch, tmp_path, capsys):
+    import lcmoments.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_mapping()))
+    # the config file itself is a regular file, so no directory can be made under it
+    assert main(["report", "--config", str(config_path),
+                 "--out", str(config_path / "deeper" / "report")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert config_path.read_text() == json.dumps(_mapping())
+
+
+def test_cli_verify_refuses_an_unwritable_json_before_the_work(monkeypatch, tmp_path, capsys):
+    import lcmoments.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "run_suite", _must_not_run)
+    for path in (tmp_path / "missing" / "verdicts.json", tmp_path):  # no directory; a directory
+        assert main(["verify", "--suite", "core", "--json", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_verify_reports_pass_and_fail(monkeypatch, tmp_path, capsys):
     import lcmoments.acceptance as acceptance
 

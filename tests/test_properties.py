@@ -402,6 +402,29 @@ def test_fuzzed_tail_spec_builds_or_is_rejected(spec):
     assert tail.variance() == pytest_approx(1.0, rel=1e-9)
 
 
+# a tail field is a sane magnitude or one of the values no tail may take
+_bad_fields = st.sampled_from([-1.0, 0.0, math.nan, math.inf])
+_tail_fields = st.one_of(st.floats(1e-3, 1e3), _bad_fields)
+direct_tails = st.one_of(
+    st.builds(lambda rate: dict(kind="linear", rate=rate), _tail_fields),
+    st.builds(lambda alpha, scale: dict(kind="power", alpha=alpha, scale=scale),
+              st.one_of(st.floats(1.0, 50.0, exclude_min=True), _bad_fields), _tail_fields),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(direct_tails)
+def test_directly_built_tail_is_valid_or_rejected(fields):
+    try:
+        tail = TailFunction(**fields)
+    except InvalidArgumentError:
+        return
+    var = tail.variance()
+    assert math.isfinite(var) and var > 0.0
+    value = gluskin_kwapien([1.0], [tail], 4.0)
+    assert math.isfinite(value) and value >= 0.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(family_specs, dims)
 @example("ball:q=1.7976931348623153e+308", 3)

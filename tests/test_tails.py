@@ -63,8 +63,33 @@ def test_tail_validation():
         linear(-1.0)
     with pytest.raises(InvalidArgumentError):
         power(0.5)
+    for alpha in (1.0, 2.0):  # alpha = 1 would be the linear tail of rate 1/scale
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                power(alpha, scale=scale)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(kind="linear", rate=-math.sqrt(2.0)),  # variance 1, negative GK value
+    dict(kind="power", alpha=2.0, scale=-1.0),  # variance 1, GK nan
+    dict(kind="gauss"),
+    dict(kind="tabulated", knots_t=(0.0, 1.0), knots_n=(0.0, 1.0)),  # top below 64
+    dict(kind="linear", rate=math.inf),
+    dict(kind="power", alpha=math.inf, scale=1.0),
+    dict(kind="power", alpha=3.0, scale=math.nan),
+])
+def test_direct_construction_is_checked_like_the_factories(kwargs):
     with pytest.raises(InvalidArgumentError):
-        power(2.0, scale=0.0)
+        TailFunction(**kwargs)
+
+
+def test_tabulated_constructor_stores_float_tuples():
+    tail = TailFunction("tabulated", knots_t=list(TABLE_T), knots_n=[int(v) for v in TABLE_N])
+    assert tail == tabulated(TABLE_T, TABLE_N)
+    assert hash(tail) == hash(tabulated(TABLE_T, TABLE_N))
+    for knots in (tail.knots_t, tail.knots_n):
+        assert isinstance(knots, tuple)
+        assert all(type(v) is float for v in knots)
 
 
 def test_tabulated_evaluates_piecewise():
@@ -74,7 +99,6 @@ def test_tabulated_evaluates_piecewise():
     assert tail.inverse(2.0) == pytest.approx(1.5)
     assert tail.value(99.0) == pytest.approx(80.0)  # clamped past the table
     assert tail.inverse(500.0) == pytest.approx(10.0)
-    assert tail.domain_max == 10.0
     assert tail.sup_value == 80.0
 
 
@@ -144,5 +168,4 @@ def test_tail_from_spec():
 def test_factories_reject_nothing_silently():
     tail = TailFunction.linear(1.0)
     assert tail.kind == "linear"
-    assert tail.domain_max == math.inf
     assert tail.sup_value == math.inf
