@@ -67,7 +67,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             f"  {name}={value:.6g}" for name, value in
             (("gk", row.gk), ("bqn", row.bqn), ("momunc", row.momunc))
             if value is not None)
-        print(f"p={row.p:g}  mc={row.mc_value:.6g} (±{row.mc_stderr:.2g})  "
+        print(f"p={row.p:g}  mc={row.mc_value:.6g} (±{row.mc_stderr:.2g}, "
+              f"ess={row.mc_ess:.4g}, top_share={row.mc_top_share:.2g})  "
               f"hitczenko={row.hitczenko:.6g}  bn_upper={row.bn_upper:.6g}"
               f"{extras}  band=[{row.band_lo:.6g}, {row.band_up_indep:.6g}]")
     if args.csv is not None:

@@ -68,7 +68,8 @@ class ProductFamily:
                 f"a product family needs one or more TailFunction coordinates, got {self.tails!r}")
         for i, tail in enumerate(self.tails):
             var = tail.variance()
-            if abs(var - 1.0) > _ISOTROPY_TOL:
+            # a nan variance fails this test too
+            if not abs(var - 1.0) <= _ISOTROPY_TOL:
                 raise InvalidArgumentError(
                     f"coordinate {i} has variance {var:.6f}; product families must be isotropic")
 

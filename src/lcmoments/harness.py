@@ -49,6 +49,10 @@ logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "LCM_WORKERS"
 
+# a cell whose Monte-Carlo ESS is below this share of its samples is counted
+# in summary.json; it stays in the report
+LOW_ESS_SHARE = 0.01
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -207,6 +211,8 @@ class ReportRow:
     band_up_klartag: float
     ratio_lo: float
     ratio_hi: float
+    mc_ess: float
+    mc_top_share: float
 
 
 # the report's columns are the row's fields, in order
@@ -261,6 +267,8 @@ def build_rows(family_spec: str, profile_spec: str, family: Family, a: Coefficie
             band_up_klartag=bundle.band.upper_klartag,
             ratio_lo=mc.value / bundle.hitczenko,
             ratio_hi=bundle.bn_upper / mc.value,
+            mc_ess=mc.ess,
+            mc_top_share=mc.top_share,
         ))
     return tuple(rows)
 
@@ -314,6 +322,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     skipped_by_reason = {reason: count * len(config.p_grid)
                          for reason, count in skipped_rows.items()}
 
+    ess_floor = LOW_ESS_SHARE * config.n_samples
     families_summary = {}
     for family_spec in config.families:
         fam_rows = [r for r in rows if r.family == family_spec]
@@ -332,6 +341,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "reference": ref_name,
             "ref_ratio_min": min(ref_ratios) if ref_ratios else None,
             "ref_ratio_max": max(ref_ratios) if ref_ratios else None,
+            "low_ess_cells": sum(r.mc_ess < ess_floor for r in fam_rows),
         }
     summary = {
         "seed": config.seed,
@@ -339,6 +349,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "cells": len(rows),
         "skipped": sum(skipped_by_reason.values()),
         "skipped_by_reason": skipped_by_reason,
+        "ess_floor": ess_floor,
         "families": families_summary,
     }
     return ExperimentResult(rows=rows, summary=summary)

@@ -7,11 +7,17 @@ fixed BLAS build a record is a pure function of (seed, n_samples).  A draw
 that goes through a BLAS matvec (the live columns of exp, cube, products and
 balls at q != 2) may move in its last bit with the rows of each chunk,
 because gemv may round the last rows of a call through another kernel; the
-Gaussian draw does not.  ``_child_seed`` is the only seed derivation: report
-rows and acceptance checks use it too.  The chunks only bound the memory of
-a draw: the rows are iid, so every estimate takes the standard error of the
-mean of all of them, propagated through the 1/p power by the delta method,
-and reports the effective sample size (sum w)^2 / sum w^2 of its weights.
+Gaussian draw does not.  A weighted draw (linear tails, below) splits each
+chunk among the parts of its proposal, so its records depend on the chunk
+budget beyond the last bit.  The proposal depends on the draw plan only,
+never on the requested orders, so entry i of an order sequence equals the
+scalar call at its order.  ``_child_seed`` is the only seed derivation:
+report rows and acceptance checks use it too.  The chunks only bound the
+memory of a draw: the parts of a proposal are drawn in fixed shares and the
+rows of each part are iid, so every estimate takes the iid standard error of
+the mean of all of its rows (conservative under the fixed shares),
+propagated through the ratio and the 1/p power by the delta method, and
+reports the effective sample size (sum w)^2 / sum w^2 of its weights.
 
 Every ball draw is ``_ball_parts``, the first k coordinates of the
 Barthe-Guedon-Mendelson-Naor form X = r eps y / (sum y_i^q + W)^{1/q}.  One
@@ -23,14 +29,31 @@ S needs.  Coordinates with u_i = 0 are never drawn: products, the cube and
 the independent twin draw their k live columns, and balls at q != 2 the
 k-coordinate marginal, whose Gamma((n - k)/q + 1) term absorbs the rest.
 The Gaussian and the Euclidean ball are rotation invariant, so there S is
-drawn in one dimension.  Linear tails are Laplace laws, a Gaussian scale
-mixture eps E = sqrt(2 E') Z, so their S is Z sqrt(2 sum_g w_g^2 G_g) with
-G_g ~ Gamma(count_g) over the distinct weights w_g = |u_i| / rate_i: equal
-weights pool into one draw and no signs are drawn.  The engine joins the
-chunks' log|S| into one vector L and reduces each order in linear space:
-w = exp(p (L - max L)) stays in [0, 1], the p-norm is
-max|a_i| e^{max L + log(mean w) / p}, and the standard error of mean w
-comes from sum (w - mean w)^2.
+drawn in one dimension.
+
+Linear tails are Laplace laws, a Gaussian scale mixture eps E = sqrt(2 E') Z,
+so their S is normal given V = 2 sum_g w_g^2 G_g with G_g ~ Gamma(count_g)
+over the distinct weights w_g = |u_i| / rate_i: equal weights pool into one
+draw and no signs are drawn.  Plain draws of this law put |S|^p at high p on
+a handful of rows, so linear tails draw S from a defensive mixture
+(``_laplace_mixture``; Owen and Zhou, JASA 2000): the law itself (share 0.2)
+and its symmetric exponential tilts at the saddles p / theta = Lambda'(theta)
+of the orders 4 and ``MAX_MOMENT_ORDER`` (share 0.4 each).  A tilt of the
+law is again a normal variance-mean mixture, so a tilted row draws the same
+variates with other coefficients and a mean shift.  Each row carries the
+balance-heuristic log weight (Veach and Guibas, SIGGRAPH 1995)
+l = -log(alpha_0 + sum_j alpha_j cosh(theta_j s) / M(theta_j)), the log of
+the density ratio of the law to the whole mixture, with alpha_j the shares
+drawn in its chunk; l <= log(1 / alpha_0) = log 5, and E e^l = 1.  Every
+other plan is unweighted, l = 0.
+
+The engine joins the chunks' log|S| into one vector L and their l into one
+vector, and reduces each order in linear space: w = exp(p (L - max L) + l)
+lies in [0, e^l], the p-norm is the self-normalised weighted power mean
+max|a_i| e^{max L} (sum w / sum e^l)^{1/p}, nondecreasing in p, and its
+standard error is the ratio estimator's delta method, the sample variance of
+w - (sum w / sum e^l) e^l.  With l = 0 this is the plain sample mean of
+|S|^p and its iid standard error, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,8 +112,9 @@ class EstimateRecord:
     """One Monte-Carlo estimate with the standard error of its iid samples.
 
     ``ess`` is the effective sample size (sum w)^2 / sum w^2 of the weights
-    w the estimate averages (|S|^p for a p-norm, the hit indicator for a
-    joint tail), and ``top_share`` is max w / sum w, the share of the largest
+    w the estimate averages (e^l |S|^p for a p-norm, with the log weight l of
+    its draw, and the hit indicator for a joint tail), and ``top_share`` is
+    max w / sum w, the share of the largest
     one.  A few dominant samples show as a small ``ess`` and a large
     ``top_share``; the standard error alone does not show them.
     """
@@ -224,52 +248,148 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 
 # -- draw plans -------------------------------------------------------------------
 
-# ``draw(rng, m)`` returns m iid draws of one projection as an (m,) vector
-Draw = Callable[[np.random.Generator, int], np.ndarray]
+# ``draw(rng, m)`` returns m draws of one projection as a new (m,) vector S,
+# or the pair (S, l) of a weighted plan, whose rows carry the log weights l of
+# an importance-sampling proposal; an unweighted draw has l = 0
+Draw = Callable[[np.random.Generator, int], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
+
+# the defensive mixture of linear-tail projections: (order, share) of the
+# symmetric tilt at the saddle of each order; the law itself takes the rest
+_MIXTURE_TILTS = ((4.0, 0.4), (MAX_MOMENT_ORDER, 0.4))
+_SADDLE_STEPS = 50
+
+
+def _saddles(ratios: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """theta^2 at the saddle p / theta = Lambda'(theta) of each order p, for
+    Lambda(theta) = -sum_g count_g log(1 - theta^2 r_g^2) and r_g in (0, 1]
+    with max r_g = 1.
+
+    In x = theta^2 the saddle solves f(x) = sum_g count_g 2 x r_g^2 /
+    (1 - x r_g^2) = p, with f convex and increasing on [0, 1).  Newton's
+    method from x = p / (p + 2 count_top), where f >= p, falls monotonically
+    onto the root, which is that start when every weight is equal.  Any
+    theta keeps the estimates unbiased, so the steps stop at 1e-12 relative.
+    """
+    r2 = ratios * ratios
+    slopes = 2.0 * counts * r2
+    p = orders[:, None]
+    x = p / (p + 2.0 * float(counts[-1]))
+    for _ in range(_SADDLE_STEPS):
+        gap = 1.0 - x * r2
+        excess = np.sum(slopes * x / gap, axis=1, keepdims=True) - p
+        step = excess / np.sum(slopes / (gap * gap), axis=1, keepdims=True)
+        x -= step
+        if not np.max(step / x) > 1e-12:
+            break
+    return x[:, 0]
 
 
 def _laplace_mixture(weights: np.ndarray) -> tuple[Draw, int]:
-    """The plan of S = sum_i w_i L_i for iid standard Laplace L_i and w_i > 0.
+    """The weighted plan of S = sum_i w_i L_i for iid standard Laplace L_i and
+    w_i > 0, drawn from a defensive mixture of the law and two tilts of it.
 
     L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so given the E_i, S is
-    normal with variance 2 sum_i w_i^2 E_i; the E_i of equal weights sum to
-    one Gamma(count) draw.  S = w_max Z sqrt(2 sum_g (w_g / w_max)^2 G_g)
-    over the distinct weights w_g, taken in increasing order so that the
-    draw does not depend on the order of the coordinates.  Every count 1 is
-    an exponential draw, which is cheaper than ``standard_gamma(1.0)``.
+    normal with variance V = 2 sum_i w_i^2 E_i; the E_i of equal weights sum
+    to one Gamma(count) draw.  The exponential tilt e^{theta s} / M(theta) of
+    the law, M(theta) = prod_i (1 - theta^2 w_i^2)^{-1}, is again such a
+    mixture: E_i ~ Exp(1 - theta^2 w_i^2), and S ~ N(theta V, V) given V.
+    In units of w_max, a chunk of m rows draws its first rows from the law
+    and int(m alpha_j) rows from the tilt at theta_j, where theta_j^2 is the
+    saddle (``_saddles``) of order p_j in ``_MIXTURE_TILTS``: the same
+    Gamma or exponential variates and normals as the law, with the
+    coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the distinct ratios
+    r_g = w_g / w_max (increasing, so the draw does not depend on the order
+    of the coordinates), plus the mean theta_j V.  The estimates read |S|
+    only, and |S| has one law under the tilts at theta and -theta, so the
+    tilted rows draw the tilt at +theta for the symmetric one and no sign.
+
+    Each row carries the balance-heuristic log weight
+    l = -log(alpha_0 + sum_j alpha_j cosh(theta_j s) / M(theta_j)) over the
+    shares alpha drawn in its chunk, taken from the largest exponent down
+    so that no |s| overflows; alpha_0 >= 1/5, so e^l <= 5, and E e^l = 1.
     """
     values, counts = np.unique(weights, return_counts=True)
     top = float(values[-1])
-    coef = 2.0 * (values / top) ** 2
+    ratios = values / top
     width = values.size
     exponential = bool(np.all(counts == 1))
     # one distinct weight draws vectors with a scalar shape, not a
     # one-column matrix
     shape = float(counts[0]) if width == 1 else counts.astype(float)
+    r2 = ratios * ratios
+    # theta, 1 / 2M(theta) and coefficients of each part, the law (the tilt
+    # at theta = 0) first
+    thetas, half_inv_mgfs, coefs = [0.0], [0.5], [2.0 * r2]
+    for x in _saddles(ratios, counts, np.array([p for p, _ in _MIXTURE_TILTS])):
+        gap = 1.0 - x * r2
+        thetas.append(math.sqrt(x))
+        half_inv_mgfs.append(0.5 * math.exp(float(np.sum(counts * np.log(gap)))))
+        coefs.append(2.0 * r2 / gap)
 
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+    @functools.lru_cache(maxsize=None)
+    def layout(m: int) -> tuple[list, float, float, list]:
+        """A chunk of m rows: (theta, coefficients, first row, end row) of
+        each part, the largest theta drawn, and the constant and the
+        (exponent, factor) terms of the sum in its log weights."""
+        tilted = [int(m * share) for _, share in _MIXTURE_TILTS]
+        rows = [m - sum(tilted)] + tilted
+        bounds = np.cumsum([0] + rows).tolist()
+        ref = max(theta for theta, k in zip(thetas, rows) if k)
+        factors: dict[float, float] = {}
+        for theta, half_inv_mgf, k in zip(thetas, half_inv_mgfs, rows):
+            for exponent in (theta - ref, -theta - ref) if k else ():
+                factors[exponent] = factors.get(exponent, 0.0) + k / m * half_inv_mgf
+        # the exponent 0 of ref is a constant, and the law's two are one
+        constant = factors.pop(0.0)
+        return (list(zip(thetas, coefs, bounds, bounds[1:])), ref, constant,
+                list(factors.items()))
+
+    def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         size = m if width == 1 else (m, width)
         if exponential:
             mix = rng.standard_exponential(size)
         else:
             mix = rng.standard_gamma(shape, size=size)
-        if width == 1:
-            v = mix
-            v *= coef[0]
-        else:
-            v = mix @ coef
-        np.sqrt(v, out=v)
-        v *= rng.standard_normal(m)
-        v *= top
-        return v
+        parts, ref, constant, terms = layout(m)
+        # in place where it can be: a chunk holds four arrays of its rows
+        root = mix if width == 1 else np.empty(m)
+        for _, coef, lo, hi in parts:
+            if width == 1:
+                root[lo:hi] *= coef[0]
+            else:
+                np.matmul(mix[lo:hi], coef, out=root[lo:hi])
+        np.sqrt(root, out=root)
+        # s = Z sqrt(V) + theta V = sqrt(V) (Z + theta sqrt(V)) has the law of
+        # |S| of its part; the engine reads |s| only
+        y = rng.standard_normal(m)
+        for theta, _, lo, hi in parts[1:]:
+            y[lo:hi] += theta * root[lo:hi]
+        y *= root
+        np.abs(y, out=y)
+        # l = -log sum_j alpha_j cosh(theta_j y) / M(theta_j) over the parts
+        # drawn: e^{ref y} comes out, ref the largest theta drawn, so every
+        # exponent is <= 0 and the sum is at least the term of ref
+        ell = np.full(m, constant)
+        term = root
+        for exponent, factor in terms:
+            np.multiply(y, exponent, out=term)
+            np.exp(term, out=term)
+            term *= factor
+            ell += term
+        np.log(ell, out=ell)
+        np.multiply(y, ref, out=term)
+        ell += term
+        np.negative(ell, out=ell)
+        y *= top
+        return y, ell
 
     return draw, width
 
 
 def _projector(family: Family, u: np.ndarray) -> tuple[Draw, int]:
     """The draw plan of S = <X, u> for a nonzero u: ``(draw, width)``, where
-    ``draw(rng, m)`` returns m iid draws of S as an (m,) vector and ``width``
-    is the number of columns it draws per row, which sizes the chunks.
+    ``draw(rng, m)`` returns m draws of S (a ``Draw``) and ``width`` is the
+    number of columns it draws per row, which sizes the chunks.
 
     Only the k coordinates with u_i != 0 are drawn.  The Gaussian and the
     Euclidean ball are rotation invariant, so S has the law of ||u||_2 X_1,
@@ -277,7 +397,7 @@ def _projector(family: Family, u: np.ndarray) -> tuple[Draw, int]:
     of the k live coordinates, whose H ~ Gamma((n - k)/q + 1) stands for the
     others, and divide each row once.  The cube and products of non-linear
     tails draw their live columns, the latter by the live tails' column
-    groups; products of linear tails draw the Gaussian scale mixture of
+    groups; products of linear tails draw the weighted defensive mixture of
     ``_laplace_mixture`` on |u_i| / rate_i.
     """
     live = np.flatnonzero(u)
@@ -344,7 +464,7 @@ def _chunk_rows(n_samples: int, width: int) -> list[int]:
 
 
 def _chunks(draw: Draw, n_samples: int, width: int, seed: int,
-            tag: int) -> Iterator[np.ndarray]:
+            tag: int) -> Iterator:
     """Each chunk's draw of rows of ``width`` entries, in order, all from one
     generator."""
     rng = np.random.default_rng(_child_seed(seed, tag))
@@ -358,7 +478,9 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
     """One record per order in ``ps``, every order reduced from the same draws.
 
     ``projector(u)`` is the draw plan ``(draw, width)`` of <X, u>, built once
-    per estimate.  The draws use u = a / max|a_i| and every record is
+    per estimate; a weighted plan's rows carry their log weights, and its
+    records are the self-normalised ratio estimates (module docstring).  The
+    draws use u = a / max|a_i| and every record is
     max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
     scales the records by exactly that factor, however small or large, as
     long as they stay normal doubles.
@@ -370,12 +492,16 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
     if scale == 0.0:
         return (zero,) * len(ps)
     draw, width = projector(a_arr / scale)
-    parts = []
-    for s in _chunks(draw, n_samples, width, seed, tag):
-        # a non-finite projection is caught through the max below
+    log_parts, ell_parts = [], []
+    for out in _chunks(draw, n_samples, width, seed, tag):
+        s, ell = out if isinstance(out, tuple) else (out, None)
+        # in place, as the engine owns the draws; a non-finite projection is
+        # caught through the max below
         with np.errstate(divide="ignore", invalid="ignore"):
-            parts.append(np.log(np.abs(s)))
-    logs = np.concatenate(parts)
+            log_parts.append(np.log(np.abs(s, out=s), out=s))
+        if ell is not None:
+            ell_parts.append(ell)
+    logs = np.concatenate(log_parts)
     top = float(np.max(logs))
     if top == -math.inf:
         return (zero,) * len(ps)
@@ -383,25 +509,37 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
         "sum a_i X_i overflows double precision; rescale the coefficients")
     if not math.isfinite(top):
         raise overflow
-    shifted = logs - top
+    shifted = np.subtract(logs, top, out=logs)
+    # an unweighted plan has l = 0: the scalars broadcast, so its records
+    # are the plain sample mean and its standard error, bit for bit
+    ells = np.concatenate(ell_parts) if ell_parts else 0.0
+    likelihoods = np.exp(ells)
+    mean_likelihood = float(np.mean(likelihoods))
     records = []
+    w, buffer = np.empty(n_samples), np.empty(n_samples) if ell_parts else None
     for p in map(float, ps):
-        # w = |<X, u>|^p / e^{p top}, each in [0, 1] and the largest exactly 1
-        w = np.exp(p * shifted)
+        # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l]
+        np.multiply(shifted, p, out=w)
+        w += ells
+        np.exp(w, out=w)
         total = float(np.sum(w))
-        mean = total / n_samples
-        # the sample variance of w, summed by numpy rather than a BLAS dot
-        # so that its bits do not depend on BLAS threading
-        w -= mean
+        # sum w^2 and max w for the ESS and the top share, by numpy rather
+        # than a BLAS dot so that their bits do not depend on BLAS threading
+        square_sum = float(np.einsum("i,i->", w, w))
+        largest = float(np.max(w))
+        # the ratio estimate sum w / sum e^l of E|<X, u>|^p / e^{p top}, and
+        # its delta-method variance: the sample variance of w - ratio e^l
+        # over the squared mean of e^l
+        ratio = total / n_samples / mean_likelihood
+        w -= np.multiply(likelihoods, ratio, out=buffer)
         var = float(np.sum(np.square(w, out=w))) / (n_samples - 1)
-        se = math.sqrt(var / n_samples)
-        norm = math.exp(top + math.log(mean) / p)
-        value, stderr = scale * norm, scale * (norm * se / (mean * p))
+        se = math.sqrt(var / n_samples) / mean_likelihood
+        norm = math.exp(top + math.log(ratio) / p)
+        value, stderr = scale * norm, scale * (norm * se / (ratio * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise overflow
-        # sum w^2 = sum (w - mean)^2 + n mean^2, and max w = 1
-        ess = total * total / ((n_samples - 1) * var + n_samples * mean * mean)
-        records.append(EstimateRecord(value, stderr, n_samples, seed, ess, 1.0 / total))
+        records.append(EstimateRecord(value, stderr, n_samples, seed,
+                                      total * total / square_sum, largest / total))
     return tuple(records)
 
 

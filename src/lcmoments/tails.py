@@ -65,6 +65,8 @@ class TailFunction:
             ns = np.asarray(self.knots_n, dtype=float)
             if ts.ndim != 1 or ts.shape != ns.shape or ts.size < 2:
                 raise InvalidArgumentError("tabulated tail needs two aligned knot arrays")
+            if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ns))):
+                raise InvalidArgumentError("tabulated knots must be finite")
             if ts[0] != 0.0 or ns[0] != 0.0:
                 raise InvalidArgumentError("tabulated tail must start at N(0) = 0")
             if not (np.all(np.diff(ts) > 0) and np.all(np.diff(ns) > 0)):

@@ -22,7 +22,7 @@ from lcmoments.families import (
     product_exponential,
 )
 from lcmoments.surrogates import surrogate_bundle
-from lcmoments.tails import exponential, linear, power
+from lcmoments.tails import TailFunction, exponential, linear, power
 
 # root of w^3 - 3w + 1 = 0 in (0, 1): the 0.75-quantile of the n=3, q=2
 # marginal in ball-radius units
@@ -81,6 +81,12 @@ def test_product_family_requires_isotropy():
     ProductFamily(tails=(exponential(), power(2.0)))  # unit variance: accepted
     with pytest.raises(InvalidArgumentError):
         ProductFamily(tails=(linear(1.0),))  # variance 2
+
+
+def test_product_family_refuses_a_nan_variance(monkeypatch):
+    monkeypatch.setattr(TailFunction, "variance", lambda tail: math.nan)
+    with pytest.raises(InvalidArgumentError, match="variance nan; product families must be"):
+        ProductFamily(tails=(exponential(),))
 
 
 def test_product_family_takes_a_sequence_of_tails():

@@ -211,6 +211,26 @@ def test_run_experiment_grid_order_and_summary():
         assert 0.0 < env["c_hi"] <= 1.0 + 1e-12
 
 
+def test_rows_carry_their_trust_figures_and_the_summary_counts_low_ess_cells():
+    # one-hot balls at q = 1 have a heavy |S|^32 that plain draws reach
+    # through a few samples only; the tilted exp draws do not
+    config = ExperimentConfig(families=("exp", "ball:q=1"), profiles=("one_hot",),
+                              n_list=(32,), p_grid=(2.0, 32.0), n_samples=10_000, seed=5)
+    result = run_experiment(config)
+    assert len(result.rows) == 4
+    for row in result.rows:
+        assert 0.0 < row.mc_ess <= config.n_samples
+        assert 0.0 < row.mc_top_share <= 1.0
+    floor = result.summary["ess_floor"]
+    assert floor == 0.01 * config.n_samples
+    low = {family: env["low_ess_cells"] for family, env in result.summary["families"].items()}
+    assert low == {family: sum(r.mc_ess < floor for r in result.rows if r.family == family)
+                   for family in config.families}
+    assert low == {"exp": 0, "ball:q=1": 1}
+    flagged = next(r for r in result.rows if r.mc_ess < floor)
+    assert (flagged.family, flagged.p) == ("ball:q=1", 32.0)
+
+
 def test_each_row_makes_one_surrogate_pass(monkeypatch):
     import lcmoments.harness as harness
     from lcmoments.surrogates import surrogate_bundle
@@ -357,6 +377,13 @@ def test_cli_estimate_prints_rows_and_csv(tmp_path, capsys):
     assert [row.p for row in rows] == [2.0, 4.0]
     # both orders come from one draw, so the curve cannot decrease
     assert rows[0].mc_value <= rows[1].mc_value
+
+
+def test_cli_estimate_prints_the_trust_figures(capsys):
+    assert main(["estimate", "--family", "exp", "--n", "2", "--profile", "flat",
+                 "--p", "2", "--samples", "10000", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ess=" in out and "top_share=" in out
 
 
 def test_cli_estimate_invalid_inputs(capsys):

@@ -15,6 +15,7 @@ from lcmoments.families import (
     family_from_spec,
     product_exponential,
 )
+from lcmoments.harness import coefficient_profile
 from lcmoments.tails import TailFunction
 from lcmoments.montecarlo import (
     MAX_MOMENT_ORDER,
@@ -221,22 +222,30 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 
 def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
     """(value, stderr, ess, top_share) per order by scipy over all of the
-    engine's chunks of the draw plan ``(draw, width)`` of <X, a / scale>: one
-    logsumexp for the value, ``scipy.stats.sem`` of the shifted |S|^p
-    through the delta method for the stderr, and the sums of the shifted
-    |S|^p and of their squares for the ESS and the top share."""
+    engine's chunks of the draw plan ``(draw, width)`` of <X, a / scale>,
+    whose rows carry the log weights l (0 for a draw that returns S alone):
+    the weighted logsumexp of p log|S| + l less that of l for the value,
+    ``scipy.stats.sem`` of the ratio residuals u - R e^l of the shifted
+    u = e^l |S|^p through the delta method for the stderr, and the sums of u
+    and of their squares for the ESS and the top share."""
     draw, width = plan
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     rng = np.random.default_rng(mc._child_seed(seed, tag))
-    drawn = np.concatenate([draw(rng, m) for m in mc._chunk_rows(n_samples, width)])
+    outs = [draw(rng, m) for m in mc._chunk_rows(n_samples, width)]
+    pairs = [out if isinstance(out, tuple) else (out, np.zeros(out.shape)) for out in outs]
+    drawn = np.concatenate([s for s, _ in pairs])
+    ell = np.concatenate([e for _, e in pairs])
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(drawn * scale))
+    likelihood = np.exp(ell)
     records = []
     for order in map(float, ps):
-        value = math.exp((logsumexp(order * log_abs) - math.log(n_samples)) / order)
-        u = np.exp(order * (log_abs - np.max(log_abs)))
+        value = math.exp((logsumexp(order * log_abs + ell) - logsumexp(ell)) / order)
+        u = np.exp(order * (log_abs - np.max(log_abs)) + ell)
         total = float(np.sum(u))
-        records.append((value, value * sem(u) / (float(np.mean(u)) * order),
+        ratio = total / float(np.sum(likelihood))
+        se = sem(u - ratio * likelihood) / float(np.mean(likelihood))
+        records.append((value, value * se / (ratio * order),
                         total ** 2 / float(np.sum(u * u)), float(np.max(u)) / total))
     return records
 
@@ -455,13 +464,19 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         if not np.any(a):
             continue
         draw, _ = mc._projector(fam, a)
-        projected = draw(np.random.default_rng(SEED + 40 + 2 * j), m)
+        out = draw(np.random.default_rng(SEED + 40 + 2 * j), m)
+        # a weighted plan's rows carry their log weights; its moments are the
+        # weighted means, whose noise is that of the ratio residuals
+        projected, ell = out if isinstance(out, tuple) else (out, np.zeros(m))
+        likelihood = np.exp(ell)
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
-        assert projected.shape == (m,)
+        assert projected.shape == ell.shape == (m,)
         for power in (2, 4):
             x, y = projected ** power, full ** power
-            sigma = math.sqrt((np.var(x) + np.var(y)) / m)
-            assert abs(float(np.mean(x) - np.mean(y))) <= 5.0 * sigma
+            mean = float(np.sum(likelihood * x) / np.sum(likelihood))
+            residuals = likelihood * (x - mean) / np.mean(likelihood)
+            sigma = math.sqrt((np.var(residuals) + np.var(y)) / m)
+            assert abs(mean - float(np.mean(y))) <= 5.0 * sigma
 
 
 class _VectorDrawsOnly:
@@ -520,6 +535,74 @@ def test_exp_records_do_not_depend_on_the_order_of_the_coefficients():
     records = estimate_pnorm(fam, a, GRID_ORDERS, ODD_SAMPLES, SEED)
     for perm in (a[::-1], np.roll(a, 3), a[[4, 0, 7, 1, 6, 3, 2, 5]]):
         assert estimate_pnorm(fam, perm, GRID_ORDERS, ODD_SAMPLES, SEED) == records
+
+
+# -- the defensive mixture of linear-tail projections ---------------------------
+
+GRID_PROFILES = ("one_hot", "flat", "geometric:rho=0.7", "power:alpha=1")
+
+
+def _laplace_even_moment(weights, k):
+    """E S^{2k} of S = sum_i w_i L_i for iid standard Laplace L_i: (2k)! times
+    the t^{2k} coefficient of the product polynomial prod_i 1 / (1 - w_i^2 t^2)."""
+    coef = np.zeros(k + 1)
+    coef[0] = 1.0
+    for w in weights:
+        for j in range(1, k + 1):
+            coef[j] += w * w * coef[j - 1]
+    return math.factorial(2 * k) * float(coef[k])
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("profile", GRID_PROFILES)
+def test_linear_tail_pnorms_cover_their_exact_values(profile, n):
+    # a unit-variance Laplace coordinate is L / sqrt(2); over 8 seeds the
+    # z-scores of the grid's top orders centre on 0 and none is wild, and no
+    # estimate rests on fewer than 5% of its draws
+    a = coefficient_profile(profile, n)
+    orders = (8.0, 16.0, 32.0)
+    exact = [_laplace_even_moment(a / math.sqrt(2.0), int(p) // 2) ** (1.0 / p) for p in orders]
+    n_samples = 20_000
+    zs = []
+    for seed in range(8):
+        records = estimate_pnorm(product_exponential(n), a, orders, n_samples, SEED + 50 + seed)
+        assert all(rec.ess >= 0.05 * n_samples for rec in records)
+        zs.append([(rec.value - ref) / rec.stderr for rec, ref in zip(records, exact)])
+    zs = np.array(zs)
+    assert np.all(np.abs(zs) <= 4.0), zs
+    assert np.all(np.abs(zs.mean(axis=0)) <= 1.5), zs.mean(axis=0)
+
+
+@pytest.mark.parametrize("n,profile", [(1, "one_hot"), (16, "flat"), (16, "geometric:rho=0.7")])
+def test_mixture_likelihood_ratios_have_mean_one(n, profile):
+    # E e^l = 1 under the mixture, and e^l <= 1 / alpha_0 = 5
+    draw, width = mc._projector(product_exponential(n), coefficient_profile(profile, n))
+    rng = np.random.default_rng(SEED + 60)
+    n_draws = 1_000_000
+    ell = np.concatenate([draw(rng, m)[1] for m in mc._chunk_rows(n_draws, width)])
+    likelihood = np.exp(ell)
+    stderr = float(np.std(likelihood)) / math.sqrt(n_draws)
+    assert abs(float(np.mean(likelihood)) - 1.0) <= 4.0 * stderr
+    assert float(np.max(ell)) <= math.log(5.0) + 1e-12
+
+
+class _FarDraws:
+    """A generator whose every normal is 10^6: projections far beyond any
+    double's cosh."""
+
+    def standard_exponential(self, size):
+        return np.ones(size)
+
+    def standard_normal(self, size):
+        return np.full(size, 1e6)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_mixture_log_weights_do_not_overflow(n):
+    draw, _ = mc._projector(product_exponential(n), np.linspace(1.0, 0.5, n))
+    s, ell = draw(_FarDraws(), 600)
+    assert np.all(np.isfinite(s)) and np.all(np.isfinite(ell))
+    assert float(np.max(ell)) < -1e5
 
 
 # ESS / N of |g|^p tends to (E|g|^p)^2 / E|g|^{2p}; at N = 10^5 its ratio to

@@ -114,6 +114,18 @@ def test_tabulated_validation():
     assert TABLE_MIN_TOP == 64.0
 
 
+@pytest.mark.parametrize("knots_t,knots_n", [
+    ((0.0, math.inf), (0.0, 100.0)),
+    ((0.0, 1.0), (0.0, math.inf)),
+    ((0.0, 1.0, math.nan), (0.0, 1.0, 80.0)),
+    ((0.0, 1.0, 2.0), (0.0, 1.0, -math.inf)),
+])
+def test_tabulated_knots_must_be_finite(knots_t, knots_n):
+    # an infinite knot passes the order and convexity rules; its variance is nan
+    with pytest.raises(InvalidArgumentError, match="tabulated knots must be finite"):
+        tabulated(knots_t, knots_n)
+
+
 def test_tabulated_variance_matches_quadrature():
     tail = tabulated(TABLE_T, TABLE_N)
     integral, _ = quad(lambda t: 2.0 * t * math.exp(-tail.value(t)), 0.0, 10.0)
