@@ -523,16 +523,19 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
         w += ells
         np.exp(w, out=w)
         total = float(np.sum(w))
-        # sum w^2 and max w for the ESS and the top share, by numpy rather
-        # than a BLAS dot so that their bits do not depend on BLAS threading
-        square_sum = float(np.einsum("i,i->", w, w))
-        largest = float(np.max(w))
+        if ell_parts:
+            # sum w^2 and max w for the ESS and the top share, by numpy rather
+            # than a BLAS dot so that their bits do not depend on BLAS threading
+            square_sum, largest = float(np.einsum("i,i->", w, w)), float(np.max(w))
         # the ratio estimate sum w / sum e^l of E|<X, u>|^p / e^{p top}, and
         # its delta-method variance: the sample variance of w - ratio e^l
         # over the squared mean of e^l
         ratio = total / n_samples / mean_likelihood
         w -= np.multiply(likelihoods, ratio, out=buffer)
         var = float(np.sum(np.square(w, out=w))) / (n_samples - 1)
+        if not ell_parts:
+            # l = 0: sum w^2 = sum (w - mean)^2 + n mean^2, and max w = e^0
+            square_sum, largest = (n_samples - 1) * var + n_samples * ratio * ratio, 1.0
         se = math.sqrt(var / n_samples) / mean_likelihood
         norm = math.exp(top + math.log(ratio) / p)
         value, stderr = scale * norm, scale * (norm * se / (ratio * p))
