@@ -252,6 +252,7 @@ def check_fourth_moment_extremality(seed: int) -> CheckResult:
     )
     rows = []
     passed = True
+    min_ess = math.inf
     for k, (spec, n, target, window) in enumerate(cases):
         family = family_from_spec(spec, n)
         rec = estimate_fourth_moment(family, 0, 10_000_000, _child_seed(seed, _STREAM_MOMENT4, k))
@@ -260,10 +261,12 @@ def check_fourth_moment_extremality(seed: int) -> CheckResult:
             ok_window = abs(rec.value - target) <= window
         ok_extremal = rec.value <= 6.0 + 3.0 * rec.stderr
         passed = passed and ok_window and ok_extremal
+        min_ess = min(min_ess, rec.ess)
         rows.append({"family": spec, "value": rec.value, "stderr": rec.stderr,
                      "target": target, "window": window,
                      "within_window": ok_window, "below_exponential": ok_extremal})
-    return _finish("fourth_moment_extremality", passed, {"cases": rows}, start)
+    return _finish("fourth_moment_extremality", passed, {"cases": rows, "min_ess": min_ess},
+                   start)
 
 
 # -- 5 + 8. the shared moment-equivalence grid ---------------------------------
@@ -295,7 +298,8 @@ def check_moment_equivalence_envelope(seed: int) -> CheckResult:
             violations.append({"family": row.family, "n": row.n,
                                "profile": row.profile, "p": row.p, "ratio": ratio})
     detail = {"cells": len(result.rows), "bounds": [lo_bound, hi_bound],
-              "envelopes": envelopes, "violations": violations}
+              "envelopes": envelopes, "violations": violations,
+              "min_ess": min(row.mc_ess for row in result.rows)}
     return _finish("moment_equivalence_envelope", not violations, detail, start)
 
 
@@ -314,7 +318,8 @@ def check_quartic_upper_probe(seed: int) -> CheckResult:
             worst = probe
             worst_cell = {"family": row.family, "n": row.n,
                           "profile": row.profile, "p": row.p}
-    detail = {"max_normalized_excess": worst, "bound": 10.0, "cell": worst_cell}
+    detail = {"max_normalized_excess": worst, "bound": 10.0, "cell": worst_cell,
+              "min_ess": min(row.mc_ess for row in result.rows)}
     return _finish("quartic_upper_probe", worst <= 10.0, detail, start)
 
 
@@ -325,6 +330,7 @@ def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
     orders = (3.0, 4.0, 6.0, 8.0)
     rows = []
     passed = True
+    min_ess = math.inf
     for k, n in enumerate((16, 64)):
         family = product_exponential(n)
         a = np.full(n, 1.0 / math.sqrt(n))
@@ -335,9 +341,11 @@ def check_flat_sum_gaussian_band(seed: int) -> CheckResult:
             allowance = p / math.sqrt(n) + 3.0 * rec.stderr
             ok = gap <= allowance
             passed = passed and ok
+            min_ess = min(min_ess, rec.ess)
             rows.append({"n": n, "p": p, "mc": rec.value, "gap": gap,
                          "allowance": allowance, "ok": ok})
-    return _finish("flat_sum_gaussian_band", passed, {"cells": rows}, start)
+    return _finish("flat_sum_gaussian_band", passed, {"cells": rows, "min_ess": min_ess},
+                   start)
 
 
 # -- 7. ball moments stay above the quartic-corrected Gaussian lower bound ----
@@ -347,7 +355,7 @@ def check_ball_lower_band(seed: int) -> CheckResult:
     rng = np.random.default_rng(_child_seed(seed, _STREAM_LOWER_BAND))
     cells = 0
     violations = []
-    worst_slack = math.inf
+    worst_slack = min_ess = math.inf
     orders = (2.0, 4.0, 8.0)
     k = 0
     for q in (1.0, 2.0):
@@ -364,10 +372,12 @@ def check_ball_lower_band(seed: int) -> CheckResult:
                     lower = gaussian_pnorm(p) * l2 - math.sqrt(3.0) * p * quartic
                     slack = rec.value - (lower - 3.0 * rec.stderr)
                     worst_slack = min(worst_slack, slack)
+                    min_ess = min(min_ess, rec.ess)
                     cells += 1
                     if slack < 0:
                         violations.append({"q": q, "n": n, "p": p, "slack": slack})
-    detail = {"cells": cells, "violations": violations, "min_slack": worst_slack}
+    detail = {"cells": cells, "violations": violations, "min_slack": worst_slack,
+              "min_ess": min_ess}
     return _finish("ball_lower_band", cells >= 100 and not violations, detail, start)
 
 
@@ -403,6 +413,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
     orders = (3.0, 4.0, 6.0)
     rows = []
     passed = True
+    min_ess = math.inf
     for k, q in enumerate((1.0, 2.0)):
         ball = UniformBall.isotropic(3, q)
         deps, inds = dependent_vs_independent(ball, (1.0, 1.0, 1.0), orders, 10_000_000,
@@ -411,6 +422,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
             combined = math.hypot(dep.stderr, ind.stderr)
             ok = dep.value <= ind.value + 3.0 * combined
             passed = passed and ok
+            min_ess = min(min_ess, dep.ess, ind.ess)
             rows.append({"q": q, "p": p, "dependent": dep.value,
                          "independent": ind.value, "stderr": combined, "ok": ok})
     dep4 = _disk_dependent_fourth()
@@ -418,7 +430,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
     oracle_ok = (abs(dep4 - 8.0) <= 1e-6 and abs(ind4 - 10.0) <= 1e-6
                  and dep4 < ind4)
     passed = passed and oracle_ok
-    detail = {"cells": rows,
+    detail = {"cells": rows, "min_ess": min_ess,
               "disk_oracle": {"dependent_fourth": dep4, "independent_fourth": ind4,
                               "expected": [8.0, 10.0], "ok": oracle_ok}}
     return _finish("dependent_moment_deficit", passed, detail, start)
@@ -431,6 +443,7 @@ def check_joint_tail_factorization(seed: int) -> CheckResult:
     rng = np.random.default_rng(_child_seed(seed, _STREAM_JOINT_TAIL))
     probes = []
     passed = True
+    min_ess = math.inf
     for k in range(20):
         n = 2 + k % 3
         family = product_exponential(n)
@@ -442,6 +455,8 @@ def check_joint_tail_factorization(seed: int) -> CheckResult:
         rec = estimate_joint_tail(family, t, 4_000_000, _child_seed(seed, _STREAM_JOINT_TAIL, k))
         ok = abs(rec.value - target) <= 3.0 * rec.stderr
         passed = passed and ok
+        # a joint tail's ESS is its hit count
+        min_ess = min(min_ess, rec.ess)
         probes.append({"n": n, "target": target, "empirical": rec.value,
                        "stderr": rec.stderr, "ok": ok})
     support_worst = 0.0
@@ -454,7 +469,8 @@ def check_joint_tail_factorization(seed: int) -> CheckResult:
         rhs = gluskin_kwapien(block, list(family.tails), p)
         support_worst = max(support_worst, abs(lhs - rhs) / max(lhs, 1e-300))
     passed = passed and support_worst <= 1e-12
-    detail = {"probes": probes, "support_vs_program_max_rel": support_worst,
+    detail = {"probes": probes, "min_ess": min_ess,
+              "support_vs_program_max_rel": support_worst,
               "support_tolerance": 1e-12}
     return _finish("joint_tail_factorization", passed, detail, start)
 

@@ -139,9 +139,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_dimension(n) -> None:
+def _check_dimension(n, name: str = "dimension") -> None:
     if not _is_integer(n) or n < 1:
-        raise InvalidArgumentError(f"dimension must be an integer >= 1, got {n!r}")
+        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def product_exponential(n: int) -> ProductFamily:

@@ -12,6 +12,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import json
@@ -27,7 +28,7 @@ import numpy as np
 
 from .coeffs import CoefficientVector, _orders
 from .errors import InvalidArgumentError
-from .families import Family, family_from_spec
+from .families import Family, _check_dimension, _is_integer, family_from_spec
 from .montecarlo import MAX_MOMENT_ORDER, _child_seed, _validate_sample_count, estimate_pnorm
 from .surrogates import surrogate_bundle
 from .tails import _parse_param
@@ -73,7 +74,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _typed_list(getattr(self, name), name, kinds))
         # integer orders are stored as floats, so every report row's p is one
         object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
-        _typed(self.seed, "seed", (int,))
+        object.__setattr__(self, "seed", _typed(self.seed, "seed", (int,)))
         _typed(self.output_dir, "output_dir", (str,))
         if not self.families or not self.profiles or not self.n_list or not self.p_grid:
             raise InvalidArgumentError("families, profiles, n_list and p_grid must be non-empty")
@@ -81,13 +82,13 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise InvalidArgumentError(f"{name} has duplicate entries: {list(values)}")
-        if any(n < 1 for n in self.n_list):
-            raise InvalidArgumentError("dimensions must be >= 1")
+        for n in self.n_list:
+            _check_dimension(n)
         ps = self.p_grid
         _orders(ps, 2.0, MAX_MOMENT_ORDER)
         if any(p1 <= p0 for p0, p1 in zip(ps, ps[1:])):
             raise InvalidArgumentError("p_grid must be strictly increasing")
-        _validate_sample_count(self.n_samples)
+        object.__setattr__(self, "n_samples", _validate_sample_count(self.n_samples))
         for spec in self.families:
             _check_spec("family", spec, self.n_list, family_from_spec)
         for spec in self.profiles:
@@ -119,11 +120,12 @@ class ExperimentConfig:
 
 
 def _typed(value, name: str, kinds: tuple[type, ...]):
-    # bool is an int subclass, but true/false is never a count or a seed
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    # an int is an integer by ``_is_integer``, a numpy int too, and is stored
+    # as an int; bool is an int subclass, but true/false is never a count or a seed
+    if not any(_is_integer(value) if kind is int else isinstance(value, kind) for kind in kinds):
         expected = " or ".join(kind.__name__ for kind in kinds)
         raise InvalidArgumentError(f"config field {name} must be {expected}, got {value!r}")
-    return value
+    return int(value) if _is_integer(value) else value
 
 
 def _typed_list(value, name: str, kinds: tuple[type, ...]) -> tuple:
@@ -160,8 +162,7 @@ def coefficient_profile(spec: str, n: int) -> np.ndarray:
     its length (a report skips such rows).
     """
     spec = spec.strip()
-    if n < 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n)
     if spec == "one_hot":
         out = np.zeros(n)
         out[0] = 1.0
@@ -366,11 +367,11 @@ def _format_field(value) -> str:
 def rows_to_csv_bytes(rows) -> bytes:
     """Serialize rows deterministically: fixed column order, 17 significant
     digits, '.' decimal separator, '\\n' line endings, empty fields for
-    missing surrogates."""
+    missing surrogates, and a spec that contains a comma quoted."""
     buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_format_field(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_format_field(getattr(row, col)) for col in CSV_COLUMNS] for row in rows)
     return buf.getvalue().encode("ascii")
 
 

@@ -11,8 +11,11 @@ Gaussian draw does not.  A weighted draw (linear tails, below) splits each
 chunk among the parts of its proposal, so its records depend on the chunk
 budget beyond the last bit.  The proposal depends on the draw plan only,
 never on the requested orders, so entry i of an order sequence equals the
-scalar call at its order.  ``_child_seed`` is the only seed derivation:
-report rows and acceptance checks use it too.  The chunks only bound the
+scalar call at its order.  ``_child_seed`` is the only seed derivation
+and holds the only seed rule: a seed is an integer (a Python or numpy int,
+never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
+and every record's ``seed`` is that reduction.  Report rows and acceptance
+checks derive their seeds with it too.  The chunks only bound the
 memory of a draw: the parts of a proposal are drawn in fixed shares and the
 rows of each part are iid, so every estimate takes the iid standard error of
 the mean of all of its rows (conservative under the fixed shares),
@@ -65,9 +68,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .coeffs import _orders, as_coefficients
+from .coeffs import CoefficientVector, _orders, as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
-from .families import Family, GaussianStd, ProductFamily, UniformBall, UniformCube, _is_integer
+from .families import (Family, GaussianStd, ProductFamily, UniformBall, UniformCube,
+                       _check_dimension, _is_integer)
 from .tails import TailFunction
 
 __all__ = [
@@ -90,8 +94,6 @@ MIN_SAMPLES = 10_000
 # max(1, _CHUNK_ENTRIES // width) rows
 _CHUNK_ENTRIES = 2 ** 15
 
-_MASK64 = (1 << 64) - 1
-
 # stream tags keep estimators on disjoint streams of one master seed
 _TAG_PNORM = 1
 _TAG_MOMENT4 = 2
@@ -100,10 +102,18 @@ _TAG_NA_DEPENDENT = 4
 _TAG_NA_INDEPENDENT = 5
 
 
+def _seed_word(seed: int) -> int:
+    """The seed rule: an integer by ``_is_integer``, taken mod 2^64."""
+    if not _is_integer(seed):
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
+    return int(seed) % (1 << 64)
+
+
 def _child_seed(seed: int, *path: int) -> int:
     """The first word of SeedSequence((seed mod 2^64, *path)); its zero
-    padding makes (seed, tag, 0) the same child as (seed, tag)."""
-    ss = np.random.SeedSequence((int(seed) & _MASK64, *path))
+    padding makes (seed, tag, 0) the same child as (seed, tag).  A seed that
+    is not an integer raises (``_seed_word``)."""
+    ss = np.random.SeedSequence((_seed_word(seed), *path))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -232,8 +242,7 @@ def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int,
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` iid vectors from the family as a (size, n) array."""
-    if size < 1:
-        raise InvalidArgumentError(f"sample size must be >= 1, got {size}")
+    _check_dimension(size, "sample size")
     if isinstance(family, ProductFamily):
         return _sample_tails(family.tail_columns, family.n, rng, size)
     if isinstance(family, UniformBall):
@@ -448,12 +457,15 @@ def _twin_projector(ball: UniformBall, u: np.ndarray) -> tuple[Draw, int]:
 
 # -- chunked engine -------------------------------------------------------------
 
-def _validate_sample_count(n_samples: int) -> None:
+def _validate_sample_count(n_samples: int) -> int:
+    """The sample count as an int: an integer by ``_is_integer``, at least
+    ``MIN_SAMPLES``."""
     if not _is_integer(n_samples):
         raise InvalidArgumentError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < MIN_SAMPLES:
         raise InvalidArgumentError(
             f"n_samples must be >= {MIN_SAMPLES} for a stable standard error, got {n_samples}")
+    return int(n_samples)
 
 
 def _chunk_rows(n_samples: int, width: int) -> list[int]:
@@ -472,7 +484,7 @@ def _chunks(draw: Draw, n_samples: int, width: int, seed: int,
         yield draw(rng, m)
 
 
-def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np.ndarray,
+def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], cv: CoefficientVector,
                   ps: np.ndarray, n_samples: int, seed: int,
                   tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws.
@@ -480,18 +492,15 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
     ``projector(u)`` is the draw plan ``(draw, width)`` of <X, u>, built once
     per estimate; a weighted plan's rows carry their log weights, and its
     records are the self-normalised ratio estimates (module docstring).  The
-    draws use u = a / max|a_i| and every record is
-    max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
-    scales the records by exactly that factor, however small or large, as
-    long as they stay normal doubles.
+    draws use the nonzero vector's u = a / max|a_i| (``cv.unit``) and every
+    record is max|a_i| times the norm of <X, u>, so scaling ``a`` by a power
+    of two scales the records by exactly that factor, however small or
+    large, as long as they stay normal doubles.  The inputs are checked by
+    the caller (``_moment_inputs``); the laws are continuous, so no draw is
+    all zero.
     """
-    seed = int(seed) & _MASK64
-    # every projection exactly 0: equal weights, each a 1/n_samples share
-    zero = EstimateRecord(0.0, 0.0, n_samples, seed, float(n_samples), 1.0 / n_samples)
-    scale = float(np.max(np.abs(a_arr)))
-    if scale == 0.0:
-        return (zero,) * len(ps)
-    draw, width = projector(a_arr / scale)
+    seed = _seed_word(seed)
+    draw, width = projector(cv.unit)
     log_parts, ell_parts = [], []
     for out in _chunks(draw, n_samples, width, seed, tag):
         s, ell = out if isinstance(out, tuple) else (out, None)
@@ -503,8 +512,6 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
             ell_parts.append(ell)
     logs = np.concatenate(log_parts)
     top = float(np.max(logs))
-    if top == -math.inf:
-        return (zero,) * len(ps)
     overflow = OutOfRangeError(
         "sum a_i X_i overflows double precision; rescale the coefficients")
     if not math.isfinite(top):
@@ -538,12 +545,28 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], a_arr: np
             square_sum, largest = (n_samples - 1) * var + n_samples * ratio * ratio, 1.0
         se = math.sqrt(var / n_samples) / mean_likelihood
         norm = math.exp(top + math.log(ratio) / p)
-        value, stderr = scale * norm, scale * (norm * se / (ratio * p))
+        value, stderr = cv.scale * norm, cv.scale * (norm * se / (ratio * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise overflow
         records.append(EstimateRecord(value, stderr, n_samples, seed,
                                       total * total / square_sum, largest / total))
     return tuple(records)
+
+
+def _moment_inputs(family: Family, a, p, minimum: float,
+                   n_samples: int) -> tuple[CoefficientVector, np.ndarray]:
+    """The checked coefficients and orders of a p-norm estimate: ``a`` of the
+    family's dimension and nonzero, orders in [minimum, MAX_MOMENT_ORDER] and
+    a valid sample count."""
+    cv = as_coefficients(a)
+    if family.n != cv.n:
+        raise InvalidArgumentError(
+            f"family dimension {family.n} does not match coefficient length {cv.n}")
+    ps = _orders(p, minimum, MAX_MOMENT_ORDER, OutOfRangeError)
+    if cv.scale == 0.0:
+        raise InvalidArgumentError("coefficient vector must be nonzero")
+    _validate_sample_count(n_samples)
+    return cv, ps
 
 
 def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int,
@@ -556,16 +579,9 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     nondecreasing in p (the power-mean inequality on one sample).  Entry i of
     the tuple equals the scalar call at ``p[i]`` with the same seed.
     """
-    cv = as_coefficients(a)
-    if family.n != cv.n:
-        raise InvalidArgumentError(
-            f"family dimension {family.n} does not match coefficient length {cv.n}")
-    ps = _orders(p, 2.0, MAX_MOMENT_ORDER, OutOfRangeError)
-    if not np.any(cv.array != 0.0):
-        raise InvalidArgumentError("coefficient vector must be nonzero")
-    _validate_sample_count(n_samples)
-    records = _pnorm_engine(functools.partial(_projector, family), cv.array, ps, n_samples,
-                            seed, _TAG_PNORM)
+    cv, ps = _moment_inputs(family, a, p, 2.0, n_samples)
+    records = _pnorm_engine(functools.partial(_projector, family), cv, ps, n_samples, seed,
+                            _TAG_PNORM)
     return records[0] if np.ndim(p) == 0 else records
 
 
@@ -577,7 +593,7 @@ def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
         raise InvalidArgumentError(
             f"coordinate must be an integer in [0, {family.n}), got {coordinate!r}")
     _validate_sample_count(n_samples)
-    unit = (np.arange(family.n) == coordinate).astype(float)
+    unit = as_coefficients(np.arange(family.n) == coordinate)
     (rec,) = _pnorm_engine(functools.partial(_projector, family), unit, np.array([4.0]),
                            n_samples, seed, _TAG_MOMENT4)
     # the weights X_j^4 are the same, so are their ESS and top share
@@ -614,8 +630,7 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int,
             f"joint tail estimate {value:.3e} is below the e^-10 reliability guard")
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     # the weights are the hit indicators: ESS hits, top share 1 / hits
-    return EstimateRecord(value, stderr, n_samples, int(seed) & _MASK64, float(hits),
-                          1.0 / hits)
+    return EstimateRecord(value, stderr, n_samples, _seed_word(seed), float(hits), 1.0 / hits)
 
 
 def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
@@ -632,21 +647,16 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     ``(deps, indeps)``, one record per order, all from one draw of each,
     with entry i equal to the scalar call at ``p[i]``.
     """
-    cv = as_coefficients(a)
     if not isinstance(ball, UniformBall):
         raise InvalidArgumentError("dependent/independent comparison is ball-only")
     if ball.n < 2:
         raise InvalidArgumentError("comparison needs dimension >= 2")
-    if ball.n != cv.n:
-        raise InvalidArgumentError(
-            f"family dimension {ball.n} does not match coefficient length {cv.n}")
     # p >= 3 keeps the second derivative of |x|^p convex
-    ps = _orders(p, 3.0, MAX_MOMENT_ORDER, OutOfRangeError)
-    _validate_sample_count(n_samples)
-    deps = _pnorm_engine(functools.partial(_projector, ball), cv.array, ps, n_samples, seed,
+    cv, ps = _moment_inputs(ball, a, p, 3.0, n_samples)
+    deps = _pnorm_engine(functools.partial(_projector, ball), cv, ps, n_samples, seed,
                          _TAG_NA_DEPENDENT)
-    indeps = _pnorm_engine(functools.partial(_twin_projector, ball), cv.array, ps, n_samples,
-                           seed, _TAG_NA_INDEPENDENT)
+    indeps = _pnorm_engine(functools.partial(_twin_projector, ball), cv, ps, n_samples, seed,
+                           _TAG_NA_INDEPENDENT)
     if np.ndim(p) == 0:
         return deps[0], indeps[0]
     return deps, indeps

@@ -16,6 +16,12 @@ from lcmoments.harness import ExperimentConfig, _reference_surrogate, run_experi
 
 SEED = 0
 
+# the checks that read Monte-Carlo estimates, each of which states the
+# smallest ESS among them
+MC_CHECKS = ("fourth_moment_extremality", "moment_equivalence_envelope",
+             "quartic_upper_probe", "flat_sum_gaussian_band", "ball_lower_band",
+             "dependent_moment_deficit", "joint_tail_factorization")
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(CHECKS))
@@ -25,6 +31,9 @@ def test_acceptance_criterion(name, capsys):
     with capsys.disabled():
         print(f"[{status}] {name} ({result.seconds:.1f}s)")
     assert result.passed, f"{name} failed: {result.detail}"
+    assert ("min_ess" in result.detail) == (name in MC_CHECKS)
+    if name in MC_CHECKS:
+        assert result.detail["min_ess"] >= 1.0
 
 
 def test_registry_suites_partition_the_checks():
@@ -67,3 +76,16 @@ def test_envelope_is_the_summary_range_of_each_family(monkeypatch):
         for family, values in ratios.items()}
     assert [v["ratio"] for v in detail["violations"]] == [
         r for values in ratios.values() for r in values if not 0.1 <= r <= 10.0]
+
+
+def test_grid_checks_report_the_minimum_ess_of_their_cells(monkeypatch):
+    config = ExperimentConfig(
+        families=("exp", "ball:q=1", "cube"), profiles=("one_hot", "flat"),
+        n_list=(2, 4), p_grid=(2.0, 32.0), n_samples=10_000, seed=3)
+    result = run_experiment(config)
+    monkeypatch.setattr(acceptance, "_equivalence_grid", lambda seed: result)
+    floor = min(row.mc_ess for row in result.rows)
+    # every cell is counted, a low-ESS one too
+    assert floor < 0.01 * config.n_samples
+    assert acceptance.check_moment_equivalence_envelope(SEED).detail["min_ess"] == floor
+    assert acceptance.check_quartic_upper_probe(SEED).detail["min_ess"] == floor

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -81,6 +83,17 @@ def test_config_construction_stores_lists_as_tuples_and_orders_as_floats():
     assert config == ExperimentConfig(**SMALL)
     assert all(type(p) is float for p in config.p_grid)
     assert all(type(row.p) is float for row in run_experiment(config).rows)
+
+
+def test_config_takes_numpy_integers_as_ints(tmp_path):
+    config = ExperimentConfig(**{**SMALL, "n_list": (np.int64(3),), "seed": np.int64(13),
+                                 "n_samples": np.int64(10_000), "p_grid": (np.int64(2), 4.0)})
+    assert config == ExperimentConfig(**SMALL)
+    assert type(config.seed) is int and type(config.n_samples) is int
+    assert type(config.n_list[0]) is int and type(config.p_grid[0]) is float
+    # so its summary is JSON like any other
+    _, summary_path = write_report(run_experiment(config), tmp_path)
+    assert json.loads(summary_path.read_text())["seed"] == 13
 
 
 def test_config_from_mapping_checks_keys():
@@ -187,6 +200,12 @@ def test_profile_rejects_malformed_specs(spec):
 def test_profile_rejects_bad_dimension():
     with pytest.raises(InvalidArgumentError):
         coefficient_profile("flat", 0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 3.0, "3"])
+def test_profile_refuses_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(InvalidArgumentError, match="dimension must be an integer"):
+        coefficient_profile("flat", n)
 
 
 # -- experiment runs ------------------------------------------------------------------
@@ -309,11 +328,28 @@ def test_csv_round_trip_is_exact(monkeypatch):
     lines = blob.decode("ascii").split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[-1] == ""
-    parsed = [row_from_csv_fields(line.split(",")) for line in lines[1:-1]]
+    parsed = [row_from_csv_fields(fields) for fields in csv.reader(lines[1:-1])]
     assert tuple(parsed) == rows
     cube_row = next(r for r in rows if r.family == "cube")
     assert cube_row.gk is None and cube_row.bqn is None
     assert cube_row.momunc is not None
+
+
+def test_csv_quotes_the_specs_that_contain_commas(monkeypatch):
+    # a multi-tail product and an explicit profile both hold commas
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    config = ExperimentConfig(**{**SMALL, "families": ("product:exp,pow:alpha=2", "cube"),
+                                 "profiles": ("explicit:1,0.5", "flat"), "n_list": (2,)})
+    rows = run_experiment(config).rows
+    assert len(rows) == 8
+    text = rows_to_csv_bytes(rows).decode("ascii")
+    records = list(csv.reader(io.StringIO(text)))
+    assert [len(fields) for fields in records] == [len(CSV_COLUMNS)] * 9
+    assert tuple(row_from_csv_fields(fields) for fields in records[1:]) == rows
+    for line, row in zip(text.split("\n")[1:], rows):
+        quoted = [f'"{spec}"' for spec in (row.family, row.profile) if "," in spec]
+        assert line.count('"') == 2 * len(quoted)
+        assert all(spec in line for spec in quoted)
 
 
 def test_row_from_csv_fields_checks_width():
@@ -373,10 +409,22 @@ def test_cli_estimate_prints_rows_and_csv(tmp_path, capsys):
     assert "hitczenko=" in out and "gk=" in out
     lines = csv_path.read_bytes().decode("ascii").strip().split("\n")
     assert len(lines) == 3
-    rows = [row_from_csv_fields(line.split(",")) for line in lines[1:]]
+    rows = [row_from_csv_fields(fields) for fields in csv.reader(lines[1:])]
     assert [row.p for row in rows] == [2.0, 4.0]
     # both orders come from one draw, so the curve cannot decrease
     assert rows[0].mc_value <= rows[1].mc_value
+
+
+def test_cli_estimate_csv_quotes_an_explicit_profile(tmp_path):
+    csv_path = tmp_path / "cell.csv"
+    assert main(["estimate", "--family", "exp", "--n", "2", "--profile", "explicit:1,0.5",
+                 "--p", "2,4", "--samples", "10000", "--seed", "1",
+                 "--csv", str(csv_path)]) == 0
+    records = list(csv.reader(io.StringIO(csv_path.read_text())))
+    assert [len(fields) for fields in records] == [len(CSV_COLUMNS)] * 3
+    rows = [row_from_csv_fields(fields) for fields in records[1:]]
+    assert [(row.profile, row.p) for row in rows] == [("explicit:1,0.5", 2.0),
+                                                      ("explicit:1,0.5", 4.0)]
 
 
 def test_cli_estimate_prints_the_trust_figures(capsys):
@@ -418,7 +466,7 @@ def test_cli_report_runs_at_huge_ball_exponents(tmp_path, q):
     out_dir = tmp_path / "report"
     assert main(["report", "--config", str(config_path), "--out", str(out_dir)]) == 0
     lines = (out_dir / "report.csv").read_text().strip().split("\n")[1:]
-    rows = [row_from_csv_fields(line.split(",")) for line in lines]
+    rows = [row_from_csv_fields(fields) for fields in csv.reader(lines)]
     assert len(rows) == 4
     for row in rows:
         assert 0.5 < row.mc_value / row.bqn < 2.0

@@ -6,6 +6,7 @@ from scipy.special import betaln, logsumexp
 from scipy.stats import sem
 
 import lcmoments.montecarlo as mc
+from lcmoments.coeffs import as_coefficients
 from lcmoments.errors import InvalidArgumentError, OutOfRangeError
 from lcmoments.families import (
     GaussianStd,
@@ -15,7 +16,7 @@ from lcmoments.families import (
     family_from_spec,
     product_exponential,
 )
-from lcmoments.harness import coefficient_profile
+from lcmoments.harness import ExperimentConfig, coefficient_profile
 from lcmoments.tails import TailFunction
 from lcmoments.montecarlo import (
     MAX_MOMENT_ORDER,
@@ -101,6 +102,12 @@ def test_ball_parts_of_the_first_coordinates_match_the_full_sample(q):
 def test_sample_rejects_empty():
     with pytest.raises(InvalidArgumentError):
         sample(GaussianStd(1), np.random.default_rng(0), 0)
+
+
+@pytest.mark.parametrize("size", [2.5, True, 3.0, "3"])
+def test_sample_refuses_a_size_that_is_not_an_integer(size):
+    with pytest.raises(InvalidArgumentError, match="sample size must be an integer"):
+        sample(GaussianStd(2), np.random.default_rng(0), size)
 
 
 # -- p-norm estimates -------------------------------------------------------------
@@ -405,17 +412,9 @@ def _one_entry_projector(value, target):
     return projector
 
 
-def test_pnorm_record_of_zero_and_overflowed_projections():
-    a = np.array([1.0, 0.5, 2.0])
+def test_pnorm_record_of_overflowed_projections():
+    a = as_coefficients((1.0, 0.5, 2.0))
     orders = np.array([2.0, 4.0, 32.0])
-    def zero_plan(u):
-        return (lambda rng, m: np.zeros(m)), 3
-
-    for coefs in (a, np.zeros(3)):
-        records = mc._pnorm_engine(zero_plan, coefs, orders, ODD_SAMPLES, 5, mc._TAG_PNORM)
-        # the zero record weighs every sample alike
-        assert [(rec.value, rec.stderr, rec.ess, rec.top_share) for rec in records] == [
-            (0.0, 0.0, ODD_SAMPLES, 1.0 / ODD_SAMPLES)] * len(orders)
     for bad in (np.inf, np.nan):
         with pytest.raises(OutOfRangeError, match="overflows"):
             mc._pnorm_engine(_one_entry_projector(bad, 6_300), a, orders, ODD_SAMPLES, 5,
@@ -786,6 +785,16 @@ def test_dependent_vs_independent_orders_validated_before_sampling(monkeypatch, 
                                  20_000, 0)
 
 
+def test_dependent_vs_independent_refuses_a_zero_vector_like_estimate_pnorm():
+    ball = UniformBall.isotropic(3, 2.0)
+    messages = []
+    for call in (estimate_pnorm, dependent_vs_independent):
+        with pytest.raises(InvalidArgumentError) as info:
+            call(ball, (0.0, -0.0, 0.0), 4.0, 20_000, 0)
+        messages.append(str(info.value))
+    assert messages == ["coefficient vector must be nonzero"] * 2
+
+
 def test_dependent_vs_independent_validation():
     ball = UniformBall.isotropic(3, 2.0)
     with pytest.raises(InvalidArgumentError):
@@ -860,3 +869,35 @@ def test_ball_parts_at_one_coordinate_draw_the_einsum_bits(q):
         want_num = mc._random_signs(mags, rng)
     assert np.array_equal(numerator.view(np.uint64), want_num.view(np.uint64))
     assert np.array_equal(denom.view(np.uint64), want_denom.view(np.uint64))
+
+
+# -- one seed rule -------------------------------------------------------------------
+
+_RULE_BALL = UniformBall.isotropic(3, 2.0)
+SEEDED_CALLS = {
+    "estimate_pnorm": lambda seed: estimate_pnorm(
+        _RULE_BALL, (1.0, 0.5, -0.2), (2.0, 8.0), MIN_SAMPLES, seed),
+    "estimate_fourth_moment": lambda seed: estimate_fourth_moment(
+        _RULE_BALL, 1, MIN_SAMPLES, seed),
+    "estimate_joint_tail": lambda seed: estimate_joint_tail(
+        _RULE_BALL, (0.1, 0.2, 0.1), MIN_SAMPLES, seed),
+    "dependent_vs_independent": lambda seed: dependent_vs_independent(
+        _RULE_BALL, (1.0, 0.5, -0.2), (3.0, 8.0), MIN_SAMPLES, seed),
+    "ExperimentConfig": lambda seed: ExperimentConfig(
+        families=("exp",), profiles=("flat",), n_list=(3,), p_grid=(2.0,),
+        n_samples=MIN_SAMPLES, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED_CALLS))
+@pytest.mark.parametrize("seed", [1.5, True, "3"], ids=["float", "bool", "str"])
+def test_a_seed_that_is_not_an_integer_is_refused(name, seed):
+    with pytest.raises(InvalidArgumentError, match="seed must be"):
+        SEEDED_CALLS[name](seed)
+
+
+@pytest.mark.parametrize("name", list(SEEDED_CALLS))
+@pytest.mark.parametrize("seed", [np.int64(0), np.int64(-3), np.uint64(2 ** 64 - 1)],
+                         ids=["zero", "negative", "top"])
+def test_a_numpy_integer_seed_is_its_int(name, seed):
+    assert SEEDED_CALLS[name](seed) == SEEDED_CALLS[name](int(seed))
