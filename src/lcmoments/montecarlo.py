@@ -22,17 +22,30 @@ the mean of all of its rows (conservative under the fixed shares),
 propagated through the ratio and the 1/p power by the delta method, and
 reports the effective sample size (sum w)^2 / sum w^2 of its weights.
 
-Every ball draw is ``_ball_parts``, the first k coordinates of the
-Barthe-Guedon-Mendelson-Naor form X = r eps y / (sum y_i^q + W)^{1/q}.  One
-engine, ``_pnorm_engine``, serves every moment estimator (p-norms, the
-dependent/independent comparison, and fourth moments as p = 4 on e_j).  It
-draws the projection S = <X, u> with u = a / max|a_i| from a draw plan built
-once per estimate (``_projector``), which draws only the variates the law of
-S needs.  Coordinates with u_i = 0 are never drawn: products, the cube and
-the independent twin draw their k live columns, and balls at q != 2 the
-k-coordinate marginal, whose Gamma((n - k)/q + 1) term absorbs the rest.
-The Gaussian and the Euclidean ball are rotation invariant, so there S is
-drawn in one dimension.
+Every ball draw but the projection at q = 1 is ``_ball_parts``, the first k
+coordinates of the Barthe-Guedon-Mendelson-Naor form
+X = r eps y / (sum y_i^q + W)^{1/q}.  One engine, ``_pnorm_engine``, serves
+every moment estimator (p-norms, the dependent/independent comparison, and
+fourth moments as p = 4 on e_j).  It draws the projection S = <X, u> with
+u = a / max|a_i| from a draw plan built once per estimate (``_projector``),
+which draws only the variates the law of S needs.  Coordinates with u_i = 0
+are never drawn: products, the cube and the independent twin draw their k
+live columns, and balls at q not in {1, 2} the k-coordinate marginal, whose
+Gamma((n - k)/q + 1) term absorbs the rest.  The cube folds its map into
+the coefficients, S = <U, 2 sqrt(3) u> - sqrt(3) sum u_i for uniform U, so
+its (m, k) draw goes straight into the matvec.  The Gaussian and the
+Euclidean ball are rotation invariant, so there S is drawn in one
+dimension.
+
+The ball at q = 1 goes through the identity itself: X = r Y / T with iid
+standard Laplace Y_i and T = sum |Y_i| + W ~ Gamma(n + 1), and X is
+independent of T (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33,
+2005).  So E|<Y, u>|^p = E|<X, u>|^p E T^p / r^p, and the p-norm of <X, u>
+is c_p times that of the Laplace sum <Y, u>, with the exact constant
+c_p = r (Gamma(n + 1) / Gamma(n + 1 + p))^{1/p}.  Its plan draws <Y, u>
+through the linear-tail mixture below and carries c_p, by which the engine
+multiplies value and standard error; the weights, so the ESS and the top
+share, are those of the Laplace sum.
 
 Linear tails are Laplace laws, a Gaussian scale mixture eps E = sqrt(2 E') Z,
 so their S is normal given V = 2 sum_g w_g^2 G_g with G_g ~ Gamma(count_g)
@@ -51,12 +64,17 @@ drawn in its chunk; l <= log(1 / alpha_0) = log 5, and E e^l = 1.  Every
 other plan is unweighted, l = 0.
 
 The engine joins the chunks' log|S| into one vector L and their l into one
-vector, and reduces each order in linear space: w = exp(p (L - max L) + l)
-lies in [0, e^l], the p-norm is the self-normalised weighted power mean
-max|a_i| e^{max L} (sum w / sum e^l)^{1/p}, nondecreasing in p, and its
-standard error is the ratio estimator's delta method, the sample variance of
-w - (sum w / sum e^l) e^l.  With l = 0 this is the plain sample mean of
-|S|^p and its iid standard error, bit for bit.
+vector, and reduces each order in one pass over the samples:
+w = exp(p (L - max L) + l) lies in [0, e^l], and the p-norm is the
+self-normalised weighted power mean c_p max|a_i| e^{max L} R^{1/p} with
+R = sum w / sum e^l, nondecreasing in p.  Its standard error is the ratio
+estimator's delta method, whose variance, the sample variance of the N
+residuals w - R e^l, comes from sums alone:
+(sum w^2 - 2 R sum w e^l + R^2 sum e^{2l}) / (N - 1), with sum w^2 and
+sum w e^l taken by ``einsum``.  Where those sums cancel to less
+than ``_CANCELLATION`` of sum w^2 (a nearly constant w), the engine sums the
+residuals instead.  With l = 0 this is the plain sample mean of |S|^p and
+its iid standard error.
 """
 
 from __future__ import annotations
@@ -64,7 +82,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,6 +280,17 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 # an importance-sampling proposal; an unweighted draw has l = 0
 Draw = Callable[[np.random.Generator, int], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 
+
+class _Plan(NamedTuple):
+    """The draw plan of one projection: ``draw`` (a ``Draw``), the ``width``
+    of columns it draws per row, which sizes the chunks, and ``factor``,
+    the exact constant c_p by which the p-norm of the draws is multiplied to
+    give that of the projection (None: c_p = 1)."""
+
+    draw: Draw
+    width: int
+    factor: Callable[[float], float] | None = None
+
 # the defensive mixture of linear-tail projections: (order, share) of the
 # symmetric tilt at the saddle of each order; the law itself takes the rest
 _MIXTURE_TILTS = ((4.0, 0.4), (MAX_MOMENT_ORDER, 0.4))
@@ -293,7 +322,7 @@ def _saddles(ratios: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.n
     return x[:, 0]
 
 
-def _laplace_mixture(weights: np.ndarray) -> tuple[Draw, int]:
+def _laplace_mixture(weights: np.ndarray) -> _Plan:
     """The weighted plan of S = sum_i w_i L_i for iid standard Laplace L_i and
     w_i > 0, drawn from a defensive mixture of the law and two tilts of it.
 
@@ -392,51 +421,60 @@ def _laplace_mixture(weights: np.ndarray) -> tuple[Draw, int]:
         y *= top
         return y, ell
 
-    return draw, width
+    return _Plan(draw, width)
 
 
-def _projector(family: Family, u: np.ndarray) -> tuple[Draw, int]:
-    """The draw plan of S = <X, u> for a nonzero u: ``(draw, width)``, where
-    ``draw(rng, m)`` returns m draws of S (a ``Draw``) and ``width`` is the
-    number of columns it draws per row, which sizes the chunks.
+def _projector(family: Family, u: np.ndarray) -> _Plan:
+    """The draw plan of S = <X, u> for a nonzero u.
 
     Only the k coordinates with u_i != 0 are drawn.  The Gaussian and the
     Euclidean ball are rotation invariant, so S has the law of ||u||_2 X_1,
-    the k = 1 marginal for the ball.  Other balls draw the signed numerator
-    of the k live coordinates, whose H ~ Gamma((n - k)/q + 1) stands for the
-    others, and divide each row once.  The cube and products of non-linear
-    tails draw their live columns, the latter by the live tails' column
-    groups; products of linear tails draw the weighted defensive mixture of
-    ``_laplace_mixture`` on |u_i| / rate_i.
+    the k = 1 marginal for the ball.  The ball at q = 1 draws <Y, u> for iid
+    standard Laplace Y_i, through ``_laplace_mixture`` on |u_i|, with the
+    constant c_p of the BGMN identity (module docstring).  Other balls draw
+    the signed numerator of the k live coordinates, whose
+    H ~ Gamma((n - k)/q + 1) stands for the others, and divide each row
+    once.  The cube and products of non-linear tails draw their live
+    columns, the latter by the live tails' column groups; products of linear
+    tails draw the weighted defensive mixture of ``_laplace_mixture`` on
+    |u_i| / rate_i.
     """
     live = np.flatnonzero(u)
     coefs, k = u[live], live.size
     if isinstance(family, GaussianStd):
         norm = float(np.linalg.norm(u))
-        return (lambda rng, m: norm * rng.standard_normal(m)), 1
+        return _Plan(lambda rng, m: norm * rng.standard_normal(m), 1)
     if isinstance(family, UniformBall):
+        n, r = family.n, family.r
+        if family.q == 1.0:
+            log_gamma = math.lgamma(n + 1.0)
+            return _laplace_mixture(np.abs(coefs))._replace(
+                factor=lambda p: r * math.exp((log_gamma - math.lgamma(n + 1.0 + p)) / p))
         if family.q == 2.0:
-            factor = family.r * float(np.linalg.norm(u))
+            scale = r * float(np.linalg.norm(u))
 
             def ball_l2(rng: np.random.Generator, m: int) -> np.ndarray:
                 numerator, denom = _ball_parts(family, rng, m, 1)
-                return factor * numerator[:, 0] / denom
+                return scale * numerator[:, 0] / denom
 
-            return ball_l2, 1
+            return _Plan(ball_l2, 1)
 
         def ball(rng: np.random.Generator, m: int) -> np.ndarray:
             numerator, denom = _ball_parts(family, rng, m, k)
-            return family.r * (numerator @ coefs) / denom
+            return r * (numerator @ coefs) / denom
 
-        return ball, k
+        return _Plan(ball, k)
     if isinstance(family, UniformCube):
-        def cube(rng: np.random.Generator, m: int) -> np.ndarray:
-            x = rng.random((m, k))
-            x *= 2.0
-            x -= 1.0
-            return (x @ coefs) * math.sqrt(3.0)
+        # S = sqrt(3) <2U - 1, u> = <U, 2 sqrt(3) u> - sqrt(3) sum u_i
+        scaled = 2.0 * math.sqrt(3.0) * coefs
+        offset = math.sqrt(3.0) * float(np.sum(coefs))
 
-        return cube, k
+        def cube(rng: np.random.Generator, m: int) -> np.ndarray:
+            s = rng.random((m, k)) @ scaled
+            s -= offset
+            return s
+
+        return _Plan(cube, k)
     if isinstance(family, ProductFamily):
         mask = u != 0.0
         position = np.cumsum(mask) - 1
@@ -444,15 +482,15 @@ def _projector(family: Family, u: np.ndarray) -> tuple[Draw, int]:
                        for tail, cols in family.tail_columns if mask[cols].any())
         if all(tail.kind == "linear" for tail, _ in groups):
             return _laplace_mixture(np.abs(coefs) / family.rates[live])
-        return (lambda rng, m: _sample_tails(groups, k, rng, m) @ coefs), k
+        return _Plan(lambda rng, m: _sample_tails(groups, k, rng, m) @ coefs, k)
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
 
 
-def _twin_projector(ball: UniformBall, u: np.ndarray) -> tuple[Draw, int]:
+def _twin_projector(ball: UniformBall, u: np.ndarray) -> _Plan:
     """The draw plan of <X*, u> for the independent twin: its live coordinates."""
     live = np.flatnonzero(u)
     coefs, k = u[live], live.size
-    return (lambda rng, m: _sample_ball_twin(ball, rng, m, k) @ coefs), k
+    return _Plan(lambda rng, m: _sample_ball_twin(ball, rng, m, k) @ coefs, k)
 
 
 # -- chunked engine -------------------------------------------------------------
@@ -484,23 +522,29 @@ def _chunks(draw: Draw, n_samples: int, width: int, seed: int,
         yield draw(rng, m)
 
 
-def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], cv: CoefficientVector,
+# the variance from sums loses about log10(sum w^2 / spread) digits to
+# cancellation, where spread = sum (w - R e^l)^2; below this share of
+# sum w^2 the engine sums the residuals themselves
+_CANCELLATION = 2.0 ** -8
+
+
+def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVector,
                   ps: np.ndarray, n_samples: int, seed: int,
                   tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws.
 
-    ``projector(u)`` is the draw plan ``(draw, width)`` of <X, u>, built once
-    per estimate; a weighted plan's rows carry their log weights, and its
-    records are the self-normalised ratio estimates (module docstring).  The
-    draws use the nonzero vector's u = a / max|a_i| (``cv.unit``) and every
-    record is max|a_i| times the norm of <X, u>, so scaling ``a`` by a power
-    of two scales the records by exactly that factor, however small or
-    large, as long as they stay normal doubles.  The inputs are checked by
-    the caller (``_moment_inputs``); the laws are continuous, so no draw is
-    all zero.
+    ``projector(u)`` is the draw plan (``_Plan``) of <X, u>, built once per
+    estimate; a weighted plan's rows carry their log weights, and its
+    records are the self-normalised ratio estimates (module docstring),
+    times the plan's c_p.  The draws use the nonzero vector's
+    u = a / max|a_i| (``cv.unit``) and every record is max|a_i| times the
+    norm of <X, u>, so scaling ``a`` by a power of two scales the records by
+    exactly that factor, however small or large, as long as they stay normal
+    doubles.  The inputs are checked by the caller (``_moment_inputs``); the
+    laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
-    draw, width = projector(cv.unit)
+    draw, width, factor = projector(cv.unit)
     log_parts, ell_parts = [], []
     for out in _chunks(draw, n_samples, width, seed, tag):
         s, ell = out if isinstance(out, tuple) else (out, None)
@@ -517,34 +561,46 @@ def _pnorm_engine(projector: Callable[[np.ndarray], tuple[Draw, int]], cv: Coeff
     if not math.isfinite(top):
         raise overflow
     shifted = np.subtract(logs, top, out=logs)
-    # an unweighted plan has l = 0: the scalars broadcast, so its records
-    # are the plain sample mean and its standard error, bit for bit
-    ells = np.concatenate(ell_parts) if ell_parts else 0.0
-    likelihoods = np.exp(ells)
-    mean_likelihood = float(np.mean(likelihoods))
+    # an unweighted plan has l = 0: e^l = 1 and its sums are n, so its
+    # records are the plain sample mean and its standard error
+    if ell_parts:
+        ells = np.concatenate(ell_parts)
+        likelihoods = np.exp(ells)
+        mean_likelihood = float(np.mean(likelihoods))
+        likelihood_square_sum = float(np.einsum("i,i->", likelihoods, likelihoods))
+    else:
+        mean_likelihood, likelihood_square_sum = 1.0, float(n_samples)
     records = []
-    w, buffer = np.empty(n_samples), np.empty(n_samples) if ell_parts else None
+    w = np.empty(n_samples)
     for p in map(float, ps):
         # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l]
         np.multiply(shifted, p, out=w)
-        w += ells
-        np.exp(w, out=w)
-        total = float(np.sum(w))
         if ell_parts:
-            # sum w^2 and max w for the ESS and the top share, by numpy rather
-            # than a BLAS dot so that their bits do not depend on BLAS threading
-            square_sum, largest = float(np.einsum("i,i->", w, w)), float(np.max(w))
+            w += ells
+        np.exp(w, out=w)
+        # sums only, by numpy rather than a BLAS dot so that their bits do
+        # not depend on BLAS threading: sum w, sum w^2, sum w e^l, max w
+        total = float(np.sum(w))
+        square_sum = float(np.einsum("i,i->", w, w))
+        if ell_parts:
+            cross, largest = float(np.einsum("i,i->", w, likelihoods)), float(np.max(w))
+        else:
+            # l = 0: sum w e^l = sum w, and max w = e^0
+            cross, largest = total, 1.0
         # the ratio estimate sum w / sum e^l of E|<X, u>|^p / e^{p top}, and
-        # its delta-method variance: the sample variance of w - ratio e^l
-        # over the squared mean of e^l
+        # its delta-method variance: the sample variance of w - ratio e^l,
+        # expanded in the sums, over the squared mean of e^l
         ratio = total / n_samples / mean_likelihood
-        w -= np.multiply(likelihoods, ratio, out=buffer)
-        var = float(np.sum(np.square(w, out=w))) / (n_samples - 1)
-        if not ell_parts:
-            # l = 0: sum w^2 = sum (w - mean)^2 + n mean^2, and max w = e^0
-            square_sum, largest = (n_samples - 1) * var + n_samples * ratio * ratio, 1.0
+        spread = square_sum - 2.0 * ratio * cross + ratio * ratio * likelihood_square_sum
+        if not spread > _CANCELLATION * square_sum:
+            # a nearly constant w cancels in the sums: take the residuals
+            residuals = w - (likelihoods * ratio if ell_parts else ratio)
+            spread = float(np.einsum("i,i->", residuals, residuals))
+        var = spread / (n_samples - 1)
         se = math.sqrt(var / n_samples) / mean_likelihood
         norm = math.exp(top + math.log(ratio) / p)
+        if factor is not None:
+            norm *= factor(p)
         value, stderr = cv.scale * norm, cv.scale * (norm * se / (ratio * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise overflow

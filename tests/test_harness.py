@@ -231,9 +231,9 @@ def test_run_experiment_grid_order_and_summary():
 
 
 def test_rows_carry_their_trust_figures_and_the_summary_counts_low_ess_cells():
-    # one-hot balls at q = 1 have a heavy |S|^32 that plain draws reach
+    # one-hot balls at q = 3 have a heavy |S|^32 that plain draws reach
     # through a few samples only; the tilted exp draws do not
-    config = ExperimentConfig(families=("exp", "ball:q=1"), profiles=("one_hot",),
+    config = ExperimentConfig(families=("exp", "ball:q=3"), profiles=("one_hot",),
                               n_list=(32,), p_grid=(2.0, 32.0), n_samples=10_000, seed=5)
     result = run_experiment(config)
     assert len(result.rows) == 4
@@ -245,9 +245,9 @@ def test_rows_carry_their_trust_figures_and_the_summary_counts_low_ess_cells():
     low = {family: env["low_ess_cells"] for family, env in result.summary["families"].items()}
     assert low == {family: sum(r.mc_ess < floor for r in result.rows if r.family == family)
                    for family in config.families}
-    assert low == {"exp": 0, "ball:q=1": 1}
+    assert low == {"exp": 0, "ball:q=3": 1}
     flagged = next(r for r in result.rows if r.mc_ess < floor)
-    assert (flagged.family, flagged.p) == ("ball:q=1", 32.0)
+    assert (flagged.family, flagged.p) == ("ball:q=3", 32.0)
 
 
 def test_each_row_makes_one_surrogate_pass(monkeypatch):

@@ -229,13 +229,14 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 
 def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
     """(value, stderr, ess, top_share) per order by scipy over all of the
-    engine's chunks of the draw plan ``(draw, width)`` of <X, a / scale>,
-    whose rows carry the log weights l (0 for a draw that returns S alone):
-    the weighted logsumexp of p log|S| + l less that of l for the value,
-    ``scipy.stats.sem`` of the ratio residuals u - R e^l of the shifted
-    u = e^l |S|^p through the delta method for the stderr, and the sums of u
-    and of their squares for the ESS and the top share."""
-    draw, width = plan
+    engine's chunks of the draw plan ``(draw, width, factor)`` of
+    <X, a / scale>, whose rows carry the log weights l (0 for a draw that
+    returns S alone): the weighted logsumexp of p log|S| + l less that of l
+    for the value, ``scipy.stats.sem`` of the ratio residuals u - R e^l of
+    the shifted u = e^l |S|^p through the delta method for the stderr, both
+    times the plan's c_p, and the sums of u and of their squares for the
+    ESS and the top share."""
+    draw, width, factor = plan
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     rng = np.random.default_rng(mc._child_seed(seed, tag))
     outs = [draw(rng, m) for m in mc._chunk_rows(n_samples, width)]
@@ -248,6 +249,8 @@ def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
     records = []
     for order in map(float, ps):
         value = math.exp((logsumexp(order * log_abs + ell) - logsumexp(ell)) / order)
+        if factor is not None:
+            value *= factor(order)
         u = np.exp(order * (log_abs - np.max(log_abs)) + ell)
         total = float(np.sum(u))
         ratio = total / float(np.sum(likelihood))
@@ -298,6 +301,34 @@ def test_dependent_vs_independent_matches_the_scipy_reduction(q):
             mc._TAG_NA_INDEPENDENT))
 
 
+@pytest.mark.parametrize("spec,a", [
+    ("cube", (1.0, -0.5, 0.25, 0.0, 3.0)),
+    ("exp", (1.0, -0.5, 0.25, 0.0, 3.0)),
+    # |X_1| = s E^{1/1000} is nearly constant: w - R is a few thousandths of w
+    ("product:pow:alpha=1000", (1.0, 0.0, 0.0, 0.0, 0.0)),
+], ids=["unweighted", "weighted", "nearly-constant"])
+def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
+    # the engine expands sum (w - R e^l)^2 in sums of w; the reference sums
+    # the residuals themselves, exactly rounded
+    fam = family_from_spec(spec, 5)
+    cv = as_coefficients(a)
+    orders = np.array(GRID_ORDERS)
+    records = estimate_pnorm(fam, a, orders, ODD_SAMPLES, SEED + 35)
+    draw, width, _ = mc._projector(fam, cv.unit)
+    rng = np.random.default_rng(mc._child_seed(SEED + 35, mc._TAG_PNORM))
+    outs = [draw(rng, m) for m in mc._chunk_rows(ODD_SAMPLES, width)]
+    pairs = [out if isinstance(out, tuple) else (out, np.zeros(out.shape)) for out in outs]
+    log_abs = np.log(np.abs(np.concatenate([s for s, _ in pairs])))
+    likelihood = np.exp(np.concatenate([e for _, e in pairs]))
+    for order, rec in zip(orders, records):
+        w = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
+        ratio = math.fsum(w) / math.fsum(likelihood)
+        residuals = w - ratio * likelihood
+        se = math.sqrt(math.fsum(residuals * residuals) / (ODD_SAMPLES - 1) / ODD_SAMPLES)
+        stderr = rec.value * se / float(np.mean(likelihood)) / (ratio * order)
+        assert rec.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_gaussian_second_moment_stderr_matches_its_known_value(seed):
     # S = <g, a> has E S^2 = ||a||^2 and Var S^2 = 2 ||a||^4, so the delta
@@ -345,15 +376,15 @@ def _recorded_plans(monkeypatch, name):
     inner = getattr(mc, name)
 
     def wrapped(*args):
-        draw, width = inner(*args)
+        plan = inner(*args)
         sizes = []
-        plans.append((width, sizes))
+        plans.append((plan.width, sizes))
 
         def logged(rng, m):
             sizes.append(m)
-            return draw(rng, m)
+            return plan.draw(rng, m)
 
-        return logged, width
+        return plan._replace(draw=logged)
 
     monkeypatch.setattr(mc, name, wrapped)
     return plans
@@ -383,9 +414,11 @@ def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
     indeps = _recorded_plans(monkeypatch, "_twin_projector")
     a = np.where(np.arange(n) % 4 == 3, 0.0, 1.0)
     dependent_vs_independent(UniformBall.isotropic(n, 1.0), a, 4.0, n_samples, SEED + 38)
-    for ((width, sizes),) in (deps, indeps):
-        # the three quarters of live coordinates
-        assert width == 48
+    # the twin draws the three quarters of live coordinates; the ball at
+    # q = 1 draws their Laplace sum, whose 48 equal weights pool into one
+    # Gamma(48) column
+    for ((width, sizes),), live in ((deps, 1), (indeps, 48)):
+        assert width == live
         _assert_chunks_tile(sizes, n_samples, width)
     # joint tails draw whole vectors; 8 is their largest dimension
     vectors = _recorded_sizes(monkeypatch, "sample")
@@ -407,7 +440,7 @@ def _one_entry_projector(value, target):
             drawn += m
             return x @ u
 
-        return draw, 3
+        return mc._Plan(draw, 3)
 
     return projector
 
@@ -462,8 +495,8 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
     for j, a in enumerate(vectors):
         if not np.any(a):
             continue
-        draw, _ = mc._projector(fam, a)
-        out = draw(np.random.default_rng(SEED + 40 + 2 * j), m)
+        plan = mc._projector(fam, a)
+        out = plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m)
         # a weighted plan's rows carry their log weights; its moments are the
         # weighted means, whose noise is that of the ratio residuals
         projected, ell = out if isinstance(out, tuple) else (out, np.zeros(m))
@@ -471,7 +504,9 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
         assert projected.shape == ell.shape == (m,)
         for power in (2, 4):
-            x, y = projected ** power, full ** power
+            # the plan's p-norm times its c_p is that of <X, a>
+            factor = plan.factor(power) if plan.factor else 1.0
+            x, y = (factor * projected) ** power, full ** power
             mean = float(np.sum(likelihood * x) / np.sum(likelihood))
             residuals = likelihood * (x - mean) / np.mean(likelihood)
             sigma = math.sqrt((np.var(residuals) + np.var(y)) / m)
@@ -572,10 +607,34 @@ def test_linear_tail_pnorms_cover_their_exact_values(profile, n):
     assert np.all(np.abs(zs.mean(axis=0)) <= 1.5), zs.mean(axis=0)
 
 
+@pytest.mark.parametrize("profile", ["flat", "one_hot", "geometric:rho=0.7"])
+def test_balls_at_q1_keep_their_ess_at_the_top_order(profile):
+    # the BGMN identity draws the ball at q = 1 through the Laplace mixture,
+    # so its p = 32 estimate rests on many draws, not on one
+    n_samples = 20_000
+    rec = estimate_pnorm(UniformBall.isotropic(64, 1.0), coefficient_profile(profile, 64),
+                         32.0, n_samples, SEED + 61)
+    assert rec.ess >= 0.01 * n_samples
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_ball_q1_coordinate_pnorms_cover_their_exact_values(n):
+    # X_1 = r Y_1 / T with Y_1 standard Laplace and T ~ Gamma(n + 1)
+    # independent of X: E|X_1|^p = r^p Gamma(p + 1) Gamma(n + 1) / Gamma(n + 1 + p)
+    ball = UniformBall.isotropic(n, 1.0)
+    orders = (2.0, 4.0, 32.0)
+    exact = [ball.r * math.exp((math.lgamma(p + 1.0) + math.lgamma(n + 1.0)
+                                - math.lgamma(n + 1.0 + p)) / p) for p in orders]
+    for seed in range(4):
+        records = estimate_pnorm(ball, np.eye(1, n)[0], orders, 20_000, SEED + 62 + seed)
+        for rec, ref in zip(records, exact):
+            assert rec.value == pytest.approx(ref, abs=4.0 * rec.stderr)
+
+
 @pytest.mark.parametrize("n,profile", [(1, "one_hot"), (16, "flat"), (16, "geometric:rho=0.7")])
 def test_mixture_likelihood_ratios_have_mean_one(n, profile):
     # E e^l = 1 under the mixture, and e^l <= 1 / alpha_0 = 5
-    draw, width = mc._projector(product_exponential(n), coefficient_profile(profile, n))
+    draw, width, _ = mc._projector(product_exponential(n), coefficient_profile(profile, n))
     rng = np.random.default_rng(SEED + 60)
     n_draws = 1_000_000
     ell = np.concatenate([draw(rng, m)[1] for m in mc._chunk_rows(n_draws, width)])
@@ -598,8 +657,8 @@ class _FarDraws:
 
 @pytest.mark.parametrize("n", [1, 5])
 def test_mixture_log_weights_do_not_overflow(n):
-    draw, _ = mc._projector(product_exponential(n), np.linspace(1.0, 0.5, n))
-    s, ell = draw(_FarDraws(), 600)
+    s, ell = mc._projector(product_exponential(n), np.linspace(1.0, 0.5, n)).draw(
+        _FarDraws(), 600)
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(ell))
     assert float(np.max(ell)) < -1e5
 
