@@ -7,11 +7,11 @@ fixed BLAS build a record is a pure function of (seed, n_samples).  A draw
 that goes through a BLAS matvec (the live columns of exp, cube, products and
 balls at q != 2) may move in its last bit with the rows of each chunk,
 because gemv may round the last rows of a call through another kernel; the
-Gaussian draw does not.  A weighted draw (linear tails, below) splits each
-chunk among the parts of its proposal, so its records depend on the chunk
-budget beyond the last bit.  The proposal depends on the draw plan only,
-never on the requested orders, so entry i of an order sequence equals the
-scalar call at its order.  ``_child_seed`` is the only seed derivation
+Gaussian draw does not.  A weighted draw (linear tails and balls at q = 1,
+below) splits each chunk among the parts of its proposal, so its records
+depend on the chunk budget beyond the last bit.  The proposal depends on the
+draw plan only, never on the requested orders, so entry i of an order
+sequence equals the scalar call at its order.  ``_child_seed`` is the only seed derivation
 and holds the only seed rule: a seed is an integer (a Python or numpy int,
 never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
 and every record's ``seed`` is that reduction.  Report rows and acceptance
