@@ -1,26 +1,31 @@
 """Monte-Carlo ground truth for moment surrogates.
 
-Reproducibility contract: every estimator draws its rows in order from one
-generator seeded with the child seed (seed, stream tag), in chunks of at most
-``_CHUNK_ENTRIES`` entries of the draw's width, so for that budget and a
-fixed BLAS build a record is a pure function of (seed, n_samples).  A draw
-that goes through a BLAS matvec (the live columns of exp, cube, products and
-balls at q != 2) may move in its last bit with the rows of each chunk,
-because gemv may round the last rows of a call through another kernel; the
-Gaussian draw does not.  A weighted draw (linear tails and balls at q = 1,
-below) splits each chunk among the parts of its proposal, so its records
-depend on the chunk budget beyond the last bit.  The proposal depends on the
-draw plan only, never on the requested orders, so entry i of an order
-sequence equals the scalar call at its order.  ``_child_seed`` is the only seed derivation
+Reproducibility contract: every estimator draws all of its samples in order
+from one generator seeded with the child seed (seed, stream tag), the p-norm
+engine in one call of its draw plan, so for a fixed ``_CHUNK_ENTRIES`` and
+BLAS build a record is a pure function of (seed, n_samples).  The budget
+``_CHUNK_ENTRIES`` bounds only the (rows, width) matrices of a draw: a plan
+fills its length-N vector block by block, each block of at most that many
+entries, and does its per-sample work (normals, tilt shifts, log weights)
+once over all N samples.  A block draws its variates kind by kind, so the
+records of balls at q != 1, of the independent twin and of products of
+non-linear tails, whose blocks draw two or more kinds, depend on the budget
+beyond the last bit.  The cube and the linear-tail mixture (below) draw one
+stream of matrix variates, so the budget moves their records only where a
+BLAS matvec rounds the last rows of a call through another kernel, in the
+last bit; Gaussian and one-column mixture records do not depend on it.  The
+mixture's proposal depends on the draw plan and N only, never on the
+requested orders, so entry i of an order sequence equals the scalar call at
+its order.  ``_child_seed`` is the only seed derivation
 and holds the only seed rule: a seed is an integer (a Python or numpy int,
 never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
 and every record's ``seed`` is that reduction.  Report rows and acceptance
-checks derive their seeds with it too.  The chunks only bound the
-memory of a draw: the parts of a proposal are drawn in fixed shares and the
-rows of each part are iid, so every estimate takes the iid standard error of
-the mean of all of its rows (conservative under the fixed shares),
-propagated through the ratio and the 1/p power by the delta method, and
-reports the effective sample size (sum w)^2 / sum w^2 of its weights.
+checks derive their seeds with it too.  The parts of a proposal are drawn in
+fixed shares and the rows of each part are iid, so every estimate takes the
+iid standard error of the mean of all of its rows (conservative under the
+fixed shares), propagated through the ratio and the 1/p power by the delta
+method, and reports the effective sample size (sum w)^2 / sum w^2 of its
+weights.
 
 Every ball draw but the projection at q = 1 is ``_ball_parts``, the first k
 coordinates of the Barthe-Guedon-Mendelson-Naor form
@@ -60,11 +65,12 @@ variates with other coefficients and a mean shift.  Each row carries the
 balance-heuristic log weight (Veach and Guibas, SIGGRAPH 1995)
 l = -log(alpha_0 + sum_j alpha_j cosh(theta_j s) / M(theta_j)), the log of
 the density ratio of the law to the whole mixture, with alpha_j the shares
-drawn in its chunk; l <= log(1 / alpha_0) = log 5, and E e^l = 1.  Every
-other plan is unweighted, l = 0.
+drawn: int(N alpha_j) of the N rows for each tilt, the rest for the law;
+l <= log(1 / alpha_0) = log 5, and E e^l = 1.  Every other plan is
+unweighted, l = 0.
 
-The engine joins the chunks' log|S| into one vector L and their l into one
-vector, and reduces each order in one pass over the samples:
+The engine takes L = log|S| in place over the one draw of N samples, and
+reduces each order in one pass over them:
 w = exp(p (L - max L) + l) lies in [0, e^l], and the p-norm is the
 self-normalised weighted power mean c_p max|a_i| e^{max L} R^{1/p} with
 R = sum w / sum e^l, nondecreasing in p.  Its standard error is the ratio
@@ -82,7 +88,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,9 +113,9 @@ __all__ = [
 MAX_MOMENT_ORDER = 32.0
 MIN_SAMPLES = 10_000
 
-# entries of the (rows, width) draw of one chunk, at most, where width is the
-# columns a draw plan takes per row; every chunk but the last has
-# max(1, _CHUNK_ENTRIES // width) rows
+# entries of a (rows, width) matrix that a draw plan draws at once, at most:
+# a plan fills its length-N vectors block by block, and every block but the
+# last has max(1, _CHUNK_ENTRIES // width) rows
 _CHUNK_ENTRIES = 2 ** 15
 
 # stream tags keep estimators on disjoint streams of one master seed
@@ -157,19 +163,20 @@ class EstimateRecord:
 
 # -- samplers -----------------------------------------------------------------
 
-def _random_signs(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _random_signs(x: np.ndarray, rng: np.random.Generator, scratch=None) -> np.ndarray:
     """Give every entry of the float64 array ``x`` an independent symmetric
     sign, in place, and return ``x``: one random bit per entry is XORed into
-    the IEEE sign bit, so |x| keeps its bits.
+    the IEEE sign bit, so |x| keeps its bits.  ``scratch``, a uint64 array of
+    x's shape, holds the shifted bits (a new array if None).
 
     The bits are the generator's raw 64-bit words, unpacked in little-endian
     byte order on every platform; ``Generator.bytes`` would cost about 10 us
-    more per call, as much as the whole sign draw on a small chunk.
+    more per call, as much as the whole sign draw on a small block.
     """
     words = x.view(np.uint64)
     raw = rng.bit_generator.random_raw((x.size + 63) // 64).astype("<u8", copy=False)
     bits = np.unpackbits(raw.view(np.uint8), count=x.size).reshape(x.shape)
-    words ^= np.left_shift(bits, 63, dtype=np.uint64)
+    words ^= np.left_shift(bits, 63, dtype=np.uint64, out=scratch)
     return x
 
 
@@ -179,7 +186,7 @@ def _sample_tails(groups: Sequence[tuple[TailFunction, np.ndarray]], width: int,
     with E_i ~ Exp(1), one inverse call per (tail, columns) group; the
     groups' columns partition range(width)."""
     mags = rng.standard_exponential((size, width))
-    # each inverse replaces its exponentials, so a chunk holds no third
+    # each inverse replaces its exponentials, so a block holds no third
     # array of its size while the signs are drawn
     if len(groups) == 1:
         mags = groups[0][0].inverse(mags)
@@ -189,29 +196,30 @@ def _sample_tails(groups: Sequence[tuple[TailFunction, np.ndarray]], width: int,
     return _random_signs(mags, rng)
 
 
-def _gamma_root(q: float, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
-    """(y, y^q) with y^q ~ Gamma(1/q, 1).
+def _gamma_root(q: float, rng: np.random.Generator, gam: np.ndarray, u: np.ndarray,
+                y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, y^q) with y^q ~ Gamma(1/q, 1), drawn into the arrays gam, u and y
+    of the draw's shape.
 
-    q = 1 is an exponential draw.  Other q draw y = U G^{1/q} with
-    G ~ Gamma(1 + 1/q) and U uniform, so y^q = U^q G ~ Gamma(1/q): a
-    Gamma(1/q) draw raised to the power 1/q underflows to 0 at large q, this
-    product does not.
+    q = 1 is an exponential draw into y.  Other q draw y = U G^{1/q} with
+    G ~ Gamma(1 + 1/q) in gam and U uniform in u, which then holds
+    y^q = U^q G ~ Gamma(1/q): a Gamma(1/q) draw raised to the power 1/q
+    underflows to 0 at large q, this product does not.
     """
     if q == 1.0:
-        e = rng.standard_exponential(shape)
+        e = rng.standard_exponential(out=y)
         return e, e
-    gam = rng.standard_gamma(1.0 + 1.0 / q, size=shape)
-    u = rng.random(shape)
-    # in place: a chunk holds three arrays of its size, not five
-    y = gam ** (1.0 / q)
+    rng.standard_gamma(1.0 + 1.0 / q, out=gam)
+    rng.random(out=u)
+    np.power(gam, 1.0 / q, out=y)
     y *= u
     u **= q
     u *= gam
     return y, u
 
 
-def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
-                k: int) -> tuple[np.ndarray, np.ndarray]:
+def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int, k: int,
+                work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(signed numerator (m, k), row denominator (m,)) of the first k
     coordinates of X = r eps y / (sum y_i^q + W)^{1/q}.
 
@@ -220,39 +228,48 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int,
     H ~ Gamma((n - k)/q + 1).  k = n is the whole vector, k = 1 the marginal.
     At q = 2, y = |g| / sqrt(2) with g ~ N(0, 1) carries its own sign, and
     both parts are scaled by sqrt(2): g and sqrt(sum_{i<=k} g_i^2 + 2H).
+    Every array of the draw, the two parts too, lives in the rows of
+    ``work``, a (4, >= m k) float buffer (a new one if None), so the blocks
+    of one estimate reuse its memory.
     """
     n, q = ball.n, ball.q
+    work = np.empty((4, m * k)) if work is None else work
     if q == 2.0:
         # a flat draw, so the one-coordinate projection draws no matrix
-        g = rng.standard_normal(m * k).reshape(m, k)
-        h = rng.standard_gamma((n - k) / 2.0 + 1.0, size=m)
+        g = rng.standard_normal(out=work[0, :m * k]).reshape(m, k)
+        h = rng.standard_gamma((n - k) / 2.0 + 1.0, out=work[3, :m])
         h *= 2.0
         # a one-term row sum is the term itself: the same bits as einsum's,
         # without its call overhead
-        h += g[:, 0] * g[:, 0] if k == 1 else np.einsum("ij,ij->i", g, g)
+        h += (np.multiply(g[:, 0], g[:, 0], out=work[1, :m]) if k == 1
+              else np.einsum("ij,ij->i", g, g, out=work[1, :m]))
         return g, np.sqrt(h, out=h)
-    mags, powers = _gamma_root(q, rng, (m, k))
-    h = rng.standard_gamma((n - k) / q + 1.0, size=m)
-    # at q = 1 mags is powers, so the row sums come before the signs
-    h += powers[:, 0] if k == 1 else np.einsum("ij->i", powers)
-    del powers   # one chunk-sized array fewer while the signs are drawn
-    return _random_signs(mags, rng), np.power(h, 1.0 / q, out=h)
+    mags, powers = _gamma_root(q, rng, *(row[:m * k].reshape(m, k) for row in work[:3]))
+    h = rng.standard_gamma((n - k) / q + 1.0, out=work[3, :m])
+    # at q = 1 mags is powers, so the row sums come before the signs; row 0
+    # of work is free once y^q is drawn, and takes the row sums and signs
+    h += powers[:, 0] if k == 1 else np.einsum("ij->i", powers, out=work[0, :m])
+    signs = work[0, :m * k].view(np.uint64).reshape(m, k)
+    return _random_signs(mags, rng, signs), np.power(h, 1.0 / q, out=h)
 
 
-def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int,
-                      k: int) -> np.ndarray:
+def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int, k: int,
+                      work: np.ndarray | None = None) -> np.ndarray:
     """(size, k) iid coordinates with the ball's marginal law, (|X*_i| / r)^q
-    ~ Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q.
+    ~ Beta(1/q, (n-1)/q + 1), the law of (|X_i| / r)^q, in the rows of
+    ``work`` as for ``_ball_parts``.
 
     q = 1 inverts the Beta(1, n) CDF: |X*_i| / r = 1 - (1 - U)^{1/n}.  Other q
     draw each coordinate as the k = 1 marginal of ``_ball_parts``.
     """
     n, q = ball.n, ball.q
+    work = np.empty((4, size * k)) if work is None else work
     if q == 1.0:
-        mags = np.expm1(np.log1p(-rng.random((size, k))) / n)
+        mags = rng.random(out=work[0, :size * k].reshape(size, k))
+        np.expm1(np.divide(np.log1p(np.negative(mags, out=mags), out=mags), n, out=mags), out=mags)
         mags *= -ball.r
-        return _random_signs(mags, rng)
-    numerator, denom = _ball_parts(ball, rng, size * k, 1)
+        return _random_signs(mags, rng, work[1, :size * k].view(np.uint64).reshape(size, k))
+    numerator, denom = _ball_parts(ball, rng, size * k, 1, work)
     scaled = np.divide(ball.r, denom, out=denom)
     scaled *= numerator[:, 0]
     return scaled.reshape(size, k)
@@ -275,21 +292,39 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 
 # -- draw plans -------------------------------------------------------------------
 
-# ``draw(rng, m)`` returns m draws of one projection as a new (m,) vector S,
-# or the pair (S, l) of a weighted plan, whose rows carry the log weights l of
-# an importance-sampling proposal; an unweighted draw has l = 0
+# ``draw(rng, n)`` returns all n draws of one estimate's projection as a new
+# (n,) vector S, or the pair (S, l) of a weighted plan, whose rows carry the
+# log weights l of an importance-sampling proposal; an unweighted draw has l = 0
 Draw = Callable[[np.random.Generator, int], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 
 
 class _Plan(NamedTuple):
-    """The draw plan of one projection: ``draw`` (a ``Draw``), the ``width``
-    of columns it draws per row, which sizes the chunks, and ``factor``,
+    """The draw plan of one projection: ``draw`` (a ``Draw``) and ``factor``,
     the exact constant c_p by which the p-norm of the draws is multiplied to
     give that of the projection (None: c_p = 1)."""
 
     draw: Draw
-    width: int
     factor: Callable[[float], float] | None = None
+
+
+def _fill(rng: np.random.Generator, out: np.ndarray, width: int, block) -> np.ndarray:
+    """``out``, filled block by block in order, each block of rows of
+    ``width`` entries by ``block(rng, rows, work)``, which draws the rows'
+    (m, width) matrix and writes one value per row into the view ``rows``;
+    every block but the last has max(1, _CHUNK_ENTRIES // width) rows.  The
+    blocks draw their temporaries into ``work``, one (4, m width) float
+    buffer for all of them, so a block allocates no array of its size."""
+    rows = max(1, _CHUNK_ENTRIES // width)
+    work = np.empty((4, min(rows, out.size) * width))
+    for lo in range(0, out.size, rows):
+        block(rng, out[lo:lo + rows], work)
+    return out
+
+
+def _filled(width: int, block) -> _Plan:
+    """The unweighted plan whose draw fills a new vector by ``_fill``."""
+    return _Plan(lambda rng, size: _fill(rng, np.empty(size), width, block))
+
 
 # the defensive mixture of linear-tail projections: (order, share) of the
 # symmetric tilt at the saddle of each order; the law itself takes the rest
@@ -297,29 +332,30 @@ _MIXTURE_TILTS = ((4.0, 0.4), (MAX_MOMENT_ORDER, 0.4))
 _SADDLE_STEPS = 50
 
 
-def _saddles(ratios: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _saddles(r2: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """theta^2 at the saddle p / theta = Lambda'(theta) of each order p, for
-    Lambda(theta) = -sum_g count_g log(1 - theta^2 r_g^2) and r_g in (0, 1]
-    with max r_g = 1.
+    Lambda(theta) = -sum_g count_g log(1 - theta^2 r_g^2), given the squares
+    r2 of r_g in (0, 1] with max r_g = 1.
 
     In x = theta^2 the saddle solves f(x) = sum_g count_g 2 x r_g^2 /
     (1 - x r_g^2) = p, with f convex and increasing on [0, 1).  Newton's
     method from x = p / (p + 2 count_top), where f >= p, falls monotonically
     onto the root, which is that start when every weight is equal.  Any
     theta keeps the estimates unbiased, so the steps stop at 1e-12 relative.
+    The sums over g are matrix products with a vector of ones, which cost
+    less than ``np.sum`` along an axis and give a one-term sum its term.
     """
-    r2 = ratios * ratios
     slopes = 2.0 * counts * r2
-    p = orders[:, None]
-    x = p / (p + 2.0 * float(counts[-1]))
+    ones = np.ones(r2.size)
+    x = orders / (orders + 2.0 * float(counts[-1]))
     for _ in range(_SADDLE_STEPS):
-        gap = 1.0 - x * r2
-        excess = np.sum(slopes * x / gap, axis=1, keepdims=True) - p
-        step = excess / np.sum(slopes / (gap * gap), axis=1, keepdims=True)
+        gap = 1.0 - np.multiply.outer(x, r2)
+        excess = (slopes * x[:, None] / gap) @ ones - orders
+        step = excess / ((slopes / (gap * gap)) @ ones)
         x -= step
         if not np.max(step / x) > 1e-12:
             break
-    return x[:, 0]
+    return x
 
 
 def _laplace_mixture(weights: np.ndarray) -> _Plan:
@@ -331,8 +367,8 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
     to one Gamma(count) draw.  The exponential tilt e^{theta s} / M(theta) of
     the law, M(theta) = prod_i (1 - theta^2 w_i^2)^{-1}, is again such a
     mixture: E_i ~ Exp(1 - theta^2 w_i^2), and S ~ N(theta V, V) given V.
-    In units of w_max, a chunk of m rows draws its first rows from the law
-    and int(m alpha_j) rows from the tilt at theta_j, where theta_j^2 is the
+    In units of w_max, a draw of n rows takes its first rows from the law
+    and int(n alpha_j) rows from the tilt at theta_j, where theta_j^2 is the
     saddle (``_saddles``) of order p_j in ``_MIXTURE_TILTS``: the same
     Gamma or exponential variates and normals as the law, with the
     coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the distinct ratios
@@ -343,63 +379,58 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
 
     Each row carries the balance-heuristic log weight
     l = -log(alpha_0 + sum_j alpha_j cosh(theta_j s) / M(theta_j)) over the
-    shares alpha drawn in its chunk, taken from the largest exponent down
+    shares alpha drawn, taken from the largest exponent down
     so that no |s| overflows; alpha_0 >= 1/5, so e^l <= 5, and E e^l = 1.
     """
     values, counts = np.unique(weights, return_counts=True)
     top = float(values[-1])
     ratios = values / top
     width = values.size
-    exponential = bool(np.all(counts == 1))
+    exponential = width == weights.size
     # one distinct weight draws vectors with a scalar shape, not a
     # one-column matrix
     shape = float(counts[0]) if width == 1 else counts.astype(float)
     r2 = ratios * ratios
     # theta, 1 / 2M(theta) and coefficients of each part, the law (the tilt
     # at theta = 0) first
-    thetas, half_inv_mgfs, coefs = [0.0], [0.5], [2.0 * r2]
-    for x in _saddles(ratios, counts, np.array([p for p, _ in _MIXTURE_TILTS])):
-        gap = 1.0 - x * r2
-        thetas.append(math.sqrt(x))
-        half_inv_mgfs.append(0.5 * math.exp(float(np.sum(counts * np.log(gap)))))
-        coefs.append(2.0 * r2 / gap)
+    xs = _saddles(r2, counts, np.array([p for p, _ in _MIXTURE_TILTS]))
+    gaps = 1.0 - np.multiply.outer(xs, r2)
+    thetas = [0.0, *map(math.sqrt, xs.tolist())]
+    half_inv_mgfs = [0.5, *(0.5 * math.exp(v) for v in (np.log(gaps) @ counts).tolist())]
+    coefs = [2.0 * r2, *(2.0 * r2 / gaps)]
 
-    @functools.lru_cache(maxsize=None)
-    def layout(m: int) -> tuple[list, float, float, list]:
-        """A chunk of m rows: (theta, coefficients, first row, end row) of
-        each part, the largest theta drawn, and the constant and the
-        (exponent, factor) terms of the sum in its log weights."""
-        tilted = [int(m * share) for _, share in _MIXTURE_TILTS]
-        rows = [m - sum(tilted)] + tilted
-        bounds = np.cumsum([0] + rows).tolist()
-        ref = max(theta for theta, k in zip(thetas, rows) if k)
-        factors: dict[float, float] = {}
-        for theta, half_inv_mgf, k in zip(thetas, half_inv_mgfs, rows):
-            for exponent in (theta - ref, -theta - ref) if k else ():
-                factors[exponent] = factors.get(exponent, 0.0) + k / m * half_inv_mgf
-        # the exponent 0 of ref is a constant, and the law's two are one
-        constant = factors.pop(0.0)
-        return (list(zip(thetas, coefs, bounds, bounds[1:])), ref, constant,
-                list(factors.items()))
-
-    def draw(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        size = m if width == 1 else (m, width)
+    def block(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray, coef: np.ndarray):
+        # V of a block of rows of one part.  Exponentials come by inversion,
+        # log1p(-U) = -E with the sign in the coefficients, which over a
+        # block costs about 0.6 of the ziggurat; one-column draws keep the
+        # ziggurat, and so their records
+        mix = work[0, :rows.size * width].reshape(-1, width)
         if exponential:
-            mix = rng.standard_exponential(size)
+            np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
         else:
-            mix = rng.standard_gamma(shape, size=size)
-        parts, ref, constant, terms = layout(m)
-        # in place where it can be: a chunk holds four arrays of its rows
-        root = mix if width == 1 else np.empty(m)
-        for _, coef, lo, hi in parts:
-            if width == 1:
+            rng.standard_gamma(shape, out=mix)
+        np.matmul(mix, -coef if exponential else coef, out=rows)
+
+    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        # the law's rows first, then int(n alpha_j) rows of each tilt
+        tilted = [int(n * share) for _, share in _MIXTURE_TILTS]
+        rows = [n - sum(tilted)] + tilted
+        bounds = np.cumsum([0] + rows).tolist()
+        parts = list(zip(thetas, coefs, bounds, bounds[1:]))
+        if width == 1:
+            root = rng.standard_exponential(n) if exponential else rng.standard_gamma(shape, n)
+            for _, coef, lo, hi in parts:
                 root[lo:hi] *= coef[0]
-            else:
-                np.matmul(mix[lo:hi], coef, out=root[lo:hi])
+        else:
+            # part by part in blocks; the variates are one stream, whatever
+            # the blocks
+            root = np.empty(n)
+            for _, coef, lo, hi in parts:
+                _fill(rng, root[lo:hi], width, functools.partial(block, coef=coef))
         np.sqrt(root, out=root)
         # s = Z sqrt(V) + theta V = sqrt(V) (Z + theta sqrt(V)) has the law of
         # |S| of its part; the engine reads |s| only
-        y = rng.standard_normal(m)
+        y = rng.standard_normal(n)
         for theta, _, lo, hi in parts[1:]:
             y[lo:hi] += theta * root[lo:hi]
         y *= root
@@ -407,9 +438,15 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
         # l = -log sum_j alpha_j cosh(theta_j y) / M(theta_j) over the parts
         # drawn: e^{ref y} comes out, ref the largest theta drawn, so every
         # exponent is <= 0 and the sum is at least the term of ref
-        ell = np.full(m, constant)
+        ref = max(theta for theta, k in zip(thetas, rows) if k)
+        factors: dict[float, float] = {}
+        for theta, half_inv_mgf, k in zip(thetas, half_inv_mgfs, rows):
+            for exponent in (theta - ref, -theta - ref) if k else ():
+                factors[exponent] = factors.get(exponent, 0.0) + k / n * half_inv_mgf
+        # the exponent 0 of ref is a constant, and the law's two are one
+        ell = np.full(n, factors.pop(0.0))
         term = root
-        for exponent, factor in terms:
+        for exponent, factor in factors.items():
             np.multiply(y, exponent, out=term)
             np.exp(term, out=term)
             term *= factor
@@ -421,7 +458,7 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
         y *= top
         return y, ell
 
-    return _Plan(draw, width)
+    return _Plan(draw)
 
 
 def _projector(family: Family, u: np.ndarray) -> _Plan:
@@ -443,7 +480,7 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
     coefs, k = u[live], live.size
     if isinstance(family, GaussianStd):
         norm = float(np.linalg.norm(u))
-        return _Plan(lambda rng, m: norm * rng.standard_normal(m), 1)
+        return _Plan(lambda rng, n: norm * rng.standard_normal(n))
     if isinstance(family, UniformBall):
         n, r = family.n, family.r
         if family.q == 1.0:
@@ -453,28 +490,29 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
         if family.q == 2.0:
             scale = r * float(np.linalg.norm(u))
 
-            def ball_l2(rng: np.random.Generator, m: int) -> np.ndarray:
-                numerator, denom = _ball_parts(family, rng, m, 1)
-                return scale * numerator[:, 0] / denom
+            def ball_l2(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
+                numerator, denom = _ball_parts(family, rng, rows.size, 1, work)
+                np.divide(np.multiply(numerator[:, 0], scale, out=rows), denom, out=rows)
 
-            return _Plan(ball_l2, 1)
+            return _filled(1, ball_l2)
 
-        def ball(rng: np.random.Generator, m: int) -> np.ndarray:
-            numerator, denom = _ball_parts(family, rng, m, k)
-            return r * (numerator @ coefs) / denom
+        def ball(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
+            numerator, denom = _ball_parts(family, rng, rows.size, k, work)
+            np.matmul(numerator, coefs, out=rows)
+            rows *= r
+            rows /= denom
 
-        return _Plan(ball, k)
+        return _filled(k, ball)
     if isinstance(family, UniformCube):
         # S = sqrt(3) <2U - 1, u> = <U, 2 sqrt(3) u> - sqrt(3) sum u_i
         scaled = 2.0 * math.sqrt(3.0) * coefs
         offset = math.sqrt(3.0) * float(np.sum(coefs))
 
-        def cube(rng: np.random.Generator, m: int) -> np.ndarray:
-            s = rng.random((m, k)) @ scaled
-            s -= offset
-            return s
+        def cube(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
+            np.matmul(rng.random(out=work[0, :rows.size * k].reshape(-1, k)), scaled, out=rows)
+            rows -= offset
 
-        return _Plan(cube, k)
+        return _filled(k, cube)
     if isinstance(family, ProductFamily):
         mask = u != 0.0
         position = np.cumsum(mask) - 1
@@ -482,7 +520,8 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
                        for tail, cols in family.tail_columns if mask[cols].any())
         if all(tail.kind == "linear" for tail, _ in groups):
             return _laplace_mixture(np.abs(coefs) / family.rates[live])
-        return _Plan(lambda rng, m: _sample_tails(groups, k, rng, m) @ coefs, k)
+        return _filled(k, lambda rng, rows, _: np.matmul(
+            _sample_tails(groups, k, rng, rows.size), coefs, out=rows))
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
 
 
@@ -490,10 +529,11 @@ def _twin_projector(ball: UniformBall, u: np.ndarray) -> _Plan:
     """The draw plan of <X*, u> for the independent twin: its live coordinates."""
     live = np.flatnonzero(u)
     coefs, k = u[live], live.size
-    return _Plan(lambda rng, m: _sample_ball_twin(ball, rng, m, k) @ coefs, k)
+    return _filled(k, lambda rng, rows, work: np.matmul(
+        _sample_ball_twin(ball, rng, rows.size, k, work), coefs, out=rows))
 
 
-# -- chunked engine -------------------------------------------------------------
+# -- the engine -----------------------------------------------------------------
 
 def _validate_sample_count(n_samples: int) -> int:
     """The sample count as an int: an integer by ``_is_integer``, at least
@@ -504,22 +544,6 @@ def _validate_sample_count(n_samples: int) -> int:
         raise InvalidArgumentError(
             f"n_samples must be >= {MIN_SAMPLES} for a stable standard error, got {n_samples}")
     return int(n_samples)
-
-
-def _chunk_rows(n_samples: int, width: int) -> list[int]:
-    """Row counts of the chunks that draw n_samples rows of ``width`` entries."""
-    rows = max(1, _CHUNK_ENTRIES // width)
-    full, rest = divmod(n_samples, rows)
-    return [rows] * full + [rest] * (rest > 0)
-
-
-def _chunks(draw: Draw, n_samples: int, width: int, seed: int,
-            tag: int) -> Iterator:
-    """Each chunk's draw of rows of ``width`` entries, in order, all from one
-    generator."""
-    rng = np.random.default_rng(_child_seed(seed, tag))
-    for m in _chunk_rows(n_samples, width):
-        yield draw(rng, m)
 
 
 # the variance from sums loses about log10(sum w^2 / spread) digits to
@@ -544,17 +568,13 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
     laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
-    draw, width, factor = projector(cv.unit)
-    log_parts, ell_parts = [], []
-    for out in _chunks(draw, n_samples, width, seed, tag):
-        s, ell = out if isinstance(out, tuple) else (out, None)
-        # in place, as the engine owns the draws; a non-finite projection is
-        # caught through the max below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_parts.append(np.log(np.abs(s, out=s), out=s))
-        if ell is not None:
-            ell_parts.append(ell)
-    logs = np.concatenate(log_parts)
+    draw, factor = projector(cv.unit)
+    out = draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
+    s, ells = out if isinstance(out, tuple) else (out, None)
+    # in place, as the engine owns the draws; a non-finite projection is
+    # caught through the max below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.abs(s, out=s), out=s)
     top = float(np.max(logs))
     overflow = OutOfRangeError(
         "sum a_i X_i overflows double precision; rescale the coefficients")
@@ -563,8 +583,7 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
     shifted = np.subtract(logs, top, out=logs)
     # an unweighted plan has l = 0: e^l = 1 and its sums are n, so its
     # records are the plain sample mean and its standard error
-    if ell_parts:
-        ells = np.concatenate(ell_parts)
+    if ells is not None:
         likelihoods = np.exp(ells)
         mean_likelihood = float(np.mean(likelihoods))
         likelihood_square_sum = float(np.einsum("i,i->", likelihoods, likelihoods))
@@ -575,14 +594,14 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
     for p in map(float, ps):
         # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l]
         np.multiply(shifted, p, out=w)
-        if ell_parts:
+        if ells is not None:
             w += ells
         np.exp(w, out=w)
         # sums only, by numpy rather than a BLAS dot so that their bits do
         # not depend on BLAS threading: sum w, sum w^2, sum w e^l, max w
         total = float(np.sum(w))
         square_sum = float(np.einsum("i,i->", w, w))
-        if ell_parts:
+        if ells is not None:
             cross, largest = float(np.einsum("i,i->", w, likelihoods)), float(np.max(w))
         else:
             # l = 0: sum w e^l = sum w, and max w = e^0
@@ -594,7 +613,7 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
         spread = square_sum - 2.0 * ratio * cross + ratio * ratio * likelihood_square_sum
         if not spread > _CANCELLATION * square_sum:
             # a nearly constant w cancels in the sums: take the residuals
-            residuals = w - (likelihoods * ratio if ell_parts else ratio)
+            residuals = w - (likelihoods * ratio if ells is not None else ratio)
             spread = float(np.einsum("i,i->", residuals, residuals))
         var = spread / (n_samples - 1)
         se = math.sqrt(var / n_samples) / mean_likelihood
@@ -678,8 +697,11 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int,
         raise OutOfRangeError(
             f"joint tails are supported up to dimension {_JOINT_MAX_DIM}, got {family.n}")
     _validate_sample_count(n_samples)
-    hits = sum(int(np.sum(np.all(np.abs(x) >= t[None, :], axis=1))) for x in _chunks(
-        lambda rng, m: sample(family, rng, m), n_samples, family.n, seed, _TAG_JOINT))
+    # one hit indicator per vector, from blocks of whole vectors
+    hit = _fill(np.random.default_rng(_child_seed(seed, _TAG_JOINT)), np.empty(n_samples, bool),
+                family.n, lambda rng, rows, _: np.all(
+                    np.abs(sample(family, rng, rows.size)) >= t, axis=1, out=rows))
+    hits = int(np.count_nonzero(hit))
     value = hits / n_samples
     if value < _JOINT_MIN_PROB:
         raise OutOfRangeError(
@@ -698,7 +720,7 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
     The twin X* has iid coordinates drawn from the ball's closed-form
     marginal (``_sample_ball_twin``), so each X*_i matches the law of X_i
     exactly.
-    Both runs share the chunks but draw from disjoint streams of the seed.
+    Both runs draw from disjoint streams of the seed.
     A scalar ``p`` returns ``(dep, indep)``; a sequence of orders returns
     ``(deps, indeps)``, one record per order, all from one draw of each,
     with entry i equal to the scalar call at ``p[i]``.

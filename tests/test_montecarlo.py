@@ -227,22 +227,24 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 
 # -- the linear-space reduction ---------------------------------------------------------
 
+def _one_draw(plan, n_samples, seed, tag):
+    """(S, l) of the engine's one draw of the plan, l = 0 for a draw that
+    returns S alone."""
+    out = plan.draw(np.random.default_rng(mc._child_seed(seed, tag)), n_samples)
+    return out if isinstance(out, tuple) else (out, np.zeros(n_samples))
+
+
 def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
-    """(value, stderr, ess, top_share) per order by scipy over all of the
-    engine's chunks of the draw plan ``(draw, width, factor)`` of
-    <X, a / scale>, whose rows carry the log weights l (0 for a draw that
-    returns S alone): the weighted logsumexp of p log|S| + l less that of l
-    for the value, ``scipy.stats.sem`` of the ratio residuals u - R e^l of
-    the shifted u = e^l |S|^p through the delta method for the stderr, both
-    times the plan's c_p, and the sums of u and of their squares for the
-    ESS and the top share."""
-    draw, width, factor = plan
+    """(value, stderr, ess, top_share) per order by scipy over the engine's
+    one draw of the plan ``(draw, factor)`` of <X, a / scale>, whose rows
+    carry the log weights l: the weighted logsumexp of p log|S| + l less
+    that of l for the value, ``scipy.stats.sem`` of the ratio residuals
+    u - R e^l of the shifted u = e^l |S|^p through the delta method for the
+    stderr, both times the plan's c_p, and the sums of u and of their
+    squares for the ESS and the top share."""
+    factor = plan.factor
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    rng = np.random.default_rng(mc._child_seed(seed, tag))
-    outs = [draw(rng, m) for m in mc._chunk_rows(n_samples, width)]
-    pairs = [out if isinstance(out, tuple) else (out, np.zeros(out.shape)) for out in outs]
-    drawn = np.concatenate([s for s, _ in pairs])
-    ell = np.concatenate([e for _, e in pairs])
+    drawn, ell = _one_draw(plan, n_samples, seed, tag)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(drawn * scale))
     likelihood = np.exp(ell)
@@ -314,12 +316,9 @@ def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
     cv = as_coefficients(a)
     orders = np.array(GRID_ORDERS)
     records = estimate_pnorm(fam, a, orders, ODD_SAMPLES, SEED + 35)
-    draw, width, _ = mc._projector(fam, cv.unit)
-    rng = np.random.default_rng(mc._child_seed(SEED + 35, mc._TAG_PNORM))
-    outs = [draw(rng, m) for m in mc._chunk_rows(ODD_SAMPLES, width)]
-    pairs = [out if isinstance(out, tuple) else (out, np.zeros(out.shape)) for out in outs]
-    log_abs = np.log(np.abs(np.concatenate([s for s, _ in pairs])))
-    likelihood = np.exp(np.concatenate([e for _, e in pairs]))
+    drawn, ell = _one_draw(mc._projector(fam, cv.unit), ODD_SAMPLES, SEED + 35, mc._TAG_PNORM)
+    log_abs = np.log(np.abs(drawn))
+    likelihood = np.exp(ell)
     for order, rec in zip(orders, records):
         w = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
         ratio = math.fsum(w) / math.fsum(likelihood)
@@ -340,13 +339,15 @@ def test_gaussian_second_moment_stderr_matches_its_known_value(seed):
     assert rec.stderr == pytest.approx(np.linalg.norm(a) / math.sqrt(2 * n_samples), rel=0.03)
 
 
-@pytest.mark.parametrize("spec", ["gauss", "cube"])
+@pytest.mark.parametrize("spec", ["gauss", "cube", "exp", "ball:q=1"])
 def test_gauss_and_small_cube_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
-    # the draw concatenates exactly and the reduction runs over the joined
-    # samples, so the chunk size cannot move a record (at n = 5 the cube's
-    # BLAS matvec rounds a row alike in every call of two or more rows; at
-    # n >= 8 it rounds the last m mod 4 rows of a call differently); the
-    # budget 5 * 97 gives chunks of 97 rows, which do not divide ODD_SAMPLES
+    # the blocks fill one vector in order from one stream of variates, and
+    # the weighted plans lay out their proposal over all samples, so the
+    # block size cannot move a record (at n = 5 the BLAS matvec of the cube
+    # and of the mixture's four distinct weights rounds a row alike in every
+    # call of two or more rows; at n >= 8 it rounds the last m mod 4 rows of
+    # a call differently); the budget 5 * 97 gives the cube blocks of 97
+    # rows, which do not divide ODD_SAMPLES
     fam = family_from_spec(spec, 5)
     a = (1.0, -0.5, 0.25, 0.0, 3.0)
     records = []
@@ -371,23 +372,51 @@ def _recorded_sizes(monkeypatch, name):
 
 def _recorded_plans(monkeypatch, name):
     """Patch the module's plan builder ``name`` to log, for every plan it
-    builds, its width and the row count of each of its draws."""
+    builds, the sample count of each of its draws."""
     plans = []
     inner = getattr(mc, name)
 
     def wrapped(*args):
         plan = inner(*args)
         sizes = []
-        plans.append((plan.width, sizes))
+        plans.append(sizes)
 
-        def logged(rng, m):
-            sizes.append(m)
-            return plan.draw(rng, m)
+        def logged(rng, n):
+            sizes.append(n)
+            return plan.draw(rng, n)
 
         return plan._replace(draw=logged)
 
     monkeypatch.setattr(mc, name, wrapped)
     return plans
+
+
+class _LoggedDraws:
+    """A generator that logs the shape of every array it draws."""
+
+    def __init__(self, rng, shapes):
+        self._rng, self._shapes = rng, shapes
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        if not callable(method):
+            return method
+
+        def logged(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._shapes.append(np.shape(out))
+            return out
+
+        return logged
+
+
+def _logged_shapes(monkeypatch):
+    """Log the shape of every array the generators draw."""
+    shapes = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _LoggedDraws(default_rng(seed), shapes))
+    return shapes
 
 
 def _assert_chunks_tile(sizes, n_samples, width):
@@ -396,30 +425,57 @@ def _assert_chunks_tile(sizes, n_samples, width):
     assert sizes == [rows] * (n_samples // rows) + [n_samples % rows] * (n_samples % rows > 0)
 
 
+def _assert_blocks_tile(shapes, parts, width):
+    """The two-dimensional draws are (rows, width) blocks of at most
+    ``_CHUNK_ENTRIES`` entries that tile, in order, each of the consecutive
+    runs of samples whose row counts are ``parts``."""
+    matrices = [shape for shape in shapes if len(shape) == 2]
+    assert {columns for _, columns in matrices} == {width}
+    sizes = [rows for rows, _ in matrices]
+    for n_rows in parts:
+        blocks = -(-n_rows // (mc._CHUNK_ENTRIES // width))
+        _assert_chunks_tile(sizes[:blocks], n_rows, width)
+        sizes = sizes[blocks:]
+    assert sizes == []
+
+
+def _mixture_parts(n_samples):
+    """Row counts of the parts of the defensive mixture: the law, then int(N
+    alpha_j) rows of each tilt."""
+    tilted = [int(n_samples * share) for _, share in mc._MIXTURE_TILTS]
+    return [n_samples - sum(tilted)] + tilted
+
+
 @pytest.mark.parametrize("spec", GRID_FAMILY_SPECS + ("gauss",))
 def test_every_projection_draw_is_one_chunk_of_the_budget(monkeypatch, spec):
     n, n_samples = 64, 200_000
     plans = _recorded_plans(monkeypatch, "_projector")
+    shapes = _logged_shapes(monkeypatch)
     estimate_pnorm(family_from_spec(spec, n), np.linspace(1.0, 0.1, n), (2.0, 8.0),
                    n_samples, SEED + 37)
-    ((width, sizes),) = plans
-    # the rotation invariant laws draw one column, the others every live one
-    assert width == (1 if spec in ("ball:q=2", "gauss") else n)
-    _assert_chunks_tile(sizes, n_samples, width)
+    # one draw of all the samples per estimate
+    assert plans == [[n_samples]]
+    # the rotation invariant laws draw no matrix, the others blocks of every
+    # live column, which the mixture of exp and ball:q=1 draws part by part
+    if spec in ("ball:q=2", "gauss"):
+        assert all(len(shape) < 2 for shape in shapes)
+    else:
+        weighted = spec in ("exp", "ball:q=1")
+        _assert_blocks_tile(shapes, _mixture_parts(n_samples) if weighted else [n_samples], n)
 
 
 def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
     n, n_samples = 64, 200_000
     deps = _recorded_plans(monkeypatch, "_projector")
     indeps = _recorded_plans(monkeypatch, "_twin_projector")
+    shapes = _logged_shapes(monkeypatch)
     a = np.where(np.arange(n) % 4 == 3, 0.0, 1.0)
     dependent_vs_independent(UniformBall.isotropic(n, 1.0), a, 4.0, n_samples, SEED + 38)
-    # the twin draws the three quarters of live coordinates; the ball at
-    # q = 1 draws their Laplace sum, whose 48 equal weights pool into one
-    # Gamma(48) column
-    for ((width, sizes),), live in ((deps, 1), (indeps, 48)):
-        assert width == live
-        _assert_chunks_tile(sizes, n_samples, width)
+    assert deps == indeps == [[n_samples]]
+    # the ball at q = 1 draws the Laplace sum of the live coordinates, whose
+    # 48 equal weights pool into one Gamma(48) vector, so every matrix is
+    # the twin's, of the three quarters of live coordinates
+    _assert_blocks_tile(shapes, [n_samples], 48)
     # joint tails draw whole vectors; 8 is their largest dimension
     vectors = _recorded_sizes(monkeypatch, "sample")
     estimate_joint_tail(product_exponential(8), np.full(8, 0.05), n_samples, SEED + 39)
@@ -427,20 +483,16 @@ def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
 
 
 def _one_entry_projector(value, target):
-    """A plan builder of projected Gaussian draws of ODD_SAMPLES rows with
-    ``value`` at sample index ``target``, whichever chunk holds it."""
-    drawn = 0
+    """A plan builder of projected Gaussian draws with ``value`` at sample
+    index ``target``."""
 
     def projector(u):
-        def draw(rng, m):
-            nonlocal drawn
-            x = rng.standard_normal((m, 3))
-            if drawn <= target < drawn + m:
-                x[target - drawn, 0] = value
-            drawn += m
+        def draw(rng, n):
+            x = rng.standard_normal((n, 3))
+            x[target, 0] = value
             return x @ u
 
-        return mc._Plan(draw, 3)
+        return mc._Plan(draw)
 
     return projector
 
@@ -513,43 +565,24 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
             assert abs(mean - float(np.mean(y))) <= 5.0 * sigma
 
 
-class _VectorDrawsOnly:
-    """A generator that fails on any draw of two or more dimensions."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def checked(*args, **kwargs):
-            out = method(*args, **kwargs)
-            assert np.ndim(out) < 2, f"{name} drew an array of shape {np.shape(out)}"
-            return out
-
-        return checked
-
-
 @pytest.mark.parametrize("spec", ["ball:q=2", "gauss"])
 def test_rotation_invariant_projections_draw_no_matrix(monkeypatch, spec):
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _VectorDrawsOnly(default_rng(seed)))
+    shapes = _logged_shapes(monkeypatch)
     fam = family_from_spec(spec, 64)
     records = estimate_pnorm(fam, np.linspace(1.0, 2.0, 64), GRID_ORDERS, 20_000, SEED)
     assert all(rec.value > 0.0 for rec in records)
+    assert shapes and all(len(shape) < 2 for shape in shapes), shapes
 
 
 @pytest.mark.parametrize("profile", ["one_hot", "flat"])
 def test_one_hot_and_flat_exp_rows_draw_no_matrix(monkeypatch, profile):
     # e_1 draws one Laplace as a normal scale mixture; the flat vector pools
     # its 64 equal weights into one Gamma(64) draw
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _VectorDrawsOnly(default_rng(seed)))
+    shapes = _logged_shapes(monkeypatch)
     a = np.eye(1, 64)[0] if profile == "one_hot" else np.full(64, 0.125)
     records = estimate_pnorm(product_exponential(64), a, GRID_ORDERS, 20_000, SEED)
     assert all(rec.value > 0.0 for rec in records)
+    assert shapes and all(len(shape) < 2 for shape in shapes), shapes
 
 
 @pytest.mark.parametrize("spec", ["exp", "product:pow:alpha=2", "cube"])
@@ -634,10 +667,9 @@ def test_ball_q1_coordinate_pnorms_cover_their_exact_values(n):
 @pytest.mark.parametrize("n,profile", [(1, "one_hot"), (16, "flat"), (16, "geometric:rho=0.7")])
 def test_mixture_likelihood_ratios_have_mean_one(n, profile):
     # E e^l = 1 under the mixture, and e^l <= 1 / alpha_0 = 5
-    draw, width, _ = mc._projector(product_exponential(n), coefficient_profile(profile, n))
-    rng = np.random.default_rng(SEED + 60)
+    plan = mc._projector(product_exponential(n), coefficient_profile(profile, n))
     n_draws = 1_000_000
-    ell = np.concatenate([draw(rng, m)[1] for m in mc._chunk_rows(n_draws, width)])
+    _, ell = plan.draw(np.random.default_rng(SEED + 60), n_draws)
     likelihood = np.exp(ell)
     stderr = float(np.std(likelihood)) / math.sqrt(n_draws)
     assert abs(float(np.mean(likelihood)) - 1.0) <= 4.0 * stderr
@@ -650,6 +682,11 @@ class _FarDraws:
 
     def standard_exponential(self, size):
         return np.ones(size)
+
+    def random(self, out):
+        # U = 1 - 1/e: the inversion -log1p(-U) of wide mixture blocks is 1
+        out[...] = -math.expm1(-1.0)
+        return out
 
     def standard_normal(self, size):
         return np.full(size, 1e6)
@@ -734,7 +771,7 @@ def test_estimators_reject_non_integer_counts_before_sampling(monkeypatch, call)
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before validating the integer arguments")
 
-    monkeypatch.setattr(mc, "_chunks", no_sampling)
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
     with pytest.raises(InvalidArgumentError, match="integer"):
         call()
 
@@ -922,7 +959,7 @@ def test_ball_parts_at_one_coordinate_draw_the_einsum_bits(q):
         h = rng.standard_gamma((ball.n - 1) / 2.0 + 1.0, size=m)
         want_num, want_denom = g, np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * h)
     else:
-        mags, powers = mc._gamma_root(q, rng, (m, 1))
+        mags, powers = mc._gamma_root(q, rng, *np.empty((3, m, 1)))
         h = rng.standard_gamma((ball.n - 1) / q + 1.0, size=m)
         want_denom = (np.einsum("ij->i", powers) + h) ** (1.0 / q)
         want_num = mc._random_signs(mags, rng)
