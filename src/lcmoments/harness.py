@@ -227,9 +227,15 @@ class ExperimentResult:
 
 
 def worker_count() -> int:
+    """``LCM_WORKERS``, or else the CPUs this process may run on, at most 8:
+    its affinity set where the platform has one, else ``os.cpu_count()``."""
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        return min(8, cpus)
     try:
         value = int(raw)
     except ValueError as exc:

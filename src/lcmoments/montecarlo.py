@@ -6,26 +6,28 @@ engine in one call of its draw plan, so for a fixed ``_CHUNK_ENTRIES`` and
 BLAS build a record is a pure function of (seed, n_samples).  The budget
 ``_CHUNK_ENTRIES`` bounds only the (rows, width) matrices of a draw: a plan
 fills its length-N vector block by block, each block of at most that many
-entries, and does its per-sample work (normals, tilt shifts, log weights)
-once over all N samples.  A block draws its variates kind by kind, so the
+entries, and does its per-sample work (coefficients, log weights) once over
+all N samples.  A block draws its variates kind by kind, so the
 records of balls at q != 1, of the independent twin and of products of
 non-linear tails, whose blocks draw two or more kinds, depend on the budget
 beyond the last bit.  The cube and the linear-tail mixture (below) draw one
 stream of matrix variates, so the budget moves their records only where a
 BLAS matvec rounds the last rows of a call through another kernel, in the
 last bit; Gaussian and one-column mixture records do not depend on it.  The
-mixture's proposal depends on the draw plan and N only, never on the
-requested orders, so entry i of an order sequence equals the scalar call at
-its order.  ``_child_seed`` is the only seed derivation
+mixture's proposal and its layout of units depend on the draw plan and N
+only, never on the requested orders, so entry i of an order sequence equals
+the scalar call at its order.  ``_child_seed`` is the only seed derivation
 and holds the only seed rule: a seed is an integer (a Python or numpy int,
 never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
 and every record's ``seed`` is that reduction.  Report rows and acceptance
-checks derive their seeds with it too.  The parts of a proposal are drawn in
-fixed shares and the rows of each part are iid, so every estimate takes the
-iid standard error of the mean of all of its rows (conservative under the
+checks derive their seeds with it too.  A draw falls into independent
+units: every row of an unweighted draw is one, and the linear-tail mixture
+ties three rows, one of each part, to one draw of variates (below).  So
+every estimate takes the standard error of the sum of its units (the iid
+one of its rows for an unweighted draw; conservative under the mixture's
 fixed shares), propagated through the ratio and the 1/p power by the delta
-method, and reports the effective sample size (sum w)^2 / sum w^2 of its
-weights.
+method, and reports the effective sample size (sum W)^2 / sum W^2 and the
+top share max W / sum W of its weights W summed over the units.
 
 Every ball draw but the projection at q = 1 is ``_ball_parts``, the first k
 coordinates of the Barthe-Guedon-Mendelson-Naor form
@@ -48,39 +50,43 @@ independent of T (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33,
 2005).  So E|<Y, u>|^p = E|<X, u>|^p E T^p / r^p, and the p-norm of <X, u>
 is c_p times that of the Laplace sum <Y, u>, with the exact constant
 c_p = r (Gamma(n + 1) / Gamma(n + 1 + p))^{1/p}.  Its plan draws <Y, u>
-through the linear-tail mixture below and carries c_p, by which the engine
-multiplies value and standard error; the weights, so the ESS and the top
-share, are those of the Laplace sum.
+through the linear-tail mixture below and carries c_p times the mixture's
+own constant, by which the engine multiplies value and standard error; the
+weights, so the ESS and the top share, are those of the Laplace sum.
 
 Linear tails are Laplace laws, a Gaussian scale mixture eps E = sqrt(2 E') Z,
-so their S is normal given V = 2 sum_g w_g^2 G_g with G_g ~ Gamma(count_g)
-over the distinct weights w_g = |u_i| / rate_i: equal weights pool into one
-draw and no signs are drawn.  Plain draws of this law put |S|^p at high p on
-a handful of rows, so linear tails draw S from a defensive mixture
-(``_laplace_mixture``; Owen and Zhou, JASA 2000): the law itself (share 0.2)
-and its symmetric exponential tilts at the saddles p / theta = Lambda'(theta)
-of the orders 4 and ``MAX_MOMENT_ORDER`` (share 0.4 each).  A tilt of the
-law is again a normal variance-mean mixture, so a tilted row draws the same
-variates with other coefficients and a mean shift.  Each row carries the
-balance-heuristic log weight (Veach and Guibas, SIGGRAPH 1995)
-l = -log(alpha_0 + sum_j alpha_j cosh(theta_j s) / M(theta_j)), the log of
-the density ratio of the law to the whole mixture, with alpha_j the shares
-drawn: int(N alpha_j) of the N rows for each tilt, the rest for the law;
-l <= log(1 / alpha_0) = log 5, and E e^l = 1.  Every other plan is
-unweighted, l = 0.
+so their S is sqrt(V) Z with Z ~ N(0, 1) independent of
+V = 2 sum_g w_g^2 G_g, G_g ~ Gamma(count_g) over the distinct weights
+w_g = |u_i| / rate_i: equal weights pool into one draw and no signs are
+drawn.  The normal integrates out, E|S|^p = E|Z|^p E V^{p/2}, so the plan
+draws sqrt(V) alone and carries c_p = ||Z||_p.  Plain draws of this law put
+|S|^p at high p on a handful of rows, so linear tails draw V from a
+defensive mixture (``_laplace_mixture``; Owen and Zhou, JASA 2000): the law
+itself and its exponential tilts e^{eta V} / M(theta), eta = theta^2 / 2,
+which are those of S at the saddles p / theta = Lambda'(theta) of the
+orders 4 and ``MAX_MOMENT_ORDER``.  A tilt takes the same variates with
+other coefficients, so one draw of variates gives a row of every part: a
+draw of N rows takes t = N // 3 such units and N - 3t more rows of the law
+alone, the shares alpha_0 = (N - 2t) / N of the law and alpha_j = t / N of
+each tilt.  Each row carries the balance-heuristic log weight (Veach and
+Guibas, SIGGRAPH 1995) l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} /
+M(theta_j)), the log of the density ratio of the law to the whole mixture;
+l <= log(1 / alpha_0), about log 3, and the mean of e^l over the N rows has
+expectation 1.  Every other plan is unweighted, l = 0.
 
 The engine takes L = log|S| in place over the one draw of N samples, and
 reduces each order in one pass over them:
-w = exp(p (L - max L) + l) lies in [0, e^l], and the p-norm is the
-self-normalised weighted power mean c_p max|a_i| e^{max L} R^{1/p} with
-R = sum w / sum e^l, nondecreasing in p.  Its standard error is the ratio
-estimator's delta method, whose variance, the sample variance of the N
-residuals w - R e^l, comes from sums alone:
-(sum w^2 - 2 R sum w e^l + R^2 sum e^{2l}) / (N - 1), with sum w^2 and
-sum w e^l taken by ``einsum``.  Where those sums cancel to less
-than ``_CANCELLATION`` of sum w^2 (a nearly constant w), the engine sums the
-residuals instead.  With l = 0 this is the plain sample mean of |S|^p and
-its iid standard error.
+w = exp(p (L - max L) + l) lies in [0, e^l], summed in place over the K
+units into W, and the p-norm is the self-normalised weighted power mean
+c_p max|a_i| e^{max L} R^{1/p} with R = sum w / sum e^l, nondecreasing in
+p.  Its standard error is the ratio estimator's delta method over the
+units, sqrt(K var / N^2) / mean(e^l), where var, the sample variance of the
+K unit residuals W - R E (E the unit sums of e^l), comes from sums alone:
+(sum W^2 - 2 R sum W E + R^2 sum E^2) / (K - 1), with sum W^2 and sum W E
+taken by ``einsum``.  Where those sums cancel to less than
+``_CANCELLATION`` of sum W^2 (a nearly constant w), the engine sums the
+residuals instead.  With l = 0 every row is a unit and this is the plain
+sample mean of |S|^p and its iid standard error.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ from .coeffs import CoefficientVector, _orders, as_coefficients
 from .errors import InvalidArgumentError, OutOfRangeError
 from .families import (Family, GaussianStd, ProductFamily, UniformBall, UniformCube,
                        _check_dimension, _is_integer)
+from .surrogates import gaussian_pnorm
 from .tails import TailFunction
 
 __all__ = [
@@ -143,14 +150,18 @@ def _child_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """One Monte-Carlo estimate with the standard error of its iid samples.
+    """One Monte-Carlo estimate with the standard error of its independent
+    units.
 
-    ``ess`` is the effective sample size (sum w)^2 / sum w^2 of the weights
-    w the estimate averages (e^l |S|^p for a p-norm, with the log weight l of
-    its draw, and the hit indicator for a joint tail), and ``top_share`` is
-    max w / sum w, the share of the largest
-    one.  A few dominant samples show as a small ``ess`` and a large
-    ``top_share``; the standard error alone does not show them.
+    ``ess`` is the effective sample size (sum W)^2 / sum W^2 of the weights W
+    the estimate averages, summed over its independent units (e^l |S|^p for
+    a p-norm, with the log weight l of its draw, and the hit indicator for a
+    joint tail), and ``top_share`` is max W / sum W, the share of the
+    largest one.  A unit is one sample, except for the linear-tail mixture,
+    whose units are three rows of one variate draw (module docstring), so
+    there ``ess`` is at most N - 2 (N // 3) of the ``n_samples`` = N.  A few
+    dominant units show as a small ``ess`` and a large ``top_share``; the
+    standard error alone does not show them.
     """
 
     value: float
@@ -292,10 +303,22 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 
 # -- draw plans -------------------------------------------------------------------
 
+class _Weighted(NamedTuple):
+    """The draw of a weighted plan: the n draws ``s`` of its projection, their
+    log weights ``ell`` under an importance-sampling proposal, and ``tied``
+    = t: rows n - 3t + i, n - 2t + i and n - t + i share one draw of
+    variates and form one unit for each i < t, and every other row is a unit
+    of its own."""
+
+    s: np.ndarray
+    ell: np.ndarray
+    tied: int
+
+
 # ``draw(rng, n)`` returns all n draws of one estimate's projection as a new
-# (n,) vector S, or the pair (S, l) of a weighted plan, whose rows carry the
-# log weights l of an importance-sampling proposal; an unweighted draw has l = 0
-Draw = Callable[[np.random.Generator, int], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
+# (n,) vector S, or the ``_Weighted`` draw of a weighted plan; an unweighted
+# draw has l = 0 and its rows are iid
+Draw = Callable[[np.random.Generator, int], "np.ndarray | _Weighted"]
 
 
 class _Plan(NamedTuple):
@@ -326,9 +349,9 @@ def _filled(width: int, block) -> _Plan:
     return _Plan(lambda rng, size: _fill(rng, np.empty(size), width, block))
 
 
-# the defensive mixture of linear-tail projections: (order, share) of the
-# symmetric tilt at the saddle of each order; the law itself takes the rest
-_MIXTURE_TILTS = ((4.0, 0.4), (MAX_MOMENT_ORDER, 0.4))
+# the defensive mixture of linear-tail projections: the orders whose saddles
+# the two tilts sit at
+_MIXTURE_ORDERS = (4.0, MAX_MOMENT_ORDER)
 _SADDLE_STEPS = 50
 
 
@@ -360,27 +383,31 @@ def _saddles(r2: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.ndarr
 
 def _laplace_mixture(weights: np.ndarray) -> _Plan:
     """The weighted plan of S = sum_i w_i L_i for iid standard Laplace L_i and
-    w_i > 0, drawn from a defensive mixture of the law and two tilts of it.
+    w_i > 0, drawn through its variance V from a defensive mixture of the law
+    and two tilts of it.
 
-    L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so given the E_i, S is
-    normal with variance V = 2 sum_i w_i^2 E_i; the E_i of equal weights sum
-    to one Gamma(count) draw.  The exponential tilt e^{theta s} / M(theta) of
-    the law, M(theta) = prod_i (1 - theta^2 w_i^2)^{-1}, is again such a
-    mixture: E_i ~ Exp(1 - theta^2 w_i^2), and S ~ N(theta V, V) given V.
-    In units of w_max, a draw of n rows takes its first rows from the law
-    and int(n alpha_j) rows from the tilt at theta_j, where theta_j^2 is the
-    saddle (``_saddles``) of order p_j in ``_MIXTURE_TILTS``: the same
-    Gamma or exponential variates and normals as the law, with the
-    coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the distinct ratios
-    r_g = w_g / w_max (increasing, so the draw does not depend on the order
-    of the coordinates), plus the mean theta_j V.  The estimates read |S|
-    only, and |S| has one law under the tilts at theta and -theta, so the
-    tilted rows draw the tilt at +theta for the symmetric one and no sign.
+    L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so S = sqrt(V) Z with
+    V = 2 sum_i w_i^2 E_i independent of Z, and E|S|^p = E|Z|^p E V^{p/2}:
+    the plan draws s = sqrt(V) only and its ``factor`` is ||Z||_p.  The E_i
+    of equal weights sum to one Gamma(count) draw.  The exponential tilt
+    e^{theta s} / M(theta) of the law of S, M(theta) = prod_i
+    (1 - theta^2 w_i^2)^{-1}, tilts V by e^{eta V} / M(theta) with
+    eta = theta^2 / 2: E_i ~ Exp(1 - theta^2 w_i^2).  In units of w_max the
+    tilt at theta_j, with theta_j^2 the saddle (``_saddles``) of order p_j
+    in ``_MIXTURE_ORDERS``, takes the same Gamma or exponential variates as
+    the law with the coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the
+    distinct ratios r_g = w_g / w_max (increasing, so the draw does not
+    depend on the order of the coordinates).
 
-    Each row carries the balance-heuristic log weight
-    l = -log(alpha_0 + sum_j alpha_j cosh(theta_j s) / M(theta_j)) over the
-    shares alpha drawn, taken from the largest exponent down
-    so that no |s| overflows; alpha_0 >= 1/5, so e^l <= 5, and E e^l = 1.
+    So one variate row gives a row of the law and a row of each tilt.  A
+    draw of n rows takes t = n // 3 variate rows for all three parts and
+    n - 3t more for the law alone, laid out as the law's n - 2t rows (the
+    lone ones first), then the t rows of each tilt: the draw is
+    ``_Weighted(s, l, t)``.  Each row carries the balance-heuristic log
+    weight l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} / M(theta_j)) over
+    the shares alpha_0 = (n - 2t) / n and alpha_j = t / n, taken from the
+    largest exponent down so that no V overflows; e^l <= 1 / alpha_0, and
+    the mean of e^l over the n rows has expectation 1.
     """
     values, counts = np.unique(weights, return_counts=True)
     top = float(values[-1])
@@ -391,74 +418,70 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
     # one-column matrix
     shape = float(counts[0]) if width == 1 else counts.astype(float)
     r2 = ratios * ratios
-    # theta, 1 / 2M(theta) and coefficients of each part, the law (the tilt
-    # at theta = 0) first
-    xs = _saddles(r2, counts, np.array([p for p, _ in _MIXTURE_TILTS]))
+    # eta, 1 / M(theta) and coefficients of each part, the law (the tilt at
+    # theta = 0) first
+    xs = _saddles(r2, counts, np.array(_MIXTURE_ORDERS))
     gaps = 1.0 - np.multiply.outer(xs, r2)
-    thetas = [0.0, *map(math.sqrt, xs.tolist())]
-    half_inv_mgfs = [0.5, *(0.5 * math.exp(v) for v in (np.log(gaps) @ counts).tolist())]
+    etas = [0.0, *(0.5 * xs).tolist()]
+    inv_mgfs = [1.0, *(math.exp(v) for v in (np.log(gaps) @ counts).tolist())]
     coefs = [2.0 * r2, *(2.0 * r2 / gaps)]
 
-    def block(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray, coef: np.ndarray):
-        # V of a block of rows of one part.  Exponentials come by inversion,
-        # log1p(-U) = -E with the sign in the coefficients, which over a
-        # block costs about 0.6 of the ziggurat; one-column draws keep the
-        # ziggurat, and so their records
-        mix = work[0, :rows.size * width].reshape(-1, width)
-        if exponential:
-            np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
-        else:
-            rng.standard_gamma(shape, out=mix)
-        np.matmul(mix, -coef if exponential else coef, out=rows)
-
-    def draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        # the law's rows first, then int(n alpha_j) rows of each tilt
-        tilted = [int(n * share) for _, share in _MIXTURE_TILTS]
-        rows = [n - sum(tilted)] + tilted
-        bounds = np.cumsum([0] + rows).tolist()
-        parts = list(zip(thetas, coefs, bounds, bounds[1:]))
+    def draw(rng: np.random.Generator, n: int) -> _Weighted:
+        # n >= 3, so every part has rows
+        tied = n // 3
+        units = n - 2 * tied
+        lone = units - tied
+        v = np.empty(n)
+        # V of the law's n - 2t rows, then of the t rows of each tilt, which
+        # take the variates of the law's last t rows
+        tilts = [v[units + j * tied:units + (j + 1) * tied] for j in range(len(coefs) - 1)]
         if width == 1:
-            root = rng.standard_exponential(n) if exponential else rng.standard_gamma(shape, n)
-            for _, coef, lo, hi in parts:
-                root[lo:hi] *= coef[0]
+            root = v[:units]
+            if exponential:
+                rng.standard_exponential(out=root)
+            else:
+                rng.standard_gamma(shape, out=root)
+            for coef, tilt in zip(coefs[1:], tilts):
+                np.multiply(root[lone:], coef[0], out=tilt)
+            root *= coefs[0][0]
         else:
-            # part by part in blocks; the variates are one stream, whatever
-            # the blocks
-            root = np.empty(n)
-            for _, coef, lo, hi in parts:
-                _fill(rng, root[lo:hi], width, functools.partial(block, coef=coef))
-        np.sqrt(root, out=root)
-        # s = Z sqrt(V) + theta V = sqrt(V) (Z + theta sqrt(V)) has the law of
-        # |S| of its part; the engine reads |s| only
-        y = rng.standard_normal(n)
-        for theta, _, lo, hi in parts[1:]:
-            y[lo:hi] += theta * root[lo:hi]
-        y *= root
-        np.abs(y, out=y)
-        # l = -log sum_j alpha_j cosh(theta_j y) / M(theta_j) over the parts
-        # drawn: e^{ref y} comes out, ref the largest theta drawn, so every
-        # exponent is <= 0 and the sum is at least the term of ref
-        ref = max(theta for theta, k in zip(thetas, rows) if k)
-        factors: dict[float, float] = {}
-        for theta, half_inv_mgf, k in zip(thetas, half_inv_mgfs, rows):
-            for exponent in (theta - ref, -theta - ref) if k else ():
-                factors[exponent] = factors.get(exponent, 0.0) + k / n * half_inv_mgf
-        # the exponent 0 of ref is a constant, and the law's two are one
-        ell = np.full(n, factors.pop(0.0))
-        term = root
-        for exponent, factor in factors.items():
-            np.multiply(y, exponent, out=term)
+            # block by block over the variate rows; exponentials come by
+            # inversion, log1p(-U) = -E with the sign in the coefficients,
+            # which over a block costs about 0.6 of the ziggurat
+            signed = [-coef for coef in coefs] if exponential else coefs
+            rows = max(1, _CHUNK_ENTRIES // width)
+            work = np.empty(min(rows, units) * width)
+            for lo in range(0, units, rows):
+                hi = min(lo + rows, units)
+                mix = work[:(hi - lo) * width].reshape(-1, width)
+                if exponential:
+                    np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
+                else:
+                    rng.standard_gamma(shape, out=mix)
+                np.matmul(mix, signed[0], out=v[lo:hi])
+                first = max(lo, lone)
+                for coef, tilt in zip(signed[1:], tilts) if first < hi else ():
+                    np.matmul(mix[first - lo:], coef, out=tilt[first - lone:hi - lone])
+        # l = -log sum_j alpha_j e^{eta_j V} / M(theta_j): e^{ref V} comes
+        # out, ref the largest eta (the top order's), so every exponent is
+        # <= 0 and the sum is at least the constant term of ref
+        ref = etas[-1]
+        ell = np.full(n, tied / n * inv_mgfs[-1])
+        term = np.empty(n)
+        for eta, inv_mgf, count in zip(etas, inv_mgfs, (units, tied)):
+            np.multiply(v, eta - ref, out=term)
             np.exp(term, out=term)
-            term *= factor
+            term *= count / n * inv_mgf
             ell += term
         np.log(ell, out=ell)
-        np.multiply(y, ref, out=term)
+        np.multiply(v, ref, out=term)
         ell += term
         np.negative(ell, out=ell)
-        y *= top
-        return y, ell
+        s = np.sqrt(v, out=v)
+        s *= top
+        return _Weighted(s, ell, tied)
 
-    return _Plan(draw)
+    return _Plan(draw, gaussian_pnorm)
 
 
 def _projector(family: Family, u: np.ndarray) -> _Plan:
@@ -467,8 +490,9 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
     Only the k coordinates with u_i != 0 are drawn.  The Gaussian and the
     Euclidean ball are rotation invariant, so S has the law of ||u||_2 X_1,
     the k = 1 marginal for the ball.  The ball at q = 1 draws <Y, u> for iid
-    standard Laplace Y_i, through ``_laplace_mixture`` on |u_i|, with the
-    constant c_p of the BGMN identity (module docstring).  Other balls draw
+    standard Laplace Y_i, through ``_laplace_mixture`` on |u_i|, whose
+    constant it multiplies by the c_p of the BGMN identity (module
+    docstring).  Other balls draw
     the signed numerator of the k live coordinates, whose
     H ~ Gamma((n - k)/q + 1) stands for the others, and divide each row
     once.  The cube and products of non-linear tails draw their live
@@ -485,8 +509,9 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
         n, r = family.n, family.r
         if family.q == 1.0:
             log_gamma = math.lgamma(n + 1.0)
-            return _laplace_mixture(np.abs(coefs))._replace(
-                factor=lambda p: r * math.exp((log_gamma - math.lgamma(n + 1.0 + p)) / p))
+            plan = _laplace_mixture(np.abs(coefs))
+            return plan._replace(factor=lambda p: plan.factor(p) * (
+                r * math.exp((log_gamma - math.lgamma(n + 1.0 + p)) / p)))
         if family.q == 2.0:
             scale = r * float(np.linalg.norm(u))
 
@@ -546,6 +571,19 @@ def _validate_sample_count(n_samples: int) -> int:
     return int(n_samples)
 
 
+def _unit_sums(x: np.ndarray, tied: int) -> np.ndarray:
+    """The sums of ``x`` over the independent units of a draw whose last
+    3 tied rows are tied in threes (``_Weighted``): the three rows of a unit
+    are added in place into the first of them, and the view of the first
+    n - 2 tied entries, one per unit, is returned."""
+    units = x.size - 2 * tied
+    if tied:
+        first = x[units - tied:units]
+        first += x[units:units + tied]
+        first += x[units + tied:]
+    return x[:units]
+
+
 # the variance from sums loses about log10(sum w^2 / spread) digits to
 # cancellation, where spread = sum (w - R e^l)^2; below this share of
 # sum w^2 the engine sums the residuals themselves
@@ -558,10 +596,12 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
     """One record per order in ``ps``, every order reduced from the same draws.
 
     ``projector(u)`` is the draw plan (``_Plan``) of <X, u>, built once per
-    estimate; a weighted plan's rows carry their log weights, and its
-    records are the self-normalised ratio estimates (module docstring),
-    times the plan's c_p.  The draws use the nonzero vector's
-    u = a / max|a_i| (``cv.unit``) and every record is max|a_i| times the
+    estimate; a weighted plan's rows carry their log weights and its units
+    (``_Weighted``), and its records are the self-normalised ratio
+    estimates with the error bar, ESS and top share of those units (module
+    docstring).  Every record is multiplied by the plan's c_p.  The draws
+    use the nonzero vector's u = a / max|a_i| (``cv.unit``) and every
+    record is max|a_i| times the
     norm of <X, u>, so scaling ``a`` by a power of two scales the records by
     exactly that factor, however small or large, as long as they stay normal
     doubles.  The inputs are checked by the caller (``_moment_inputs``); the
@@ -570,7 +610,8 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
     seed = _seed_word(seed)
     draw, factor = projector(cv.unit)
     out = draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
-    s, ells = out if isinstance(out, tuple) else (out, None)
+    s, ells, tied = out if isinstance(out, _Weighted) else (out, None, 0)
+    units = n_samples - 2 * tied
     # in place, as the engine owns the draws; a non-finite projection is
     # caught through the max below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -584,39 +625,45 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
     # an unweighted plan has l = 0: e^l = 1 and its sums are n, so its
     # records are the plain sample mean and its standard error
     if ells is not None:
-        likelihoods = np.exp(ells)
-        mean_likelihood = float(np.mean(likelihoods))
+        # e^l summed over the units, in the first ``units`` entries
+        likelihoods = _unit_sums(np.exp(ells), tied)
+        mean_likelihood = float(np.sum(likelihoods)) / n_samples
         likelihood_square_sum = float(np.einsum("i,i->", likelihoods, likelihoods))
     else:
         mean_likelihood, likelihood_square_sum = 1.0, float(n_samples)
     records = []
     w = np.empty(n_samples)
     for p in map(float, ps):
-        # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l]
+        # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l], summed over the
+        # units
         np.multiply(shifted, p, out=w)
         if ells is not None:
             w += ells
         np.exp(w, out=w)
+        unit_w = _unit_sums(w, tied)
         # sums only, by numpy rather than a BLAS dot so that their bits do
         # not depend on BLAS threading: sum w, sum w^2, sum w e^l, max w
-        total = float(np.sum(w))
-        square_sum = float(np.einsum("i,i->", w, w))
+        total = float(np.sum(unit_w))
+        square_sum = float(np.einsum("i,i->", unit_w, unit_w))
         if ells is not None:
-            cross, largest = float(np.einsum("i,i->", w, likelihoods)), float(np.max(w))
+            cross = float(np.einsum("i,i->", unit_w, likelihoods))
+            largest = float(np.max(unit_w))
         else:
             # l = 0: sum w e^l = sum w, and max w = e^0
             cross, largest = total, 1.0
         # the ratio estimate sum w / sum e^l of E|<X, u>|^p / e^{p top}, and
-        # its delta-method variance: the sample variance of w - ratio e^l,
-        # expanded in the sums, over the squared mean of e^l
+        # its delta-method variance: the sample variance of the unit sums of
+        # w - ratio e^l, expanded in the sums, over the squared mean of e^l
         ratio = total / n_samples / mean_likelihood
         spread = square_sum - 2.0 * ratio * cross + ratio * ratio * likelihood_square_sum
         if not spread > _CANCELLATION * square_sum:
             # a nearly constant w cancels in the sums: take the residuals
-            residuals = w - (likelihoods * ratio if ells is not None else ratio)
+            residuals = unit_w - (likelihoods * ratio if ells is not None else ratio)
             spread = float(np.einsum("i,i->", residuals, residuals))
-        var = spread / (n_samples - 1)
-        se = math.sqrt(var / n_samples) / mean_likelihood
+        var = spread / (units - 1)
+        # units / n_samples is 1.0 for an unweighted plan, whose records so
+        # keep the bits of the iid formula
+        se = math.sqrt(var / units) * (units / n_samples) / mean_likelihood
         norm = math.exp(top + math.log(ratio) / p)
         if factor is not None:
             norm *= factor(p)

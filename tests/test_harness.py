@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -378,6 +379,16 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "0")
     with pytest.raises(InvalidArgumentError):
         worker_count()
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert worker_count() == 2
+    # without an affinity call the CPU count stands, capped at 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 8
 
 
 def test_cell_seeds_are_stable_and_distinct():

@@ -17,6 +17,7 @@ from lcmoments.families import (
     product_exponential,
 )
 from lcmoments.harness import ExperimentConfig, coefficient_profile
+from lcmoments.surrogates import gaussian_pnorm
 from lcmoments.tails import TailFunction
 from lcmoments.montecarlo import (
     MAX_MOMENT_ORDER,
@@ -228,23 +229,35 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 # -- the linear-space reduction ---------------------------------------------------------
 
 def _one_draw(plan, n_samples, seed, tag):
-    """(S, l) of the engine's one draw of the plan, l = 0 for a draw that
-    returns S alone."""
+    """(S, l, tied) of the engine's one draw of the plan; a draw that returns
+    S alone has l = 0 and no tied rows."""
     out = plan.draw(np.random.default_rng(mc._child_seed(seed, tag)), n_samples)
-    return out if isinstance(out, tuple) else (out, np.zeros(n_samples))
+    return out if isinstance(out, mc._Weighted) else (out, np.zeros(n_samples), 0)
+
+
+def _unit_index(n_samples, tied):
+    """(unit of every row, number of units) of a draw whose last 3 tied rows
+    are tied in threes: row i >= n - 2 tied joins row n - 3 tied + (i - n +
+    2 tied) mod tied, and every other row is a unit of its own."""
+    units = n_samples - 2 * tied
+    index = np.arange(n_samples)
+    if tied:
+        index[units:] = units - tied + (index[units:] - units) % tied
+    return index, units
 
 
 def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
     """(value, stderr, ess, top_share) per order by scipy over the engine's
     one draw of the plan ``(draw, factor)`` of <X, a / scale>, whose rows
     carry the log weights l: the weighted logsumexp of p log|S| + l less
-    that of l for the value, ``scipy.stats.sem`` of the ratio residuals
-    u - R e^l of the shifted u = e^l |S|^p through the delta method for the
-    stderr, both times the plan's c_p, and the sums of u and of their
-    squares for the ESS and the top share."""
+    that of l for the value, ``scipy.stats.sem`` of the unit sums of the
+    ratio residuals u - R e^l of the shifted u = e^l |S|^p through the delta
+    method for the stderr, both times the plan's c_p, and the unit sums of u
+    for the ESS and the top share."""
     factor = plan.factor
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    drawn, ell = _one_draw(plan, n_samples, seed, tag)
+    drawn, ell, tied = _one_draw(plan, n_samples, seed, tag)
+    index, units = _unit_index(n_samples, tied)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(drawn * scale))
     likelihood = np.exp(ell)
@@ -256,9 +269,14 @@ def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
         u = np.exp(order * (log_abs - np.max(log_abs)) + ell)
         total = float(np.sum(u))
         ratio = total / float(np.sum(likelihood))
-        se = sem(u - ratio * likelihood) / float(np.mean(likelihood))
+        # the sum of the units' residual sums has the standard error
+        # units * sem, and the ratio that over sum e^l
+        residuals = np.bincount(index, u - ratio * likelihood, units)
+        se = sem(residuals) * units / float(np.sum(likelihood))
+        unit_u = np.bincount(index, u, units)
         records.append((value, value * se / (ratio * order),
-                        total ** 2 / float(np.sum(u * u)), float(np.max(u)) / total))
+                        total ** 2 / float(np.sum(unit_u * unit_u)),
+                        float(np.max(unit_u)) / total))
     return records
 
 
@@ -316,14 +334,17 @@ def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
     cv = as_coefficients(a)
     orders = np.array(GRID_ORDERS)
     records = estimate_pnorm(fam, a, orders, ODD_SAMPLES, SEED + 35)
-    drawn, ell = _one_draw(mc._projector(fam, cv.unit), ODD_SAMPLES, SEED + 35, mc._TAG_PNORM)
+    drawn, ell, tied = _one_draw(mc._projector(fam, cv.unit), ODD_SAMPLES, SEED + 35,
+                                 mc._TAG_PNORM)
+    index, units = _unit_index(ODD_SAMPLES, tied)
     log_abs = np.log(np.abs(drawn))
     likelihood = np.exp(ell)
     for order, rec in zip(orders, records):
         w = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
         ratio = math.fsum(w) / math.fsum(likelihood)
-        residuals = w - ratio * likelihood
-        se = math.sqrt(math.fsum(residuals * residuals) / (ODD_SAMPLES - 1) / ODD_SAMPLES)
+        # the residual sums of the units, which are iid where rows may not be
+        residuals = np.bincount(index, w - ratio * likelihood, units)
+        se = math.sqrt(math.fsum(residuals * residuals) / (units - 1) * units) / ODD_SAMPLES
         stderr = rec.value * se / float(np.mean(likelihood)) / (ratio * order)
         assert rec.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
@@ -440,10 +461,10 @@ def _assert_blocks_tile(shapes, parts, width):
 
 
 def _mixture_parts(n_samples):
-    """Row counts of the parts of the defensive mixture: the law, then int(N
-    alpha_j) rows of each tilt."""
-    tilted = [int(n_samples * share) for _, share in mc._MIXTURE_TILTS]
-    return [n_samples - sum(tilted)] + tilted
+    """Row counts of the runs of variate rows of the defensive mixture: one
+    run of N - 2 (N // 3) rows, one per unit, which serve the law and, the
+    last N // 3 of them, each tilt too."""
+    return [n_samples - 2 * (n_samples // 3)]
 
 
 @pytest.mark.parametrize("spec", GRID_FAMILY_SPECS + ("gauss",))
@@ -456,7 +477,7 @@ def test_every_projection_draw_is_one_chunk_of_the_budget(monkeypatch, spec):
     # one draw of all the samples per estimate
     assert plans == [[n_samples]]
     # the rotation invariant laws draw no matrix, the others blocks of every
-    # live column, which the mixture of exp and ball:q=1 draws part by part
+    # live column, which the mixture of exp and ball:q=1 draws once per unit
     if spec in ("ball:q=2", "gauss"):
         assert all(len(shape) < 2 for shape in shapes)
     else:
@@ -550,8 +571,9 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         plan = mc._projector(fam, a)
         out = plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m)
         # a weighted plan's rows carry their log weights; its moments are the
-        # weighted means, whose noise is that of the ratio residuals
-        projected, ell = out if isinstance(out, tuple) else (out, np.zeros(m))
+        # weighted means, whose noise is that of the units' ratio residuals
+        projected, ell, tied = out if isinstance(out, mc._Weighted) else (out, np.zeros(m), 0)
+        index, units = _unit_index(m, tied)
         likelihood = np.exp(ell)
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
         assert projected.shape == ell.shape == (m,)
@@ -560,8 +582,8 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
             factor = plan.factor(power) if plan.factor else 1.0
             x, y = (factor * projected) ** power, full ** power
             mean = float(np.sum(likelihood * x) / np.sum(likelihood))
-            residuals = likelihood * (x - mean) / np.mean(likelihood)
-            sigma = math.sqrt((np.var(residuals) + np.var(y)) / m)
+            residuals = np.bincount(index, likelihood * (x - mean), units) / np.mean(likelihood)
+            sigma = math.sqrt(units * np.var(residuals) / m ** 2 + np.var(y) / m)
             assert abs(mean - float(np.mean(y))) <= 5.0 * sigma
 
 
@@ -627,7 +649,7 @@ def test_linear_tail_pnorms_cover_their_exact_values(profile, n):
     # z-scores of the grid's top orders centre on 0 and none is wild, and no
     # estimate rests on fewer than 5% of its draws
     a = coefficient_profile(profile, n)
-    orders = (8.0, 16.0, 32.0)
+    orders = (2.0, 4.0, 8.0, 16.0, 32.0)
     exact = [_laplace_even_moment(a / math.sqrt(2.0), int(p) // 2) ** (1.0 / p) for p in orders]
     n_samples = 20_000
     zs = []
@@ -638,6 +660,52 @@ def test_linear_tail_pnorms_cover_their_exact_values(profile, n):
     zs = np.array(zs)
     assert np.all(np.abs(zs) <= 4.0), zs
     assert np.all(np.abs(zs.mean(axis=0)) <= 1.5), zs.mean(axis=0)
+
+
+@pytest.mark.parametrize("profile", GRID_PROFILES)
+def test_mixture_draws_times_the_normal_moments_are_the_laplace_moments(profile):
+    # S = sqrt(V) Z with Z ~ N(0, 1) independent of V, so E S^{2k} =
+    # E Z^{2k} E V^k: the weighted even moments of the plan's draws sqrt(V),
+    # times those of Z, are the exact moments, within the noise of the
+    # units' residual sums
+    n, m = 16, 400_000
+    a = coefficient_profile(profile, n)
+    s, ell, tied = mc._projector(product_exponential(n), a).draw(
+        np.random.default_rng(SEED + 63), m)
+    index, units = _unit_index(m, tied)
+    likelihood = np.exp(ell)
+    for k in (1, 2, 4, 8, 16):
+        x = s ** (2 * k)
+        mean = float(np.sum(likelihood * x) / np.sum(likelihood))
+        residuals = np.bincount(index, likelihood * (x - mean), units) / np.mean(likelihood)
+        sigma = math.sqrt(units * np.var(residuals)) / m
+        normal = gaussian_pnorm(2.0 * k) ** (2 * k)
+        exact = _laplace_even_moment(a / math.sqrt(2.0), k)
+        assert abs(mean * normal - exact) <= 5.0 * sigma * normal
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_mixture_factors_are_the_normal_norm_times_the_exact_constant(n):
+    # the Laplace mixture draws sqrt(V), so its c_p is ||Z||_p; the ball at
+    # q = 1 multiplies that by the c_p of the BGMN identity
+    a = np.linspace(1.0, 0.5, n)
+    ball = UniformBall.isotropic(n, 1.0)
+    laplace, bgmn = mc._projector(product_exponential(n), a), mc._projector(ball, a)
+    for p in (2.0, 4.5, 32.0):
+        c_p = ball.r * math.exp((math.lgamma(n + 1.0) - math.lgamma(n + 1.0 + p)) / p)
+        assert laplace.factor(p) == gaussian_pnorm(p)
+        assert bgmn.factor(p) == pytest.approx(gaussian_pnorm(p) * c_p, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["exp", "ball:q=1", "cube"])
+@pytest.mark.parametrize("profile", GRID_PROFILES)
+def test_ess_never_exceeds_the_number_of_units(spec, profile):
+    # (sum w)^2 <= K sum w^2 over K unit sums: a weighted mixture row has
+    # N - 2 (N // 3) units, an unweighted one N
+    records = estimate_pnorm(family_from_spec(spec, 16), coefficient_profile(profile, 16),
+                             GRID_ORDERS, ODD_SAMPLES, SEED + 64)
+    units = ODD_SAMPLES - 2 * (ODD_SAMPLES // 3) if spec != "cube" else ODD_SAMPLES
+    assert all(rec.ess <= units * (1.0 + 1e-12) for rec in records), records
 
 
 @pytest.mark.parametrize("profile", ["flat", "one_hot", "geometric:rho=0.7"])
@@ -666,38 +734,48 @@ def test_ball_q1_coordinate_pnorms_cover_their_exact_values(n):
 
 @pytest.mark.parametrize("n,profile", [(1, "one_hot"), (16, "flat"), (16, "geometric:rho=0.7")])
 def test_mixture_likelihood_ratios_have_mean_one(n, profile):
-    # E e^l = 1 under the mixture, and e^l <= 1 / alpha_0 = 5
+    # the mean of e^l over the rows has expectation 1 under the mixture, with
+    # the noise of its unit sums, and e^l <= 1 / alpha_0 = N / (N - 2 (N // 3))
     plan = mc._projector(product_exponential(n), coefficient_profile(profile, n))
     n_draws = 1_000_000
-    _, ell = plan.draw(np.random.default_rng(SEED + 60), n_draws)
+    _, ell, tied = plan.draw(np.random.default_rng(SEED + 60), n_draws)
+    index, units = _unit_index(n_draws, tied)
     likelihood = np.exp(ell)
-    stderr = float(np.std(likelihood)) / math.sqrt(n_draws)
+    stderr = float(np.std(np.bincount(index, likelihood, units))) * math.sqrt(units) / n_draws
     assert abs(float(np.mean(likelihood)) - 1.0) <= 4.0 * stderr
-    assert float(np.max(ell)) <= math.log(5.0) + 1e-12
+    assert float(np.max(ell)) <= math.log(n_draws / (n_draws - 2 * tied)) + 1e-12
 
 
 class _FarDraws:
-    """A generator whose every normal is 10^6: projections far beyond any
-    double's cosh."""
+    """A generator whose every exponential and Gamma variate is 10^6:
+    variances far beyond any double's exponential.  Uniforms are the largest
+    double below 1, whose inversion -log1p(-U) = 53 log 2 is the farthest
+    exponential that the inversion of wide mixture blocks can give."""
 
-    def standard_exponential(self, size):
-        return np.ones(size)
-
-    def random(self, out):
-        # U = 1 - 1/e: the inversion -log1p(-U) of wide mixture blocks is 1
-        out[...] = -math.expm1(-1.0)
+    def standard_exponential(self, out):
+        out[...] = 1e6
         return out
 
-    def standard_normal(self, size):
-        return np.full(size, 1e6)
+    def standard_gamma(self, shape, out):
+        out[...] = 1e6
+        return out
+
+    def random(self, out):
+        out[...] = 1.0 - 2.0 ** -53
+        return out
 
 
-@pytest.mark.parametrize("n", [1, 5])
-def test_mixture_log_weights_do_not_overflow(n):
-    s, ell = mc._projector(product_exponential(n), np.linspace(1.0, 0.5, n)).draw(
-        _FarDraws(), 600)
+@pytest.mark.parametrize("a,limit", [
+    ((1.0,), -1e5),
+    ((1.0, 1.0, 0.5, 0.5, 0.5), -1e5),
+    # distinct weights draw their exponentials by inversion, which gives at
+    # most 53 log 2: V stays moderate, and l is about -94 there
+    (tuple(np.linspace(1.0, 0.5, 5)), -50.0),
+], ids=["1", "5", "5-inversion"])
+def test_mixture_log_weights_do_not_overflow(a, limit):
+    s, ell, _ = mc._projector(product_exponential(len(a)), np.array(a)).draw(_FarDraws(), 600)
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(ell))
-    assert float(np.max(ell)) < -1e5
+    assert float(np.max(ell)) < limit
 
 
 # ESS / N of |g|^p tends to (E|g|^p)^2 / E|g|^{2p}; at N = 10^5 its ratio to
