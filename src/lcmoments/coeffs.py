@@ -43,7 +43,6 @@ class _Sums(NamedTuple):
     unit: np.ndarray      # u*_1, ..., u*_n, 0
     sq: np.ndarray        # the squares of ``unit``
     head: np.ndarray      # entry k: u*_1 + ... + u*_k
-    head_sq: np.ndarray   # entry k: (u*_1)^2 + ... + (u*_k)^2
     tail_sq: np.ndarray   # entry k: (u*_{k+1})^2 + ... + (u*_n)^2
 
 
@@ -53,11 +52,11 @@ class CoefficientVector:
 
     Once per vector it caches the stable descending order, the sup norm
     ``scale`` = a*_1 and the unit rearrangement a* / a*_1 with the prefix
-    sums of its entries and squares and the suffix sums of its squares
-    (``sums``).  Every reduction below reads them at one order or at many,
-    on the unit scale, and multiplies by ``scale`` once: no square of a huge
-    or tiny entry over- or underflows, and a power-of-two factor of a scales
-    every result exactly.
+    sums of its entries and the suffix sums of its squares (``sums``).
+    Every reduction below reads them at one order or at many, on the unit
+    scale, and multiplies by ``scale`` once: no square of a huge or tiny
+    entry over- or underflows, and a power-of-two factor of a scales every
+    result exactly.
     """
 
     values: tuple[float, ...]
@@ -117,7 +116,7 @@ class CoefficientVector:
         # relative accuracy (a total minus a prefix would not)
         tail_sq = np.zeros(self.n + 1)
         np.add.accumulate(sq[-2::-1], out=tail_sq[-2::-1])
-        return _Sums(unit, sq, _prefix_sums(unit), _prefix_sums(sq), tail_sq)
+        return _Sums(unit, sq, _prefix_sums(unit), tail_sq)
 
 
 def _prefix_sums(padded: np.ndarray) -> np.ndarray:
@@ -196,11 +195,8 @@ def _head(cv: CoefficientVector, c: _Cuts) -> np.ndarray:
 def _head_lq(cv: CoefficientVector, c: _Cuts, q: float) -> np.ndarray:
     if math.isinf(q):
         return np.full(c.ps.size, cv.sums.unit[0])
-    if q == 2.0:
-        powers, sums = cv.sums.sq, cv.sums.head_sq
-    else:
-        powers = cv.sums.unit ** q
-        sums = _prefix_sums(powers)
+    powers = cv.sums.unit ** q
+    sums = _prefix_sums(powers)
     return (sums[c.whole] + c.frac * powers[c.whole]) ** (1.0 / q)
 
 

@@ -4,16 +4,17 @@ Reproducibility contract: every estimator draws all of its samples in order
 from one generator seeded with the child seed (seed, stream tag), the p-norm
 engine in one call of its draw plan, so for a fixed ``_CHUNK_ENTRIES`` and
 BLAS build a record is a pure function of (seed, n_samples).  The budget
-``_CHUNK_ENTRIES`` bounds only the (rows, width) matrices of a draw: a plan
-fills its length-N vector block by block, each block of at most that many
+``_CHUNK_ENTRIES`` bounds only the (rows, width) matrices of a draw: every
+plan takes its rows in the same ``_blocks``, each of at most that many
 entries, and does its per-sample work (coefficients, log weights) once over
 all N samples.  A block draws its variates kind by kind, so the
 records of balls at q != 1, of the independent twin and of products of
 non-linear tails, whose blocks draw two or more kinds, depend on the budget
 beyond the last bit.  The cube and the linear-tail mixture (below) draw one
 stream of matrix variates, so the budget moves their records only where a
-BLAS matvec rounds the last rows of a call through another kernel, in the
-last bit; Gaussian and one-column mixture records do not depend on it.  The
+BLAS product rounds the last rows of a call, or a call of one row, through
+another kernel, in the last bit; Gaussian records and those of mixtures of
+one column, whose products have one term, do not depend on it.  The
 mixture's proposal and its layout of units depend on the draw plan and N
 only, never on the requested orders, so entry i of an order sequence equals
 the scalar call at its order.  ``_child_seed`` is the only seed derivation
@@ -57,9 +58,10 @@ weights, so the ESS and the top share, are those of the Laplace sum.
 Linear tails are Laplace laws, a Gaussian scale mixture eps E = sqrt(2 E') Z,
 so their S is sqrt(V) Z with Z ~ N(0, 1) independent of
 V = 2 sum_g w_g^2 G_g, G_g ~ Gamma(count_g) over the distinct weights
-w_g = |u_i| / rate_i: equal weights pool into one draw and no signs are
-drawn.  The normal integrates out, E|S|^p = E|Z|^p E V^{p/2}, so the plan
-draws sqrt(V) alone and carries c_p = ||Z||_p.  Plain draws of this law put
+w_g = |u_i| / rate_i: equal weights pool into one draw, exponentials (a
+count of 1) come by inversion at every width, and no signs are drawn.  The
+normal integrates out, E|S|^p = E|Z|^p E V^{p/2}, so the plan draws sqrt(V)
+alone and carries c_p = ||Z||_p.  Plain draws of this law put
 |S|^p at high p on a handful of rows, so linear tails draw V from a
 defensive mixture (``_laplace_mixture``; Owen and Zhou, JASA 2000): the law
 itself and its exponential tilts e^{eta V} / M(theta), eta = theta^2 / 2,
@@ -91,10 +93,9 @@ sample mean of |S|^p and its iid standard error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,8 +122,8 @@ MAX_MOMENT_ORDER = 32.0
 MIN_SAMPLES = 10_000
 
 # entries of a (rows, width) matrix that a draw plan draws at once, at most:
-# a plan fills its length-N vectors block by block, and every block but the
-# last has max(1, _CHUNK_ENTRIES // width) rows
+# a plan takes its rows in ``_blocks``, of max(1, _CHUNK_ENTRIES // width)
+# rows each but the last
 _CHUNK_ENTRIES = 2 ** 15
 
 # stream tags keep estimators on disjoint streams of one master seed
@@ -324,23 +325,31 @@ Draw = Callable[[np.random.Generator, int], "np.ndarray | _Weighted"]
 class _Plan(NamedTuple):
     """The draw plan of one projection: ``draw`` (a ``Draw``) and ``factor``,
     the exact constant c_p by which the p-norm of the draws is multiplied to
-    give that of the projection (None: c_p = 1)."""
+    give that of the projection (1.0 for a plan that draws the projection
+    itself)."""
 
     draw: Draw
-    factor: Callable[[float], float] | None = None
+    factor: Callable[[float], float] = lambda p: 1.0
+
+
+def _blocks(size: int, width: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, work) over the rows [0, size) of a draw whose rows take
+    ``width`` matrix entries each: every block but the last has
+    max(1, _CHUNK_ENTRIES // width) rows, and ``work`` is one (4, m width)
+    float buffer, m the rows of the largest block, shared by all blocks, so
+    a block allocates no array of its size."""
+    rows = max(1, _CHUNK_ENTRIES // width)
+    work = np.empty((4, min(rows, size) * width))
+    for lo in range(0, size, rows):
+        yield lo, min(lo + rows, size), work
 
 
 def _fill(rng: np.random.Generator, out: np.ndarray, width: int, block) -> np.ndarray:
-    """``out``, filled block by block in order, each block of rows of
-    ``width`` entries by ``block(rng, rows, work)``, which draws the rows'
-    (m, width) matrix and writes one value per row into the view ``rows``;
-    every block but the last has max(1, _CHUNK_ENTRIES // width) rows.  The
-    blocks draw their temporaries into ``work``, one (4, m width) float
-    buffer for all of them, so a block allocates no array of its size."""
-    rows = max(1, _CHUNK_ENTRIES // width)
-    work = np.empty((4, min(rows, out.size) * width))
-    for lo in range(0, out.size, rows):
-        block(rng, out[lo:lo + rows], work)
+    """``out``, filled in order over its ``_blocks`` by ``block(rng, rows,
+    work)``, which draws the (m, width) matrix of a block into ``work`` and
+    writes one value per row into the view ``rows`` of ``out``."""
+    for lo, hi, work in _blocks(out.size, width):
+        block(rng, out[lo:hi], work)
     return out
 
 
@@ -403,20 +412,23 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
     draw of n rows takes t = n // 3 variate rows for all three parts and
     n - 3t more for the law alone, laid out as the law's n - 2t rows (the
     lone ones first), then the t rows of each tilt: the draw is
-    ``_Weighted(s, l, t)``.  Each row carries the balance-heuristic log
-    weight l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} / M(theta_j)) over
-    the shares alpha_0 = (n - 2t) / n and alpha_j = t / n, taken from the
-    largest exponent down so that no V overflows; e^l <= 1 / alpha_0, and
-    the mean of e^l over the n rows has expectation 1.
+    ``_Weighted(s, l, t)``.  Its n - 2t variate rows, one Gamma(count_g)
+    column per distinct weight, come in ``_blocks``, whatever their width;
+    exponentials (every count 1) come by inversion.  The tied rows of a
+    block give V of all three parts in one product with the (3, width)
+    matrix of coefficients, and its lone rows, the first 0 to 2 rows of the
+    draw, take the law's row of it.  Each row carries the balance-heuristic
+    log weight l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} / M(theta_j))
+    over the shares alpha_0 = (n - 2t) / n and alpha_j = t / n, taken from
+    the largest exponent down so that no V overflows; e^l <= 1 / alpha_0,
+    and the mean of e^l over the n rows has expectation 1.
     """
     values, counts = np.unique(weights, return_counts=True)
     top = float(values[-1])
     ratios = values / top
     width = values.size
     exponential = width == weights.size
-    # one distinct weight draws vectors with a scalar shape, not a
-    # one-column matrix
-    shape = float(counts[0]) if width == 1 else counts.astype(float)
+    shape = counts.astype(float)
     r2 = ratios * ratios
     # eta, 1 / M(theta) and coefficients of each part, the law (the tilt at
     # theta = 0) first
@@ -424,7 +436,11 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
     gaps = 1.0 - np.multiply.outer(xs, r2)
     etas = [0.0, *(0.5 * xs).tolist()]
     inv_mgfs = [1.0, *(math.exp(v) for v in (np.log(gaps) @ counts).tolist())]
-    coefs = [2.0 * r2, *(2.0 * r2 / gaps)]
+    coefs = np.vstack([2.0 * r2, 2.0 * r2 / gaps])
+    if exponential:
+        # exponentials come by inversion, log1p(-U) = -E, with the sign in
+        # the coefficients; over a block that costs about 0.6 of the ziggurat
+        np.negative(coefs, out=coefs)
 
     def draw(rng: np.random.Generator, n: int) -> _Weighted:
         # n >= 3, so every part has rows
@@ -432,36 +448,20 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
         units = n - 2 * tied
         lone = units - tied
         v = np.empty(n)
-        # V of the law's n - 2t rows, then of the t rows of each tilt, which
-        # take the variates of the law's last t rows
-        tilts = [v[units + j * tied:units + (j + 1) * tied] for j in range(len(coefs) - 1)]
-        if width == 1:
-            root = v[:units]
+        # V of the law's n - 2t rows, the lone ones first, then of the t
+        # rows of each tilt: row j of parts is part j's view of the last t
+        # variate rows
+        parts = v[lone:].reshape(3, tied)
+        for lo, hi, work in _blocks(units, width):
+            mix = work[0, :(hi - lo) * width].reshape(-1, width)
             if exponential:
-                rng.standard_exponential(out=root)
+                np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
             else:
-                rng.standard_gamma(shape, out=root)
-            for coef, tilt in zip(coefs[1:], tilts):
-                np.multiply(root[lone:], coef[0], out=tilt)
-            root *= coefs[0][0]
-        else:
-            # block by block over the variate rows; exponentials come by
-            # inversion, log1p(-U) = -E with the sign in the coefficients,
-            # which over a block costs about 0.6 of the ziggurat
-            signed = [-coef for coef in coefs] if exponential else coefs
-            rows = max(1, _CHUNK_ENTRIES // width)
-            work = np.empty(min(rows, units) * width)
-            for lo in range(0, units, rows):
-                hi = min(lo + rows, units)
-                mix = work[:(hi - lo) * width].reshape(-1, width)
-                if exponential:
-                    np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
-                else:
-                    rng.standard_gamma(shape, out=mix)
-                np.matmul(mix, signed[0], out=v[lo:hi])
-                first = max(lo, lone)
-                for coef, tilt in zip(signed[1:], tilts) if first < hi else ():
-                    np.matmul(mix[first - lo:], coef, out=tilt[first - lone:hi - lone])
+                rng.standard_gamma(shape, out=mix)
+            # the block's lone rows give the law only, the others all parts
+            first = min(max(lo, lone), hi)
+            np.matmul(mix[:first - lo], coefs[0], out=v[lo:first])
+            np.matmul(coefs, mix[first - lo:].T, out=parts[:, first - lone:hi - lone])
         # l = -log sum_j alpha_j e^{eta_j V} / M(theta_j): e^{ref V} comes
         # out, ref the largest eta (the top order's), so every exponent is
         # <= 0 and the sum is at least the constant term of ref
@@ -573,15 +573,14 @@ def _validate_sample_count(n_samples: int) -> int:
 
 def _unit_sums(x: np.ndarray, tied: int) -> np.ndarray:
     """The sums of ``x`` over the independent units of a draw whose last
-    3 tied rows are tied in threes (``_Weighted``): the three rows of a unit
-    are added in place into the first of them, and the view of the first
-    n - 2 tied entries, one per unit, is returned."""
-    units = x.size - 2 * tied
-    if tied:
-        first = x[units - tied:units]
-        first += x[units:units + tied]
-        first += x[units + tied:]
-    return x[:units]
+    3 tied rows are tied in threes (``_Weighted``): the three rows of a unit,
+    one column of the (3, tied) view of those rows, are added in place into
+    the first of them, and the view of the first n - 2 tied entries, one per
+    unit, is returned."""
+    parts = x[x.size - 3 * tied:].reshape(3, tied)
+    parts[0] += parts[1]
+    parts[0] += parts[2]
+    return x[:x.size - 2 * tied]
 
 
 # the variance from sums loses about log10(sum w^2 / spread) digits to
@@ -590,26 +589,23 @@ def _unit_sums(x: np.ndarray, tied: int) -> np.ndarray:
 _CANCELLATION = 2.0 ** -8
 
 
-def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVector,
-                  ps: np.ndarray, n_samples: int, seed: int,
-                  tag: int) -> tuple[EstimateRecord, ...]:
+def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples: int,
+                  seed: int, tag: int) -> tuple[EstimateRecord, ...]:
     """One record per order in ``ps``, every order reduced from the same draws.
 
-    ``projector(u)`` is the draw plan (``_Plan``) of <X, u>, built once per
-    estimate; a weighted plan's rows carry their log weights and its units
+    ``plan`` is the draw plan of <X, u> for the nonzero vector's
+    u = a / max|a_i| (``cv.unit``), built once per estimate by the caller;
+    a weighted plan's rows carry their log weights and its units
     (``_Weighted``), and its records are the self-normalised ratio
     estimates with the error bar, ESS and top share of those units (module
-    docstring).  Every record is multiplied by the plan's c_p.  The draws
-    use the nonzero vector's u = a / max|a_i| (``cv.unit``) and every
-    record is max|a_i| times the
-    norm of <X, u>, so scaling ``a`` by a power of two scales the records by
-    exactly that factor, however small or large, as long as they stay normal
-    doubles.  The inputs are checked by the caller (``_moment_inputs``); the
-    laws are continuous, so no draw is all zero.
+    docstring).  Every record is multiplied by the plan's c_p, and is
+    max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
+    scales the records by exactly that factor, however small or large, as
+    long as they stay normal doubles.  The inputs are checked by the caller
+    (``_moment_inputs``); the laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
-    draw, factor = projector(cv.unit)
-    out = draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
+    out = plan.draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
     s, ells, tied = out if isinstance(out, _Weighted) else (out, None, 0)
     units = n_samples - 2 * tied
     # in place, as the engine owns the draws; a non-finite projection is
@@ -664,9 +660,7 @@ def _pnorm_engine(projector: Callable[[np.ndarray], _Plan], cv: CoefficientVecto
         # units / n_samples is 1.0 for an unweighted plan, whose records so
         # keep the bits of the iid formula
         se = math.sqrt(var / units) * (units / n_samples) / mean_likelihood
-        norm = math.exp(top + math.log(ratio) / p)
-        if factor is not None:
-            norm *= factor(p)
+        norm = math.exp(top + math.log(ratio) / p) * plan.factor(p)
         value, stderr = cv.scale * norm, cv.scale * (norm * se / (ratio * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):
             raise overflow
@@ -702,8 +696,7 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     the tuple equals the scalar call at ``p[i]`` with the same seed.
     """
     cv, ps = _moment_inputs(family, a, p, 2.0, n_samples)
-    records = _pnorm_engine(functools.partial(_projector, family), cv, ps, n_samples, seed,
-                            _TAG_PNORM)
+    records = _pnorm_engine(_projector(family, cv.unit), cv, ps, n_samples, seed, _TAG_PNORM)
     return records[0] if np.ndim(p) == 0 else records
 
 
@@ -716,8 +709,8 @@ def estimate_fourth_moment(family: Family, coordinate: int, n_samples: int,
             f"coordinate must be an integer in [0, {family.n}), got {coordinate!r}")
     _validate_sample_count(n_samples)
     unit = as_coefficients(np.arange(family.n) == coordinate)
-    (rec,) = _pnorm_engine(functools.partial(_projector, family), unit, np.array([4.0]),
-                           n_samples, seed, _TAG_MOMENT4)
+    (rec,) = _pnorm_engine(_projector(family, unit.unit), unit, np.array([4.0]), n_samples,
+                           seed, _TAG_MOMENT4)
     # the weights X_j^4 are the same, so are their ESS and top share
     return EstimateRecord(rec.value ** 4, 4.0 * rec.value ** 3 * rec.stderr, n_samples,
                           rec.seed, rec.ess, rec.top_share)
@@ -778,9 +771,8 @@ def dependent_vs_independent(ball: UniformBall, a, p: float | Sequence[float],
         raise InvalidArgumentError("comparison needs dimension >= 2")
     # p >= 3 keeps the second derivative of |x|^p convex
     cv, ps = _moment_inputs(ball, a, p, 3.0, n_samples)
-    deps = _pnorm_engine(functools.partial(_projector, ball), cv, ps, n_samples, seed,
-                         _TAG_NA_DEPENDENT)
-    indeps = _pnorm_engine(functools.partial(_twin_projector, ball), cv, ps, n_samples, seed,
+    deps = _pnorm_engine(_projector(ball, cv.unit), cv, ps, n_samples, seed, _TAG_NA_DEPENDENT)
+    indeps = _pnorm_engine(_twin_projector(ball, cv.unit), cv, ps, n_samples, seed,
                            _TAG_NA_INDEPENDENT)
     if np.ndim(p) == 0:
         return deps[0], indeps[0]

@@ -254,7 +254,6 @@ def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
     ratio residuals u - R e^l of the shifted u = e^l |S|^p through the delta
     method for the stderr, both times the plan's c_p, and the unit sums of u
     for the ESS and the top share."""
-    factor = plan.factor
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     drawn, ell, tied = _one_draw(plan, n_samples, seed, tag)
     index, units = _unit_index(n_samples, tied)
@@ -264,8 +263,7 @@ def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
     records = []
     for order in map(float, ps):
         value = math.exp((logsumexp(order * log_abs + ell) - logsumexp(ell)) / order)
-        if factor is not None:
-            value *= factor(order)
+        value *= plan.factor(order)
         u = np.exp(order * (log_abs - np.max(log_abs)) + ell)
         total = float(np.sum(u))
         ratio = total / float(np.sum(likelihood))
@@ -300,11 +298,14 @@ def test_estimate_pnorm_matches_the_scipy_reduction(spec):
     # the engine's draw plan of <X, a / max|a_i|>
     plan = mc._projector(fam, np.asarray(a) / 3.0)
 
-    for p, seed in ((GRID_ORDERS, SEED + 31), (5.5, SEED + 32)):
-        expected = _scipy_pnorm_records(plan, 3.0, p, ODD_SAMPLES, seed, mc._TAG_PNORM)
-        _assert_matches_scipy(estimate_pnorm(fam, a, p, ODD_SAMPLES, seed), expected)
-    expected = _scipy_pnorm_records(plan, 3.0, 32.0, 20_000, SEED + 33, mc._TAG_PNORM)
-    _assert_matches_scipy(estimate_pnorm(fam, a, 32.0, 20_000, SEED + 33), expected)
+    # the linear-tail mixture lays out N mod 3 lone rows of the law: 2 at
+    # ODD_SAMPLES and 20 000, 0 at 10 005 and 1 at 10 006
+    for p, n_samples, seed in ((GRID_ORDERS, ODD_SAMPLES, SEED + 31),
+                               (5.5, ODD_SAMPLES, SEED + 32), (32.0, 20_000, SEED + 33),
+                               (GRID_ORDERS, 10_005, SEED + 31),
+                               (GRID_ORDERS, 10_006, SEED + 31)):
+        expected = _scipy_pnorm_records(plan, 3.0, p, n_samples, seed, mc._TAG_PNORM)
+        _assert_matches_scipy(estimate_pnorm(fam, a, p, n_samples, seed), expected)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
@@ -364,18 +365,27 @@ def test_gaussian_second_moment_stderr_matches_its_known_value(seed):
 def test_gauss_and_small_cube_records_do_not_depend_on_the_chunk_budget(monkeypatch, spec):
     # the blocks fill one vector in order from one stream of variates, and
     # the weighted plans lay out their proposal over all samples, so the
-    # block size cannot move a record (at n = 5 the BLAS matvec of the cube
-    # and of the mixture's four distinct weights rounds a row alike in every
-    # call of two or more rows; at n >= 8 it rounds the last m mod 4 rows of
-    # a call differently); the budget 5 * 97 gives the cube blocks of 97
-    # rows, which do not divide ODD_SAMPLES
+    # block size cannot move a record (at n = 5 the BLAS products of the
+    # cube and of the mixture's four distinct weights round a row alike in
+    # every call of two or more rows; at n >= 8 a matvec rounds the last
+    # m mod 4 rows of a call differently); the budget 5 * 97 gives the cube
+    # blocks of 97 rows, which do not divide ODD_SAMPLES, and the budgets 4
+    # and 1 blocks of one row, so the mixture's two lone rows span two blocks
     fam = family_from_spec(spec, 5)
-    a = (1.0, -0.5, 0.25, 0.0, 3.0)
-    records = []
-    for budget in (2 ** 15, 2 ** 10, 5 * 97):
-        monkeypatch.setattr(mc, "_CHUNK_ENTRIES", budget)
-        records.append(estimate_pnorm(fam, a, GRID_ORDERS, ODD_SAMPLES, SEED + 36))
-    assert records[1] == records[0] and records[2] == records[0]
+    weighted = spec in ("exp", "ball:q=1")
+    for a, width in (((1.0, -0.5, 0.25, 0.0, 3.0), 4), (np.eye(1, 5)[0], 1),
+                     (np.full(5, 0.5), 1 if weighted else 5)):
+        records = []
+        for budget in (2 ** 15, 2 ** 10, 5 * 97, 4, 1):
+            monkeypatch.setattr(mc, "_CHUNK_ENTRIES", budget)
+            records.append(estimate_pnorm(fam, a, GRID_ORDERS, ODD_SAMPLES, SEED + 36))
+        # a product of one row and two or more columns is a BLAS dot, which
+        # rounds a row through another kernel than a call of many rows
+        exact = records[1:] if width == 1 or spec == "gauss" else records[1:3]
+        assert all(rec == records[0] for rec in exact)
+        for rec in records[3:]:
+            _assert_matches_scipy(rec, [(r.value, r.stderr, r.ess, r.top_share)
+                                        for r in records[0]])
 
 
 def _recorded_sizes(monkeypatch, name):
@@ -470,19 +480,26 @@ def _mixture_parts(n_samples):
 @pytest.mark.parametrize("spec", GRID_FAMILY_SPECS + ("gauss",))
 def test_every_projection_draw_is_one_chunk_of_the_budget(monkeypatch, spec):
     n, n_samples = 64, 200_000
+    fam = family_from_spec(spec, n)
+    weighted = spec in ("exp", "ball:q=1")
     plans = _recorded_plans(monkeypatch, "_projector")
     shapes = _logged_shapes(monkeypatch)
-    estimate_pnorm(family_from_spec(spec, n), np.linspace(1.0, 0.1, n), (2.0, 8.0),
-                   n_samples, SEED + 37)
-    # one draw of all the samples per estimate
-    assert plans == [[n_samples]]
-    # the rotation invariant laws draw no matrix, the others blocks of every
-    # live column, which the mixture of exp and ball:q=1 draws once per unit
-    if spec in ("ball:q=2", "gauss"):
-        assert all(len(shape) < 2 for shape in shapes)
-    else:
-        weighted = spec in ("exp", "ball:q=1")
-        _assert_blocks_tile(shapes, _mixture_parts(n_samples) if weighted else [n_samples], n)
+    # distinct weights, e_1, and the flat vector, whose 64 equal weights the
+    # mixture of exp and ball:q=1 pools into one Gamma(64) column
+    for a, width in ((np.linspace(1.0, 0.1, n), n), (np.eye(1, n)[0], 1),
+                     (np.full(n, 0.125), 1 if weighted else n)):
+        plans.clear()
+        shapes.clear()
+        estimate_pnorm(fam, a, (2.0, 8.0), n_samples, SEED + 37)
+        # one draw of all the samples per estimate
+        assert plans == [[n_samples]]
+        # the rotation invariant laws draw no matrix, the others blocks of
+        # every live column, which the mixture draws once per unit
+        if spec in ("ball:q=2", "gauss"):
+            assert all(len(shape) < 2 for shape in shapes)
+        else:
+            _assert_blocks_tile(shapes, _mixture_parts(n_samples) if weighted else [n_samples],
+                                width)
 
 
 def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
@@ -494,28 +511,29 @@ def test_every_twin_and_vector_draw_is_one_chunk_of_the_budget(monkeypatch):
     dependent_vs_independent(UniformBall.isotropic(n, 1.0), a, 4.0, n_samples, SEED + 38)
     assert deps == indeps == [[n_samples]]
     # the ball at q = 1 draws the Laplace sum of the live coordinates, whose
-    # 48 equal weights pool into one Gamma(48) vector, so every matrix is
-    # the twin's, of the three quarters of live coordinates
-    _assert_blocks_tile(shapes, [n_samples], 48)
+    # 48 equal weights pool into one Gamma(48) column drawn once per unit;
+    # the twin draws the three quarters of live coordinates of every sample
+    matrices = [shape for shape in shapes if len(shape) == 2]
+    assert {columns for _, columns in matrices} == {1, 48}
+    _assert_blocks_tile([shape for shape in matrices if shape[1] == 1],
+                        _mixture_parts(n_samples), 1)
+    _assert_blocks_tile([shape for shape in matrices if shape[1] == 48], [n_samples], 48)
     # joint tails draw whole vectors; 8 is their largest dimension
     vectors = _recorded_sizes(monkeypatch, "sample")
     estimate_joint_tail(product_exponential(8), np.full(8, 0.05), n_samples, SEED + 39)
     _assert_chunks_tile(vectors, n_samples, 8)
 
 
-def _one_entry_projector(value, target):
-    """A plan builder of projected Gaussian draws with ``value`` at sample
-    index ``target``."""
+def _one_entry_plan(value, target, u):
+    """A plan of projected Gaussian draws on u with ``value`` at sample index
+    ``target``."""
 
-    def projector(u):
-        def draw(rng, n):
-            x = rng.standard_normal((n, 3))
-            x[target, 0] = value
-            return x @ u
+    def draw(rng, n):
+        x = rng.standard_normal((n, 3))
+        x[target, 0] = value
+        return x @ u
 
-        return mc._Plan(draw)
-
-    return projector
+    return mc._Plan(draw)
 
 
 def test_pnorm_record_of_overflowed_projections():
@@ -523,7 +541,7 @@ def test_pnorm_record_of_overflowed_projections():
     orders = np.array([2.0, 4.0, 32.0])
     for bad in (np.inf, np.nan):
         with pytest.raises(OutOfRangeError, match="overflows"):
-            mc._pnorm_engine(_one_entry_projector(bad, 6_300), a, orders, ODD_SAMPLES, 5,
+            mc._pnorm_engine(_one_entry_plan(bad, 6_300, a.unit), a, orders, ODD_SAMPLES, 5,
                              mc._TAG_PNORM)
 
 
@@ -579,8 +597,7 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         assert projected.shape == ell.shape == (m,)
         for power in (2, 4):
             # the plan's p-norm times its c_p is that of <X, a>
-            factor = plan.factor(power) if plan.factor else 1.0
-            x, y = (factor * projected) ** power, full ** power
+            x, y = (plan.factor(power) * projected) ** power, full ** power
             mean = float(np.sum(likelihood * x) / np.sum(likelihood))
             residuals = np.bincount(index, likelihood * (x - mean), units) / np.mean(likelihood)
             sigma = math.sqrt(units * np.var(residuals) / m ** 2 + np.var(y) / m)
@@ -592,17 +609,6 @@ def test_rotation_invariant_projections_draw_no_matrix(monkeypatch, spec):
     shapes = _logged_shapes(monkeypatch)
     fam = family_from_spec(spec, 64)
     records = estimate_pnorm(fam, np.linspace(1.0, 2.0, 64), GRID_ORDERS, 20_000, SEED)
-    assert all(rec.value > 0.0 for rec in records)
-    assert shapes and all(len(shape) < 2 for shape in shapes), shapes
-
-
-@pytest.mark.parametrize("profile", ["one_hot", "flat"])
-def test_one_hot_and_flat_exp_rows_draw_no_matrix(monkeypatch, profile):
-    # e_1 draws one Laplace as a normal scale mixture; the flat vector pools
-    # its 64 equal weights into one Gamma(64) draw
-    shapes = _logged_shapes(monkeypatch)
-    a = np.eye(1, 64)[0] if profile == "one_hot" else np.full(64, 0.125)
-    records = estimate_pnorm(product_exponential(64), a, GRID_ORDERS, 20_000, SEED)
     assert all(rec.value > 0.0 for rec in records)
     assert shapes and all(len(shape) < 2 for shape in shapes), shapes
 
@@ -747,14 +753,10 @@ def test_mixture_likelihood_ratios_have_mean_one(n, profile):
 
 
 class _FarDraws:
-    """A generator whose every exponential and Gamma variate is 10^6:
-    variances far beyond any double's exponential.  Uniforms are the largest
-    double below 1, whose inversion -log1p(-U) = 53 log 2 is the farthest
-    exponential that the inversion of wide mixture blocks can give."""
-
-    def standard_exponential(self, out):
-        out[...] = 1e6
-        return out
+    """A generator whose every Gamma variate is 10^6: variances far beyond
+    any double's exponential.  Uniforms are the largest double below 1,
+    whose inversion -log1p(-U) = 53 log 2 is the farthest exponential that
+    the mixture's inversion can give."""
 
     def standard_gamma(self, shape, out):
         out[...] = 1e6
@@ -766,10 +768,12 @@ class _FarDraws:
 
 
 @pytest.mark.parametrize("a,limit", [
-    ((1.0,), -1e5),
-    ((1.0, 1.0, 0.5, 0.5, 0.5), -1e5),
     # distinct weights draw their exponentials by inversion, which gives at
-    # most 53 log 2: V stays moderate, and l is about -94 there
+    # most 53 log 2: V stays moderate, and l is about -31 for e_1 and -94
+    # for five weights there; tied weights draw Gamma variates, which can be
+    # far
+    ((1.0,), -20.0),
+    ((1.0, 1.0, 0.5, 0.5, 0.5), -1e5),
     (tuple(np.linspace(1.0, 0.5, 5)), -50.0),
 ], ids=["1", "5", "5-inversion"])
 def test_mixture_log_weights_do_not_overflow(a, limit):
