@@ -613,6 +613,18 @@ def test_rotation_invariant_projections_draw_no_matrix(monkeypatch, spec):
     assert shapes and all(len(shape) < 2 for shape in shapes), shapes
 
 
+@pytest.mark.parametrize("profile", ["one_hot", "flat"])
+def test_one_hot_and_flat_exp_rows_draw_no_matrix(monkeypatch, profile):
+    # e_1 has one distinct weight and the flat vector pools its 64 equal
+    # weights into one Gamma(64) column, so the mixture draws (m, 1) blocks
+    # of variate rows and never a matrix of the 64 coordinates
+    shapes = _logged_shapes(monkeypatch)
+    a = np.eye(1, 64)[0] if profile == "one_hot" else np.full(64, 0.125)
+    records = estimate_pnorm(product_exponential(64), a, GRID_ORDERS, 20_000, SEED)
+    assert all(rec.value > 0.0 for rec in records)
+    assert shapes and all(shape[1:] in ((), (1,)) for shape in shapes), shapes
+
+
 @pytest.mark.parametrize("spec", ["exp", "product:pow:alpha=2", "cube"])
 def test_zero_coefficients_are_never_drawn(spec):
     # padding a with zero coordinates leaves the plan, so every record, as it is
