@@ -8,21 +8,23 @@ BLAS build a record is a pure function of (seed, n_samples).  The budget
 plan takes its rows in the same ``_blocks``, each of at most that many
 entries, and does its per-sample work (coefficients, log weights) once over
 all N samples.  A block draws its variates kind by kind, so the
-records of balls at q != 1, of the independent twin and of products of
-non-linear tails, whose blocks draw two or more kinds, depend on the budget
-beyond the last bit.  The cube and the linear-tail mixture (below) draw one
-stream of matrix variates, so the budget moves their records only where a
-BLAS product rounds the last rows of a call, or a call of one row, through
-another kernel, in the last bit; Gaussian records and those of mixtures of
-one column, whose products have one term, do not depend on it.  The
-mixture's proposal and its layout of units depend on the draw plan and N
-only, never on the requested orders, so entry i of an order sequence equals
-the scalar call at its order.  ``_child_seed`` is the only seed derivation
+records of balls at q not in {1, 2}, of the independent twin and of products
+of non-linear tails, whose blocks draw two or more kinds, depend on the
+budget beyond the last bit.  The cube and the variance mixture (below) of
+two or more columns draw one stream of matrix variates, so the budget moves
+their records only where a BLAS product rounds the last rows of a call, or
+a call of one row, through another kernel, in the last bit.  Mixtures of
+one column, whose products have one term, do not depend on it: the Gaussian
+laws (``gauss`` and the ball at q = 2), and linear tails whose weights
+|u_i| / rate_i are all equal (e_j, a flat vector).  The mixture's proposal
+and its layout of units depend on the draw plan and N only, never on the
+requested orders, so entry i of an order sequence equals the scalar call at
+its order.  ``_child_seed`` is the only seed derivation
 and holds the only seed rule: a seed is an integer (a Python or numpy int,
 never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
 and every record's ``seed`` is that reduction.  Report rows and acceptance
 checks derive their seeds with it too.  A draw falls into independent
-units: every row of an unweighted draw is one, and the linear-tail mixture
+units: every row of an unweighted draw is one, and the variance mixture
 ties three rows, one of each part, to one draw of variates (below).  So
 every estimate takes the standard error of the sum of its units (the iid
 one of its rows for an unweighted draw; conservative under the mixture's
@@ -30,8 +32,8 @@ fixed shares), propagated through the ratio and the 1/p power by the delta
 method, and reports the effective sample size (sum W)^2 / sum W^2 and the
 top share max W / sum W of its weights W summed over the units.
 
-Every ball draw but the projection at q = 1 is ``_ball_parts``, the first k
-coordinates of the Barthe-Guedon-Mendelson-Naor form
+Every ball draw but the projections at q = 1 and 2 is ``_ball_parts``, the
+first k coordinates of the Barthe-Guedon-Mendelson-Naor form
 X = r eps y / (sum y_i^q + W)^{1/q}.  One engine, ``_pnorm_engine``, serves
 every moment estimator (p-norms, the dependent/independent comparison, and
 fourth moments as p = 4 on e_j).  It draws the projection S = <X, u> with
@@ -41,19 +43,21 @@ are never drawn: products, the cube and the independent twin draw their k
 live columns, and balls at q not in {1, 2} the k-coordinate marginal, whose
 Gamma((n - k)/q + 1) term absorbs the rest.  The cube folds its map into
 the coefficients, S = <U, 2 sqrt(3) u> - sqrt(3) sum u_i for uniform U, so
-its (m, k) draw goes straight into the matvec.  The Gaussian and the
-Euclidean ball are rotation invariant, so there S is drawn in one
-dimension.
+its (m, k) draw goes straight into the matvec.  The Gaussian is rotation
+invariant, so S = ||u||_2 g with g ~ N(0, 1).
 
-The ball at q = 1 goes through the identity itself: X = r Y / T with iid
-standard Laplace Y_i and T = sum |Y_i| + W ~ Gamma(n + 1), and X is
-independent of T (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33,
-2005).  So E|<Y, u>|^p = E|<X, u>|^p E T^p / r^p, and the p-norm of <X, u>
-is c_p times that of the Laplace sum <Y, u>, with the exact constant
-c_p = r (Gamma(n + 1) / Gamma(n + 1 + p))^{1/p}.  Its plan draws <Y, u>
-through the linear-tail mixture below and carries c_p times the mixture's
-own constant, by which the engine multiplies value and standard error; the
-weights, so the ESS and the top share, are those of the Laplace sum.
+The balls at q = 1 and 2 go through the identity itself: X = r Y / T^{1/q}
+with iid Y_i of density proportional to e^{-|y|^q} and T = sum |Y_i|^q + W
+~ Gamma(n/q + 1), and X is independent of T (Barthe, Guedon, Mendelson and
+Naor, Ann. Probab. 33, 2005).  So E|<Y, u>|^p = E|<X, u>|^p E T^{p/q} / r^p,
+and the p-norm of <X, u> is c_p times that of <Y, u>, with the exact
+constant c_p = r (Gamma(n/q + 1) / Gamma(n/q + 1 + p/q))^{1/p}.  At q = 1
+the Y_i are standard Laplace, and the plan draws the Laplace sum <Y, u>
+through the linear-tail mixture below; at q = 2 they are N(0, 1/2), so
+<Y, u> ~ N(0, ||u||_2^2 / 2) is drawn as a Gaussian (below).  The plan
+carries c_p times the mixture's own constant, by which the engine
+multiplies value and standard error; the weights, so the ESS and the top
+share, are those of <Y, u>.
 
 Linear tails are Laplace laws, a Gaussian scale mixture eps E = sqrt(2 E') Z,
 so their S is sqrt(V) Z with Z ~ N(0, 1) independent of
@@ -61,12 +65,16 @@ V = 2 sum_g w_g^2 G_g, G_g ~ Gamma(count_g) over the distinct weights
 w_g = |u_i| / rate_i: equal weights pool into one draw, exponentials (a
 count of 1) come by inversion at every width, and no signs are drawn.  The
 normal integrates out, E|S|^p = E|Z|^p E V^{p/2}, so the plan draws sqrt(V)
-alone and carries c_p = ||Z||_p.  Plain draws of this law put
-|S|^p at high p on a handful of rows, so linear tails draw V from a
-defensive mixture (``_laplace_mixture``; Owen and Zhou, JASA 2000): the law
-itself and its exponential tilts e^{eta V} / M(theta), eta = theta^2 / 2,
-which are those of S at the saddles p / theta = Lambda'(theta) of the
-orders 4 and ``MAX_MOMENT_ORDER``.  A tilt takes the same variates with
+alone and carries c_p = ||Z||_p.  A Gaussian S = sigma g is a law of the
+same form with one column of shape 1/2: |S| = sqrt(V) with V = 2 sigma^2 G
+and G = g^2 / 2 ~ Gamma(1/2), drawn from one normal, and c_p = 1.  Plain
+draws of either law put |S|^p at high p on a handful of rows, so both draw
+V from a defensive mixture (``_variance_mixture``; Owen and Zhou, JASA
+2000): the law itself and its exponential tilts e^{eta V} / M(theta),
+eta = theta^2 / 2, at the saddles p / theta = Lambda'(theta), Lambda =
+log M, of the orders 4 and ``MAX_MOMENT_ORDER``.  For a Laplace law these
+are the tilts of S integrated over the normal; for a Gaussian they widen
+its variance to sigma^2 (p + 1).  A tilt takes the same variates with
 other coefficients, so one draw of variates gives a row of every part: a
 draw of N rows takes t = N // 3 such units and N - 3t more rows of the law
 alone, the shares alpha_0 = (N - 2t) / N of the law and alpha_j = t / N of
@@ -158,8 +166,9 @@ class EstimateRecord:
     the estimate averages, summed over its independent units (e^l |S|^p for
     a p-norm, with the log weight l of its draw, and the hit indicator for a
     joint tail), and ``top_share`` is max W / sum W, the share of the
-    largest one.  A unit is one sample, except for the linear-tail mixture,
-    whose units are three rows of one variate draw (module docstring), so
+    largest one.  A unit is one sample, except for the variance mixture of
+    linear tails and Gaussian laws, whose units are three rows of one
+    variate draw (module docstring), so
     there ``ess`` is at most N - 2 (N // 3) of the ``n_samples`` = N.  A few
     dominant units show as a small ``ess`` and a large ``top_share``; the
     standard error alone does not show them.
@@ -240,6 +249,8 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int, k: int,
     H ~ Gamma((n - k)/q + 1).  k = n is the whole vector, k = 1 the marginal.
     At q = 2, y = |g| / sqrt(2) with g ~ N(0, 1) carries its own sign, and
     both parts are scaled by sqrt(2): g and sqrt(sum_{i<=k} g_i^2 + 2H).
+    The projections at q = 1 and 2 do not come here (``_projector``); this
+    q = 2 branch serves ``sample`` and the independent twin.
     Every array of the draw, the two parts too, lives in the rows of
     ``work``, a (4, >= m k) float buffer (a new one if None), so the blocks
     of one estimate reuse its memory.
@@ -247,7 +258,7 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int, k: int,
     n, q = ball.n, ball.q
     work = np.empty((4, m * k)) if work is None else work
     if q == 2.0:
-        # a flat draw, so the one-coordinate projection draws no matrix
+        # a flat draw, so the twin's one-coordinate marginal draws no matrix
         g = rng.standard_normal(out=work[0, :m * k]).reshape(m, k)
         h = rng.standard_gamma((n - k) / 2.0 + 1.0, out=work[3, :m])
         h *= 2.0
@@ -364,22 +375,23 @@ _MIXTURE_ORDERS = (4.0, MAX_MOMENT_ORDER)
 _SADDLE_STEPS = 50
 
 
-def _saddles(r2: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _saddles(r2: np.ndarray, shapes: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """theta^2 at the saddle p / theta = Lambda'(theta) of each order p, for
-    Lambda(theta) = -sum_g count_g log(1 - theta^2 r_g^2), given the squares
-    r2 of r_g in (0, 1] with max r_g = 1.
+    Lambda(theta) = -sum_g k_g log(1 - theta^2 r_g^2), given the squares r2
+    of r_g in (0, 1] with max r_g = 1 and the Gamma shapes k_g.
 
-    In x = theta^2 the saddle solves f(x) = sum_g count_g 2 x r_g^2 /
+    In x = theta^2 the saddle solves f(x) = sum_g k_g 2 x r_g^2 /
     (1 - x r_g^2) = p, with f convex and increasing on [0, 1).  Newton's
-    method from x = p / (p + 2 count_top), where f >= p, falls monotonically
-    onto the root, which is that start when every weight is equal.  Any
-    theta keeps the estimates unbiased, so the steps stop at 1e-12 relative.
-    The sums over g are matrix products with a vector of ones, which cost
-    less than ``np.sum`` along an axis and give a one-term sum its term.
+    method from x = p / (p + 2 k_top), where f >= p, falls monotonically
+    onto the root, which is that start when there is one scale (x = p /
+    (p + 1) for the Gaussian's k = 1/2).  Any theta keeps the estimates
+    unbiased, so the steps stop at 1e-12 relative.  The sums over g are
+    matrix products with a vector of ones, which cost less than ``np.sum``
+    along an axis and give a one-term sum its term.
     """
-    slopes = 2.0 * counts * r2
+    slopes = 2.0 * shapes * r2
     ones = np.ones(r2.size)
-    x = orders / (orders + 2.0 * float(counts[-1]))
+    x = orders / (orders + 2.0 * float(shapes[-1]))
     for _ in range(_SADDLE_STEPS):
         gap = 1.0 - np.multiply.outer(x, r2)
         excess = (slopes * x[:, None] / gap) @ ones - orders
@@ -390,57 +402,60 @@ def _saddles(r2: np.ndarray, counts: np.ndarray, orders: np.ndarray) -> np.ndarr
     return x
 
 
-def _laplace_mixture(weights: np.ndarray) -> _Plan:
-    """The weighted plan of S = sum_i w_i L_i for iid standard Laplace L_i and
-    w_i > 0, drawn through its variance V from a defensive mixture of the law
-    and two tilts of it.
+def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
+                      factor: Callable[[float], float]) -> _Plan:
+    """The weighted plan of s = sqrt(V), V = 2 sum_g w_g^2 G_g for increasing
+    distinct scales w_g > 0 and independent G_g ~ Gamma(k_g) of the shapes
+    k_g, drawn from a defensive mixture of the law and two tilts of it; the
+    plan's c_p is ``factor``.
 
-    L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so S = sqrt(V) Z with
-    V = 2 sum_i w_i^2 E_i independent of Z, and E|S|^p = E|Z|^p E V^{p/2}:
-    the plan draws s = sqrt(V) only and its ``factor`` is ||Z||_p.  The E_i
-    of equal weights sum to one Gamma(count) draw.  The exponential tilt
-    e^{theta s} / M(theta) of the law of S, M(theta) = prod_i
-    (1 - theta^2 w_i^2)^{-1}, tilts V by e^{eta V} / M(theta) with
-    eta = theta^2 / 2: E_i ~ Exp(1 - theta^2 w_i^2).  In units of w_max the
-    tilt at theta_j, with theta_j^2 the saddle (``_saddles``) of order p_j
-    in ``_MIXTURE_ORDERS``, takes the same Gamma or exponential variates as
-    the law with the coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the
-    distinct ratios r_g = w_g / w_max (increasing, so the draw does not
-    depend on the order of the coordinates).
-
-    So one variate row gives a row of the law and a row of each tilt.  A
-    draw of n rows takes t = n // 3 variate rows for all three parts and
-    n - 3t more for the law alone, laid out as the law's n - 2t rows (the
-    lone ones first), then the t rows of each tilt: the draw is
-    ``_Weighted(s, l, t)``.  Its n - 2t variate rows, one Gamma(count_g)
-    column per distinct weight, come in ``_blocks``, whatever their width;
-    exponentials (every count 1) come by inversion.  The tied rows of a
-    block give V of all three parts in one product with the (3, width)
-    matrix of coefficients, and its lone rows, the first 0 to 2 rows of the
-    draw, take the law's row of it.  Each row carries the balance-heuristic
-    log weight l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} / M(theta_j))
-    over the shares alpha_0 = (n - 2t) / n and alpha_j = t / n, taken from
-    the largest exponent down so that no V overflows; e^l <= 1 / alpha_0,
-    and the mean of e^l over the n rows has expectation 1.
+    The exponential tilt e^{eta V} / M(theta), eta = theta^2 / 2 and
+    M(theta) = prod_g (1 - theta^2 w_g^2)^{-k_g}, takes G_g ~ Gamma(k_g)
+    with scale 1 / (1 - theta^2 w_g^2).  In units of w_max the tilt at
+    theta_j, with theta_j^2 the saddle (``_saddles``) of order p_j in
+    ``_MIXTURE_ORDERS``, so takes the same variates as the law with the
+    coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the ratios r_g =
+    w_g / w_max, and one variate row gives a row of the law and a row of
+    each tilt.  A draw of n rows takes t = n // 3 variate rows for all
+    three parts and n - 3t more for the law alone, laid out as the law's
+    n - 2t rows (the lone ones first), then the t rows of each tilt: the
+    draw is ``_Weighted(s, l, t)``.  Its n - 2t variate rows, one column
+    per scale, come in ``_blocks``, whatever their width: exponentials
+    (every shape 1) by inversion, Gamma(1/2) (a Gaussian law, V = w^2 Z^2)
+    as Z^2 / 2, at a quarter to a third of the cost of numpy's Gamma(1/2),
+    and other shapes by ``standard_gamma``.  The tied rows of a block give V
+    of all three parts in one product with the (3, width) matrix of
+    coefficients, and its lone rows, the first 0 to 2 rows of the draw, take
+    the law's row of it.  Each row carries the balance-heuristic log weight
+    l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} / M(theta_j)) over the
+    shares alpha_0 = (n - 2t) / n and alpha_j = t / n, taken from the
+    largest exponent down so that no V overflows; e^l <= 1 / alpha_0, and
+    the mean of e^l over the n rows has expectation 1.
     """
-    values, counts = np.unique(weights, return_counts=True)
-    top = float(values[-1])
-    ratios = values / top
-    width = values.size
-    exponential = width == weights.size
-    shape = counts.astype(float)
+    top = float(scales[-1])
+    ratios = scales / top
+    width = scales.size
     r2 = ratios * ratios
     # eta, 1 / M(theta) and coefficients of each part, the law (the tilt at
     # theta = 0) first
-    xs = _saddles(r2, counts, np.array(_MIXTURE_ORDERS))
+    xs = _saddles(r2, shapes, np.array(_MIXTURE_ORDERS))
     gaps = 1.0 - np.multiply.outer(xs, r2)
     etas = [0.0, *(0.5 * xs).tolist()]
-    inv_mgfs = [1.0, *(math.exp(v) for v in (np.log(gaps) @ counts).tolist())]
+    inv_mgfs = [1.0, *(math.exp(v) for v in (np.log(gaps) @ shapes).tolist())]
     coefs = np.vstack([2.0 * r2, 2.0 * r2 / gaps])
-    if exponential:
-        # exponentials come by inversion, log1p(-U) = -E, with the sign in
-        # the coefficients; over a block that costs about 0.6 of the ziggurat
-        np.negative(coefs, out=coefs)
+    # the variates of a block, with their sign or halving in the
+    # coefficients
+    if np.all(shapes == 1.0):
+        # log1p(-U) = -E costs about 0.6 of the ziggurat over a block
+        coefs *= -1.0
+        variates = lambda rng, mix: np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
+    elif np.all(shapes == 0.5):
+        coefs *= 0.5
+        variates = lambda rng, mix: np.square(rng.standard_normal(out=mix), out=mix)
+    else:
+        # a 0-d shape takes numpy's scalar Gamma path
+        shape = shapes.squeeze()
+        variates = lambda rng, mix: rng.standard_gamma(shape, out=mix)
 
     def draw(rng: np.random.Generator, n: int) -> _Weighted:
         # n >= 3, so every part has rows
@@ -454,14 +469,14 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
         parts = v[lone:].reshape(3, tied)
         for lo, hi, work in _blocks(units, width):
             mix = work[0, :(hi - lo) * width].reshape(-1, width)
-            if exponential:
-                np.log1p(np.negative(rng.random(out=mix), out=mix), out=mix)
-            else:
-                rng.standard_gamma(shape, out=mix)
-            # the block's lone rows give the law only, the others all parts
+            variates(rng, mix)
+            # the block's lone rows give the law only, the others all parts,
+            # through contiguous rows of work: the same bits as a product
+            # into parts, at half its cost for one column
             first = min(max(lo, lone), hi)
             np.matmul(mix[:first - lo], coefs[0], out=v[lo:first])
-            np.matmul(coefs, mix[first - lo:].T, out=parts[:, first - lone:hi - lone])
+            tilted = work[1:].reshape(-1)[:3 * (hi - first)].reshape(3, -1)
+            parts[:, first - lone:hi - lone] = np.dot(coefs, mix[first - lo:].T, out=tilted)
         # l = -log sum_j alpha_j e^{eta_j V} / M(theta_j): e^{ref V} comes
         # out, ref the largest eta (the top order's), so every exponent is
         # <= 0 and the sum is at least the constant term of ref
@@ -481,21 +496,42 @@ def _laplace_mixture(weights: np.ndarray) -> _Plan:
         s *= top
         return _Weighted(s, ell, tied)
 
-    return _Plan(draw, gaussian_pnorm)
+    return _Plan(draw, factor)
+
+
+def _laplace_mixture(weights: np.ndarray) -> _Plan:
+    """The weighted plan of S = sum_i w_i L_i for iid standard Laplace L_i and
+    w_i > 0: L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so S = sqrt(V) Z
+    with V = 2 sum_i w_i^2 E_i independent of Z, and E|S|^p = E|Z|^p E V^{p/2}.
+    The plan draws s = sqrt(V) through ``_variance_mixture``, the E_i of equal
+    weights summed to one Gamma(count) column (increasing weights, so the draw
+    does not depend on the order of the coordinates), and its ``factor`` is
+    ||Z||_p.  The tilt e^{eta V} / M(theta) of V is the tilt e^{theta s} /
+    M(theta) of the law of S integrated over the normal."""
+    values, counts = np.unique(weights, return_counts=True)
+    return _variance_mixture(values, counts.astype(float), gaussian_pnorm)
+
+
+def _gaussian_mixture(sigma: float) -> _Plan:
+    """The weighted plan of |S| for S ~ N(0, sigma^2): V = S^2 = 2 sigma^2 G
+    with G = Z^2 / 2 ~ Gamma(1/2), one column of ``_variance_mixture``, whose
+    tilts e^{eta V} / M(theta) widen the normal to the variance sigma^2 / (1 -
+    x) at the saddle x = p / (p + 1) of each order; its c_p is 1."""
+    return _variance_mixture(np.array([sigma]), np.array([0.5]), lambda p: 1.0)
 
 
 def _projector(family: Family, u: np.ndarray) -> _Plan:
     """The draw plan of S = <X, u> for a nonzero u.
 
-    Only the k coordinates with u_i != 0 are drawn.  The Gaussian and the
-    Euclidean ball are rotation invariant, so S has the law of ||u||_2 X_1,
-    the k = 1 marginal for the ball.  The ball at q = 1 draws <Y, u> for iid
-    standard Laplace Y_i, through ``_laplace_mixture`` on |u_i|, whose
-    constant it multiplies by the c_p of the BGMN identity (module
-    docstring).  Other balls draw
-    the signed numerator of the k live coordinates, whose
-    H ~ Gamma((n - k)/q + 1) stands for the others, and divide each row
-    once.  The cube and products of non-linear tails draw their live
+    Only the k coordinates with u_i != 0 are drawn.  The Gaussian is
+    rotation invariant, so S ~ N(0, ||u||_2^2), drawn through
+    ``_gaussian_mixture``.  The balls at q = 1 and 2 draw <Y, u> of the BGMN
+    identity (module docstring) and multiply its plan's constant by the
+    identity's c_p: at q = 1 the sum of iid standard Laplace Y_i, through
+    ``_laplace_mixture`` on |u_i|, and at q = 2 the Gaussian
+    N(0, ||u||_2^2 / 2).  Other balls draw the signed numerator of the k
+    live coordinates, whose H ~ Gamma((n - k)/q + 1) stands for the others,
+    and divide each row once.  The cube and products of non-linear tails draw their live
     columns, the latter by the live tails' column groups; products of linear
     tails draw the weighted defensive mixture of ``_laplace_mixture`` on
     |u_i| / rate_i.
@@ -503,23 +539,16 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
     live = np.flatnonzero(u)
     coefs, k = u[live], live.size
     if isinstance(family, GaussianStd):
-        norm = float(np.linalg.norm(u))
-        return _Plan(lambda rng, n: norm * rng.standard_normal(n))
+        return _gaussian_mixture(float(np.linalg.norm(u)))
     if isinstance(family, UniformBall):
-        n, r = family.n, family.r
-        if family.q == 1.0:
-            log_gamma = math.lgamma(n + 1.0)
-            plan = _laplace_mixture(np.abs(coefs))
+        n, q, r = family.n, family.q, family.r
+        if q in (1.0, 2.0):
+            # the BGMN identity: c_p = r (Gamma(n/q + 1) / Gamma(n/q + 1 + p/q))^{1/p}
+            plan = (_laplace_mixture(np.abs(coefs)) if q == 1.0 else
+                    _gaussian_mixture(float(np.linalg.norm(u)) / math.sqrt(2.0)))
+            log_gamma = math.lgamma(n / q + 1.0)
             return plan._replace(factor=lambda p: plan.factor(p) * (
-                r * math.exp((log_gamma - math.lgamma(n + 1.0 + p)) / p)))
-        if family.q == 2.0:
-            scale = r * float(np.linalg.norm(u))
-
-            def ball_l2(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
-                numerator, denom = _ball_parts(family, rng, rows.size, 1, work)
-                np.divide(np.multiply(numerator[:, 0], scale, out=rows), denom, out=rows)
-
-            return _filled(1, ball_l2)
+                r * math.exp((log_gamma - math.lgamma(n / q + 1.0 + p / q)) / p)))
 
         def ball(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
             numerator, denom = _ball_parts(family, rng, rows.size, k, work)
