@@ -402,12 +402,90 @@ def _saddles(r2: np.ndarray, shapes: np.ndarray, orders: np.ndarray) -> np.ndarr
     return x
 
 
+class _Tilts(NamedTuple):
+    """The per-law parts of a defensive mixture (``_mixture``): a law and its
+    exponential tilts at the saddles of the two orders of
+    ``_MIXTURE_ORDERS``, all drawn from one row of ``width`` variates.
+
+    ``variates(rng, mix)`` fills a block ``mix`` of (m, width) variate rows.
+    ``law(mix, out)`` writes the statistic y of the law's row of each variate
+    row into ``out``; ``parts(mix, out, work)`` writes y of the law's row and
+    of each tilt's row into the three rows of the (3, m) view ``out``, with
+    ``work`` a free (3, >= m width) float buffer.  Tilt j has the density
+    ratio h_j = e^{g_j(y)} / M(theta_j) to the law, 0 <= g_1 <= g_2, and
+    ``log_mgfs`` holds log M(theta_j); ``exponents(y)`` returns the arrays
+    g_2(y) and g_1(y) - g_2(y), each computed the law's own way.
+    ``finish(y)`` turns y in place into the draws s of the plan."""
+
+    width: int
+    variates: Callable[[np.random.Generator, np.ndarray], np.ndarray]
+    law: Callable[[np.ndarray, np.ndarray], None]
+    parts: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    log_mgfs: tuple[float, float]
+    exponents: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    finish: Callable[[np.ndarray], np.ndarray]
+
+
+def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
+    """The weighted plan that draws a law and its two tilts (``_Tilts``) as a
+    defensive mixture with fixed shares; the plan's c_p is ``factor``.
+
+    One variate row gives a row of the law and a row of each tilt.  A draw of
+    n rows takes t = n // 3 variate rows for all three parts and n - 3t more
+    for the law alone, laid out as the law's n - 2t rows (the lone ones
+    first), then the t rows of each tilt: the draw is ``_Weighted(s, l,
+    t)``.  Its n - 2t variate rows come in ``_blocks``; the lone rows of a
+    block, the first 0 to 2 rows of the draw, take the law's row only.  Each
+    row carries the balance-heuristic log weight l = -log(alpha_0 + sum_j
+    alpha_j h_j) over the shares alpha_0 = (n - 2t) / n and alpha_j = t / n,
+    taken from the largest exponent g_2 down, so that no term overflows;
+    e^l <= 1 / alpha_0, and the mean of e^l over the n rows has expectation
+    1.
+    """
+    width = tilts.width
+    inv_mgfs = [math.exp(-v) for v in tilts.log_mgfs]
+
+    def draw(rng: np.random.Generator, n: int) -> _Weighted:
+        # n >= 3, so every part has rows
+        tied = n // 3
+        units = n - 2 * tied
+        lone = units - tied
+        y = np.empty(n)
+        # y of the law's n - 2t rows, the lone ones first, then of the t
+        # rows of each tilt: row j of parts is part j's view of the last t
+        # variate rows
+        parts = y[lone:].reshape(3, tied)
+        for lo, hi, work in _blocks(units, width):
+            mix = work[0, :(hi - lo) * width].reshape(-1, width)
+            tilts.variates(rng, mix)
+            first = min(max(lo, lone), hi)
+            tilts.law(mix[:first - lo], y[lo:first])
+            tilts.parts(mix[first - lo:], parts[:, first - lone:hi - lone], work[1:])
+        # l = -log sum_j alpha_j e^{g_j} / M(theta_j): e^{g_2} comes out, so
+        # every exponent is <= 0 and the sum is at least its constant term
+        ref, gap = tilts.exponents(y)
+        ell = np.full(n, tied / n * inv_mgfs[1])
+        term = np.negative(ref)
+        np.exp(term, out=term)
+        term *= units / n
+        ell += term
+        np.exp(gap, out=gap)
+        gap *= tied / n * inv_mgfs[0]
+        ell += gap
+        np.log(ell, out=ell)
+        ell += ref
+        np.negative(ell, out=ell)
+        return _Weighted(tilts.finish(y), ell, tied)
+
+    return _Plan(draw, factor)
+
+
 def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
                       factor: Callable[[float], float]) -> _Plan:
     """The weighted plan of s = sqrt(V), V = 2 sum_g w_g^2 G_g for increasing
     distinct scales w_g > 0 and independent G_g ~ Gamma(k_g) of the shapes
-    k_g, drawn from a defensive mixture of the law and two tilts of it; the
-    plan's c_p is ``factor``.
+    k_g, drawn from the defensive ``_mixture`` of the law and two tilts of
+    it; the plan's c_p is ``factor``.
 
     The exponential tilt e^{eta V} / M(theta), eta = theta^2 / 2 and
     M(theta) = prod_g (1 - theta^2 w_g^2)^{-k_g}, takes G_g ~ Gamma(k_g)
@@ -415,33 +493,22 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
     theta_j, with theta_j^2 the saddle (``_saddles``) of order p_j in
     ``_MIXTURE_ORDERS``, so takes the same variates as the law with the
     coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the ratios r_g =
-    w_g / w_max, and one variate row gives a row of the law and a row of
-    each tilt.  A draw of n rows takes t = n // 3 variate rows for all
-    three parts and n - 3t more for the law alone, laid out as the law's
-    n - 2t rows (the lone ones first), then the t rows of each tilt: the
-    draw is ``_Weighted(s, l, t)``.  Its n - 2t variate rows, one column
-    per scale, come in ``_blocks``, whatever their width: exponentials
-    (every shape 1) by inversion, Gamma(1/2) (a Gaussian law, V = w^2 Z^2)
-    as Z^2 / 2, at a quarter to a third of the cost of numpy's Gamma(1/2),
-    and other shapes by ``standard_gamma``.  The tied rows of a block give V
-    of all three parts in one product with the (3, width) matrix of
-    coefficients, and its lone rows, the first 0 to 2 rows of the draw, take
-    the law's row of it.  Each row carries the balance-heuristic log weight
-    l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} / M(theta_j)) over the
-    shares alpha_0 = (n - 2t) / n and alpha_j = t / n, taken from the
-    largest exponent down so that no V overflows; e^l <= 1 / alpha_0, and
-    the mean of e^l over the n rows has expectation 1.
+    w_g / w_max: the statistic of a row is V, with g_j = eta_j V.  A variate
+    row has one column per scale: exponentials (every shape 1) by inversion,
+    Gamma(1/2) (a Gaussian law, V = w^2 Z^2) as Z^2 / 2, at a quarter to a
+    third of the cost of numpy's Gamma(1/2), and other shapes by
+    ``standard_gamma``.  The tied rows of a block give V of all three parts
+    in one product with the (3, width) matrix of coefficients, its lone rows
+    the law's row of it.
     """
     top = float(scales[-1])
     ratios = scales / top
-    width = scales.size
     r2 = ratios * ratios
-    # eta, 1 / M(theta) and coefficients of each part, the law (the tilt at
-    # theta = 0) first
+    # eta and coefficients of each part, the law (the tilt at theta = 0)
+    # first
     xs = _saddles(r2, shapes, np.array(_MIXTURE_ORDERS))
     gaps = 1.0 - np.multiply.outer(xs, r2)
-    etas = [0.0, *(0.5 * xs).tolist()]
-    inv_mgfs = [1.0, *(math.exp(v) for v in (np.log(gaps) @ shapes).tolist())]
+    eta_1, eta_2 = (0.5 * xs).tolist()
     coefs = np.vstack([2.0 * r2, 2.0 * r2 / gaps])
     # the variates of a block, with their sign or halving in the
     # coefficients
@@ -457,46 +524,21 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         shape = shapes.squeeze()
         variates = lambda rng, mix: rng.standard_gamma(shape, out=mix)
 
-    def draw(rng: np.random.Generator, n: int) -> _Weighted:
-        # n >= 3, so every part has rows
-        tied = n // 3
-        units = n - 2 * tied
-        lone = units - tied
-        v = np.empty(n)
-        # V of the law's n - 2t rows, the lone ones first, then of the t
-        # rows of each tilt: row j of parts is part j's view of the last t
-        # variate rows
-        parts = v[lone:].reshape(3, tied)
-        for lo, hi, work in _blocks(units, width):
-            mix = work[0, :(hi - lo) * width].reshape(-1, width)
-            variates(rng, mix)
-            # the block's lone rows give the law only, the others all parts,
-            # through contiguous rows of work: the same bits as a product
-            # into parts, at half its cost for one column
-            first = min(max(lo, lone), hi)
-            np.matmul(mix[:first - lo], coefs[0], out=v[lo:first])
-            tilted = work[1:].reshape(-1)[:3 * (hi - first)].reshape(3, -1)
-            parts[:, first - lone:hi - lone] = np.dot(coefs, mix[first - lo:].T, out=tilted)
-        # l = -log sum_j alpha_j e^{eta_j V} / M(theta_j): e^{ref V} comes
-        # out, ref the largest eta (the top order's), so every exponent is
-        # <= 0 and the sum is at least the constant term of ref
-        ref = etas[-1]
-        ell = np.full(n, tied / n * inv_mgfs[-1])
-        term = np.empty(n)
-        for eta, inv_mgf, count in zip(etas, inv_mgfs, (units, tied)):
-            np.multiply(v, eta - ref, out=term)
-            np.exp(term, out=term)
-            term *= count / n * inv_mgf
-            ell += term
-        np.log(ell, out=ell)
-        np.multiply(v, ref, out=term)
-        ell += term
-        np.negative(ell, out=ell)
+    def parts(mix: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        # one product into contiguous rows of work: the same bits as a
+        # product into out, at half its cost for one column
+        tilted = work.reshape(-1)[:3 * mix.shape[0]].reshape(3, -1)
+        out[...] = np.dot(coefs, mix.T, out=tilted)
+
+    def finish(v: np.ndarray) -> np.ndarray:
         s = np.sqrt(v, out=v)
         s *= top
-        return _Weighted(s, ell, tied)
+        return s
 
-    return _Plan(draw, factor)
+    return _mixture(_Tilts(
+        scales.size, variates, lambda mix, out: np.matmul(mix, coefs[0], out=out), parts,
+        tuple((-(np.log(gaps) @ shapes)).tolist()),
+        lambda v: (np.multiply(v, eta_2), np.multiply(v, eta_1 - eta_2)), finish), factor)
 
 
 def _laplace_mixture(weights: np.ndarray) -> _Plan:
