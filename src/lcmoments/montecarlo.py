@@ -10,13 +10,14 @@ entries, and does its per-sample work (coefficients, log weights) once over
 all N samples.  A block draws its variates kind by kind, so the
 records of balls at q not in {1, 2}, of the independent twin and of products
 of non-linear tails, whose blocks draw two or more kinds, depend on the
-budget beyond the last bit.  The cube and the variance mixture (below) of
-two or more columns draw one stream of matrix variates, so the budget moves
-their records only where a BLAS product rounds the last rows of a call, or
-a call of one row, through another kernel, in the last bit.  Mixtures of
-one column, whose products have one term, do not depend on it: the Gaussian
-laws (``gauss`` and the ball at q = 2), and linear tails whose weights
-|u_i| / rate_i are all equal (e_j, a flat vector).  The mixture's proposal
+budget beyond the last bit.  The defensive mixtures (below) of two or more
+columns draw one stream of matrix variates, so the budget moves their
+records only where a BLAS product rounds the last rows of a call, or a call
+of one row, through another kernel, in the last bit.  Mixtures of one
+column, whose products have one term, do not depend on it: the Gaussian
+laws (``gauss`` and the ball at q = 2), linear tails whose weights
+|u_i| / rate_i are all equal (e_j, a flat vector), and the cube on e_j.
+The mixture's proposal
 and its layout of units depend on the draw plan and N only, never on the
 requested orders, so entry i of an order sequence equals the scalar call at
 its order.  ``_child_seed`` is the only seed derivation
@@ -24,7 +25,7 @@ and holds the only seed rule: a seed is an integer (a Python or numpy int,
 never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
 and every record's ``seed`` is that reduction.  Report rows and acceptance
 checks derive their seeds with it too.  A draw falls into independent
-units: every row of an unweighted draw is one, and the variance mixture
+units: every row of an unweighted draw is one, and the defensive mixture
 ties three rows, one of each part, to one draw of variates (below).  So
 every estimate takes the standard error of the sum of its units (the iid
 one of its rows for an unweighted draw; conservative under the mixture's
@@ -41,9 +42,7 @@ u = a / max|a_i| from a draw plan built once per estimate (``_projector``),
 which draws only the variates the law of S needs.  Coordinates with u_i = 0
 are never drawn: products, the cube and the independent twin draw their k
 live columns, and balls at q not in {1, 2} the k-coordinate marginal, whose
-Gamma((n - k)/q + 1) term absorbs the rest.  The cube folds its map into
-the coefficients, S = <U, 2 sqrt(3) u> - sqrt(3) sum u_i for uniform U, so
-its (m, k) draw goes straight into the matvec.  The Gaussian is rotation
+Gamma((n - k)/q + 1) term absorbs the rest.  The Gaussian is rotation
 invariant, so S = ||u||_2 g with g ~ N(0, 1).
 
 The balls at q = 1 and 2 go through the identity itself: X = r Y / T^{1/q}
@@ -69,12 +68,12 @@ alone and carries c_p = ||Z||_p.  A Gaussian S = sigma g is a law of the
 same form with one column of shape 1/2: |S| = sqrt(V) with V = 2 sigma^2 G
 and G = g^2 / 2 ~ Gamma(1/2), drawn from one normal, and c_p = 1.  Plain
 draws of either law put |S|^p at high p on a handful of rows, so both draw
-V from a defensive mixture (``_variance_mixture``; Owen and Zhou, JASA
-2000): the law itself and its exponential tilts e^{eta V} / M(theta),
-eta = theta^2 / 2, at the saddles p / theta = Lambda'(theta), Lambda =
-log M, of the orders 4 and ``MAX_MOMENT_ORDER``.  For a Laplace law these
-are the tilts of S integrated over the normal; for a Gaussian they widen
-its variance to sigma^2 (p + 1).  A tilt takes the same variates with
+V from a defensive mixture (``_mixture`` through ``_variance_mixture``;
+Owen and Zhou, JASA 2000): the law itself and its exponential tilts
+e^{eta V} / M(theta), eta = theta^2 / 2, at the saddles p / theta =
+Lambda'(theta), Lambda = log M, of the orders 4 and ``MAX_MOMENT_ORDER``.
+For a Laplace law these are the tilts of S integrated over the normal; for
+a Gaussian they widen its variance to sigma^2 (p + 1).  A tilt takes the same variates with
 other coefficients, so one draw of variates gives a row of every part: a
 draw of N rows takes t = N // 3 such units and N - 3t more rows of the law
 alone, the shares alpha_0 = (N - 2t) / N of the law and alpha_j = t / N of
@@ -82,7 +81,17 @@ each tilt.  Each row carries the balance-heuristic log weight (Veach and
 Guibas, SIGGRAPH 1995) l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} /
 M(theta_j)), the log of the density ratio of the law to the whole mixture;
 l <= log(1 / alpha_0), about log 3, and the mean of e^l over the N rows has
-expectation 1.  Every other plan is unweighted, l = 0.
+expectation 1.
+
+The cube's S = sum_i c_i V_i, with c_i = sqrt(3) |u_i| and V_i uniform on
+[-1, 1], draws from the same mixture (``_cube_mixture``): its law, the
+folded map S = <U, 2c> - sum c_i of k uniforms U, and its tilts
+e^{theta S} / M(theta), M(theta) = prod_i sinh(theta c_i) / (theta c_i),
+at the saddles of the same two orders.  A tilt inverts the CDF of each
+tilted V_i at the same uniforms, so one uniform row again gives a row of
+every part.  The engine reads |S| alone and the law is symmetric, so a
+tilt's ratio to the law enters l as cosh(theta S) / M(theta).  Every other
+plan is unweighted, l = 0.
 
 The engine takes L = log|S| in place over the one draw of N samples, and
 reduces each order in one pass over them:
@@ -166,9 +175,9 @@ class EstimateRecord:
     the estimate averages, summed over its independent units (e^l |S|^p for
     a p-norm, with the log weight l of its draw, and the hit indicator for a
     joint tail), and ``top_share`` is max W / sum W, the share of the
-    largest one.  A unit is one sample, except for the variance mixture of
-    linear tails and Gaussian laws, whose units are three rows of one
-    variate draw (module docstring), so
+    largest one.  A unit is one sample, except for the defensive mixture of
+    linear tails, Gaussian laws and the cube, whose units are three rows of
+    one variate draw (module docstring), so
     there ``ess`` is at most N - 2 (N // 3) of the ``n_samples`` = N.  A few
     dominant units show as a small ``ess`` and a large ``top_share``; the
     standard error alone does not show them.
@@ -541,6 +550,87 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         lambda v: (np.multiply(v, eta_2), np.multiply(v, eta_1 - eta_2)), finish), factor)
 
 
+def _cube_saddles(c: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """theta at the saddle p / theta = Lambda'(theta) of each order p, for
+    Lambda(theta) = sum_i log(sinh b_i / b_i), b_i = theta c_i, given the
+    c_i > 0.
+
+    The saddle solves f(theta) = sum_i g(b_i) = p with g(b) = b coth b - 1,
+    convex and increasing.  g(b) >= b - 1, so f >= p at theta = (p + k) /
+    sum c_i over the k c_i, and Newton's method from there falls
+    monotonically onto the root; it stops at 1e-12 relative.  With t =
+    tanh b, g(b) = b / t - 1 and g'(b) = (1 - b / t) / t + b, which keep a
+    tiny b from dividing by zero.
+    """
+    ones = np.ones(c.size)
+    theta = (orders + c.size) / (c @ ones)
+    for _ in range(_SADDLE_STEPS):
+        b = np.multiply.outer(theta, c)
+        t = np.tanh(b)
+        ratio = b / t
+        step = ((ratio - 1.0) @ ones - orders) / (((1.0 - ratio) / t + b) @ c)
+        theta -= step
+        if not np.max(step / theta) > 1e-12:
+            break
+    return theta
+
+
+def _cube_mixture(u: np.ndarray) -> _Plan:
+    """The weighted plan of S = <X, u> on the cube for u with no zero entry:
+    S = sum_i c_i V_i for iid V_i uniform on [-1, 1] and c_i = sqrt(3) |u_i|
+    (a sign leaves the law of S as it is), drawn from the defensive
+    ``_mixture`` of the law and its tilts e^{theta S} / M(theta) at the
+    saddles (``_cube_saddles``) of the orders in ``_MIXTURE_ORDERS``.
+
+    A variate row is k uniforms U_i.  The law's row is S = <U, 2c> -
+    sum c_i.  Tilt j takes V_i of density proportional to e^{b_i v}, b_i =
+    theta_j c_i, by inversion of the same uniforms: S = sum_i log1p(U_i
+    expm1(2 b_i)) / theta_j - sum c_i, with M(theta) = prod_i sinh b_i /
+    b_i.  The engine reads |S| alone and the law is symmetric, so each tilt
+    enters the weight through its symmetric form cosh(theta_j S) / M(theta_j),
+    g_j = log cosh(theta_j |S|).
+    """
+    c = math.sqrt(3.0) * np.abs(u)
+    offset = float(np.sum(c))
+    scaled = 2.0 * c
+    (theta_1, theta_2) = thetas = _cube_saddles(c, np.array(_MIXTURE_ORDERS)).tolist()
+    b = np.multiply.outer(thetas, c)
+    growth = np.expm1(2.0 * b)
+    steps = [np.full(c.size, 1.0 / theta) for theta in thetas]
+
+    def law(mix: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(mix, scaled, out=out)
+        out -= offset
+
+    def parts(mix: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        law(mix, out[0])
+        inverted = work[0, :mix.size].reshape(mix.shape)
+        for row, rates, step in zip(out[1:], growth, steps):
+            np.log1p(np.multiply(mix, rates, out=inverted), out=inverted)
+            np.matmul(inverted, step, out=row)
+            row -= offset
+
+    def exponents(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # log cosh x = x + log1p(e^{-2x}) - log 2 for x = theta |S| >= 0
+        x = np.abs(s)
+        tails = []
+        for theta in thetas:
+            tail = np.multiply(x, -2.0 * theta)
+            tails.append(np.log1p(np.exp(tail, out=tail), out=tail))
+        gap = np.multiply(x, theta_1 - theta_2)
+        gap += tails[0]
+        gap -= tails[1]
+        ref = np.multiply(x, theta_2, out=x)
+        ref += tails[1]
+        ref -= math.log(2.0)
+        return ref, gap
+
+    return _mixture(_Tilts(
+        c.size, lambda rng, mix: rng.random(out=mix), law, parts,
+        tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()), exponents,
+        lambda s: s), lambda p: 1.0)
+
+
 def _laplace_mixture(weights: np.ndarray) -> _Plan:
     """The weighted plan of S = sum_i w_i L_i for iid standard Laplace L_i and
     w_i > 0: L = sqrt(2 E) Z with E ~ Exp(1) and Z ~ N(0, 1), so S = sqrt(V) Z
@@ -573,10 +663,10 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
     ``_laplace_mixture`` on |u_i|, and at q = 2 the Gaussian
     N(0, ||u||_2^2 / 2).  Other balls draw the signed numerator of the k
     live coordinates, whose H ~ Gamma((n - k)/q + 1) stands for the others,
-    and divide each row once.  The cube and products of non-linear tails draw their live
-    columns, the latter by the live tails' column groups; products of linear
-    tails draw the weighted defensive mixture of ``_laplace_mixture`` on
-    |u_i| / rate_i.
+    and divide each row once.  The cube draws the defensive mixture of
+    ``_cube_mixture`` on its live coefficients, products of linear tails
+    that of ``_laplace_mixture`` on |u_i| / rate_i, and products of
+    non-linear tails their live columns, by the live tails' column groups.
     """
     live = np.flatnonzero(u)
     coefs, k = u[live], live.size
@@ -600,15 +690,7 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
 
         return _filled(k, ball)
     if isinstance(family, UniformCube):
-        # S = sqrt(3) <2U - 1, u> = <U, 2 sqrt(3) u> - sqrt(3) sum u_i
-        scaled = 2.0 * math.sqrt(3.0) * coefs
-        offset = math.sqrt(3.0) * float(np.sum(coefs))
-
-        def cube(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
-            np.matmul(rng.random(out=work[0, :rows.size * k].reshape(-1, k)), scaled, out=rows)
-            rows -= offset
-
-        return _filled(k, cube)
+        return _cube_mixture(coefs)
     if isinstance(family, ProductFamily):
         mask = u != 0.0
         position = np.cumsum(mask) - 1
