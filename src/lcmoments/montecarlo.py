@@ -590,7 +590,10 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
     enters the weight through its symmetric form cosh(theta_j S) / M(theta_j),
     g_j = log cosh(theta_j |S|).
     """
-    c = math.sqrt(3.0) * np.abs(u)
+    # a subnormal c_i could round theta c_i to 0, where the saddle's and
+    # M's ratios are 0 / 0; the smallest normal double in its place moves S
+    # by less than 1e-307
+    c = np.maximum(math.sqrt(3.0) * np.abs(u), np.finfo(float).tiny)
     offset = float(np.sum(c))
     scaled = 2.0 * c
     (theta_1, theta_2) = thetas = _cube_saddles(c, np.array(_MIXTURE_ORDERS)).tolist()

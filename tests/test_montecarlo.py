@@ -324,7 +324,7 @@ def test_dependent_vs_independent_matches_the_scipy_reduction(q):
 
 
 @pytest.mark.parametrize("spec,a", [
-    ("cube", (1.0, -0.5, 0.25, 0.0, 3.0)),
+    ("ball:q=3", (1.0, -0.5, 0.25, 0.0, 3.0)),
     ("exp", (1.0, -0.5, 0.25, 0.0, 3.0)),
     # |X_1| = s E^{1/1000} is nearly constant: w - R is a few thousandths of w
     ("product:pow:alpha=1000", (1.0, 0.0, 0.0, 0.0, 0.0)),
@@ -904,6 +904,14 @@ def test_mixture_log_weights_do_not_overflow(spec, a, uniform, limit):
         _FarDraws(uniform), 600)
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(ell))
     assert float(np.max(ell)) < limit
+
+
+def test_cube_mixture_takes_a_subnormal_coefficient():
+    # beside 256 flat coefficients the saddle of p = 4 is at theta = 0.125,
+    # which rounds theta c_i of the subnormal c_i = sqrt(3) 5e-324 to 0
+    a = np.append(np.ones(256), 5e-324)
+    records = estimate_pnorm(UniformCube(a.size), a, (2.0, 32.0), MIN_SAMPLES, SEED)
+    assert all(math.isfinite(rec.value) and rec.ess > 0.01 * MIN_SAMPLES for rec in records)
 
 
 # ESS / N of the Gaussian mixture tends to (K / N) (E W(p))^2 / E W(p)^2
