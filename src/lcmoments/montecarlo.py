@@ -378,8 +378,8 @@ def _filled(width: int, block) -> _Plan:
     return _Plan(lambda rng, size: _fill(rng, np.empty(size), width, block))
 
 
-# the defensive mixture of linear-tail projections: the orders whose saddles
-# the two tilts sit at
+# the defensive mixture (``_mixture``): the orders whose saddles its two
+# tilts sit at
 _MIXTURE_ORDERS = (4.0, MAX_MOMENT_ORDER)
 _SADDLE_STEPS = 50
 
@@ -559,8 +559,8 @@ def _cube_saddles(c: np.ndarray, orders: np.ndarray) -> np.ndarray:
     convex and increasing.  g(b) >= b - 1, so f >= p at theta = (p + k) /
     sum c_i over the k c_i, and Newton's method from there falls
     monotonically onto the root; it stops at 1e-12 relative.  With t =
-    tanh b, g(b) = b / t - 1 and g'(b) = (1 - b / t) / t + b, which keep a
-    tiny b from dividing by zero.
+    tanh b, g(b) = b / t - 1 and g'(b) = (1 - b / t) / t + b, both finite
+    at a subnormal b, where coth b overflows.
     """
     ones = np.ones(c.size)
     theta = (orders + c.size) / (c @ ones)
