@@ -1,11 +1,10 @@
 """Compare the Monte-Carlo records of two source trees, call by call.
 
-    python3 tools/record_diff.py --base DIR --head DIR [--matrix {full,smoke}] \
-        [--json FILE]
+    python3 tools/record_diff.py --base DIR --head DIR [--json FILE]
 
 Runs one fixed call matrix in each tree, each in its own interpreter with
 ``PYTHONPATH=<tree>/src``, and compares the records of every call field by
-field as hex floats.  The full matrix is
+field as hex floats.  The matrix is
 
 * ``estimate_pnorm`` over ``exp``, ``ball:q=1``, ``ball:q=2``, ``gauss``,
   ``cube``, ``ball:q=3`` and ``product:pow:alpha=2``, at n in {4, 16, 64},
@@ -23,7 +22,7 @@ value_2| / sqrt(stderr_1^2 + stderr_2^2) over its records.  The tool writes
 every call's class as JSON (``--json``, default ``record_diff.json``) and
 prints a short Markdown table of the classes per call kind and family.  Both
 trees must run on one machine and one BLAS build, as a record depends on the
-BLAS kernels in its last bits.  ``--matrix smoke`` runs three calls only.
+BLAS kernels in its last bits.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ LAST_BITS = 1e-13
 FIELDS = ("value", "stderr", "ess", "top_share", "n_samples", "seed")
 
 
-def call_matrix(name: str) -> list[dict]:
-    """The calls of the matrix ``name``, each a dict of its kind and inputs."""
+def call_matrix() -> list[dict]:
+    """The calls of the matrix, each a dict of its kind and inputs."""
     calls = []
     for family in FAMILIES:
         for n in DIMENSIONS:
@@ -67,9 +66,6 @@ def call_matrix(name: str) -> list[dict]:
             for samples in SAMPLE_COUNTS:
                 calls += [{"kind": "dependent", "family": f"ball:q={q}", "n": n,
                            "profile": profile, "samples": samples} for profile in PROFILES]
-    if name == "smoke":
-        calls = [calls[0], next(c for c in calls if c["kind"] == "fourth_moment"),
-                 next(c for c in calls if c["kind"] == "dependent")]
     return calls
 
 
@@ -157,7 +153,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path)
     parser.add_argument("--head", type=Path)
-    parser.add_argument("--matrix", choices=("full", "smoke"), default="full")
     parser.add_argument("--json", type=Path, default=Path("record_diff.json"))
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -166,13 +161,13 @@ def main(argv=None) -> int:
     if args.base is None or args.head is None:
         parser.error("--base and --head are required")
 
-    calls = call_matrix(args.matrix)
+    calls = call_matrix()
     base, head = tree_records(args.base, calls), tree_records(args.head, calls)
     results = [{"call": call, **compare(b, h)} for call, b, h in zip(calls, base, head)]
     summary = dict(Counter(res["class"] for res in results))
     args.json.write_text(json.dumps({"base": str(args.base), "head": str(args.head),
-                                     "matrix": args.matrix, "summary": summary,
-                                     "calls": results}, indent=1) + "\n", encoding="utf-8")
+                                     "summary": summary, "calls": results}, indent=1)
+                         + "\n", encoding="utf-8")
     print(table(results))
     print(f"{len(results)} calls: " + ", ".join(f"{v} {k}" for k, v in summary.items()))
     return 0
