@@ -6,7 +6,7 @@ engine in one call of its draw plan, so for a fixed ``_CHUNK_ENTRIES`` and
 BLAS build a record is a pure function of (seed, n_samples).  The budget
 ``_CHUNK_ENTRIES`` bounds only the (rows, width) matrices of a draw: every
 plan takes its rows in the same ``_blocks``, each of at most that many
-entries, and does its per-sample work (coefficients, log weights) once over
+entries, and does its per-sample work (coefficients, weights) once over
 all N samples.  A block draws its variates kind by kind, so the
 records of balls at q not in {1, 2}, of the independent twin and of products
 of non-linear tails, whose blocks draw two or more kinds, depend on the
@@ -29,9 +29,11 @@ units: every row of an unweighted draw is one, and the defensive mixture
 ties three rows, one of each part, to one draw of variates (below).  So
 every estimate takes the standard error of the sum of its units (the iid
 one of its rows for an unweighted draw; conservative under the mixture's
-fixed shares), propagated through the ratio and the 1/p power by the delta
-method, and reports the effective sample size (sum W)^2 / sum W^2 and the
-top share max W / sum W of its weights W summed over the units.
+fixed shares), from the residuals of its estimator over the units (the
+mixture's regression on its control variates, below), propagated through
+the 1/p power by the delta method, and reports the effective sample size
+(sum W)^2 / sum W^2 and the top share max W / sum W of its weights W
+summed over the units.
 
 Every ball draw but the projections at q = 1 and 2 is ``_ball_parts``, the
 first k coordinates of the Barthe-Guedon-Mendelson-Naor form
@@ -77,11 +79,12 @@ a Gaussian they widen its variance to sigma^2 (p + 1).  A tilt takes the same va
 other coefficients, so one draw of variates gives a row of every part: a
 draw of N rows takes t = N // 3 such units and N - 3t more rows of the law
 alone, the shares alpha_0 = (N - 2t) / N of the law and alpha_j = t / N of
-each tilt.  Each row carries the balance-heuristic log weight (Veach and
-Guibas, SIGGRAPH 1995) l = -log(alpha_0 + sum_j alpha_j e^{eta_j V} /
-M(theta_j)), the log of the density ratio of the law to the whole mixture;
-l <= log(1 / alpha_0), about log 3, and the mean of e^l over the N rows has
-expectation 1.
+each tilt.  Each row carries the balance-heuristic weight (Veach and
+Guibas, SIGGRAPH 1995) e^l = 1 / D, the density ratio of the law to the
+whole mixture D = alpha_0 + sum_j alpha_j h_j, h_j = e^{eta_j V} /
+M(theta_j), and the ratio r_1 = h_1 / D of the first tilt to it: e^l <=
+1 / alpha_0, about 3, alpha_0 e^l + alpha_1 r_1 + alpha_2 r_2 = 1 on every
+row, and the means of e^l and of r_1 over the N rows have expectation 1.
 
 The cube's S = sum_i c_i V_i, with c_i = sqrt(3) |u_i| and V_i uniform on
 [-1, 1], draws from the same mixture (``_cube_mixture``): its law, the
@@ -90,22 +93,33 @@ e^{theta S} / M(theta), M(theta) = prod_i sinh(theta c_i) / (theta c_i),
 at the saddles of the same two orders.  A tilt inverts the CDF of each
 tilted V_i at the same uniforms, so one uniform row again gives a row of
 every part.  The engine reads |S| alone and the law is symmetric, so a
-tilt's ratio to the law enters l as cosh(theta S) / M(theta).  Every other
+tilt's ratio to the law enters D as cosh(theta S) / M(theta).  Every other
 plan is unweighted, l = 0.
 
 The engine takes L = log|S| in place over the one draw of N samples, and
-reduces each order in one pass over them:
-w = exp(p (L - max L) + l) lies in [0, e^l], summed in place over the K
-units into W, and the p-norm is the self-normalised weighted power mean
-c_p max|a_i| e^{max L} R^{1/p} with R = sum w / sum e^l, nondecreasing in
-p.  Its standard error is the ratio estimator's delta method over the
-units, sqrt(K var / N^2) / mean(e^l), where var, the sample variance of the
-K unit residuals W - R E (E the unit sums of e^l), comes from sums alone:
-(sum W^2 - 2 R sum W E + R^2 sum E^2) / (K - 1), with sum W^2 and sum W E
-taken by ``einsum``.  Where those sums cancel to less than
-``_CANCELLATION`` of sum W^2 (a nearly constant w), the engine sums the
-residuals instead.  With l = 0 every row is a unit and this is the plain
-sample mean of |S|^p and its iid standard error.
+reduces each order in one pass over them: w = e^{p (L - max L)} e^l lies
+in [0, e^l], summed in place over the K units into W, and the p-norm is
+c_p max|a_i| e^{max L} R^{1/p} for an estimate R of E w.  An unweighted
+draw (l = 0) takes the sample mean R = sum w / N.  A weighted one takes
+e^l and r_1 as control variates (Owen and Zhou): their unit sums
+z_u = (E_u, R_u) have totals of expectation N, and R is the regression
+estimate (sum W - g . c) / N, with the cross sums c = sum_u W_u x_u of the
+centred x_u = z_u - mean z, and g = G^{-1} (sum_u z_u - N) for their Gram
+matrix G = sum_u x_u x_u^T, built once per estimate (``_fit``).  So
+R = sum_u omega_u W_u / N with unit weights omega_u = 1 - g . x_u that do
+not depend on p and satisfy sum_u omega_u E_u = N: while every omega_u >= 0
+the p-norm is a weighted power mean of |S| over the draw, nondecreasing in
+p.  Where one is negative (or G is singular) the estimate keeps at every
+order the self-normalised ratio R = sum W / sum E, a weighted power mean
+too.  The standard error of R is sqrt(K var) / N over the units, where var
+is the residual variance of the regression, (sum W^2 - (sum W)^2 / K -
+b . c) / (K - 3) with the fitted slopes b = G^{-1} c, or that of the ratio
+residuals W - R E over mean(e^l)^2, (sum W^2 - 2 R sum W E +
+R^2 sum E^2) / (K - 1); both come from sums alone, taken by ``einsum``.
+Where those sums cancel to less than ``_CANCELLATION`` of sum W^2 (a nearly
+constant w, or one the controls fit closely), the engine sums the residuals
+instead.  With l = 0 every row is a unit and this is the plain sample mean
+of |S|^p and its iid standard error.
 """
 
 from __future__ import annotations
@@ -169,11 +183,13 @@ def _child_seed(seed: int, *path: int) -> int:
 @dataclass(frozen=True)
 class EstimateRecord:
     """One Monte-Carlo estimate with the standard error of its independent
-    units.
+    units.  For a draw of the defensive mixture, ``value`` is the regression
+    estimate on the mixture's control variates and ``stderr`` comes from its
+    residuals (module docstring).
 
     ``ess`` is the effective sample size (sum W)^2 / sum W^2 of the weights W
     the estimate averages, summed over its independent units (e^l |S|^p for
-    a p-norm, with the log weight l of its draw, and the hit indicator for a
+    a p-norm, with the weight e^l of its draw, and the hit indicator for a
     joint tail), and ``top_share`` is max W / sum W, the share of the
     largest one.  A unit is one sample, except for the defensive mixture of
     linear tails, Gaussian laws and the cube, whose units are three rows of
@@ -325,14 +341,16 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 # -- draw plans -------------------------------------------------------------------
 
 class _Weighted(NamedTuple):
-    """The draw of a weighted plan: the n draws ``s`` of its projection, their
-    log weights ``ell`` under an importance-sampling proposal, and ``tied``
-    = t: rows n - 3t + i, n - 2t + i and n - t + i share one draw of
-    variates and form one unit for each i < t, and every other row is a unit
-    of its own."""
+    """The draw of a weighted plan: the n draws ``s`` of its projection,
+    their weights ``likelihood`` = e^l, the density ratio of the law to an
+    importance-sampling proposal, the ratios ``ratio`` = r_1 of a second
+    density, a tilt of the law, to the proposal, and ``tied`` = t: rows
+    n - 3t + i, n - 2t + i and n - t + i share one draw of variates and form
+    one unit for each i < t, and every other row is a unit of its own."""
 
     s: np.ndarray
-    ell: np.ndarray
+    likelihood: np.ndarray
+    ratio: np.ndarray
     tied: int
 
 
@@ -422,16 +440,17 @@ class _Tilts(NamedTuple):
     of each tilt's row into the three rows of the (3, m) view ``out``, with
     ``work`` a free (3, >= m width) float buffer.  Tilt j has the density
     ratio h_j = e^{g_j(y)} / M(theta_j) to the law, 0 <= g_1 <= g_2, and
-    ``log_mgfs`` holds log M(theta_j); ``exponents(y)`` returns the arrays
-    g_2(y) and g_1(y) - g_2(y), each computed the law's own way.
-    ``finish(y)`` turns y in place into the draws s of the plan."""
+    ``log_mgfs`` holds log M(theta_j); ``factors(y)`` returns the arrays
+    e^{-g_2(y)} and e^{g_1(y) - g_2(y)}, both in [0, 1], each computed the
+    law's own way so that nothing overflows.  ``finish(y)`` turns y in place
+    into the draws s of the plan."""
 
     width: int
     variates: Callable[[np.random.Generator, np.ndarray], np.ndarray]
     law: Callable[[np.ndarray, np.ndarray], None]
     parts: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     log_mgfs: tuple[float, float]
-    exponents: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    factors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     finish: Callable[[np.ndarray], np.ndarray]
 
 
@@ -442,14 +461,17 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
     One variate row gives a row of the law and a row of each tilt.  A draw of
     n rows takes t = n // 3 variate rows for all three parts and n - 3t more
     for the law alone, laid out as the law's n - 2t rows (the lone ones
-    first), then the t rows of each tilt: the draw is ``_Weighted(s, l,
-    t)``.  Its n - 2t variate rows come in ``_blocks``; the lone rows of a
-    block, the first 0 to 2 rows of the draw, take the law's row only.  Each
-    row carries the balance-heuristic log weight l = -log(alpha_0 + sum_j
-    alpha_j h_j) over the shares alpha_0 = (n - 2t) / n and alpha_j = t / n,
-    taken from the largest exponent g_2 down, so that no term overflows;
-    e^l <= 1 / alpha_0, and the mean of e^l over the n rows has expectation
-    1.
+    first), then the t rows of each tilt: the draw is ``_Weighted(s, e^l,
+    r_1, t)``.  Its n - 2t variate rows come in ``_blocks``; the lone rows of
+    a block, the first 0 to 2 rows of the draw, take the law's row only.
+    Each row carries the balance-heuristic weight e^l = 1 / D, the ratio of
+    the law to the mixture density D = alpha_0 + sum_j alpha_j h_j over the
+    shares alpha_0 = (n - 2t) / n and alpha_j = t / n, and the ratio
+    r_j = h_j / D of tilt j to it for j = 1; so alpha_0 e^l + alpha_1 r_1 +
+    alpha_2 r_2 = 1 on every row, e^l <= 1 / alpha_0, and the means of e^l
+    and of r_1 over the n rows have expectation 1.  Both come from the
+    factors e^{-g_2} and e^{g_1 - g_2} of the largest exponent g_2 out, so
+    that no term overflows: D e^{-g_2} >= alpha_2 / M(theta_2).
     """
     width = tilts.width
     inv_mgfs = [math.exp(-v) for v in tilts.log_mgfs]
@@ -470,21 +492,18 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
             first = min(max(lo, lone), hi)
             tilts.law(mix[:first - lo], y[lo:first])
             tilts.parts(mix[first - lo:], parts[:, first - lone:hi - lone], work[1:])
-        # l = -log sum_j alpha_j e^{g_j} / M(theta_j): e^{g_2} comes out, so
-        # every exponent is <= 0 and the sum is at least its constant term
-        ref, gap = tilts.exponents(y)
-        ell = np.full(n, tied / n * inv_mgfs[1])
-        term = np.negative(ref)
-        np.exp(term, out=term)
-        term *= units / n
-        ell += term
-        np.exp(gap, out=gap)
-        gap *= tied / n * inv_mgfs[0]
-        ell += gap
-        np.log(ell, out=ell)
-        ell += ref
-        np.negative(ell, out=ell)
-        return _Weighted(tilts.finish(y), ell, tied)
+        # D e^{-g_2} = alpha_0 e^{-g_2} + alpha_1 e^{g_1 - g_2} / M(theta_1)
+        # + alpha_2 / M(theta_2), its reciprocal times e^{-g_2} is e^l and
+        # times e^{g_1 - g_2} / M(theta_1) is r_1
+        likelihood, ratio = tilts.factors(y)
+        ratio *= inv_mgfs[0]
+        scaled = likelihood * (units / n)
+        scaled += ratio * (tied / n)
+        scaled += tied / n * inv_mgfs[1]
+        np.reciprocal(scaled, out=scaled)
+        likelihood *= scaled
+        ratio *= scaled
+        return _Weighted(tilts.finish(y), likelihood, ratio, tied)
 
     return _Plan(draw, factor)
 
@@ -544,10 +563,13 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         s *= top
         return s
 
+    def factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ref, gap = np.multiply(v, -eta_2), np.multiply(v, eta_1 - eta_2)
+        return np.exp(ref, out=ref), np.exp(gap, out=gap)
+
     return _mixture(_Tilts(
         scales.size, variates, lambda mix, out: np.matmul(mix, coefs[0], out=out), parts,
-        tuple((-(np.log(gaps) @ shapes)).tolist()),
-        lambda v: (np.multiply(v, eta_2), np.multiply(v, eta_1 - eta_2)), finish), factor)
+        tuple((-(np.log(gaps) @ shapes)).tolist()), factors, finish), factor)
 
 
 def _cube_saddles(c: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -613,24 +635,31 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
             np.matmul(inverted, step, out=row)
             row -= offset
 
-    def exponents(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # log cosh x = x + log1p(e^{-2x}) - log 2 for x = theta |S| >= 0
+    def factors(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # with x = |S|, A = e^{-theta_1 x}, D = e^{-(theta_2 - theta_1) x} and
+        # B = A D = e^{-theta_2 x}, all in [0, 1]: 1 / cosh(theta_2 x) =
+        # 2 B / (1 + B^2) and cosh(theta_1 x) / cosh(theta_2 x) =
+        # D (1 + A^2) / (1 + B^2)
         x = np.abs(s)
-        tails = []
-        for theta in thetas:
-            tail = np.multiply(x, -2.0 * theta)
-            tails.append(np.log1p(np.exp(tail, out=tail), out=tail))
-        gap = np.multiply(x, theta_1 - theta_2)
-        gap += tails[0]
-        gap -= tails[1]
-        ref = np.multiply(x, theta_2, out=x)
-        ref += tails[1]
-        ref -= math.log(2.0)
+        a = np.multiply(x, -theta_1)
+        np.exp(a, out=a)
+        d = np.multiply(x, theta_1 - theta_2, out=x)
+        np.exp(d, out=d)
+        ref = np.multiply(a, d)
+        shrink = np.square(ref)
+        shrink += 1.0
+        np.reciprocal(shrink, out=shrink)
+        ref *= shrink
+        ref *= 2.0
+        gap = np.square(a, out=a)
+        gap += 1.0
+        gap *= d
+        gap *= shrink
         return ref, gap
 
     return _mixture(_Tilts(
         c.size, lambda rng, mix: rng.random(out=mix), law, parts,
-        tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()), exponents,
+        tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()), factors,
         lambda s: s), lambda p: 1.0)
 
 
@@ -739,10 +768,46 @@ def _unit_sums(x: np.ndarray, tied: int) -> np.ndarray:
     return x[:x.size - 2 * tied]
 
 
-# the variance from sums loses about log10(sum w^2 / spread) digits to
-# cancellation, where spread = sum (w - R e^l)^2; below this share of
-# sum w^2 the engine sums the residuals themselves
+# the variance from sums loses about log10(sum W^2 / spread) digits to
+# cancellation, where spread is the residual sum of squares; below this share
+# of sum W^2 the engine sums the residuals themselves
 _CANCELLATION = 2.0 ** -8
+
+
+class _Fit(NamedTuple):
+    """The regression of a weighted draw's unit sums on its two controls
+    (``_fit``): ``controls`` (2, K), the centred unit sums x_u = z_u - mean z
+    of z_u = (E_u, R_u), the sums of e^l and of r_1 over unit u;
+    ``inverse``, the entries (00, 01, 11) of G^{-1} for their Gram matrix
+    G = sum_u x_u x_u^T; and ``slopes``, g = G^{-1} (sum_u z_u - N)."""
+
+    controls: np.ndarray
+    inverse: tuple[float, float, float]
+    slopes: tuple[float, float]
+
+
+def _fit(likelihoods: np.ndarray, ratios: np.ndarray, n: int) -> _Fit | None:
+    """The ``_Fit`` of the unit sums E_u and R_u of a weighted draw of n rows
+    (``_unit_sums`` of its e^l and r_1, ``_Weighted``), or None where G is
+    not positive definite or a unit weight omega_u = 1 - g . x_u is
+    negative.
+
+    The totals of E_u and of R_u over the units are those of e^l and r_1
+    over the N rows, of expectation N.  sum_u omega_u = K and
+    sum_u omega_u x_u = 0, so sum_u omega_u E_u = sum E - x_E^T G g = N."""
+    controls = np.stack((likelihoods, ratios))
+    sums = np.sum(controls, axis=1)
+    controls -= (sums / likelihoods.size)[:, None]
+    (g00, g01), (_, g11) = np.einsum("ij,kj->ik", controls, controls).tolist()
+    det = g00 * g11 - g01 * g01
+    if not det > 0.0:
+        return None
+    inverse = (g11 / det, -g01 / det, g00 / det)
+    x0, x1 = (sums - n).tolist()
+    slopes = (inverse[0] * x0 + inverse[1] * x1, inverse[1] * x0 + inverse[2] * x1)
+    if not float(np.max(np.einsum("i,ij->j", np.array(slopes), controls))) <= 1.0:
+        return None
+    return _Fit(controls, inverse, slopes)
 
 
 def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples: int,
@@ -750,19 +815,24 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     """One record per order in ``ps``, every order reduced from the same draws.
 
     ``plan`` is the draw plan of <X, u> for the nonzero vector's
-    u = a / max|a_i| (``cv.unit``), built once per estimate by the caller;
-    a weighted plan's rows carry their log weights and its units
-    (``_Weighted``), and its records are the self-normalised ratio
-    estimates with the error bar, ESS and top share of those units (module
-    docstring).  Every record is multiplied by the plan's c_p, and is
-    max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
+    u = a / max|a_i| (``cv.unit``), built once per estimate by the caller.
+    A weighted plan's rows carry their weights e^l, the ratios r_1 and their
+    units (``_Weighted``), and its records are the regression estimates on
+    the control variates e^l and r_1 (``_fit``) with the error bar of the
+    regression residuals, or, where a unit weight of that regression is
+    negative, the self-normalised ratio estimates with their delta-method
+    error bar; the ESS and top share are those of the weights e^l |S|^p
+    summed over the units (module docstring).  Either way a record is a
+    weighted power mean of the draws |S| with weights that do not depend on
+    p, so the records are nondecreasing in p.  Every record is multiplied by the plan's c_p, and
+    is max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
     scales the records by exactly that factor, however small or large, as
     long as they stay normal doubles.  The inputs are checked by the caller
     (``_moment_inputs``); the laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
     out = plan.draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
-    s, ells, tied = out if isinstance(out, _Weighted) else (out, None, 0)
+    s, likelihood, ratios, tied = out if isinstance(out, _Weighted) else (out, None, None, 0)
     units = n_samples - 2 * tied
     # in place, as the engine owns the draws; a non-finite projection is
     # caught through the max below
@@ -776,9 +846,16 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     shifted = np.subtract(logs, top, out=logs)
     # an unweighted plan has l = 0: e^l = 1 and its sums are n, so its
     # records are the plain sample mean and its standard error
-    if ells is not None:
-        # e^l summed over the units, in the first ``units`` entries
-        likelihoods = _unit_sums(np.exp(ells), tied)
+    fit = None
+    if likelihood is not None:
+        # e^l and r_1 summed over the units, in their first ``units``
+        # entries; the loop below still takes e^l row by row, r_1 not
+        likelihoods = _unit_sums(likelihood.copy(), tied)
+        fit = _fit(likelihoods, _unit_sums(ratios, tied), n_samples)
+    if fit is not None:
+        # the regression's omega_u E_u sum to N (``_fit``)
+        mean_likelihood = 1.0
+    elif likelihood is not None:
         mean_likelihood = float(np.sum(likelihoods)) / n_samples
         likelihood_square_sum = float(np.einsum("i,i->", likelihoods, likelihoods))
     else:
@@ -787,32 +864,48 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     w = np.empty(n_samples)
     for p in map(float, ps):
         # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l], summed over the
-        # units
+        # units into W
         np.multiply(shifted, p, out=w)
-        if ells is not None:
-            w += ells
         np.exp(w, out=w)
+        if likelihood is not None:
+            w *= likelihood
         unit_w = _unit_sums(w, tied)
         # sums only, by numpy rather than a BLAS dot so that their bits do
-        # not depend on BLAS threading: sum w, sum w^2, sum w e^l, max w
+        # not depend on BLAS threading: sum W, sum W^2, max W, and sum W x_u
+        # or sum W E_u
         total = float(np.sum(unit_w))
         square_sum = float(np.einsum("i,i->", unit_w, unit_w))
-        if ells is not None:
-            cross = float(np.einsum("i,i->", unit_w, likelihoods))
-            largest = float(np.max(unit_w))
+        largest = 1.0 if likelihood is None else float(np.max(unit_w))
+        if fit is not None:
+            # the regression estimate sum_u omega_u W_u / N = (sum W - g . c)
+            # / N of E|<X, u>|^p / e^{p top}, with the cross sums
+            # c = sum_u W_u x_u, and its residual sum of squares
+            # sum W^2 - (sum W)^2 / K - b . c, b = G^{-1} c the fitted slopes
+            c0, c1 = np.einsum("ij,j->i", fit.controls, unit_w).tolist()
+            (i00, i01, i11), (g0, g1) = fit.inverse, fit.slopes
+            b0, b1 = i00 * c0 + i01 * c1, i01 * c0 + i11 * c1
+            ratio = (total - (g0 * c0 + g1 * c1)) / n_samples
+            spread = square_sum - total * total / units - (b0 * c0 + b1 * c1)
+            if not spread > _CANCELLATION * square_sum:
+                # a close fit cancels in the sums: take the residuals
+                residuals = unit_w - total / units
+                residuals -= np.einsum("i,ij->j", np.array([b0, b1]), fit.controls)
+                spread = float(np.einsum("i,i->", residuals, residuals))
+            dof = units - 3
         else:
-            # l = 0: sum w e^l = sum w, and max w = e^0
-            cross, largest = total, 1.0
-        # the ratio estimate sum w / sum e^l of E|<X, u>|^p / e^{p top}, and
-        # its delta-method variance: the sample variance of the unit sums of
-        # w - ratio e^l, expanded in the sums, over the squared mean of e^l
-        ratio = total / n_samples / mean_likelihood
-        spread = square_sum - 2.0 * ratio * cross + ratio * ratio * likelihood_square_sum
-        if not spread > _CANCELLATION * square_sum:
-            # a nearly constant w cancels in the sums: take the residuals
-            residuals = unit_w - (likelihoods * ratio if ells is not None else ratio)
-            spread = float(np.einsum("i,i->", residuals, residuals))
-        var = spread / (units - 1)
+            # the ratio estimate sum W / sum E of E|<X, u>|^p / e^{p top},
+            # and its delta-method variance: the sample variance of the
+            # unit sums of W - ratio E, expanded in the sums
+            cross = total if likelihood is None else float(
+                np.einsum("i,i->", unit_w, likelihoods))
+            ratio = total / n_samples / mean_likelihood
+            spread = square_sum - 2.0 * ratio * cross + ratio * ratio * likelihood_square_sum
+            if not spread > _CANCELLATION * square_sum:
+                # a nearly constant w cancels in the sums: take the residuals
+                residuals = unit_w - (likelihoods * ratio if likelihood is not None else ratio)
+                spread = float(np.einsum("i,i->", residuals, residuals))
+            dof = units - 1
+        var = spread / dof
         # units / n_samples is 1.0 for an unweighted plan, whose records so
         # keep the bits of the iid formula
         se = math.sqrt(var / units) * (units / n_samples) / mean_likelihood
@@ -848,8 +941,13 @@ def estimate_pnorm(family: Family, a, p: float | Sequence[float], n_samples: int
     ``p`` is one order, which returns one record, or a sequence of orders,
     which returns one record per order, all reduced from the same draws.  An
     order sequence therefore costs about one scalar call, and its values are
-    nondecreasing in p (the power-mean inequality on one sample).  Entry i of
-    the tuple equals the scalar call at ``p[i]`` with the same seed.
+    nondecreasing in p: each is a weighted power mean of the same draws, with
+    weights that do not depend on p (the power-mean inequality).  For the
+    defensive mixture these are the unit weights of the regression on its
+    control variates where all of them are nonnegative, and the
+    self-normalised ratio's weights e^l where one is not (module docstring).
+    Entry i of the tuple equals the scalar call at ``p[i]`` with the same
+    seed.
     """
     cv, ps = _moment_inputs(family, a, p, 2.0, n_samples)
     records = _pnorm_engine(_projector(family, cv.unit), cv, ps, n_samples, seed, _TAG_PNORM)

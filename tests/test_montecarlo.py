@@ -230,10 +230,11 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 # -- the linear-space reduction ---------------------------------------------------------
 
 def _one_draw(plan, n_samples, seed, tag):
-    """(S, l, tied) of the engine's one draw of the plan; a draw that returns
-    S alone has l = 0 and no tied rows."""
+    """(S, e^l, r_1, tied) of the engine's one draw of the plan; a draw that
+    returns S alone has e^l = r_1 = 1 and no tied rows."""
     out = plan.draw(np.random.default_rng(mc._child_seed(seed, tag)), n_samples)
-    return out if isinstance(out, mc._Weighted) else (out, np.zeros(n_samples), 0)
+    return out if isinstance(out, mc._Weighted) else (
+        out, np.ones(n_samples), np.ones(n_samples), 0)
 
 
 def _unit_index(n_samples, tied):
@@ -247,20 +248,21 @@ def _unit_index(n_samples, tied):
     return index, units
 
 
-def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
-    """(value, stderr, ess, top_share) per order by scipy over the engine's
-    one draw of the plan ``(draw, factor)`` of <X, a / scale>, whose rows
-    carry the log weights l: the weighted logsumexp of p log|S| + l less
+def _scipy_pnorm_records(plan, scale, p, draw):
+    """(value, stderr, ess, top_share) per order of the self-normalised ratio
+    estimate by scipy over ``draw``, a ``_one_draw`` of the plan ``(draw,
+    factor)`` of <X, a / scale>, whose rows carry the weights e^l: the
+    weighted logsumexp of p log|S| + l less
     that of l for the value, ``scipy.stats.sem`` of the unit sums of the
     ratio residuals u - R e^l of the shifted u = e^l |S|^p through the delta
     method for the stderr, both times the plan's c_p, and the unit sums of u
     for the ESS and the top share."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    drawn, ell, tied = _one_draw(plan, n_samples, seed, tag)
-    index, units = _unit_index(n_samples, tied)
+    drawn, likelihood, _, tied = draw
+    index, units = _unit_index(drawn.size, tied)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(drawn * scale))
-    likelihood = np.exp(ell)
+        ell = np.log(likelihood)
     records = []
     for order in map(float, ps):
         value = math.exp((logsumexp(order * log_abs + ell) - logsumexp(ell)) / order)
@@ -277,6 +279,57 @@ def _scipy_pnorm_records(plan, scale, p, n_samples, seed, tag):
                         total ** 2 / float(np.sum(unit_u * unit_u)),
                         float(np.max(unit_u)) / total))
     return records
+
+
+def _regression(scale, order, drawn, likelihood, ratio, tied):
+    """(estimate, residuals, unit sums) of the two-pass least-squares fit of
+    a weighted draw at one order: the unit sums Y of u = e^l |S|^p / max|S|^p
+    regressed on 1 and the unit sums E of e^l and R of r_1 by
+    ``numpy.linalg.lstsq``, whose estimate of E u is (sum Y - b . (sum E - N,
+    sum R - N)) / N for the fitted slopes b."""
+    n_samples = drawn.size
+    index, units = _unit_index(n_samples, tied)
+    log_abs = np.log(np.abs(drawn * scale))
+    u = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
+    unit_u = np.bincount(index, u, units)
+    controls = np.column_stack([np.bincount(index, x, units) for x in (likelihood, ratio)])
+    design = np.column_stack([np.ones(units), controls - controls.mean(axis=0)])
+    coef = np.linalg.lstsq(design, unit_u, rcond=None)[0]
+    estimate = (float(np.sum(unit_u)) - coef[1:] @ (controls.sum(axis=0) - n_samples)) / n_samples
+    return estimate, unit_u - design @ coef, unit_u
+
+
+def _lstsq_pnorm_records(plan, scale, p, draw):
+    """(value, stderr, ess, top_share) per order of the regression estimate
+    over ``draw``, a ``_one_draw`` of the weighted plan of <X, a / scale>
+    (``_regression``): the value max|S| (estimate)^{1/p} times the plan's
+    c_p, the stderr the value times sqrt(K var) / N / (p estimate) with var
+    = sum residual^2 / (K - 3) over the K units, and the unit sums of u for
+    the ESS and the top share."""
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    drawn, _, _, tied = draw
+    n_samples = drawn.size
+    units = n_samples - 2 * tied
+    records = []
+    for order in map(float, ps):
+        estimate, residuals, unit_u = _regression(scale, order, *draw)
+        value = float(np.max(np.abs(drawn * scale))) * estimate ** (1.0 / order)
+        value *= plan.factor(order)
+        se = math.sqrt(float(np.sum(residuals * residuals)) / (units - 3) * units) / n_samples
+        total = float(np.sum(unit_u))
+        records.append((value, value * se / (estimate * order),
+                        total ** 2 / float(np.sum(unit_u * unit_u)),
+                        float(np.max(unit_u)) / total))
+    return records
+
+
+def _reference_records(plan, scale, p, n_samples, seed, tag):
+    """The records of the engine's one draw of the plan of <X, a / scale>:
+    the regression reference for a weighted draw, the scipy reduction for
+    an unweighted one."""
+    draw = _one_draw(plan, n_samples, seed, tag)
+    reference = _lstsq_pnorm_records if isinstance(draw, mc._Weighted) else _scipy_pnorm_records
+    return reference(plan, scale, p, draw)
 
 
 def _assert_matches_scipy(records, expected):
@@ -305,7 +358,7 @@ def test_estimate_pnorm_matches_the_scipy_reduction(spec):
                                (5.5, ODD_SAMPLES, SEED + 32), (32.0, 20_000, SEED + 33),
                                (GRID_ORDERS, 10_005, SEED + 31),
                                (GRID_ORDERS, 10_006, SEED + 31)):
-        expected = _scipy_pnorm_records(plan, 3.0, p, n_samples, seed, mc._TAG_PNORM)
+        expected = _reference_records(plan, 3.0, p, n_samples, seed, mc._TAG_PNORM)
         _assert_matches_scipy(estimate_pnorm(fam, a, p, n_samples, seed), expected)
 
 
@@ -315,10 +368,10 @@ def test_dependent_vs_independent_matches_the_scipy_reduction(q):
     a = (1.0, 0.6, -0.3, 0.1)
     for p in ((3.0, 4.5, 8.0, 32.0), 4.0):
         deps, indeps = dependent_vs_independent(ball, a, p, ODD_SAMPLES, SEED + 34)
-        _assert_matches_scipy(deps, _scipy_pnorm_records(
+        _assert_matches_scipy(deps, _reference_records(
             mc._projector(ball, np.asarray(a)), 1.0, p, ODD_SAMPLES, SEED + 34,
             mc._TAG_NA_DEPENDENT))
-        _assert_matches_scipy(indeps, _scipy_pnorm_records(
+        _assert_matches_scipy(indeps, _reference_records(
             mc._twin_projector(ball, np.asarray(a)), 1.0, p, ODD_SAMPLES, SEED + 34,
             mc._TAG_NA_INDEPENDENT))
 
@@ -328,67 +381,92 @@ def test_dependent_vs_independent_matches_the_scipy_reduction(q):
     ("exp", (1.0, -0.5, 0.25, 0.0, 3.0)),
     # |X_1| = s E^{1/1000} is nearly constant: w - R is a few thousandths of w
     ("product:pow:alpha=1000", (1.0, 0.0, 0.0, 0.0, 0.0)),
-], ids=["unweighted", "weighted", "nearly-constant"])
+    # at the tilts' orders 4 and 32 the cube's controls fit W so closely that
+    # the residual sum of squares cancels in the sums: the engine sums the
+    # residuals there
+    ("cube", (1.0, -0.5, 0.25, 0.0, 3.0)),
+], ids=["unweighted", "weighted", "nearly-constant", "weighted-cancelling"])
 def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
-    # the engine expands sum (w - R e^l)^2 in sums of w; the reference sums
-    # the residuals themselves, exactly rounded
+    # the engine expands the residual sum of squares in sums of w: of the
+    # ratio residuals w - R for an unweighted draw, of the regression on the
+    # controls for a weighted one; the reference sums the residuals
+    # themselves, exactly rounded
     fam = family_from_spec(spec, 5)
     cv = as_coefficients(a)
     orders = np.array(GRID_ORDERS)
     records = estimate_pnorm(fam, a, orders, ODD_SAMPLES, SEED + 35)
-    drawn, ell, tied = _one_draw(mc._projector(fam, cv.unit), ODD_SAMPLES, SEED + 35,
-                                 mc._TAG_PNORM)
-    index, units = _unit_index(ODD_SAMPLES, tied)
+    plan = mc._projector(fam, cv.unit)
+    draw = _one_draw(plan, ODD_SAMPLES, SEED + 35, mc._TAG_PNORM)
+    drawn, _, _, tied = draw
+    units = ODD_SAMPLES - 2 * tied
     log_abs = np.log(np.abs(drawn))
-    likelihood = np.exp(ell)
     for order, rec in zip(orders, records):
-        w = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
-        ratio = math.fsum(w) / math.fsum(likelihood)
-        # the residual sums of the units, which are iid where rows may not be
-        residuals = np.bincount(index, w - ratio * likelihood, units)
-        se = math.sqrt(math.fsum(residuals * residuals) / (units - 1) * units) / ODD_SAMPLES
-        stderr = rec.value * se / float(np.mean(likelihood)) / (ratio * order)
-        assert rec.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+        if isinstance(draw, mc._Weighted):
+            mean, residuals, _ = _regression(1.0, order, *draw)
+            dof = units - 3
+        else:
+            w = np.exp(order * (log_abs - np.max(log_abs)))
+            mean = math.fsum(w) / ODD_SAMPLES
+            residuals = w - mean
+            dof = units - 1
+        se = math.sqrt(math.fsum(residuals * residuals) / dof * units) / ODD_SAMPLES
+        assert rec.stderr == pytest.approx(rec.value * se / (mean * order), rel=1e-12, abs=0.0)
 
 
 # the Gaussian mixture draws one normal z per unit, whose three rows, one
 # per part, are V_j = c_j z^2 in units of sigma^2, with c_j = 1 / (1 - x_j)
 # over the law (x_0 = 0) and the saddles x_j = p_j / (p_j + 1) of the
-# orders 4 and 32; a row of V carries e^l = 1 / sum_k alpha_k
-# sqrt(1 - x_k) e^{x_k V / 2}
+# orders 4 and 32; a row of V carries e^l = 1 / sum_k alpha_k h_k and
+# r_1 = h_1 e^l, with h_k = sqrt(1 - x_k) e^{x_k V / 2}
 _GAUSS_SADDLES = np.array([0.0, 4.0 / 5.0, 32.0 / 33.0])
 
 
 def _gaussian_unit_mean(f, n_samples):
-    """E f(W, E) over the normal z of a unit of the Gaussian mixture of N
+    """E f(W, E, R) over the normal z of a unit of the Gaussian mixture of N
     samples, by quadrature: W(p) is the unit's sum of e^l V^{p/2} over its
-    three rows and E its sum of e^l."""
+    three rows, E its sum of e^l and R its sum of r_1."""
     tied = n_samples // 3
     log_alphas = np.log(np.array([n_samples - 2 * tied, tied, tied]) / n_samples)
 
     def at(z):
         v = z * z / (1.0 - _GAUSS_SADDLES)
-        exponents = (log_alphas + 0.5 * np.log1p(-_GAUSS_SADDLES))[:, None] + np.multiply.outer(
+        log_h = 0.5 * np.log1p(-_GAUSS_SADDLES)[:, None] + np.multiply.outer(
             0.5 * _GAUSS_SADDLES, v)
-        likelihood = np.exp(-logsumexp(exponents, axis=0))
-        return f(lambda p: float(np.sum(likelihood * v ** (p / 2.0))), float(np.sum(likelihood)))
+        log_mixture = logsumexp(log_alphas[:, None] + log_h, axis=0)
+        likelihood = np.exp(-log_mixture)
+        return f(lambda p: float(np.sum(likelihood * v ** (p / 2.0))), float(np.sum(likelihood)),
+                 float(np.sum(np.exp(log_h[1] - log_mixture))))
 
     density = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return 2.0 * quad(lambda z: at(z) * density(z), 0.0, math.inf, epsabs=0.0, epsrel=1e-8,
                       limit=200)[0]
 
 
+def _gaussian_residual_variance(p, n_samples):
+    """The variance of the residual of a unit's W(p) after its linear
+    regression on the unit's (E, R), from the covariances of the three."""
+    features = (lambda w, e, r: w(p), lambda w, e, r: e, lambda w, e, r: r)
+    means = [_gaussian_unit_mean(f, n_samples) for f in features]
+    cov = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            cov[i, j] = cov[j, i] = _gaussian_unit_mean(
+                lambda w, e, r: features[i](w, e, r) * features[j](w, e, r),
+                n_samples) - means[i] * means[j]
+    return cov[0, 0] - cov[0, 1:] @ np.linalg.solve(cov[1:, 1:], cov[1:, 0])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_gaussian_second_moment_stderr_matches_its_known_value(seed):
-    # S = <g, a> has E S^2 = ||a||^2, and the ratio estimate's delta method
-    # over the K = N - 2 (N // 3) units gives the stderr ||a|| sqrt(K
-    # Var(W(2) - E)) / (2N) of ||S||_2 (||a|| / sqrt(2N) for plain draws);
-    # over 200 seeds the estimate of it has 0.33% relative noise at N = 10^5
+    # S = <g, a> has E S^2 = ||a||^2, and the regression estimate over the
+    # K = N - 2 (N // 3) units gives the stderr ||a|| sqrt(K var) / (2N) of
+    # ||S||_2, var the residual variance of W(2) on (E, R): 0.23 of the
+    # ratio estimate's and 0.22 of ||a|| / sqrt(2N) for plain draws; over
+    # 200 seeds the estimate of it has 0.30% relative noise at N = 10^5
     a = np.array([1.0, -0.5, 0.25, 2.0])
     n_samples = 100_000
     units = n_samples - 2 * (n_samples // 3)
-    mean = _gaussian_unit_mean(lambda w, e: w(2.0) - e, n_samples)
-    var = _gaussian_unit_mean(lambda w, e: (w(2.0) - e) ** 2, n_samples) - mean ** 2
+    var = _gaussian_residual_variance(2.0, n_samples)
     rec = estimate_pnorm(GaussianStd(4), a, 2.0, n_samples, SEED + 40 + seed)
     assert rec.stderr == pytest.approx(
         np.linalg.norm(a) * math.sqrt(units * var) / (2 * n_samples), rel=0.03)
@@ -619,13 +697,13 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
             continue
         plan = mc._projector(fam, a)
         out = plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m)
-        # a weighted plan's rows carry their log weights; its moments are the
+        # a weighted plan's rows carry their weights e^l; its moments are the
         # weighted means, whose noise is that of the units' ratio residuals
-        projected, ell, tied = out if isinstance(out, mc._Weighted) else (out, np.zeros(m), 0)
+        projected, likelihood, _, tied = out if isinstance(out, mc._Weighted) else (
+            out, np.ones(m), None, 0)
         index, units = _unit_index(m, tied)
-        likelihood = np.exp(ell)
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
-        assert projected.shape == ell.shape == (m,)
+        assert projected.shape == likelihood.shape == (m,)
         for power in (2, 4):
             # the plan's p-norm times its c_p is that of <X, a>
             x, y = (plan.factor(power) * projected) ** power, full ** power
@@ -787,10 +865,9 @@ def test_mixture_draws_times_the_normal_moments_are_the_laplace_moments(profile)
     # units' residual sums
     n, m = 16, 400_000
     a = coefficient_profile(profile, n)
-    s, ell, tied = mc._projector(product_exponential(n), a).draw(
+    s, likelihood, _, tied = mc._projector(product_exponential(n), a).draw(
         np.random.default_rng(SEED + 63), m)
     index, units = _unit_index(m, tied)
-    likelihood = np.exp(ell)
     for k in (1, 2, 4, 8, 16):
         x = s ** (2 * k)
         mean = float(np.sum(likelihood * x) / np.sum(likelihood))
@@ -859,12 +936,109 @@ def test_mixture_likelihood_ratios_have_mean_one(spec, n, profile):
     # the noise of its unit sums, and e^l <= 1 / alpha_0 = N / (N - 2 (N // 3))
     plan = mc._projector(family_from_spec(spec, n), coefficient_profile(profile, n))
     n_draws = 1_000_000
-    _, ell, tied = plan.draw(np.random.default_rng(SEED + 60), n_draws)
+    _, likelihood, _, tied = plan.draw(np.random.default_rng(SEED + 60), n_draws)
     index, units = _unit_index(n_draws, tied)
-    likelihood = np.exp(ell)
     stderr = float(np.std(np.bincount(index, likelihood, units))) * math.sqrt(units) / n_draws
     assert abs(float(np.mean(likelihood)) - 1.0) <= 4.0 * stderr
-    assert float(np.max(ell)) <= math.log(n_draws / (n_draws - 2 * tied)) + 1e-12
+    assert float(np.max(likelihood)) <= n_draws / (n_draws - 2 * tied) * (1.0 + 1e-12)
+
+
+def _tilt_log_ratios(fam, u, s):
+    """log h_j(s) of the two tilts of the mixture of <X, u> at the saddles the
+    plan takes, for the plan's draws s: log cosh(theta_j s) - log M(theta_j)
+    for the cube, eta_j V - log M(theta_j) with V = s^2 for the laws of the
+    variance mixture, M and eta from the tilts' own definitions."""
+    orders = np.array(mc._MIXTURE_ORDERS)
+    if isinstance(fam, UniformCube):
+        c = math.sqrt(3.0) * np.abs(u[u != 0.0])
+        theta = mc._cube_saddles(c, orders)
+        b = np.multiply.outer(theta, c)
+        log_mgf = np.sum(np.log(np.sinh(b) / b), axis=1)
+        x = np.multiply.outer(theta, s)
+        return np.logaddexp(x, -x) - math.log(2.0) - log_mgf[:, None]
+    if isinstance(fam, ProductFamily):
+        scales, shapes = np.unique(np.abs(u) / fam.rates, return_counts=True)
+    else:
+        # the Gaussian, and the ball at q = 2 through the BGMN identity
+        sigma = float(np.linalg.norm(u)) / (math.sqrt(2.0) if isinstance(fam, UniformBall) else 1.0)
+        scales, shapes = np.array([sigma]), np.array([0.5])
+    scales, shapes = scales[scales > 0.0], shapes[scales > 0.0].astype(float)
+    top = float(scales[-1])
+    r2 = (scales / top) ** 2
+    x = mc._saddles(r2, shapes, orders)
+    log_mgf = -(np.log1p(-np.multiply.outer(x, r2)) @ shapes)
+    return np.multiply.outer(x / (2.0 * top * top), s * s) - log_mgf[:, None]
+
+
+@pytest.mark.parametrize("spec,a", [
+    ("exp", (1.0, -0.5, 0.5, 0.25, 0.8)),
+    ("exp", (0.0, 1.0, 0.0, 0.0, 0.0)),
+    ("gauss", (1.0, -0.5, 0.5, 0.25, 0.8)),
+    ("ball:q=2", (1.0, -0.5, 0.5, 0.25, 0.8)),
+    ("cube", (1.0, -0.5, 0.5, 0.25, 0.8)),
+], ids=["exp", "exp-e2", "gauss", "ball:q=2", "cube"])
+def test_mixture_part_ratios_partition_one(spec, a):
+    # the balance-heuristic shares of the three parts, alpha_0 e^l,
+    # alpha_1 r_1 and alpha_2 r_2 with r_j = h_j e^l, add up to 1 on every
+    # row; r_2 and the mixture density come from the tilts' own h_j, in log
+    # space; e^l and r_1 are ratios of densities to the mixture, so their
+    # means have expectation 1
+    fam = family_from_spec(spec, len(a))
+    u = np.array(a) / np.max(np.abs(a))
+    m = 300_000
+    s, likelihood, ratio, tied = mc._projector(fam, u).draw(np.random.default_rng(SEED + 65), m)
+    units = m - 2 * tied
+    log_alphas = np.log(np.array([units, tied, tied]) / m)
+    log_h = _tilt_log_ratios(fam, u, s)
+    log_mixture = logsumexp(np.vstack([np.zeros(m), log_h]) + log_alphas[:, None], axis=0)
+    shares = (math.exp(log_alphas[0]) * likelihood + math.exp(log_alphas[1]) * ratio
+              + np.exp(log_alphas[2] + log_h[1] - log_mixture))
+    assert float(np.max(np.abs(shares - 1.0))) <= 1e-12
+    index, _ = _unit_index(m, tied)
+    for x in (likelihood, ratio):
+        stderr = float(np.std(np.bincount(index, x, units))) * math.sqrt(units) / m
+        assert abs(float(np.mean(x)) - 1.0) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("spec", ["exp", "ball:q=1", "ball:q=2", "gauss", "cube"])
+def test_control_variates_shrink_the_error_bar(spec):
+    # over the grid's cells at seeds 0-3, the regression's stderr is in the
+    # median at most 0.6 of the self-normalised ratio estimate's on the same
+    # draw
+    shrink = []
+    for n in (4, 16, 64):
+        fam = family_from_spec(spec, n)
+        for profile in GRID_PROFILES:
+            cv = as_coefficients(coefficient_profile(profile, n))
+            plan = mc._projector(fam, cv.unit)
+            for seed in range(4):
+                records = estimate_pnorm(fam, cv.array, GRID_ORDERS, 20_000, seed)
+                ratio = _scipy_pnorm_records(plan, cv.scale, GRID_ORDERS, _one_draw(
+                    plan, 20_000, seed, mc._TAG_PNORM))
+                shrink += [rec.stderr / ref[1] for rec, ref in zip(records, ratio)]
+    assert float(np.median(shrink)) <= 0.6, float(np.median(shrink))
+
+
+def test_a_negative_unit_weight_keeps_the_ratio_estimate():
+    # r_1 + 1 has mean 2, not 1: the regression on it puts many unit
+    # weights below 0, and the engine keeps the self-normalised ratio
+    # estimate at every order, a weighted power mean, nondecreasing in p
+    cv = as_coefficients((1.0, -0.5, 0.25, 2.0))
+    plan = mc._projector(GaussianStd(4), cv.unit)
+
+    def biased(rng, n):
+        s, likelihood, ratio, tied = plan.draw(rng, n)
+        return mc._Weighted(s, likelihood, ratio + 1.0, tied)
+
+    biased_plan = plan._replace(draw=biased)
+    draw = _one_draw(biased_plan, ODD_SAMPLES, SEED + 66, mc._TAG_PNORM)
+    assert mc._fit(*(mc._unit_sums(x.copy(), draw.tied) for x in (draw.likelihood, draw.ratio)),
+                   ODD_SAMPLES) is None
+    records = mc._pnorm_engine(biased_plan, cv, np.array(GRID_ORDERS), ODD_SAMPLES, SEED + 66,
+                               mc._TAG_PNORM)
+    _assert_matches_scipy(records, _scipy_pnorm_records(biased_plan, cv.scale, GRID_ORDERS, draw))
+    values = [rec.value for rec in records]
+    assert values == sorted(values)
 
 
 class _FarDraws:
@@ -890,9 +1064,10 @@ class _FarDraws:
     # distinct weights draw their exponentials by inversion, which gives at
     # most 53 log 2: V stays moderate, and l is about -31 for e_1 and -94
     # for five weights there; tied weights draw Gamma variates, which can be
-    # far
+    # far, where l is below -1e5 and every weight e^l underflows to 0
+    # (limit None)
     ("exp", (1.0,), 1.0 - 2.0 ** -53, -20.0),
-    ("exp", (1.0, 1.0, 0.5, 0.5, 0.5), 1.0 - 2.0 ** -53, -1e5),
+    ("exp", (1.0, 1.0, 0.5, 0.5, 0.5), 1.0 - 2.0 ** -53, None),
     ("exp", tuple(np.linspace(1.0, 0.5, 5)), 1.0 - 2.0 ** -53, -50.0),
     # uniforms at either end put every row of the cube at a corner, the
     # largest |S| = sqrt(3) sum |u_i|, where l is about -11.5
@@ -900,10 +1075,16 @@ class _FarDraws:
     ("cube", tuple(np.linspace(1.0, 0.5, 5)), 0.0, -10.0),
 ], ids=["1", "5", "5-inversion", "cube-1", "cube-0"])
 def test_mixture_log_weights_do_not_overflow(spec, a, uniform, limit):
-    s, ell, _ = mc._projector(family_from_spec(spec, len(a)), np.array(a)).draw(
+    s, likelihood, ratio, _ = mc._projector(family_from_spec(spec, len(a)), np.array(a)).draw(
         _FarDraws(uniform), 600)
-    assert np.all(np.isfinite(s)) and np.all(np.isfinite(ell))
-    assert float(np.max(ell)) < limit
+    assert all(np.all(np.isfinite(x)) for x in (s, likelihood, ratio))
+    # the weights e^l come in linear space: every l is finite where it is
+    # above -745, and below it e^l underflows to 0
+    if limit is None:
+        assert np.all(likelihood == 0.0)
+    else:
+        assert np.all(likelihood > 0.0)
+        assert math.log(float(np.max(likelihood))) < limit
 
 
 def test_cube_mixture_takes_a_subnormal_coefficient():
@@ -924,8 +1105,8 @@ def test_cube_mixture_takes_a_subnormal_coefficient():
 def test_gaussian_ess_tends_to_its_known_share(p, sigma):
     n_samples = 100_000
     units = n_samples - 2 * (n_samples // 3)
-    limit = units / n_samples * _gaussian_unit_mean(lambda w, e: w(p), n_samples) ** 2 / (
-        _gaussian_unit_mean(lambda w, e: w(p) ** 2, n_samples))
+    limit = units / n_samples * _gaussian_unit_mean(lambda w, e, r: w(p), n_samples) ** 2 / (
+        _gaussian_unit_mean(lambda w, e, r: w(p) ** 2, n_samples))
     ratios = []
     for seed in range(8):
         rec = estimate_pnorm(GaussianStd(3), (1.0, -0.5, 0.25), p, n_samples, seed)

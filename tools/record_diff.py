@@ -7,13 +7,16 @@ Runs one fixed call matrix in each tree, each in its own interpreter with
 field as hex floats.  The matrix is
 
 * ``estimate_pnorm`` over ``exp``, ``ball:q=1``, ``ball:q=2``, ``gauss``,
-  ``cube``, ``ball:q=3`` and ``product:pow:alpha=2``, at n in {4, 16, 64},
-  the four grid profiles and N in {10 007, 20 000}, every call over the
-  grid's nine orders;
+  ``cube``, ``ball:q=1.5``, ``ball:q=3``, ``product:pow:alpha=2`` and the
+  mixed product ``product:exp,pow:alpha=2`` (linear and power tails
+  alternating over the coordinates), at n in {4, 16, 64}, the four grid
+  profiles and a two-level tied vector (the first n/2 coefficients 1, the
+  others 1/2), and N in {10 007, 20 000}, every call over the grid's nine
+  orders;
 * ``estimate_fourth_moment`` of coordinate 0 of the same families and
   dimensions, at both N;
-* ``dependent_vs_independent`` of the balls at q in {1, 2, 3}, at the same
-  dimensions, profiles and N, over the grid's orders from 3 up.
+* ``dependent_vs_independent`` of the balls at q in {1, 1.5, 2, 3}, at the
+  same dimensions, profiles and N, over the grid's orders from 3 up.
 
 A call is ``identical`` when every field of every record has the same bits
 in both trees, ``last bits`` when every field is within 1e-13 relative, and
@@ -36,10 +39,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-FAMILIES = ("exp", "ball:q=1", "ball:q=2", "gauss", "cube", "ball:q=3",
-            "product:pow:alpha=2")
+FAMILIES = ("exp", "ball:q=1", "ball:q=2", "gauss", "cube", "ball:q=1.5", "ball:q=3",
+            "product:pow:alpha=2", "product:exp,pow:alpha=2")
+BALLS = (1, 1.5, 2, 3)
 DIMENSIONS = (4, 16, 64)
-PROFILES = ("one_hot", "flat", "geometric:rho=0.7", "power:alpha=1")
+PROFILES = ("one_hot", "flat", "geometric:rho=0.7", "power:alpha=1", "two_level")
 SAMPLE_COUNTS = (10_007, 20_000)
 ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 BALL_ORDERS = tuple(p for p in ORDERS if p >= 3.0)
@@ -51,21 +55,42 @@ LAST_BITS = 1e-13
 FIELDS = ("value", "stderr", "ess", "top_share", "n_samples", "seed")
 
 
+def family_spec(label: str, n: int) -> str:
+    """The spec of a matrix family at n: a multi-tail product lists its tails
+    over the n coordinates in turn, any other label is its own spec."""
+    if label.startswith("product:") and "," in label:
+        tails = label[len("product:"):].split(",")
+        return "product:" + ",".join(tails[j % len(tails)] for j in range(n))
+    return label
+
+
+def profile_spec(label: str, n: int) -> str:
+    """The coefficient profile spec of a matrix profile at n: ``two_level``
+    is the explicit vector of n/2 ones, then halves."""
+    if label == "two_level":
+        return "explicit:" + ",".join(["1"] * (n // 2) + ["0.5"] * (n - n // 2))
+    return label
+
+
 def call_matrix() -> list[dict]:
-    """The calls of the matrix, each a dict of its kind and inputs."""
+    """The calls of the matrix, each a dict of its kind, its inputs and the
+    ``label`` of its family in the table."""
     calls = []
     for family in FAMILIES:
         for n in DIMENSIONS:
+            spec = family_spec(family, n)
             for samples in SAMPLE_COUNTS:
-                calls += [{"kind": "pnorm", "family": family, "n": n, "profile": profile,
-                           "samples": samples} for profile in PROFILES]
-                calls.append({"kind": "fourth_moment", "family": family, "n": n,
-                              "samples": samples})
-    for q in (1, 2, 3):
+                calls += [{"kind": "pnorm", "family": spec, "label": family, "n": n,
+                           "profile": profile_spec(profile, n), "samples": samples}
+                          for profile in PROFILES]
+                calls.append({"kind": "fourth_moment", "family": spec, "label": family,
+                              "n": n, "samples": samples})
+    for q in BALLS:
         for n in DIMENSIONS:
             for samples in SAMPLE_COUNTS:
-                calls += [{"kind": "dependent", "family": f"ball:q={q}", "n": n,
-                           "profile": profile, "samples": samples} for profile in PROFILES]
+                calls += [{"kind": "dependent", "family": f"ball:q={q}", "label": f"ball:q={q}",
+                           "n": n, "profile": profile_spec(profile, n), "samples": samples}
+                          for profile in PROFILES]
     return calls
 
 
@@ -136,7 +161,7 @@ def table(results: list[dict]) -> str:
     counts: dict[tuple[str, str], Counter] = {}
     worst: dict[tuple[str, str], float] = {}
     for res in results:
-        key = (res["call"]["kind"], res["call"]["family"])
+        key = (res["call"]["kind"], res["call"]["label"])
         counts.setdefault(key, Counter())[res["class"]] += 1
         if res["class"] == "changed":
             worst[key] = max(worst.get(key, 0.0), res["max_abs_z"])
