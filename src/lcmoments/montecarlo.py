@@ -3,11 +3,16 @@
 Reproducibility contract: every estimator draws all of its samples in order
 from one generator seeded with the child seed (seed, stream tag), the p-norm
 engine in one call of its draw plan, so for a fixed ``_CHUNK_ENTRIES`` and
-BLAS build a record is a pure function of (seed, n_samples).  The budget
-``_CHUNK_ENTRIES`` bounds only the (rows, width) matrices of a draw: every
-plan takes its rows in the same ``_blocks``, each of at most that many
-entries, and does its per-sample work (coefficients, weights) once over
-all N samples.  A block draws its variates kind by kind, so the
+BLAS build a record is a pure function of (seed, n_samples).
+
+Every draw is a (parts, units) array: one column per independent unit, one
+row per part.  An unweighted draw is (1, N), every sample a unit; the
+defensive mixture (below) is (3, K), whose unit is one draw of variates
+giving a row of each of its three parts.  ``_fill`` fills either in order
+over the ``_blocks`` of its units, the only block loop: the budget
+``_CHUNK_ENTRIES`` bounds only a block's (m, width) matrix of variates,
+and each plan does its per-sample work (coefficients, weights) once over
+the whole array.  A block draws its variates kind by kind, so the
 records of balls at q not in {1, 2}, of the independent twin and of products
 of non-linear tails, whose blocks draw two or more kinds, depend on the
 budget beyond the last bit.  The defensive mixtures (below) of two or more
@@ -24,12 +29,10 @@ its order.  ``_child_seed`` is the only seed derivation
 and holds the only seed rule: a seed is an integer (a Python or numpy int,
 never a bool) taken mod 2^64, anything else raises ``InvalidArgumentError``,
 and every record's ``seed`` is that reduction.  Report rows and acceptance
-checks derive their seeds with it too.  A draw falls into independent
-units: every row of an unweighted draw is one, and the defensive mixture
-ties three rows, one of each part, to one draw of variates (below).  So
-every estimate takes the standard error of the sum of its units (the iid
-one of its rows for an unweighted draw; conservative under the mixture's
-fixed shares), from the residuals of its estimator over the units (the
+checks derive their seeds with it too.  Every estimate takes the standard
+error of the sum of its units (the iid one of its samples for an
+unweighted draw; conservative under the mixture's fixed shares), from the
+residuals of its estimator over the units (the
 mixture's regression on its control variates, below), propagated through
 the 1/p power by the delta method, and reports the effective sample size
 (sum W)^2 / sum W^2 and the top share max W / sum W of its weights W
@@ -75,16 +78,20 @@ Owen and Zhou, JASA 2000): the law itself and its exponential tilts
 e^{eta V} / M(theta), eta = theta^2 / 2, at the saddles p / theta =
 Lambda'(theta), Lambda = log M, of the orders 4 and ``MAX_MOMENT_ORDER``.
 For a Laplace law these are the tilts of S integrated over the normal; for
-a Gaussian they widen its variance to sigma^2 (p + 1).  A tilt takes the same variates with
-other coefficients, so one draw of variates gives a row of every part: a
-draw of N rows takes t = N // 3 such units and N - 3t more rows of the law
-alone, the shares alpha_0 = (N - 2t) / N of the law and alpha_j = t / N of
-each tilt.  Each row carries the balance-heuristic weight (Veach and
-Guibas, SIGGRAPH 1995) e^l = 1 / D, the density ratio of the law to the
+a Gaussian they widen its variance to sigma^2 (p + 1).  A tilt takes the
+same variates with other coefficients, so one draw of variates gives a
+unit: one column, with a row of the law and a row of each tilt.  A draw of
+N samples takes K = N - 2t units, t = N // 3: the law has the share
+alpha_0 = K / N and each tilt alpha_j = t / N, so the first K - t units,
+0 to 2, are lone.  Their tilt rows are drawn but set to s = 0 with zero
+weights, so they enter no sum and leave max log|S| alone; the other N
+entries are the real rows.  Each row carries the balance-heuristic weight
+(Veach and Guibas, SIGGRAPH 1995) e^l = 1 / D, the density ratio of the law to the
 whole mixture D = alpha_0 + sum_j alpha_j h_j, h_j = e^{eta_j V} /
 M(theta_j), and the ratio r_1 = h_1 / D of the first tilt to it: e^l <=
 1 / alpha_0, about 3, alpha_0 e^l + alpha_1 r_1 + alpha_2 r_2 = 1 on every
-row, and the means of e^l and of r_1 over the N rows have expectation 1.
+real row, and the means of e^l and of r_1 over the N real rows have
+expectation 1.
 
 The cube's S = sum_i c_i V_i, with c_i = sqrt(3) |u_i| and V_i uniform on
 [-1, 1], draws from the same mixture (``_cube_mixture``): its law, the
@@ -96,9 +103,10 @@ every part.  The engine reads |S| alone and the law is symmetric, so a
 tilt's ratio to the law enters D as cosh(theta S) / M(theta).  Every other
 plan is unweighted, l = 0.
 
-The engine takes L = log|S| in place over the one draw of N samples, and
-reduces each order in one pass over them: w = e^{p (L - max L)} e^l lies
-in [0, e^l], summed in place over the K units into W, and the p-norm is
+The engine takes L = log|S| in place over the one draw, and reduces each
+order in one pass over it: w = e^{p (L - max L)} e^l lies in [0, e^l],
+summed in place down the columns into the K unit sums W (``_unit_sums``),
+and the p-norm is
 c_p max|a_i| e^{max L} R^{1/p} for an estimate R of E w.  An unweighted
 draw (l = 0) takes the sample mean R = sum w / N.  A weighted one takes
 e^l and r_1 as control variates (Owen and Zhou): their unit sums
@@ -118,8 +126,8 @@ residuals W - R E over mean(e^l)^2, (sum W^2 - 2 R sum W E +
 R^2 sum E^2) / (K - 1); both come from sums alone, taken by ``einsum``.
 Where those sums cancel to less than ``_CANCELLATION`` of sum W^2 (a nearly
 constant w, or one the controls fit closely), the engine sums the residuals
-instead.  With l = 0 every row is a unit and this is the plain sample mean
-of |S|^p and its iid standard error.
+instead.  With l = 0 every sample is a unit and this is the plain sample
+mean of |S|^p and its iid standard error.
 """
 
 from __future__ import annotations
@@ -152,9 +160,9 @@ __all__ = [
 MAX_MOMENT_ORDER = 32.0
 MIN_SAMPLES = 10_000
 
-# entries of a (rows, width) matrix that a draw plan draws at once, at most:
-# a plan takes its rows in ``_blocks``, of max(1, _CHUNK_ENTRIES // width)
-# rows each but the last
+# entries of a (units, width) matrix that a draw plan draws at once, at
+# most: ``_fill`` takes a draw's units in ``_blocks``, of
+# max(1, _CHUNK_ENTRIES // width) units each but the last
 _CHUNK_ENTRIES = 2 ** 15
 
 # stream tags keep estimators on disjoint streams of one master seed
@@ -190,11 +198,8 @@ class EstimateRecord:
     ``ess`` is the effective sample size (sum W)^2 / sum W^2 of the weights W
     the estimate averages, summed over its independent units (e^l |S|^p for
     a p-norm, with the weight e^l of its draw, and the hit indicator for a
-    joint tail), and ``top_share`` is max W / sum W, the share of the
-    largest one.  A unit is one sample, except for the defensive mixture of
-    linear tails, Gaussian laws and the cube, whose units are three rows of
-    one variate draw (module docstring), so
-    there ``ess`` is at most N - 2 (N // 3) of the ``n_samples`` = N.  A few
+    joint tail), so at most the number of units (module docstring), and
+    ``top_share`` is max W / sum W, the share of the largest one.  A few
     dominant units show as a small ``ess`` and a large ``top_share``; the
     standard error alone does not show them.
     """
@@ -340,41 +345,34 @@ def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
 
 # -- draw plans -------------------------------------------------------------------
 
-class _Weighted(NamedTuple):
-    """The draw of a weighted plan: the n draws ``s`` of its projection,
-    their weights ``likelihood`` = e^l, the density ratio of the law to an
-    importance-sampling proposal, the ratios ``ratio`` = r_1 of a second
-    density, a tilt of the law, to the proposal, and ``tied`` = t: rows
-    n - 3t + i, n - 2t + i and n - t + i share one draw of variates and form
-    one unit for each i < t, and every other row is a unit of its own."""
+class _Draw(NamedTuple):
+    """One estimate's draw of its projection: ``s``, a (parts, units) array
+    (module docstring), and for a weighted plan the weights ``likelihood`` =
+    e^l, the density ratios of the law to an importance-sampling proposal,
+    and the ratios ``ratio`` = r_1 of a second density, a tilt of the law,
+    to the proposal, both of the shape of ``s``; None for an unweighted
+    plan, whose l = 0."""
 
     s: np.ndarray
-    likelihood: np.ndarray
-    ratio: np.ndarray
-    tied: int
-
-
-# ``draw(rng, n)`` returns all n draws of one estimate's projection as a new
-# (n,) vector S, or the ``_Weighted`` draw of a weighted plan; an unweighted
-# draw has l = 0 and its rows are iid
-Draw = Callable[[np.random.Generator, int], "np.ndarray | _Weighted"]
+    likelihood: np.ndarray | None = None
+    ratio: np.ndarray | None = None
 
 
 class _Plan(NamedTuple):
-    """The draw plan of one projection: ``draw`` (a ``Draw``) and ``factor``,
-    the exact constant c_p by which the p-norm of the draws is multiplied to
-    give that of the projection (1.0 for a plan that draws the projection
-    itself)."""
+    """The draw plan of one projection: ``draw(rng, n)``, which returns the
+    ``_Draw`` of all n samples of one estimate, and ``factor``, the exact
+    constant c_p by which the p-norm of the draws is multiplied to give that
+    of the projection (1.0 for a plan that draws the projection itself)."""
 
-    draw: Draw
+    draw: Callable[[np.random.Generator, int], _Draw]
     factor: Callable[[float], float] = lambda p: 1.0
 
 
 def _blocks(size: int, width: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(lo, hi, work) over the rows [0, size) of a draw whose rows take
+    """(lo, hi, work) over the units [0, size) of a draw whose units take
     ``width`` matrix entries each: every block but the last has
-    max(1, _CHUNK_ENTRIES // width) rows, and ``work`` is one (4, m width)
-    float buffer, m the rows of the largest block, shared by all blocks, so
+    max(1, _CHUNK_ENTRIES // width) units, and ``work`` is one (4, m width)
+    float buffer, m the units of the largest block, shared by all blocks, so
     a block allocates no array of its size."""
     rows = max(1, _CHUNK_ENTRIES // width)
     work = np.empty((4, min(rows, size) * width))
@@ -382,18 +380,19 @@ def _blocks(size: int, width: int) -> Iterator[tuple[int, int, np.ndarray]]:
         yield lo, min(lo + rows, size), work
 
 
-def _fill(rng: np.random.Generator, out: np.ndarray, width: int, block) -> np.ndarray:
-    """``out``, filled in order over its ``_blocks`` by ``block(rng, rows,
-    work)``, which draws the (m, width) matrix of a block into ``work`` and
-    writes one value per row into the view ``rows`` of ``out``."""
-    for lo, hi, work in _blocks(out.size, width):
-        block(rng, out[lo:hi], work)
+def _fill(rng: np.random.Generator, out: np.ndarray, width: int, rows) -> np.ndarray:
+    """``out``, a (parts, units) array, filled in order over the ``_blocks``
+    of its units by ``rows(rng, block, work)``, which draws the (m, width)
+    matrix of a block into ``work`` and writes the parts of its m units into
+    the (parts, m) view ``block`` of ``out``."""
+    for lo, hi, work in _blocks(out.shape[1], width):
+        rows(rng, out[:, lo:hi], work)
     return out
 
 
-def _filled(width: int, block) -> _Plan:
-    """The unweighted plan whose draw fills a new vector by ``_fill``."""
-    return _Plan(lambda rng, size: _fill(rng, np.empty(size), width, block))
+def _filled(width: int, rows) -> _Plan:
+    """The unweighted plan whose draw fills a new (1, n) array by ``_fill``."""
+    return _Plan(lambda rng, size: _Draw(_fill(rng, np.empty((1, size)), width, rows)))
 
 
 # the defensive mixture (``_mixture``): the orders whose saddles its two
@@ -434,21 +433,17 @@ class _Tilts(NamedTuple):
     exponential tilts at the saddles of the two orders of
     ``_MIXTURE_ORDERS``, all drawn from one row of ``width`` variates.
 
-    ``variates(rng, mix)`` fills a block ``mix`` of (m, width) variate rows.
-    ``law(mix, out)`` writes the statistic y of the law's row of each variate
-    row into ``out``; ``parts(mix, out, work)`` writes y of the law's row and
-    of each tilt's row into the three rows of the (3, m) view ``out``, with
-    ``work`` a free (3, >= m width) float buffer.  Tilt j has the density
-    ratio h_j = e^{g_j(y)} / M(theta_j) to the law, 0 <= g_1 <= g_2, and
-    ``log_mgfs`` holds log M(theta_j); ``factors(y)`` returns the arrays
-    e^{-g_2(y)} and e^{g_1(y) - g_2(y)}, both in [0, 1], each computed the
-    law's own way so that nothing overflows.  ``finish(y)`` turns y in place
-    into the draws s of the plan."""
+    ``rows(rng, out, work)`` draws the (m, width) variates of a block into
+    row 0 of the (4, >= m width) buffer ``work`` and writes the statistic y
+    of each unit's three parts into the (3, m) view ``out``, the law's first.
+    Tilt j has the density ratio h_j = e^{g_j(y)} / M(theta_j) to the law,
+    0 <= g_1 <= g_2, and ``log_mgfs`` holds log M(theta_j); ``factors(y)``
+    returns the arrays e^{-g_2(y)} and e^{g_1(y) - g_2(y)}, both in [0, 1],
+    each computed the law's own way so that nothing overflows.
+    ``finish(y)`` turns y in place into the draws s of the plan."""
 
     width: int
-    variates: Callable[[np.random.Generator, np.ndarray], np.ndarray]
-    law: Callable[[np.ndarray, np.ndarray], None]
-    parts: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    rows: Callable[[np.random.Generator, np.ndarray, np.ndarray], None]
     log_mgfs: tuple[float, float]
     factors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     finish: Callable[[np.ndarray], np.ndarray]
@@ -458,40 +453,21 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
     """The weighted plan that draws a law and its two tilts (``_Tilts``) as a
     defensive mixture with fixed shares; the plan's c_p is ``factor``.
 
-    One variate row gives a row of the law and a row of each tilt.  A draw of
-    n rows takes t = n // 3 variate rows for all three parts and n - 3t more
-    for the law alone, laid out as the law's n - 2t rows (the lone ones
-    first), then the t rows of each tilt: the draw is ``_Weighted(s, e^l,
-    r_1, t)``.  Its n - 2t variate rows come in ``_blocks``; the lone rows of
-    a block, the first 0 to 2 rows of the draw, take the law's row only.
-    Each row carries the balance-heuristic weight e^l = 1 / D, the ratio of
-    the law to the mixture density D = alpha_0 + sum_j alpha_j h_j over the
-    shares alpha_0 = (n - 2t) / n and alpha_j = t / n, and the ratio
-    r_j = h_j / D of tilt j to it for j = 1; so alpha_0 e^l + alpha_1 r_1 +
-    alpha_2 r_2 = 1 on every row, e^l <= 1 / alpha_0, and the means of e^l
-    and of r_1 over the n rows have expectation 1.  Both come from the
-    factors e^{-g_2} and e^{g_1 - g_2} of the largest exponent g_2 out, so
-    that no term overflows: D e^{-g_2} >= alpha_2 / M(theta_2).
+    A draw of n samples is the (3, K) ``_Draw`` of K = n - 2t units, t =
+    n // 3, filled by ``_fill``; the first K - t units are lone, their tilt
+    rows set to s = e^l = r_1 = 0 (module docstring).  Each row carries the
+    balance-heuristic weight e^l = 1 / D over the shares alpha_0 = K / n and
+    alpha_j = t / n, and r_1 = h_1 / D, both from the factors e^{-g_2} and
+    e^{g_1 - g_2} of the largest exponent g_2 out, so that no term
+    overflows: D e^{-g_2} >= alpha_2 / M(theta_2).
     """
-    width = tilts.width
     inv_mgfs = [math.exp(-v) for v in tilts.log_mgfs]
 
-    def draw(rng: np.random.Generator, n: int) -> _Weighted:
+    def draw(rng: np.random.Generator, n: int) -> _Draw:
         # n >= 3, so every part has rows
         tied = n // 3
         units = n - 2 * tied
-        lone = units - tied
-        y = np.empty(n)
-        # y of the law's n - 2t rows, the lone ones first, then of the t
-        # rows of each tilt: row j of parts is part j's view of the last t
-        # variate rows
-        parts = y[lone:].reshape(3, tied)
-        for lo, hi, work in _blocks(units, width):
-            mix = work[0, :(hi - lo) * width].reshape(-1, width)
-            tilts.variates(rng, mix)
-            first = min(max(lo, lone), hi)
-            tilts.law(mix[:first - lo], y[lo:first])
-            tilts.parts(mix[first - lo:], parts[:, first - lone:hi - lone], work[1:])
+        y = _fill(rng, np.empty((3, units)), tilts.width, tilts.rows)
         # D e^{-g_2} = alpha_0 e^{-g_2} + alpha_1 e^{g_1 - g_2} / M(theta_1)
         # + alpha_2 / M(theta_2), its reciprocal times e^{-g_2} is e^l and
         # times e^{g_1 - g_2} / M(theta_1) is r_1
@@ -503,7 +479,11 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
         np.reciprocal(scaled, out=scaled)
         likelihood *= scaled
         ratio *= scaled
-        return _Weighted(tilts.finish(y), likelihood, ratio, tied)
+        s = tilts.finish(y)
+        # the lone units' tilt rows are no samples: zero, they enter no sum
+        for x in (s, likelihood, ratio):
+            x[1:, :units - tied] = 0.0
+        return _Draw(s, likelihood, ratio)
 
     return _Plan(draw, factor)
 
@@ -525,9 +505,8 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
     row has one column per scale: exponentials (every shape 1) by inversion,
     Gamma(1/2) (a Gaussian law, V = w^2 Z^2) as Z^2 / 2, at a quarter to a
     third of the cost of numpy's Gamma(1/2), and other shapes by
-    ``standard_gamma``.  The tied rows of a block give V of all three parts
-    in one product with the (3, width) matrix of coefficients, its lone rows
-    the law's row of it.
+    ``standard_gamma``.  A block's units give V of all three parts in one
+    product with the (3, width) matrix of coefficients.
     """
     top = float(scales[-1])
     ratios = scales / top
@@ -552,11 +531,12 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         shape = shapes.squeeze()
         variates = lambda rng, mix: rng.standard_gamma(shape, out=mix)
 
-    def parts(mix: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    def rows(rng: np.random.Generator, out: np.ndarray, work: np.ndarray) -> None:
+        m = out.shape[1]
+        mix = variates(rng, work[0, :m * scales.size].reshape(m, -1))
         # one product into contiguous rows of work: the same bits as a
         # product into out, at half its cost for one column
-        tilted = work.reshape(-1)[:3 * mix.shape[0]].reshape(3, -1)
-        out[...] = np.dot(coefs, mix.T, out=tilted)
+        out[...] = np.dot(coefs, mix.T, out=work[1:].reshape(-1)[:3 * m].reshape(3, m))
 
     def finish(v: np.ndarray) -> np.ndarray:
         s = np.sqrt(v, out=v)
@@ -567,9 +547,8 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         ref, gap = np.multiply(v, -eta_2), np.multiply(v, eta_1 - eta_2)
         return np.exp(ref, out=ref), np.exp(gap, out=gap)
 
-    return _mixture(_Tilts(
-        scales.size, variates, lambda mix, out: np.matmul(mix, coefs[0], out=out), parts,
-        tuple((-(np.log(gaps) @ shapes)).tolist()), factors, finish), factor)
+    return _mixture(_Tilts(scales.size, rows, tuple((-(np.log(gaps) @ shapes)).tolist()),
+                           factors, finish), factor)
 
 
 def _cube_saddles(c: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -623,13 +602,11 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
     growth = np.expm1(2.0 * b)
     steps = [np.full(c.size, 1.0 / theta) for theta in thetas]
 
-    def law(mix: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(mix, scaled, out=out)
-        out -= offset
-
-    def parts(mix: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-        law(mix, out[0])
-        inverted = work[0, :mix.size].reshape(mix.shape)
+    def rows(rng: np.random.Generator, out: np.ndarray, work: np.ndarray) -> None:
+        mix = rng.random(out=work[0, :out.shape[1] * c.size].reshape(-1, c.size))
+        np.matmul(mix, scaled, out=out[0])
+        out[0] -= offset
+        inverted = work[1, :mix.size].reshape(mix.shape)
         for row, rates, step in zip(out[1:], growth, steps):
             np.log1p(np.multiply(mix, rates, out=inverted), out=inverted)
             np.matmul(inverted, step, out=row)
@@ -657,10 +634,8 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
         gap *= shrink
         return ref, gap
 
-    return _mixture(_Tilts(
-        c.size, lambda rng, mix: rng.random(out=mix), law, parts,
-        tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()), factors,
-        lambda s: s), lambda p: 1.0)
+    return _mixture(_Tilts(c.size, rows, tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()),
+                           factors, lambda s: s), lambda p: 1.0)
 
 
 def _laplace_mixture(weights: np.ndarray) -> _Plan:
@@ -714,11 +689,11 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
             return plan._replace(factor=lambda p: plan.factor(p) * (
                 r * math.exp((log_gamma - math.lgamma(n / q + 1.0 + p / q)) / p)))
 
-        def ball(rng: np.random.Generator, rows: np.ndarray, work: np.ndarray) -> None:
-            numerator, denom = _ball_parts(family, rng, rows.size, k, work)
-            np.matmul(numerator, coefs, out=rows)
-            rows *= r
-            rows /= denom
+        def ball(rng: np.random.Generator, out: np.ndarray, work: np.ndarray) -> None:
+            numerator, denom = _ball_parts(family, rng, out.shape[1], k, work)
+            row = np.matmul(numerator, coefs, out=out[0])
+            row *= r
+            row /= denom
 
         return _filled(k, ball)
     if isinstance(family, UniformCube):
@@ -730,8 +705,8 @@ def _projector(family: Family, u: np.ndarray) -> _Plan:
                        for tail, cols in family.tail_columns if mask[cols].any())
         if all(tail.kind == "linear" for tail, _ in groups):
             return _laplace_mixture(np.abs(coefs) / family.rates[live])
-        return _filled(k, lambda rng, rows, _: np.matmul(
-            _sample_tails(groups, k, rng, rows.size), coefs, out=rows))
+        return _filled(k, lambda rng, out, _: np.matmul(
+            _sample_tails(groups, k, rng, out.shape[1]), coefs, out=out[0]))
     raise InvalidArgumentError(f"unknown family {type(family).__name__}")
 
 
@@ -739,8 +714,8 @@ def _twin_projector(ball: UniformBall, u: np.ndarray) -> _Plan:
     """The draw plan of <X*, u> for the independent twin: its live coordinates."""
     live = np.flatnonzero(u)
     coefs, k = u[live], live.size
-    return _filled(k, lambda rng, rows, work: np.matmul(
-        _sample_ball_twin(ball, rng, rows.size, k, work), coefs, out=rows))
+    return _filled(k, lambda rng, out, work: np.matmul(
+        _sample_ball_twin(ball, rng, out.shape[1], k, work), coefs, out=out[0]))
 
 
 # -- the engine -----------------------------------------------------------------
@@ -756,16 +731,12 @@ def _validate_sample_count(n_samples: int) -> int:
     return int(n_samples)
 
 
-def _unit_sums(x: np.ndarray, tied: int) -> np.ndarray:
-    """The sums of ``x`` over the independent units of a draw whose last
-    3 tied rows are tied in threes (``_Weighted``): the three rows of a unit,
-    one column of the (3, tied) view of those rows, are added in place into
-    the first of them, and the view of the first n - 2 tied entries, one per
-    unit, is returned."""
-    parts = x[x.size - 3 * tied:].reshape(3, tied)
-    parts[0] += parts[1]
-    parts[0] += parts[2]
-    return x[:x.size - 2 * tied]
+def _unit_sums(x: np.ndarray) -> np.ndarray:
+    """The sums of the (parts, units) array ``x`` over its units: rows 1..
+    are added in place into row 0, which is returned."""
+    for row in x[1:]:
+        x[0] += row
+    return x[0]
 
 
 # the variance from sums loses about log10(sum W^2 / spread) digits to
@@ -787,13 +758,13 @@ class _Fit(NamedTuple):
 
 
 def _fit(likelihoods: np.ndarray, ratios: np.ndarray, n: int) -> _Fit | None:
-    """The ``_Fit`` of the unit sums E_u and R_u of a weighted draw of n rows
-    (``_unit_sums`` of its e^l and r_1, ``_Weighted``), or None where G is
+    """The ``_Fit`` of the unit sums E_u and R_u of a weighted draw of n
+    samples (``_unit_sums`` of its e^l and r_1, ``_Draw``), or None where G is
     not positive definite or a unit weight omega_u = 1 - g . x_u is
     negative.
 
     The totals of E_u and of R_u over the units are those of e^l and r_1
-    over the N rows, of expectation N.  sum_u omega_u = K and
+    over the N real rows, of expectation N.  sum_u omega_u = K and
     sum_u omega_u x_u = 0, so sum_u omega_u E_u = sum E - x_E^T G g = N."""
     controls = np.stack((likelihoods, ratios))
     sums = np.sum(controls, axis=1)
@@ -816,8 +787,8 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
 
     ``plan`` is the draw plan of <X, u> for the nonzero vector's
     u = a / max|a_i| (``cv.unit``), built once per estimate by the caller.
-    A weighted plan's rows carry their weights e^l, the ratios r_1 and their
-    units (``_Weighted``), and its records are the regression estimates on
+    A weighted plan's draw carries its weights e^l and the ratios r_1
+    (``_Draw``), and its records are the regression estimates on
     the control variates e^l and r_1 (``_fit``) with the error bar of the
     regression residuals, or, where a unit weight of that regression is
     negative, the self-normalised ratio estimates with their delta-method
@@ -831,9 +802,8 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     (``_moment_inputs``); the laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
-    out = plan.draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
-    s, likelihood, ratios, tied = out if isinstance(out, _Weighted) else (out, None, None, 0)
-    units = n_samples - 2 * tied
+    s, likelihood, ratios = plan.draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
+    units = s.shape[1]
     # in place, as the engine owns the draws; a non-finite projection is
     # caught through the max below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -848,10 +818,10 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     # records are the plain sample mean and its standard error
     fit = None
     if likelihood is not None:
-        # e^l and r_1 summed over the units, in their first ``units``
-        # entries; the loop below still takes e^l row by row, r_1 not
-        likelihoods = _unit_sums(likelihood.copy(), tied)
-        fit = _fit(likelihoods, _unit_sums(ratios, tied), n_samples)
+        # e^l and r_1 summed over the units; the loop below still takes e^l
+        # entry by entry, r_1 not
+        likelihoods = _unit_sums(likelihood.copy())
+        fit = _fit(likelihoods, _unit_sums(ratios), n_samples)
     if fit is not None:
         # the regression's omega_u E_u sum to N (``_fit``)
         mean_likelihood = 1.0
@@ -861,7 +831,7 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     else:
         mean_likelihood, likelihood_square_sum = 1.0, float(n_samples)
     records = []
-    w = np.empty(n_samples)
+    w = np.empty(s.shape)
     for p in map(float, ps):
         # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l], summed over the
         # units into W
@@ -869,7 +839,7 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
         np.exp(w, out=w)
         if likelihood is not None:
             w *= likelihood
-        unit_w = _unit_sums(w, tied)
+        unit_w = _unit_sums(w)
         # sums only, by numpy rather than a BLAS dot so that their bits do
         # not depend on BLAS threading: sum W, sum W^2, max W, and sum W x_u
         # or sum W E_u
@@ -992,9 +962,9 @@ def estimate_joint_tail(family: Family, thresholds, n_samples: int,
             f"joint tails are supported up to dimension {_JOINT_MAX_DIM}, got {family.n}")
     _validate_sample_count(n_samples)
     # one hit indicator per vector, from blocks of whole vectors
-    hit = _fill(np.random.default_rng(_child_seed(seed, _TAG_JOINT)), np.empty(n_samples, bool),
-                family.n, lambda rng, rows, _: np.all(
-                    np.abs(sample(family, rng, rows.size)) >= t, axis=1, out=rows))
+    hit = _fill(np.random.default_rng(_child_seed(seed, _TAG_JOINT)),
+                np.empty((1, n_samples), bool), family.n, lambda rng, out, _: np.all(
+                    np.abs(sample(family, rng, out.shape[1])) >= t, axis=1, out=out[0]))
     hits = int(np.count_nonzero(hit))
     value = hits / n_samples
     if value < _JOINT_MIN_PROB:

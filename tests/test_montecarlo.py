@@ -230,11 +230,22 @@ def test_estimate_pnorm_order_vector_validated_before_sampling(monkeypatch, orde
 # -- the linear-space reduction ---------------------------------------------------------
 
 def _one_draw(plan, n_samples, seed, tag):
-    """(S, e^l, r_1, tied) of the engine's one draw of the plan; a draw that
-    returns S alone has e^l = r_1 = 1 and no tied rows."""
-    out = plan.draw(np.random.default_rng(mc._child_seed(seed, tag)), n_samples)
-    return out if isinstance(out, mc._Weighted) else (
-        out, np.ones(n_samples), np.ones(n_samples), 0)
+    """The engine's one draw of the plan."""
+    return plan.draw(np.random.default_rng(mc._child_seed(seed, tag)), n_samples)
+
+
+def _real_rows(draw, n_samples):
+    """(S, e^l, r_1, tied) over the N real rows of a draw of N samples, laid
+    out flat: the law's row of each of the K = N - 2 tied units, tied = N // 3,
+    the K - tied lone units first, then the tied rows of each tilt, so that
+    ``_unit_index`` gives each row's unit.  An unweighted draw has
+    e^l = r_1 = 1 and no tied rows."""
+    if draw.likelihood is None:
+        return draw.s[0], np.ones(n_samples), np.ones(n_samples), 0
+    tied = n_samples // 3
+    lone = n_samples - 3 * tied
+    return (*(np.concatenate([x[0], x[1, lone:], x[2, lone:]])
+              for x in (draw.s, draw.likelihood, draw.ratio)), tied)
 
 
 def _unit_index(n_samples, tied):
@@ -250,9 +261,9 @@ def _unit_index(n_samples, tied):
 
 def _scipy_pnorm_records(plan, scale, p, draw):
     """(value, stderr, ess, top_share) per order of the self-normalised ratio
-    estimate by scipy over ``draw``, a ``_one_draw`` of the plan ``(draw,
-    factor)`` of <X, a / scale>, whose rows carry the weights e^l: the
-    weighted logsumexp of p log|S| + l less
+    estimate by scipy over ``draw``, the ``_real_rows`` of a draw of the
+    plan ``(draw, factor)`` of <X, a / scale>, whose rows carry the weights
+    e^l: the weighted logsumexp of p log|S| + l less
     that of l for the value, ``scipy.stats.sem`` of the unit sums of the
     ratio residuals u - R e^l of the shifted u = e^l |S|^p through the delta
     method for the stderr, both times the plan's c_p, and the unit sums of u
@@ -301,9 +312,10 @@ def _regression(scale, order, drawn, likelihood, ratio, tied):
 
 def _lstsq_pnorm_records(plan, scale, p, draw):
     """(value, stderr, ess, top_share) per order of the regression estimate
-    over ``draw``, a ``_one_draw`` of the weighted plan of <X, a / scale>
-    (``_regression``): the value max|S| (estimate)^{1/p} times the plan's
-    c_p, the stderr the value times sqrt(K var) / N / (p estimate) with var
+    over ``draw``, the ``_real_rows`` of a draw of the weighted plan of
+    <X, a / scale> (``_regression``): the value max|S| (estimate)^{1/p}
+    times the plan's c_p, the stderr the value times sqrt(K var) / N /
+    (p estimate) with var
     = sum residual^2 / (K - 3) over the K units, and the unit sums of u for
     the ESS and the top share."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
@@ -328,8 +340,8 @@ def _reference_records(plan, scale, p, n_samples, seed, tag):
     the regression reference for a weighted draw, the scipy reduction for
     an unweighted one."""
     draw = _one_draw(plan, n_samples, seed, tag)
-    reference = _lstsq_pnorm_records if isinstance(draw, mc._Weighted) else _scipy_pnorm_records
-    return reference(plan, scale, p, draw)
+    reference = _scipy_pnorm_records if draw.likelihood is None else _lstsq_pnorm_records
+    return reference(plan, scale, p, _real_rows(draw, n_samples))
 
 
 def _assert_matches_scipy(records, expected):
@@ -352,7 +364,7 @@ def test_estimate_pnorm_matches_the_scipy_reduction(spec):
     # the engine's draw plan of <X, a / max|a_i|>
     plan = mc._projector(fam, np.asarray(a) / 3.0)
 
-    # the linear-tail mixture lays out N mod 3 lone rows of the law: 2 at
+    # the mixture has N mod 3 lone units, with a row of the law only: 2 at
     # ODD_SAMPLES and 20 000, 0 at 10 005 and 1 at 10 006
     for p, n_samples, seed in ((GRID_ORDERS, ODD_SAMPLES, SEED + 31),
                                (5.5, ODD_SAMPLES, SEED + 32), (32.0, 20_000, SEED + 33),
@@ -397,11 +409,13 @@ def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
     records = estimate_pnorm(fam, a, orders, ODD_SAMPLES, SEED + 35)
     plan = mc._projector(fam, cv.unit)
     draw = _one_draw(plan, ODD_SAMPLES, SEED + 35, mc._TAG_PNORM)
+    weighted = draw.likelihood is not None
+    draw = _real_rows(draw, ODD_SAMPLES)
     drawn, _, _, tied = draw
     units = ODD_SAMPLES - 2 * tied
     log_abs = np.log(np.abs(drawn))
     for order, rec in zip(orders, records):
-        if isinstance(draw, mc._Weighted):
+        if weighted:
             mean, residuals, _ = _regression(1.0, order, *draw)
             dof = units - 3
         else:
@@ -480,9 +494,9 @@ def test_gauss_and_small_cube_records_do_not_depend_on_the_chunk_budget(monkeypa
     # cube and of the mixture's four distinct weights round a row alike in
     # every call of two or more rows; at n >= 8 a matvec rounds the last
     # m mod 4 rows of a call differently); the budget 5 * 97 gives the cube
-    # blocks of 97 rows, which do not divide its 3 337 units, and the budgets
-    # 4 and 1 blocks of one row, so the mixture's two lone rows span two
-    # blocks
+    # blocks of 97 units, which do not divide its 3 337 units, and the
+    # budgets 4 and 1 blocks of one unit, so the mixture's two lone units
+    # span two blocks
     fam = family_from_spec(spec, 5)
     pooled = spec in ("exp", "ball:q=1")
     for a, width in (((1.0, -0.5, 0.25, 0.0, 3.0), 4), (np.eye(1, 5)[0], 1),
@@ -640,7 +654,7 @@ def _one_entry_plan(value, target, u):
     def draw(rng, n):
         x = rng.standard_normal((n, 3))
         x[target, 0] = value
-        return x @ u
+        return mc._Draw((x @ u)[None])
 
     return mc._Plan(draw)
 
@@ -696,11 +710,10 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         if not np.any(a):
             continue
         plan = mc._projector(fam, a)
-        out = plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m)
         # a weighted plan's rows carry their weights e^l; its moments are the
         # weighted means, whose noise is that of the units' ratio residuals
-        projected, likelihood, _, tied = out if isinstance(out, mc._Weighted) else (
-            out, np.ones(m), None, 0)
+        projected, likelihood, _, tied = _real_rows(
+            plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m), m)
         index, units = _unit_index(m, tied)
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
         assert projected.shape == likelihood.shape == (m,)
@@ -865,8 +878,8 @@ def test_mixture_draws_times_the_normal_moments_are_the_laplace_moments(profile)
     # units' residual sums
     n, m = 16, 400_000
     a = coefficient_profile(profile, n)
-    s, likelihood, _, tied = mc._projector(product_exponential(n), a).draw(
-        np.random.default_rng(SEED + 63), m)
+    s, likelihood, _, tied = _real_rows(mc._projector(product_exponential(n), a).draw(
+        np.random.default_rng(SEED + 63), m), m)
     index, units = _unit_index(m, tied)
     for k in (1, 2, 4, 8, 16):
         x = s ** (2 * k)
@@ -936,7 +949,8 @@ def test_mixture_likelihood_ratios_have_mean_one(spec, n, profile):
     # the noise of its unit sums, and e^l <= 1 / alpha_0 = N / (N - 2 (N // 3))
     plan = mc._projector(family_from_spec(spec, n), coefficient_profile(profile, n))
     n_draws = 1_000_000
-    _, likelihood, _, tied = plan.draw(np.random.default_rng(SEED + 60), n_draws)
+    _, likelihood, _, tied = _real_rows(plan.draw(np.random.default_rng(SEED + 60), n_draws),
+                                        n_draws)
     index, units = _unit_index(n_draws, tied)
     stderr = float(np.std(np.bincount(index, likelihood, units))) * math.sqrt(units) / n_draws
     assert abs(float(np.mean(likelihood)) - 1.0) <= 4.0 * stderr
@@ -947,7 +961,8 @@ def _tilt_log_ratios(fam, u, s):
     """log h_j(s) of the two tilts of the mixture of <X, u> at the saddles the
     plan takes, for the plan's draws s: log cosh(theta_j s) - log M(theta_j)
     for the cube, eta_j V - log M(theta_j) with V = s^2 for the laws of the
-    variance mixture, M and eta from the tilts' own definitions."""
+    variance mixture (the ball at q = 1 through the Laplace sum on |u_i|),
+    M and eta from the tilts' own definitions."""
     orders = np.array(mc._MIXTURE_ORDERS)
     if isinstance(fam, UniformCube):
         c = math.sqrt(3.0) * np.abs(u[u != 0.0])
@@ -956,8 +971,9 @@ def _tilt_log_ratios(fam, u, s):
         log_mgf = np.sum(np.log(np.sinh(b) / b), axis=1)
         x = np.multiply.outer(theta, s)
         return np.logaddexp(x, -x) - math.log(2.0) - log_mgf[:, None]
-    if isinstance(fam, ProductFamily):
-        scales, shapes = np.unique(np.abs(u) / fam.rates, return_counts=True)
+    if isinstance(fam, ProductFamily) or getattr(fam, "q", None) == 1.0:
+        rates = fam.rates if isinstance(fam, ProductFamily) else 1.0
+        scales, shapes = np.unique(np.abs(u) / rates, return_counts=True)
     else:
         # the Gaussian, and the ball at q = 2 through the BGMN identity
         sigma = float(np.linalg.norm(u)) / (math.sqrt(2.0) if isinstance(fam, UniformBall) else 1.0)
@@ -986,7 +1002,8 @@ def test_mixture_part_ratios_partition_one(spec, a):
     fam = family_from_spec(spec, len(a))
     u = np.array(a) / np.max(np.abs(a))
     m = 300_000
-    s, likelihood, ratio, tied = mc._projector(fam, u).draw(np.random.default_rng(SEED + 65), m)
+    s, likelihood, ratio, tied = _real_rows(
+        mc._projector(fam, u).draw(np.random.default_rng(SEED + 65), m), m)
     units = m - 2 * tied
     log_alphas = np.log(np.array([units, tied, tied]) / m)
     log_h = _tilt_log_ratios(fam, u, s)
@@ -998,6 +1015,39 @@ def test_mixture_part_ratios_partition_one(spec, a):
     for x in (likelihood, ratio):
         stderr = float(np.std(np.bincount(index, x, units))) * math.sqrt(units) / m
         assert abs(float(np.mean(x)) - 1.0) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("n_samples", [10_005, 10_006, 10_007])
+def test_every_draw_is_a_parts_by_units_array(n_samples):
+    # the mixture's draw has one column per unit, K = N - 2t of them for
+    # t = N // 3, and one row per part; its first K - t units are lone, with
+    # s = e^l = r_1 = 0 in their tilt rows, so that exactly N entries are
+    # real rows, on each of which the parts' shares add up to 1
+    tied = n_samples // 3
+    units, lone = n_samples - 2 * tied, n_samples - 3 * tied
+    shares = np.array([units, tied, tied]) / n_samples
+    real = np.ones((3, units), bool)
+    real[1:, :lone] = False
+    assert np.count_nonzero(real) == n_samples
+    rng = np.random.default_rng(SEED + 67)
+    distinct = np.array([1.0, -0.5, 0.25, 0.8])
+    for spec, u in (("exp", np.array([1.0, 1.0, 0.5, 0.5])), ("gauss", distinct),
+                    ("ball:q=1", distinct), ("cube", distinct)):
+        fam = family_from_spec(spec, 4)
+        draw = mc._projector(fam, u).draw(rng, n_samples)
+        assert all(x.shape == (3, units) for x in draw)
+        assert all(np.all(x[~real] == 0.0) for x in draw)
+        assert np.all(draw.s[real] != 0.0)
+        r_2 = np.exp(_tilt_log_ratios(fam, u, draw.s[real])[1] + np.log(draw.likelihood[real]))
+        total = shares[0] * draw.likelihood[real] + shares[1] * draw.ratio[real]
+        total += shares[2] * r_2
+        assert float(np.max(np.abs(total - 1.0))) <= 1e-12
+    # an unweighted draw is one row of N units
+    ball = UniformBall.isotropic(4, 3.0)
+    for plan in (mc._projector(ball, distinct), mc._twin_projector(ball, distinct)):
+        draw = plan.draw(rng, n_samples)
+        assert draw.s.shape == (1, n_samples)
+        assert draw.likelihood is None and draw.ratio is None
 
 
 @pytest.mark.parametrize("spec", ["exp", "ball:q=1", "ball:q=2", "gauss", "cube"])
@@ -1013,8 +1063,8 @@ def test_control_variates_shrink_the_error_bar(spec):
             plan = mc._projector(fam, cv.unit)
             for seed in range(4):
                 records = estimate_pnorm(fam, cv.array, GRID_ORDERS, 20_000, seed)
-                ratio = _scipy_pnorm_records(plan, cv.scale, GRID_ORDERS, _one_draw(
-                    plan, 20_000, seed, mc._TAG_PNORM))
+                ratio = _scipy_pnorm_records(plan, cv.scale, GRID_ORDERS, _real_rows(
+                    _one_draw(plan, 20_000, seed, mc._TAG_PNORM), 20_000))
                 shrink += [rec.stderr / ref[1] for rec, ref in zip(records, ratio)]
     assert float(np.median(shrink)) <= 0.6, float(np.median(shrink))
 
@@ -1027,16 +1077,20 @@ def test_a_negative_unit_weight_keeps_the_ratio_estimate():
     plan = mc._projector(GaussianStd(4), cv.unit)
 
     def biased(rng, n):
-        s, likelihood, ratio, tied = plan.draw(rng, n)
-        return mc._Weighted(s, likelihood, ratio + 1.0, tied)
+        s, likelihood, ratio = plan.draw(rng, n)
+        # r_1 + 1 on the real rows; the lone units' tilt rows stay 0
+        ratio += 1.0
+        ratio[1:, :s.shape[1] - n // 3] = 0.0
+        return mc._Draw(s, likelihood, ratio)
 
     biased_plan = plan._replace(draw=biased)
     draw = _one_draw(biased_plan, ODD_SAMPLES, SEED + 66, mc._TAG_PNORM)
-    assert mc._fit(*(mc._unit_sums(x.copy(), draw.tied) for x in (draw.likelihood, draw.ratio)),
+    assert mc._fit(*(mc._unit_sums(x.copy()) for x in (draw.likelihood, draw.ratio)),
                    ODD_SAMPLES) is None
     records = mc._pnorm_engine(biased_plan, cv, np.array(GRID_ORDERS), ODD_SAMPLES, SEED + 66,
                                mc._TAG_PNORM)
-    _assert_matches_scipy(records, _scipy_pnorm_records(biased_plan, cv.scale, GRID_ORDERS, draw))
+    _assert_matches_scipy(records, _scipy_pnorm_records(biased_plan, cv.scale, GRID_ORDERS,
+                                                        _real_rows(draw, ODD_SAMPLES)))
     values = [rec.value for rec in records]
     assert values == sorted(values)
 
@@ -1075,16 +1129,23 @@ class _FarDraws:
     ("cube", tuple(np.linspace(1.0, 0.5, 5)), 0.0, -10.0),
 ], ids=["1", "5", "5-inversion", "cube-1", "cube-0"])
 def test_mixture_log_weights_do_not_overflow(spec, a, uniform, limit):
-    s, likelihood, ratio, _ = mc._projector(family_from_spec(spec, len(a)), np.array(a)).draw(
-        _FarDraws(uniform), 600)
-    assert all(np.all(np.isfinite(x)) for x in (s, likelihood, ratio))
-    # the weights e^l come in linear space: every l is finite where it is
-    # above -745, and below it e^l underflows to 0
-    if limit is None:
-        assert np.all(likelihood == 0.0)
-    else:
-        assert np.all(likelihood > 0.0)
-        assert math.log(float(np.max(likelihood))) < limit
+    plan = mc._projector(family_from_spec(spec, len(a)), np.array(a))
+    # 600 samples leave no lone unit, 602 two
+    for n_samples in (600, 602):
+        draw = plan.draw(_FarDraws(uniform), n_samples)
+        assert all(np.all(np.isfinite(x)) for x in draw)
+        _, likelihood, _, _ = _real_rows(draw, n_samples)
+        # the weights e^l come in linear space: every l is finite where it
+        # is above -745, and below it e^l underflows to 0
+        if limit is None:
+            assert np.all(likelihood == 0.0)
+        else:
+            assert np.all(likelihood > 0.0)
+            assert math.log(float(np.max(likelihood))) < limit
+            # the only zeros of the draw are the lone units' tilt entries
+            lone = np.zeros(draw.s.shape, bool)
+            lone[1:, :draw.s.shape[1] - n_samples // 3] = True
+            assert all(np.array_equal(x == 0.0, lone) for x in draw)
 
 
 def test_cube_mixture_takes_a_subnormal_coefficient():

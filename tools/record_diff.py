@@ -11,10 +11,11 @@ field as hex floats.  The matrix is
   mixed product ``product:exp,pow:alpha=2`` (linear and power tails
   alternating over the coordinates), at n in {4, 16, 64}, the four grid
   profiles and a two-level tied vector (the first n/2 coefficients 1, the
-  others 1/2), and N in {10 007, 20 000}, every call over the grid's nine
-  orders;
+  others 1/2), and N in {10 005, 10 006, 10 007, 20 000}, which leave 0, 1,
+  2 and 2 lone units in the defensive mixture, every call over the grid's
+  nine orders;
 * ``estimate_fourth_moment`` of coordinate 0 of the same families and
-  dimensions, at both N;
+  dimensions, at every N;
 * ``dependent_vs_independent`` of the balls at q in {1, 1.5, 2, 3}, at the
   same dimensions, profiles and N, over the grid's orders from 3 up.
 
@@ -44,7 +45,7 @@ FAMILIES = ("exp", "ball:q=1", "ball:q=2", "gauss", "cube", "ball:q=1.5", "ball:
 BALLS = (1, 1.5, 2, 3)
 DIMENSIONS = (4, 16, 64)
 PROFILES = ("one_hot", "flat", "geometric:rho=0.7", "power:alpha=1", "two_level")
-SAMPLE_COUNTS = (10_007, 20_000)
+SAMPLE_COUNTS = (10_005, 10_006, 10_007, 20_000)
 ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 BALL_ORDERS = tuple(p for p in ORDERS if p >= 3.0)
 SEED = 11
