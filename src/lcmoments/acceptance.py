@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import beta
 
 from .errors import InvalidArgumentError
 from .families import (
     UniformBall,
+    _marginal_beta,
     family_from_spec,
     level_set_support,
     product_exponential,
@@ -43,7 +45,7 @@ from .montecarlo import (
     estimate_pnorm,
     rademacher_pnorm_exact,
 )
-from .surrogates import gaussian_pnorm, gluskin_kwapien
+from .surrogates import gaussian_band, gaussian_pnorm, gluskin_kwapien
 from .tails import TailFunction, exponential, power, tabulated
 
 __all__ = [
@@ -90,9 +92,9 @@ def _finish(name: str, passed: bool, detail: dict, start: float) -> CheckResult:
 # -- 1. Gaussian moment constants against adaptive quadrature -----------------
 
 def check_gaussian_moment_quadrature(seed: int) -> CheckResult:
-    # scipy.integrate is imported where it is used, here and in the two disk
-    # integrals: it loads scipy.optimize, linalg, sparse and spatial (about
-    # 25 MB), which no other check needs
+    # scipy.integrate is imported here, where it is used: it loads
+    # scipy.optimize, linalg, sparse and spatial (about 25 MB), which no
+    # other check needs
     from scipy.integrate import quad
 
     start = time.perf_counter()
@@ -363,14 +365,11 @@ def check_ball_lower_band(seed: int) -> CheckResult:
             for _ in range(9):
                 a = rng.standard_normal(n)
                 ball = UniformBall.isotropic(n, q)
-                l2 = float(np.sqrt(np.sum(a * a)))
-                quartic = float(np.sqrt(np.sum(a ** 4))) / l2
                 records = estimate_pnorm(ball, a, orders, 200_000,
                                          _child_seed(seed, _STREAM_LOWER_BAND, k))
                 k += 1
-                for p, rec in zip(orders, records):
-                    lower = gaussian_pnorm(p) * l2 - math.sqrt(3.0) * p * quartic
-                    slack = rec.value - (lower - 3.0 * rec.stderr)
+                for p, rec, band in zip(orders, records, gaussian_band(a, orders)):
+                    slack = rec.value - (band.lower - 3.0 * rec.stderr)
                     worst_slack = min(worst_slack, slack)
                     min_ess = min(min_ess, rec.ess)
                     cells += 1
@@ -383,29 +382,18 @@ def check_ball_lower_band(seed: int) -> CheckResult:
 
 # -- 9. dependent ball moments never beat the independent twin ----------------
 
-def _disk_dependent_fourth() -> float:
-    from scipy.integrate import dblquad
+def _disk_fourth_moments() -> tuple[float, float]:
+    """E<X, (1, 1)>^4 on the isotropic disk and on its independent twin.
 
-    r = 2.0
-    value, _ = dblquad(
-        lambda rho, theta: (rho * (math.cos(theta) + math.sin(theta))) ** 4
-        * rho / (math.pi * r * r),
-        0.0, 2.0 * math.pi, 0.0, r, epsabs=1e-10, epsrel=1e-10)
-    return value
-
-
-def _disk_independent_fourth() -> float:
-    from scipy.integrate import dblquad
-
-    r = 2.0
-
-    def marginal(x: float) -> float:
-        return 2.0 * math.sqrt(max(r * r - x * x, 0.0)) / (math.pi * r * r)
-
-    value, _ = dblquad(
-        lambda y, x: (x + y) ** 4 * marginal(x) * marginal(y),
-        -r, r, -r, r, epsabs=1e-9, epsrel=1e-9)
-    return value
+    |X_1| / r = B^{1/q} with B ~ Beta(a, b) (``_marginal_beta``), so m_k =
+    E X_1^k = r^k B(a + k/q, b) / B(a, b).  By rotation invariance <X, (1, 1)>
+    has the law of sqrt(2) X_1, which gives 4 m_4; the twin's independent
+    coordinates give 2 m_4 + 6 m_2^2.
+    """
+    disk = UniformBall.isotropic(2, 2.0)
+    a, b = _marginal_beta(disk)
+    m2, m4 = (float(disk.r ** k * beta(a + k / disk.q, b) / beta(a, b)) for k in (2, 4))
+    return 4.0 * m4, 2.0 * m4 + 6.0 * m2 * m2
 
 
 def check_dependent_moment_deficit(seed: int) -> CheckResult:
@@ -425,8 +413,7 @@ def check_dependent_moment_deficit(seed: int) -> CheckResult:
             min_ess = min(min_ess, dep.ess, ind.ess)
             rows.append({"q": q, "p": p, "dependent": dep.value,
                          "independent": ind.value, "stderr": combined, "ok": ok})
-    dep4 = _disk_dependent_fourth()
-    ind4 = _disk_independent_fourth()
+    dep4, ind4 = _disk_fourth_moments()
     oracle_ok = (abs(dep4 - 8.0) <= 1e-6 and abs(ind4 - 10.0) <= 1e-6
                  and dep4 < ind4)
     passed = passed and oracle_ok

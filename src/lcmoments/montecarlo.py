@@ -292,16 +292,13 @@ def _ball_parts(ball: UniformBall, rng: np.random.Generator, m: int, k: int,
         g = rng.standard_normal(out=work[0, :m * k]).reshape(m, k)
         h = rng.standard_gamma((n - k) / 2.0 + 1.0, out=work[3, :m])
         h *= 2.0
-        # a one-term row sum is the term itself: the same bits as einsum's,
-        # without its call overhead
-        h += (np.multiply(g[:, 0], g[:, 0], out=work[1, :m]) if k == 1
-              else np.einsum("ij,ij->i", g, g, out=work[1, :m]))
+        h += np.einsum("ij,ij->i", g, g, out=work[1, :m])
         return g, np.sqrt(h, out=h)
     mags, powers = _gamma_root(q, rng, *(row[:m * k].reshape(m, k) for row in work[:3]))
     h = rng.standard_gamma((n - k) / q + 1.0, out=work[3, :m])
     # at q = 1 mags is powers, so the row sums come before the signs; row 0
     # of work is free once y^q is drawn, and takes the row sums and signs
-    h += powers[:, 0] if k == 1 else np.einsum("ij->i", powers, out=work[0, :m])
+    h += np.einsum("ij->i", powers, out=work[0, :m])
     signs = work[0, :m * k].view(np.uint64).reshape(m, k)
     return _random_signs(mags, rng, signs), np.power(h, 1.0 / q, out=h)
 
@@ -324,8 +321,7 @@ def _sample_ball_twin(ball: UniformBall, rng: np.random.Generator, size: int, k:
         return _random_signs(mags, rng, work[1, :size * k].view(np.uint64).reshape(size, k))
     numerator, denom = _ball_parts(ball, rng, size * k, 1, work)
     scaled = np.divide(ball.r, denom, out=denom)
-    scaled *= numerator[:, 0]
-    return scaled.reshape(size, k)
+    return np.multiply(scaled, numerator[:, 0], out=scaled).reshape(size, k)
 
 
 def sample(family: Family, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -401,6 +397,19 @@ _MIXTURE_ORDERS = (4.0, MAX_MOMENT_ORDER)
 _SADDLE_STEPS = 50
 
 
+def _newton(step, x: np.ndarray) -> np.ndarray:
+    """x after Newton's steps x -= step(x) from a start where they fall
+    monotonically onto the root: at most ``_SADDLE_STEPS`` of them, stopping
+    once every step is at most 1e-12 relative (``_saddles``,
+    ``_cube_saddles``)."""
+    for _ in range(_SADDLE_STEPS):
+        dx = step(x)
+        x -= dx
+        if not np.max(dx / x) > 1e-12:
+            break
+    return x
+
+
 def _saddles(r2: np.ndarray, shapes: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """theta^2 at the saddle p / theta = Lambda'(theta) of each order p, for
     Lambda(theta) = -sum_g k_g log(1 - theta^2 r_g^2), given the squares r2
@@ -415,17 +424,13 @@ def _saddles(r2: np.ndarray, shapes: np.ndarray, orders: np.ndarray) -> np.ndarr
     matrix products with a vector of ones, which cost less than ``np.sum``
     along an axis and give a one-term sum its term.
     """
-    slopes = 2.0 * shapes * r2
-    ones = np.ones(r2.size)
-    x = orders / (orders + 2.0 * float(shapes[-1]))
-    for _ in range(_SADDLE_STEPS):
+    slopes, ones = 2.0 * shapes * r2, np.ones(r2.size)
+
+    def step(x: np.ndarray) -> np.ndarray:
         gap = 1.0 - np.multiply.outer(x, r2)
-        excess = (slopes * x[:, None] / gap) @ ones - orders
-        step = excess / ((slopes / (gap * gap)) @ ones)
-        x -= step
-        if not np.max(step / x) > 1e-12:
-            break
-    return x
+        return ((slopes * x[:, None] / gap) @ ones - orders) / ((slopes / (gap * gap)) @ ones)
+
+    return _newton(step, orders / (orders + 2.0 * float(shapes[-1])))
 
 
 class _Tilts(NamedTuple):
@@ -564,16 +569,14 @@ def _cube_saddles(c: np.ndarray, orders: np.ndarray) -> np.ndarray:
     at a subnormal b, where coth b overflows.
     """
     ones = np.ones(c.size)
-    theta = (orders + c.size) / (c @ ones)
-    for _ in range(_SADDLE_STEPS):
+
+    def step(theta: np.ndarray) -> np.ndarray:
         b = np.multiply.outer(theta, c)
         t = np.tanh(b)
         ratio = b / t
-        step = ((ratio - 1.0) @ ones - orders) / (((1.0 - ratio) / t + b) @ c)
-        theta -= step
-        if not np.max(step / theta) > 1e-12:
-            break
-    return theta
+        return ((ratio - 1.0) @ ones - orders) / (((1.0 - ratio) / t + b) @ c)
+
+    return _newton(step, (orders + c.size) / (c @ ones))
 
 
 def _cube_mixture(u: np.ndarray) -> _Plan:

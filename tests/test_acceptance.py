@@ -7,12 +7,18 @@ Every check is marked ``slow``; ``pytest -m "not slow"`` leaves them out and
 keeps the fast registry and envelope bookkeeping tests below.
 """
 
+import json
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import lcmoments.acceptance as acceptance
 from lcmoments.acceptance import CHECKS, SUITES, run_suite
 from lcmoments.errors import InvalidArgumentError
 from lcmoments.harness import ExperimentConfig, _reference_surrogate, run_experiment
+from lcmoments.montecarlo import EstimateRecord
+from lcmoments.surrogates import gaussian_pnorm
 
 SEED = 0
 
@@ -34,6 +40,8 @@ def test_acceptance_criterion(name, capsys):
     with capsys.disabled():
         print(f"[{status}] {name} ({result.seconds:.1f}s)")
     assert result.passed, f"{name} failed: {result.detail}"
+    # verify --json writes the detail as it stands
+    json.dumps(result.detail)
     assert ("min_ess" in result.detail) == (name in MC_CHECKS)
     if name in MC_CHECKS:
         assert result.detail["min_ess"] >= 1.0
@@ -97,3 +105,24 @@ def test_grid_checks_report_the_minimum_ess_of_their_cells(monkeypatch):
     assert floor < 0.01 * config.n_samples
     assert acceptance.check_moment_equivalence_envelope(SEED).detail["min_ess"] == floor
     assert acceptance.check_quartic_upper_probe(SEED).detail["min_ess"] == floor
+
+
+def _centre_estimates(family, a, orders, n_samples, seed):
+    # the Gaussian centre gamma_p ||a||_2 of each order, with a small error bar
+    l2 = float(np.linalg.norm(a))
+    return tuple(EstimateRecord(gaussian_pnorm(p) * l2, 1e-3, n_samples, seed,
+                                float(n_samples), 1.0 / n_samples) for p in orders)
+
+
+def test_ball_lower_band_takes_its_bound_from_gaussian_band(monkeypatch):
+    # estimates at the Gaussian centre sit on or above the band's lower edge,
+    # so the check passes; with that edge lifted to the independent upper
+    # one, p ||a||_inf above the centre, every cell fails
+    monkeypatch.setattr(acceptance, "estimate_pnorm", _centre_estimates)
+    assert acceptance.check_ball_lower_band(SEED).passed
+    band = acceptance.gaussian_band
+    monkeypatch.setattr(acceptance, "gaussian_band", lambda a, p: tuple(
+        replace(edges, lower=edges.upper_indep) for edges in band(a, p)))
+    result = acceptance.check_ball_lower_band(SEED)
+    assert not result.passed
+    assert len(result.detail["violations"]) == result.detail["cells"] == 108

@@ -327,6 +327,17 @@ def test_acceptance_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_disk_oracle_leaves_out_scipy_integrate():
+    # the disk's fourth moments are closed Beta forms, not integrals
+    code = ("import sys, lcmoments.acceptance as acc; "
+            "dep, ind = acc._disk_fourth_moments(); "
+            "print(abs(dep - 8.0) <= 1e-12, abs(ind - 10.0) <= 1e-12, "
+            "'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "True True False"
+
+
 def test_montecarlo_binds_no_logsumexp():
     # the p-norm engine reduces in linear space with numpy; a per-order
     # scipy call costs more than the sum it computes

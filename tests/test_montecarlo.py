@@ -1299,6 +1299,16 @@ def test_dependent_twin_loses_on_flat_sums():
     assert dep.value < ind.value
 
 
+def test_dependent_twin_on_the_disk_meets_the_closed_fourth_moments():
+    # E<X, (1, 1)>^4 is 8 on the isotropic disk and 10 on its independent
+    # twin (acceptance._disk_fourth_moments); the delta method carries the
+    # 4-norm's error bar to its fourth power
+    disk = UniformBall.isotropic(2, 2.0)
+    dep, ind = dependent_vs_independent(disk, (1.0, 1.0), 4.0, 200_000, SEED + 70)
+    for rec, exact in ((dep, 8.0), (ind, 10.0)):
+        assert rec.value ** 4 == pytest.approx(exact, abs=16.0 * rec.value ** 3 * rec.stderr)
+
+
 @pytest.mark.parametrize("n,q", [(3, 1.0), (4, 1.5), (5, 3.0), (6, 1e3), (6, 1e6),
                                  (2, 1.0), (16, 1.0), (6, 2.0)])
 def test_independent_twin_has_the_beta_marginal_moments(n, q):
@@ -1408,8 +1418,8 @@ def test_rademacher_exact_guards():
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
 def test_ball_parts_at_one_coordinate_draw_the_einsum_bits(q):
-    # the k = 1 row sum is the column itself; it must equal the einsum form
-    # of the general k path bit for bit
+    # the one-coordinate marginal (the independent twin's draw) must give
+    # the bits of the einsum row sums of the general k path
     ball = UniformBall.isotropic(6, q)
     m = 313
     numerator, denom = mc._ball_parts(ball, np.random.default_rng(SEED + 40), m, 1)
