@@ -88,10 +88,12 @@ weights, so they enter no sum and leave max log|S| alone; the other N
 entries are the real rows.  Each row carries the balance-heuristic weight
 (Veach and Guibas, SIGGRAPH 1995) e^l = 1 / D, the density ratio of the law to the
 whole mixture D = alpha_0 + sum_j alpha_j h_j, h_j = e^{eta_j V} /
-M(theta_j), and the ratio r_1 = h_1 / D of the first tilt to it: e^l <=
-1 / alpha_0, about 3, alpha_0 e^l + alpha_1 r_1 + alpha_2 r_2 = 1 on every
-real row, and the means of e^l and of r_1 over the N real rows have
-expectation 1.
+M(theta_j), the ratio r_1 = h_1 / D of the first tilt to it, and
+e^l s^2 / E s^2 with the law's exact second moment E s^2 (2 sum_g w_g^2
+k_g for the V below, sum_i c_i^2 / 3 for the cube): e^l <= 1 / alpha_0,
+about 3, alpha_0 e^l + alpha_1 r_1 + alpha_2 r_2 = 1 on every real row,
+and the means of e^l, of r_1 and of e^l s^2 / E s^2 over the N real rows
+have expectation 1.
 
 The cube's S = sum_i c_i V_i, with c_i = sqrt(3) |u_i| and V_i uniform on
 [-1, 1], draws from the same mixture (``_cube_mixture``): its law, the
@@ -105,29 +107,33 @@ plan is unweighted, l = 0.
 
 The engine takes L = log|S| in place over the one draw, and reduces each
 order in one pass over it: w = e^{p (L - max L)} e^l lies in [0, e^l],
-summed in place down the columns into the K unit sums W (``_unit_sums``),
-and the p-norm is
+summed down the columns into the K unit sums W, and the p-norm is
 c_p max|a_i| e^{max L} R^{1/p} for an estimate R of E w.  An unweighted
 draw (l = 0) takes the sample mean R = sum w / N.  A weighted one takes
-e^l and r_1 as control variates (Owen and Zhou): their unit sums
-z_u = (E_u, R_u) have totals of expectation N, and R is the regression
-estimate (sum W - g . c) / N, with the cross sums c = sum_u W_u x_u of the
-centred x_u = z_u - mean z, and g = G^{-1} (sum_u z_u - N) for their Gram
-matrix G = sum_u x_u x_u^T, built once per estimate (``_fit``).  So
-R = sum_u omega_u W_u / N with unit weights omega_u = 1 - g . x_u that do
-not depend on p and satisfy sum_u omega_u E_u = N: while every omega_u >= 0
-the p-norm is a weighted power mean of |S| over the draw, nondecreasing in
-p.  Where one is negative (or G is singular) the estimate keeps at every
-order the self-normalised ratio R = sum W / sum E, a weighted power mean
-too.  The standard error of R is sqrt(K var) / N over the units, where var
-is the residual variance of the regression, (sum W^2 - (sum W)^2 / K -
-b . c) / (K - 3) with the fitted slopes b = G^{-1} c, or that of the ratio
-residuals W - R E over mean(e^l)^2, (sum W^2 - 2 R sum W E +
-R^2 sum E^2) / (K - 1); both come from sums alone, taken by ``einsum``.
-Where those sums cancel to less than ``_CANCELLATION`` of sum W^2 (a nearly
-constant w, or one the controls fit closely), the engine sums the residuals
-instead.  With l = 0 every sample is a unit and this is the plain sample
-mean of |S|^p and its iid standard error.
+e^l, r_1 and e^l s^2 / E s^2 as control variates (Owen and Zhou): their
+unit sums z_u = (E_u, R_u, Q_u) have totals of expectation N, and R is the
+regression estimate (sum W - g . c) / N, with the cross sums
+c = sum_u W_u x_u of the centred x_u = z_u - mean z, and
+g = G^{-1} (sum_u z_u - N) for their Gram matrix G = sum_u x_u x_u^T,
+built once per estimate (``_fit``).  So R = sum_u omega_u W_u / N with
+unit weights omega_u = 1 - g . x_u that do not depend on p and satisfy
+sum_u omega_u E_u = N: while every omega_u >= 0 the p-norm is a weighted
+power mean of |S| over the draw, nondecreasing in p.  Where one is
+negative (or G is singular) the estimate keeps at every order the
+self-normalised ratio R = sum W / sum E, a weighted power mean too.  At
+p = 2, W is Q times E s^2 / e^{2 max L}, so R is that constant to
+rounding.  The standard error of R is sqrt(K var) / N over the units,
+where var is the residual variance of the regression,
+(sum_u (W_u - mean W)^2 - b . c) / (K - 4) with the fitted slopes
+b = G^{-1} c, or that of the ratio residuals W - R E over mean(e^l)^2,
+(sum W^2 - 2 R sum W E + R^2 sum E^2) / (K - 1); both come from sums alone,
+taken by ``einsum``.  Where those sums cancel to less than
+``_CANCELLATION`` of the sum of squares they start from (a nearly constant
+w, or one the controls fit closely), the engine sums the residuals
+instead.  The regression's standard error is at least the bound
+``_ROUNDING`` (sum W + |g . c|) / N on the rounding of R, which is all of
+its error at p = 2.  With l = 0 every sample is a unit and this is the
+plain sample mean of |S|^p and its iid standard error.
 """
 
 from __future__ import annotations
@@ -345,13 +351,15 @@ class _Draw(NamedTuple):
     """One estimate's draw of its projection: ``s``, a (parts, units) array
     (module docstring), and for a weighted plan the weights ``likelihood`` =
     e^l, the density ratios of the law to an importance-sampling proposal,
-    and the ratios ``ratio`` = r_1 of a second density, a tilt of the law,
-    to the proposal, both of the shape of ``s``; None for an unweighted
+    the ratios ``ratio`` = r_1 of a second density, a tilt of the law, to
+    the proposal, and ``second`` = e^l s^2 / E s^2 with the law's exact
+    second moment E s^2, all of the shape of ``s``; None for an unweighted
     plan, whose l = 0."""
 
     s: np.ndarray
     likelihood: np.ndarray | None = None
     ratio: np.ndarray | None = None
+    second: np.ndarray | None = None
 
 
 class _Plan(NamedTuple):
@@ -418,19 +426,22 @@ def _saddles(r2: np.ndarray, shapes: np.ndarray, orders: np.ndarray) -> np.ndarr
     In x = theta^2 the saddle solves f(x) = sum_g k_g 2 x r_g^2 /
     (1 - x r_g^2) = p, with f convex and increasing on [0, 1).  Newton's
     method from x = p / (p + 2 k_top), where f >= p, falls monotonically
-    onto the root, which is that start when there is one scale (x = p /
-    (p + 1) for the Gaussian's k = 1/2).  Any theta keeps the estimates
-    unbiased, so the steps stop at 1e-12 relative.  The sums over g are
-    matrix products with a vector of ones, which cost less than ``np.sum``
-    along an axis and give a one-term sum its term.
+    onto the root.  With one scale that start is the root (x = p / (p + 1)
+    for the Gaussian's k = 1/2), returned as it is.  Any theta keeps the
+    estimates unbiased, so the steps stop at 1e-12 relative.  The sums over
+    g are matrix products with a vector of ones, which cost less than
+    ``np.sum`` along an axis.
     """
+    start = orders / (orders + 2.0 * float(shapes[-1]))
+    if r2.size == 1:
+        return start
     slopes, ones = 2.0 * shapes * r2, np.ones(r2.size)
 
     def step(x: np.ndarray) -> np.ndarray:
         gap = 1.0 - np.multiply.outer(x, r2)
         return ((slopes * x[:, None] / gap) @ ones - orders) / ((slopes / (gap * gap)) @ ones)
 
-    return _newton(step, orders / (orders + 2.0 * float(shapes[-1])))
+    return _newton(step, start)
 
 
 class _Tilts(NamedTuple):
@@ -445,12 +456,15 @@ class _Tilts(NamedTuple):
     0 <= g_1 <= g_2, and ``log_mgfs`` holds log M(theta_j); ``factors(y)``
     returns the arrays e^{-g_2(y)} and e^{g_1(y) - g_2(y)}, both in [0, 1],
     each computed the law's own way so that nothing overflows.
-    ``finish(y)`` turns y in place into the draws s of the plan."""
+    ``second(y, likelihood)`` returns a new array of e^l s^2 / E s^2 from y
+    and the weights e^l, with the law's exact second moment E s^2 of the
+    draws s, and ``finish(y)`` turns y in place into those draws."""
 
     width: int
     rows: Callable[[np.random.Generator, np.ndarray, np.ndarray], None]
     log_mgfs: tuple[float, float]
     factors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    second: Callable[[np.ndarray, np.ndarray], np.ndarray]
     finish: Callable[[np.ndarray], np.ndarray]
 
 
@@ -464,7 +478,8 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
     balance-heuristic weight e^l = 1 / D over the shares alpha_0 = K / n and
     alpha_j = t / n, and r_1 = h_1 / D, both from the factors e^{-g_2} and
     e^{g_1 - g_2} of the largest exponent g_2 out, so that no term
-    overflows: D e^{-g_2} >= alpha_2 / M(theta_2).
+    overflows: D e^{-g_2} >= alpha_2 / M(theta_2); and e^l s^2 / E s^2, from
+    the statistic before ``finish``.
     """
     inv_mgfs = [math.exp(-v) for v in tilts.log_mgfs]
 
@@ -484,11 +499,12 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
         np.reciprocal(scaled, out=scaled)
         likelihood *= scaled
         ratio *= scaled
+        second = tilts.second(y, likelihood)
         s = tilts.finish(y)
         # the lone units' tilt rows are no samples: zero, they enter no sum
-        for x in (s, likelihood, ratio):
+        for x in (s, likelihood, ratio, second):
             x[1:, :units - tied] = 0.0
-        return _Draw(s, likelihood, ratio)
+        return _Draw(s, likelihood, ratio, second)
 
     return _Plan(draw, factor)
 
@@ -506,11 +522,13 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
     theta_j, with theta_j^2 the saddle (``_saddles``) of order p_j in
     ``_MIXTURE_ORDERS``, so takes the same variates as the law with the
     coefficients 2 r_g^2 / (1 - theta_j^2 r_g^2) over the ratios r_g =
-    w_g / w_max: the statistic of a row is V, with g_j = eta_j V.  A variate
-    row has one column per scale: exponentials (every shape 1) by inversion,
-    Gamma(1/2) (a Gaussian law, V = w^2 Z^2) as Z^2 / 2, at a quarter to a
-    third of the cost of numpy's Gamma(1/2), and other shapes by
-    ``standard_gamma``.  A block's units give V of all three parts in one
+    w_g / w_max.  Those coefficients are divided by the law's exact mean
+    m = 2 sum_g r_g^2 k_g, so the statistic of a row is y = V / E V, which
+    is its s^2 / E s^2, with g_j = eta_j m y and s = w_max sqrt(m y).  A
+    variate row has one column per scale: exponentials (every shape 1) by
+    inversion, Gamma(1/2) (a Gaussian law, V = w^2 Z^2) as Z^2 / 2, at a
+    quarter to a third of the cost of numpy's Gamma(1/2), and other shapes
+    by ``standard_gamma``.  A block's units give y of all three parts in one
     product with the (3, width) matrix of coefficients.
     """
     top = float(scales[-1])
@@ -520,8 +538,9 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
     # first
     xs = _saddles(r2, shapes, np.array(_MIXTURE_ORDERS))
     gaps = 1.0 - np.multiply.outer(xs, r2)
-    eta_1, eta_2 = (0.5 * xs).tolist()
-    coefs = np.vstack([2.0 * r2, 2.0 * r2 / gaps])
+    mean = float(2.0 * r2 @ shapes)
+    eta_1, eta_2 = (0.5 * mean * xs).tolist()
+    coefs = np.vstack([2.0 * r2, 2.0 * r2 / gaps]) / mean
     # the variates of a block, with their sign or halving in the
     # coefficients
     if np.all(shapes == 1.0):
@@ -543,17 +562,19 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         # product into out, at half its cost for one column
         out[...] = np.dot(coefs, mix.T, out=work[1:].reshape(-1)[:3 * m].reshape(3, m))
 
-    def finish(v: np.ndarray) -> np.ndarray:
-        s = np.sqrt(v, out=v)
-        s *= top
+    unit = top * math.sqrt(mean)
+
+    def finish(y: np.ndarray) -> np.ndarray:
+        s = np.sqrt(y, out=y)
+        s *= unit
         return s
 
-    def factors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ref, gap = np.multiply(v, -eta_2), np.multiply(v, eta_1 - eta_2)
+    def factors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ref, gap = np.multiply(y, -eta_2), np.multiply(y, eta_1 - eta_2)
         return np.exp(ref, out=ref), np.exp(gap, out=gap)
 
     return _mixture(_Tilts(scales.size, rows, tuple((-(np.log(gaps) @ shapes)).tolist()),
-                           factors, finish), factor)
+                           factors, np.multiply, finish), factor)
 
 
 def _cube_saddles(c: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -637,8 +658,17 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
         gap *= shrink
         return ref, gap
 
+    # E S^2 = sum_i c_i^2 / 3
+    inv_mean = 3.0 / float(c @ c)
+
+    def second(s: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
+        squares = np.multiply(s, inv_mean)
+        squares *= s
+        squares *= likelihood
+        return squares
+
     return _mixture(_Tilts(c.size, rows, tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()),
-                           factors, lambda s: s), lambda p: 1.0)
+                           factors, second, lambda s: s), lambda p: 1.0)
 
 
 def _laplace_mixture(weights: np.ndarray) -> _Plan:
@@ -734,6 +764,18 @@ def _validate_sample_count(n_samples: int) -> int:
     return int(n_samples)
 
 
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of ``shape`` whose data start on a
+    64-byte boundary.  numpy aligns its arrays to 16 bytes only, and the
+    engine's vector passes over a scratch array on a 48-byte offset ran
+    about a sixth slower (a grid round's per-order passes 2 ms more, on
+    the 2-vCPU guest)."""
+    size = math.prod(shape)
+    buffer = np.empty(size + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    return buffer[start:start + size].reshape(shape)
+
+
 def _unit_sums(x: np.ndarray) -> np.ndarray:
     """The sums of the (parts, units) array ``x`` over its units: rows 1..
     are added in place into row 0, which is returned."""
@@ -742,43 +784,68 @@ def _unit_sums(x: np.ndarray) -> np.ndarray:
     return x[0]
 
 
-# the variance from sums loses about log10(sum W^2 / spread) digits to
-# cancellation, where spread is the residual sum of squares; below this share
-# of sum W^2 the engine sums the residuals themselves
-_CANCELLATION = 2.0 ** -8
+# the variance from sums loses about log10(S / spread) digits to
+# cancellation, where spread is the residual sum of squares and S the sum of
+# squares it starts from (sum W^2, or sum (W - mean W)^2 for the
+# regression); below this share of S the engine sums the residuals
+# themselves.  With the three correlated controls, 2^-8 let the error bar
+# drift 1.6e-13 from the two-pass formula, this share 5e-14
+_CANCELLATION = 2.0 ** -6
+
+
+# a bound on the rounding of the regression estimate (sum W - g . c) / N as
+# a share of (sum W + |g . c|) / N: at p = 2, over the grid's weighted
+# families, profiles and n <= 64 at 8 seeds, the log-exp round trip of w and
+# the sums moved it by up to 5.2e-14, a quarter of the bound.  Its error bar
+# is at least this bound, as at p = 2 W is the third control times a
+# constant and the residuals are rounding noise; where the controls are
+# ill-conditioned their own rounding shows in the residuals
+_ROUNDING = 2.0 ** -42
 
 
 class _Fit(NamedTuple):
-    """The regression of a weighted draw's unit sums on its two controls
-    (``_fit``): ``controls`` (2, K), the centred unit sums x_u = z_u - mean z
-    of z_u = (E_u, R_u), the sums of e^l and of r_1 over unit u;
-    ``inverse``, the entries (00, 01, 11) of G^{-1} for their Gram matrix
-    G = sum_u x_u x_u^T; and ``slopes``, g = G^{-1} (sum_u z_u - N)."""
+    """The regression of a weighted draw's unit sums on its three controls
+    (``_fit``): ``controls`` (3, K), the centred unit sums x_u = z_u - mean z
+    of z_u = (E_u, R_u, Q_u), the sums of e^l, of r_1 and of e^l s^2 / E s^2
+    over unit u; ``inverse``, the entries (00, 01, 02, 11, 12, 22) of G^{-1}
+    for their Gram matrix G = sum_u x_u x_u^T; and ``slopes``,
+    g = G^{-1} (sum_u z_u - N)."""
 
     controls: np.ndarray
-    inverse: tuple[float, float, float]
-    slopes: tuple[float, float]
+    inverse: tuple[float, float, float, float, float, float]
+    slopes: tuple[float, float, float]
 
 
-def _fit(likelihoods: np.ndarray, ratios: np.ndarray, n: int) -> _Fit | None:
-    """The ``_Fit`` of the unit sums E_u and R_u of a weighted draw of n
-    samples (``_unit_sums`` of its e^l and r_1, ``_Draw``), or None where G is
-    not positive definite or a unit weight omega_u = 1 - g . x_u is
-    negative.
+def _solve(inverse: tuple[float, ...], v) -> tuple[float, float, float]:
+    """G^{-1} v for the entries ``inverse`` of a symmetric G^{-1}
+    (``_Fit``), in scalars."""
+    i00, i01, i02, i11, i12, i22 = inverse
+    v0, v1, v2 = v
+    return (i00 * v0 + i01 * v1 + i02 * v2, i01 * v0 + i11 * v1 + i12 * v2,
+            i02 * v0 + i12 * v1 + i22 * v2)
 
-    The totals of E_u and of R_u over the units are those of e^l and r_1
-    over the N real rows, of expectation N.  sum_u omega_u = K and
-    sum_u omega_u x_u = 0, so sum_u omega_u E_u = sum E - x_E^T G g = N."""
-    controls = np.stack((likelihoods, ratios))
-    sums = np.sum(controls, axis=1)
-    controls -= (sums / likelihoods.size)[:, None]
-    (g00, g01), (_, g11) = np.einsum("ij,kj->ik", controls, controls).tolist()
-    det = g00 * g11 - g01 * g01
-    if not det > 0.0:
+
+def _fit(controls: np.ndarray, n: int) -> _Fit | None:
+    """The ``_Fit`` of the (3, K) unit sums z_u of a weighted draw of n
+    samples (the column sums of its e^l, r_1 and e^l s^2 / E s^2, ``_Draw``),
+    centred in place, or None where G is not positive definite or a unit
+    weight omega_u = 1 - g . x_u is negative.
+
+    The totals of each control over the units are those over the N real
+    rows, of expectation N.  sum_u omega_u = K and sum_u omega_u x_u = 0, so
+    sum_u omega_u z_u = sum z - G g = N."""
+    sums = np.einsum("ij->i", controls)
+    controls -= (sums / controls.shape[1])[:, None]
+    (a, b, c), (_, d, e), (_, _, f) = np.einsum("ij,kj->ik", controls, controls).tolist()
+    # the cofactors of G; by Sylvester's criterion G is positive definite
+    # where a, a d - b^2 and det G are positive
+    cofactors = (d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c, b * c - a * e,
+                 a * d - b * b)
+    det = a * cofactors[0] + b * cofactors[1] + c * cofactors[2]
+    if not (a > 0.0 and cofactors[5] > 0.0 and det > 0.0):
         return None
-    inverse = (g11 / det, -g01 / det, g00 / det)
-    x0, x1 = (sums - n).tolist()
-    slopes = (inverse[0] * x0 + inverse[1] * x1, inverse[1] * x0 + inverse[2] * x1)
+    inverse = tuple(x / det for x in cofactors)
+    slopes = _solve(inverse, (sums - n).tolist())
     if not float(np.max(np.einsum("i,ij->j", np.array(slopes), controls))) <= 1.0:
         return None
     return _Fit(controls, inverse, slopes)
@@ -790,10 +857,11 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
 
     ``plan`` is the draw plan of <X, u> for the nonzero vector's
     u = a / max|a_i| (``cv.unit``), built once per estimate by the caller.
-    A weighted plan's draw carries its weights e^l and the ratios r_1
-    (``_Draw``), and its records are the regression estimates on
-    the control variates e^l and r_1 (``_fit``) with the error bar of the
-    regression residuals, or, where a unit weight of that regression is
+    A weighted plan's draw carries its weights e^l, the ratios r_1 and
+    e^l s^2 / E s^2 (``_Draw``), and its records are the regression
+    estimates on those three control variates (``_fit``) with the error bar
+    of the regression residuals, at least their rounding bound
+    (``_ROUNDING``), or, where a unit weight of that regression is
     negative, the self-normalised ratio estimates with their delta-method
     error bar; the ESS and top share are those of the weights e^l |S|^p
     summed over the units (module docstring).  Either way a record is a
@@ -805,7 +873,8 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     (``_moment_inputs``); the laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
-    s, likelihood, ratios = plan.draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
+    s, likelihood, ratios, second = plan.draw(np.random.default_rng(_child_seed(seed, tag)),
+                                              n_samples)
     units = s.shape[1]
     # in place, as the engine owns the draws; a non-finite projection is
     # caught through the max below
@@ -821,20 +890,27 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     # records are the plain sample mean and its standard error
     fit = None
     if likelihood is not None:
-        # e^l and r_1 summed over the units; the loop below still takes e^l
-        # entry by entry, r_1 not
-        likelihoods = _unit_sums(likelihood.copy())
-        fit = _fit(likelihoods, _unit_sums(ratios), n_samples)
+        # rows 0 to 2 take the controls summed over the units, e^l into a row
+        # of its own as the loop below still takes it entry by entry, and row
+        # 3 an order's unit sums W, centred, so that one product of the rows
+        # with it gives the cross sums and the centred sum of squares
+        basis = np.empty((4, units))
+        for row, x in zip(basis, (likelihood, ratios, second)):
+            np.add(x[0], x[1], out=row)
+            row += x[2]
+        fit = _fit(basis[:3], n_samples)
     if fit is not None:
         # the regression's omega_u E_u sum to N (``_fit``)
         mean_likelihood = 1.0
     elif likelihood is not None:
+        likelihoods = _unit_sums(likelihood.copy())
         mean_likelihood = float(np.sum(likelihoods)) / n_samples
         likelihood_square_sum = float(np.einsum("i,i->", likelihoods, likelihoods))
     else:
         mean_likelihood, likelihood_square_sum = 1.0, float(n_samples)
     records = []
-    w = np.empty(s.shape)
+    w = _aligned(s.shape)
+    unit_w = w[0] if likelihood is None else basis[3]
     for p in map(float, ps):
         # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l], summed over the
         # units into W
@@ -842,33 +918,40 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
         np.exp(w, out=w)
         if likelihood is not None:
             w *= likelihood
-        unit_w = _unit_sums(w)
+            np.add(w[0], w[1], out=unit_w)
+            unit_w += w[2]
         # sums only, by numpy rather than a BLAS dot so that their bits do
-        # not depend on BLAS threading: sum W, sum W^2, max W, and sum W x_u
-        # or sum W E_u
-        total = float(np.sum(unit_w))
-        square_sum = float(np.einsum("i,i->", unit_w, unit_w))
-        largest = 1.0 if likelihood is None else float(np.max(unit_w))
+        # not depend on BLAS threading: sum W, max W, sum W^2, and the cross
+        # sums with the controls or sum W E_u
+        total = float(unit_w.sum())
+        largest = 1.0 if likelihood is None else float(unit_w.max())
+        rounding = 0.0
         if fit is not None:
             # the regression estimate sum_u omega_u W_u / N = (sum W - g . c)
             # / N of E|<X, u>|^p / e^{p top}, with the cross sums
             # c = sum_u W_u x_u, and its residual sum of squares
-            # sum W^2 - (sum W)^2 / K - b . c, b = G^{-1} c the fitted slopes
-            c0, c1 = np.einsum("ij,j->i", fit.controls, unit_w).tolist()
-            (i00, i01, i11), (g0, g1) = fit.inverse, fit.slopes
-            b0, b1 = i00 * c0 + i01 * c1, i01 * c0 + i11 * c1
-            ratio = (total - (g0 * c0 + g1 * c1)) / n_samples
-            spread = square_sum - total * total / units - (b0 * c0 + b1 * c1)
-            if not spread > _CANCELLATION * square_sum:
-                # a close fit cancels in the sums: take the residuals
-                residuals = unit_w - total / units
-                residuals -= np.einsum("i,ij->j", np.array([b0, b1]), fit.controls)
+            # sum_u (W_u - mean W)^2 - b . c, b = G^{-1} c the fitted slopes;
+            # W is centred first, so that the mean does not cancel in it
+            unit_w -= total / units
+            c0, c1, c2, centred = np.einsum("ij,j->i", basis, unit_w).tolist()
+            square_sum = centred + total * total / units
+            (g0, g1, g2), (b0, b1, b2) = fit.slopes, _solve(fit.inverse, (c0, c1, c2))
+            correction = g0 * c0 + g1 * c1 + g2 * c2
+            ratio = (total - correction) / n_samples
+            rounding = _ROUNDING * (total + abs(correction)) / n_samples
+            spread = centred - (b0 * c0 + b1 * c1 + b2 * c2)
+            if not spread > _CANCELLATION * centred:
+                # a close fit cancels in the sums: take the residuals, b . x_u
+                # - (W_u - mean W), into a row of w, which is free
+                residuals = np.einsum("i,ij->j", np.array([b0, b1, b2, -1.0]), basis,
+                                      out=w[1])
                 spread = float(np.einsum("i,i->", residuals, residuals))
-            dof = units - 3
+            dof = units - 4
         else:
             # the ratio estimate sum W / sum E of E|<X, u>|^p / e^{p top},
             # and its delta-method variance: the sample variance of the
             # unit sums of W - ratio E, expanded in the sums
+            square_sum = float(np.einsum("i,i->", unit_w, unit_w))
             cross = total if likelihood is None else float(
                 np.einsum("i,i->", unit_w, likelihoods))
             ratio = total / n_samples / mean_likelihood
@@ -881,7 +964,7 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
         var = spread / dof
         # units / n_samples is 1.0 for an unweighted plan, whose records so
         # keep the bits of the iid formula
-        se = math.sqrt(var / units) * (units / n_samples) / mean_likelihood
+        se = max(math.sqrt(var / units) * (units / n_samples) / mean_likelihood, rounding)
         norm = math.exp(top + math.log(ratio) / p) * plan.factor(p)
         value, stderr = cv.scale * norm, cv.scale * (norm * se / (ratio * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):

@@ -116,13 +116,21 @@ def _centre_estimates(family, a, orders, n_samples, seed):
 
 def test_ball_lower_band_takes_its_bound_from_gaussian_band(monkeypatch):
     # estimates at the Gaussian centre sit on or above the band's lower edge,
-    # so the check passes; with that edge lifted to the independent upper
-    # one, p ||a||_inf above the centre, every cell fails
+    # so the check passes; with that edge at 0 everywhere no cell can fail,
+    # and the check, which then tests nothing, fails; with the edge lifted
+    # to the independent upper one, p ||a||_inf above the centre, every cell
+    # fails
     monkeypatch.setattr(acceptance, "estimate_pnorm", _centre_estimates)
     assert acceptance.check_ball_lower_band(SEED).passed
     band = acceptance.gaussian_band
     monkeypatch.setattr(acceptance, "gaussian_band", lambda a, p: tuple(
+        replace(edges, lower=0.0) for edges in band(a, p)))
+    result = acceptance.check_ball_lower_band(SEED)
+    assert not result.passed
+    assert result.detail["live_cells"] == 0 and not result.detail["violations"]
+    monkeypatch.setattr(acceptance, "gaussian_band", lambda a, p: tuple(
         replace(edges, lower=edges.upper_indep) for edges in band(a, p)))
     result = acceptance.check_ball_lower_band(SEED)
     assert not result.passed
-    assert len(result.detail["violations"]) == result.detail["cells"] == 108
+    assert len(result.detail["violations"]) == result.detail["cells"] == 168
+    assert result.detail["live_cells"] >= 20

@@ -235,17 +235,17 @@ def _one_draw(plan, n_samples, seed, tag):
 
 
 def _real_rows(draw, n_samples):
-    """(S, e^l, r_1, tied) over the N real rows of a draw of N samples, laid
-    out flat: the law's row of each of the K = N - 2 tied units, tied = N // 3,
-    the K - tied lone units first, then the tied rows of each tilt, so that
-    ``_unit_index`` gives each row's unit.  An unweighted draw has
-    e^l = r_1 = 1 and no tied rows."""
+    """(S, e^l, r_1, e^l S^2 / E S^2, tied) over the N real rows of a draw of
+    N samples, laid out flat: the law's row of each of the K = N - 2 tied
+    units, tied = N // 3, the K - tied lone units first, then the tied rows
+    of each tilt, so that ``_unit_index`` gives each row's unit.  An
+    unweighted draw has e^l = 1 and no tied rows, and no controls."""
     if draw.likelihood is None:
-        return draw.s[0], np.ones(n_samples), np.ones(n_samples), 0
+        return draw.s[0], np.ones(n_samples), None, None, 0
     tied = n_samples // 3
     lone = n_samples - 3 * tied
     return (*(np.concatenate([x[0], x[1, lone:], x[2, lone:]])
-              for x in (draw.s, draw.likelihood, draw.ratio)), tied)
+              for x in (draw.s, draw.likelihood, draw.ratio, draw.second)), tied)
 
 
 def _unit_index(n_samples, tied):
@@ -269,7 +269,7 @@ def _scipy_pnorm_records(plan, scale, p, draw):
     method for the stderr, both times the plan's c_p, and the unit sums of u
     for the ESS and the top share."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    drawn, likelihood, _, tied = draw
+    drawn, likelihood, _, _, tied = draw
     index, units = _unit_index(drawn.size, tied)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(drawn * scale))
@@ -292,42 +292,48 @@ def _scipy_pnorm_records(plan, scale, p, draw):
     return records
 
 
-def _regression(scale, order, drawn, likelihood, ratio, tied):
-    """(estimate, residuals, unit sums) of the two-pass least-squares fit of
-    a weighted draw at one order: the unit sums Y of u = e^l |S|^p / max|S|^p
-    regressed on 1 and the unit sums E of e^l and R of r_1 by
-    ``numpy.linalg.lstsq``, whose estimate of E u is (sum Y - b . (sum E - N,
-    sum R - N)) / N for the fitted slopes b."""
+def _regression(scale, order, drawn, likelihood, ratio, second, tied):
+    """(estimate, residuals, unit sums, rounding) of the two-pass
+    least-squares fit of a weighted draw at one order: the unit sums Y of
+    u = e^l |S|^p / max|S|^p regressed on 1 and the unit sums E of e^l, R of
+    r_1 and Q of e^l S^2 / E S^2 by ``numpy.linalg.lstsq``, whose estimate of
+    E u is (sum Y - b . (sum E - N, sum R - N, sum Q - N)) / N for the fitted
+    slopes b, and its rounding bound, ``_ROUNDING`` times (sum Y + |b . (sum E
+    - N, sum R - N, sum Q - N)|) / N."""
     n_samples = drawn.size
     index, units = _unit_index(n_samples, tied)
     log_abs = np.log(np.abs(drawn * scale))
     u = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
     unit_u = np.bincount(index, u, units)
-    controls = np.column_stack([np.bincount(index, x, units) for x in (likelihood, ratio)])
+    controls = np.column_stack([np.bincount(index, x, units)
+                                for x in (likelihood, ratio, second)])
     design = np.column_stack([np.ones(units), controls - controls.mean(axis=0)])
     coef = np.linalg.lstsq(design, unit_u, rcond=None)[0]
-    estimate = (float(np.sum(unit_u)) - coef[1:] @ (controls.sum(axis=0) - n_samples)) / n_samples
-    return estimate, unit_u - design @ coef, unit_u
+    total = float(np.sum(unit_u))
+    correction = float(coef[1:] @ (controls.sum(axis=0) - n_samples))
+    return ((total - correction) / n_samples, unit_u - design @ coef, unit_u,
+            mc._ROUNDING * (total + abs(correction)) / n_samples)
 
 
 def _lstsq_pnorm_records(plan, scale, p, draw):
     """(value, stderr, ess, top_share) per order of the regression estimate
     over ``draw``, the ``_real_rows`` of a draw of the weighted plan of
     <X, a / scale> (``_regression``): the value max|S| (estimate)^{1/p}
-    times the plan's c_p, the stderr the value times sqrt(K var) / N /
-    (p estimate) with var
-    = sum residual^2 / (K - 3) over the K units, and the unit sums of u for
-    the ESS and the top share."""
+    times the plan's c_p, the stderr the value times se / (p estimate) with
+    se the larger of sqrt(K var) / N, var = sum residual^2 / (K - 4) over
+    the K units, and the rounding bound, and the unit sums of u for the ESS
+    and the top share."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    drawn, _, _, tied = draw
+    drawn, _, _, _, tied = draw
     n_samples = drawn.size
     units = n_samples - 2 * tied
     records = []
     for order in map(float, ps):
-        estimate, residuals, unit_u = _regression(scale, order, *draw)
+        estimate, residuals, unit_u, rounding = _regression(scale, order, *draw)
         value = float(np.max(np.abs(drawn * scale))) * estimate ** (1.0 / order)
         value *= plan.factor(order)
-        se = math.sqrt(float(np.sum(residuals * residuals)) / (units - 3) * units) / n_samples
+        se = max(math.sqrt(float(np.sum(residuals * residuals)) / (units - 4) * units)
+                 / n_samples, rounding)
         total = float(np.sum(unit_u))
         records.append((value, value * se / (estimate * order),
                         total ** 2 / float(np.sum(unit_u * unit_u)),
@@ -411,34 +417,38 @@ def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
     draw = _one_draw(plan, ODD_SAMPLES, SEED + 35, mc._TAG_PNORM)
     weighted = draw.likelihood is not None
     draw = _real_rows(draw, ODD_SAMPLES)
-    drawn, _, _, tied = draw
+    drawn, _, _, _, tied = draw
     units = ODD_SAMPLES - 2 * tied
     log_abs = np.log(np.abs(drawn))
     for order, rec in zip(orders, records):
+        rounding = 0.0
         if weighted:
-            mean, residuals, _ = _regression(1.0, order, *draw)
-            dof = units - 3
+            mean, residuals, _, rounding = _regression(1.0, order, *draw)
+            dof = units - 4
         else:
             w = np.exp(order * (log_abs - np.max(log_abs)))
             mean = math.fsum(w) / ODD_SAMPLES
             residuals = w - mean
             dof = units - 1
-        se = math.sqrt(math.fsum(residuals * residuals) / dof * units) / ODD_SAMPLES
+        se = max(math.sqrt(math.fsum(residuals * residuals) / dof * units) / ODD_SAMPLES,
+                 rounding)
         assert rec.stderr == pytest.approx(rec.value * se / (mean * order), rel=1e-12, abs=0.0)
 
 
 # the Gaussian mixture draws one normal z per unit, whose three rows, one
 # per part, are V_j = c_j z^2 in units of sigma^2, with c_j = 1 / (1 - x_j)
 # over the law (x_0 = 0) and the saddles x_j = p_j / (p_j + 1) of the
-# orders 4 and 32; a row of V carries e^l = 1 / sum_k alpha_k h_k and
-# r_1 = h_1 e^l, with h_k = sqrt(1 - x_k) e^{x_k V / 2}
+# orders 4 and 32; a row of V carries e^l = 1 / sum_k alpha_k h_k,
+# r_1 = h_1 e^l and e^l V / E V, E V = 1, with h_k = sqrt(1 - x_k)
+# e^{x_k V / 2}
 _GAUSS_SADDLES = np.array([0.0, 4.0 / 5.0, 32.0 / 33.0])
 
 
 def _gaussian_unit_mean(f, n_samples):
-    """E f(W, E, R) over the normal z of a unit of the Gaussian mixture of N
-    samples, by quadrature: W(p) is the unit's sum of e^l V^{p/2} over its
-    three rows, E its sum of e^l and R its sum of r_1."""
+    """E f(W, E, R, Q) over the normal z of a unit of the Gaussian mixture
+    of N samples, by quadrature: W(p) is the unit's sum of e^l V^{p/2} over
+    its three rows, E its sum of e^l, R its sum of r_1 and Q its sum of
+    e^l V."""
     tied = n_samples // 3
     log_alphas = np.log(np.array([n_samples - 2 * tied, tied, tied]) / n_samples)
 
@@ -449,7 +459,7 @@ def _gaussian_unit_mean(f, n_samples):
         log_mixture = logsumexp(log_alphas[:, None] + log_h, axis=0)
         likelihood = np.exp(-log_mixture)
         return f(lambda p: float(np.sum(likelihood * v ** (p / 2.0))), float(np.sum(likelihood)),
-                 float(np.sum(np.exp(log_h[1] - log_mixture))))
+                 float(np.sum(np.exp(log_h[1] - log_mixture))), float(np.sum(likelihood * v)))
 
     density = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return 2.0 * quad(lambda z: at(z) * density(z), 0.0, math.inf, epsabs=0.0, epsrel=1e-8,
@@ -458,32 +468,56 @@ def _gaussian_unit_mean(f, n_samples):
 
 def _gaussian_residual_variance(p, n_samples):
     """The variance of the residual of a unit's W(p) after its linear
-    regression on the unit's (E, R), from the covariances of the three."""
-    features = (lambda w, e, r: w(p), lambda w, e, r: e, lambda w, e, r: r)
+    regression on the unit's (E, R, Q), from the covariances of the four."""
+    features = (lambda w, e, r, q: w(p), lambda w, e, r, q: e, lambda w, e, r, q: r,
+                lambda w, e, r, q: q)
     means = [_gaussian_unit_mean(f, n_samples) for f in features]
-    cov = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
+    cov = np.empty((4, 4))
+    for i in range(4):
+        for j in range(i, 4):
             cov[i, j] = cov[j, i] = _gaussian_unit_mean(
-                lambda w, e, r: features[i](w, e, r) * features[j](w, e, r),
+                lambda w, e, r, q: features[i](w, e, r, q) * features[j](w, e, r, q),
                 n_samples) - means[i] * means[j]
     return cov[0, 0] - cov[0, 1:] @ np.linalg.solve(cov[1:, 1:], cov[1:, 0])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gaussian_second_moment_stderr_matches_its_known_value(seed):
-    # S = <g, a> has E S^2 = ||a||^2, and the regression estimate over the
-    # K = N - 2 (N // 3) units gives the stderr ||a|| sqrt(K var) / (2N) of
-    # ||S||_2, var the residual variance of W(2) on (E, R): 0.23 of the
-    # ratio estimate's and 0.22 of ||a|| / sqrt(2N) for plain draws; over
-    # 200 seeds the estimate of it has 0.30% relative noise at N = 10^5
+    # S = <g, a> has E S^2 = ||a||^2 and E S^4 = 3 ||a||^4.  W(2) is the
+    # unit's Q, so the regression on (E, R, Q) leaves no residual: ||S||_2
+    # comes out exact to rounding, with a bar at the rounding bound.  At
+    # p = 4 the regression estimate over the K = N - 2 (N // 3) units gives
+    # the stderr ||a|| 3^{1/4} sqrt(K var) / (4 * 3 N) of ||S||_4, var the
+    # residual variance of W(4) on (E, R, Q): 0.20 of the ratio estimate's
+    # and 0.80 of the regression's on (E, R) alone; over 200 seeds (1000 to
+    # 1199) the estimate of it has 0.26% relative noise at N = 10^5
     a = np.array([1.0, -0.5, 0.25, 2.0])
     n_samples = 100_000
     units = n_samples - 2 * (n_samples // 3)
-    var = _gaussian_residual_variance(2.0, n_samples)
-    rec = estimate_pnorm(GaussianStd(4), a, 2.0, n_samples, SEED + 40 + seed)
-    assert rec.stderr == pytest.approx(
-        np.linalg.norm(a) * math.sqrt(units * var) / (2 * n_samples), rel=0.03)
+    norm = float(np.linalg.norm(a))
+    second, fourth = estimate_pnorm(GaussianStd(4), a, (2.0, 4.0), n_samples, SEED + 40 + seed)
+    assert abs(second.value - norm) <= 3.0 * second.stderr <= 3e-12 * norm
+    var = _gaussian_residual_variance(4.0, n_samples)
+    assert fourth.stderr == pytest.approx(
+        norm * 3.0 ** 0.25 * math.sqrt(units * var) / (4.0 * 3.0 * n_samples), rel=0.03)
+
+
+@pytest.mark.parametrize("spec", ["exp", "ball:q=1", "ball:q=2", "gauss", "cube"])
+def test_weighted_second_moments_are_exact_to_rounding(spec):
+    # a weighted draw's W(2) is its third control times a constant, so the
+    # regression on the three controls reads E S^2 = ||a||_2^2 of every
+    # isotropic family to rounding, and its error bar is the rounding
+    # bound: at every lone-unit count the record covers the exact norm
+    # within three of its stderr, which is at most 1e-12 of it
+    for n in (4, 64):
+        fam = family_from_spec(spec, n)
+        for profile in GRID_PROFILES:
+            a = coefficient_profile(profile, n)
+            exact = float(np.linalg.norm(a))
+            for n_samples in (ODD_SAMPLES, 10_005, 10_006):
+                rec = estimate_pnorm(fam, a, 2.0, n_samples, SEED + 37)
+                assert abs(rec.value - exact) <= 3.0 * rec.stderr <= 3e-12 * exact, (
+                    profile, n, n_samples, rec)
 
 
 @pytest.mark.parametrize("spec", ["gauss", "cube", "exp", "ball:q=1"])
@@ -712,7 +746,7 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         plan = mc._projector(fam, a)
         # a weighted plan's rows carry their weights e^l; its moments are the
         # weighted means, whose noise is that of the units' ratio residuals
-        projected, likelihood, _, tied = _real_rows(
+        projected, likelihood, _, _, tied = _real_rows(
             plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m), m)
         index, units = _unit_index(m, tied)
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
@@ -878,7 +912,7 @@ def test_mixture_draws_times_the_normal_moments_are_the_laplace_moments(profile)
     # units' residual sums
     n, m = 16, 400_000
     a = coefficient_profile(profile, n)
-    s, likelihood, _, tied = _real_rows(mc._projector(product_exponential(n), a).draw(
+    s, likelihood, _, _, tied = _real_rows(mc._projector(product_exponential(n), a).draw(
         np.random.default_rng(SEED + 63), m), m)
     index, units = _unit_index(m, tied)
     for k in (1, 2, 4, 8, 16):
@@ -949,7 +983,7 @@ def test_mixture_likelihood_ratios_have_mean_one(spec, n, profile):
     # the noise of its unit sums, and e^l <= 1 / alpha_0 = N / (N - 2 (N // 3))
     plan = mc._projector(family_from_spec(spec, n), coefficient_profile(profile, n))
     n_draws = 1_000_000
-    _, likelihood, _, tied = _real_rows(plan.draw(np.random.default_rng(SEED + 60), n_draws),
+    _, likelihood, _, _, tied = _real_rows(plan.draw(np.random.default_rng(SEED + 60), n_draws),
                                         n_draws)
     index, units = _unit_index(n_draws, tied)
     stderr = float(np.std(np.bincount(index, likelihood, units))) * math.sqrt(units) / n_draws
@@ -998,11 +1032,13 @@ def test_mixture_part_ratios_partition_one(spec, a):
     # alpha_1 r_1 and alpha_2 r_2 with r_j = h_j e^l, add up to 1 on every
     # row; r_2 and the mixture density come from the tilts' own h_j, in log
     # space; e^l and r_1 are ratios of densities to the mixture, so their
-    # means have expectation 1
+    # means have expectation 1, and so does the mean of the third control
+    # e^l s^2 / E s^2 over the plan's draws s, whose E s^2 is ||u||_2^2
+    # (half that for <Y, u> of the ball at q = 2)
     fam = family_from_spec(spec, len(a))
     u = np.array(a) / np.max(np.abs(a))
     m = 300_000
-    s, likelihood, ratio, tied = _real_rows(
+    s, likelihood, ratio, second, tied = _real_rows(
         mc._projector(fam, u).draw(np.random.default_rng(SEED + 65), m), m)
     units = m - 2 * tied
     log_alphas = np.log(np.array([units, tied, tied]) / m)
@@ -1011,8 +1047,10 @@ def test_mixture_part_ratios_partition_one(spec, a):
     shares = (math.exp(log_alphas[0]) * likelihood + math.exp(log_alphas[1]) * ratio
               + np.exp(log_alphas[2] + log_h[1] - log_mixture))
     assert float(np.max(np.abs(shares - 1.0))) <= 1e-12
+    mean_square = float(u @ u) / (2.0 if spec == "ball:q=2" else 1.0)
+    np.testing.assert_allclose(second, likelihood * s * s / mean_square, rtol=1e-14, atol=0.0)
     index, _ = _unit_index(m, tied)
-    for x in (likelihood, ratio):
+    for x in (likelihood, ratio, second):
         stderr = float(np.std(np.bincount(index, x, units))) * math.sqrt(units) / m
         assert abs(float(np.mean(x)) - 1.0) <= 4.0 * stderr
 
@@ -1047,7 +1085,7 @@ def test_every_draw_is_a_parts_by_units_array(n_samples):
     for plan in (mc._projector(ball, distinct), mc._twin_projector(ball, distinct)):
         draw = plan.draw(rng, n_samples)
         assert draw.s.shape == (1, n_samples)
-        assert draw.likelihood is None and draw.ratio is None
+        assert draw.likelihood is None and draw.ratio is None and draw.second is None
 
 
 @pytest.mark.parametrize("spec", ["exp", "ball:q=1", "ball:q=2", "gauss", "cube"])
@@ -1077,16 +1115,15 @@ def test_a_negative_unit_weight_keeps_the_ratio_estimate():
     plan = mc._projector(GaussianStd(4), cv.unit)
 
     def biased(rng, n):
-        s, likelihood, ratio = plan.draw(rng, n)
+        draw = plan.draw(rng, n)
         # r_1 + 1 on the real rows; the lone units' tilt rows stay 0
-        ratio += 1.0
-        ratio[1:, :s.shape[1] - n // 3] = 0.0
-        return mc._Draw(s, likelihood, ratio)
+        draw.ratio[...] += 1.0
+        draw.ratio[1:, :draw.s.shape[1] - n // 3] = 0.0
+        return draw
 
     biased_plan = plan._replace(draw=biased)
     draw = _one_draw(biased_plan, ODD_SAMPLES, SEED + 66, mc._TAG_PNORM)
-    assert mc._fit(*(mc._unit_sums(x.copy()) for x in (draw.likelihood, draw.ratio)),
-                   ODD_SAMPLES) is None
+    assert mc._fit(np.stack([x.sum(axis=0) for x in draw[1:]]), ODD_SAMPLES) is None
     records = mc._pnorm_engine(biased_plan, cv, np.array(GRID_ORDERS), ODD_SAMPLES, SEED + 66,
                                mc._TAG_PNORM)
     _assert_matches_scipy(records, _scipy_pnorm_records(biased_plan, cv.scale, GRID_ORDERS,
@@ -1134,7 +1171,7 @@ def test_mixture_log_weights_do_not_overflow(spec, a, uniform, limit):
     for n_samples in (600, 602):
         draw = plan.draw(_FarDraws(uniform), n_samples)
         assert all(np.all(np.isfinite(x)) for x in draw)
-        _, likelihood, _, _ = _real_rows(draw, n_samples)
+        _, likelihood, _, _, _ = _real_rows(draw, n_samples)
         # the weights e^l come in linear space: every l is finite where it
         # is above -745, and below it e^l underflows to 0
         if limit is None:
@@ -1166,8 +1203,8 @@ def test_cube_mixture_takes_a_subnormal_coefficient():
 def test_gaussian_ess_tends_to_its_known_share(p, sigma):
     n_samples = 100_000
     units = n_samples - 2 * (n_samples // 3)
-    limit = units / n_samples * _gaussian_unit_mean(lambda w, e, r: w(p), n_samples) ** 2 / (
-        _gaussian_unit_mean(lambda w, e, r: w(p) ** 2, n_samples))
+    limit = units / n_samples * _gaussian_unit_mean(lambda w, *_: w(p), n_samples) ** 2 / (
+        _gaussian_unit_mean(lambda w, *_: w(p) ** 2, n_samples))
     ratios = []
     for seed in range(8):
         rec = estimate_pnorm(GaussianStd(3), (1.0, -0.5, 0.25), p, n_samples, seed)

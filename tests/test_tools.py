@@ -17,12 +17,12 @@ def load_record_diff():
 def test_record_diff_finds_two_copies_of_one_tree_identical(tmp_path, monkeypatch, capsys):
     # each tree runs in its own interpreter on its own source, so two copies
     # of one tree give the same bits on every call; the workers get their
-    # calls on stdin, so three calls of the matrix stand in for all of it
+    # calls on stdin, so one call of each kind stands in for the matrix
     record_diff = load_record_diff()
     calls = record_diff.call_matrix()
-    three = [next(c for c in calls if c["kind"] == kind)
-             for kind in ("pnorm", "fourth_moment", "dependent")]
-    monkeypatch.setattr(record_diff, "call_matrix", lambda: three)
+    kinds = ("pnorm", "fourth_moment", "dependent", "joint_tail", "sample")
+    monkeypatch.setattr(record_diff, "call_matrix", lambda: [
+        next(c for c in calls if c["kind"] == kind) for kind in kinds])
     for name in ("base", "head"):
         shutil.copytree(ROOT / "src", tmp_path / name / "src",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -30,7 +30,12 @@ def test_record_diff_finds_two_copies_of_one_tree_identical(tmp_path, monkeypatc
     assert record_diff.main(["--base", str(tmp_path / "base"), "--head",
                              str(tmp_path / "head"), "--json", str(out)]) == 0
     diff = json.loads(out.read_text(encoding="utf-8"))
-    assert [call["call"]["kind"] for call in diff["calls"]] == [
-        "pnorm", "fourth_moment", "dependent"]
-    assert diff["summary"] == {"identical": 3}
-    assert "3 calls: 3 identical" in capsys.readouterr().out
+    assert tuple(call["call"]["kind"] for call in diff["calls"]) == kinds
+    assert diff["summary"] == {"identical": 5}
+    assert "5 calls: 5 identical" in capsys.readouterr().out
+
+
+def test_record_diff_tells_a_changed_sample_by_its_digest():
+    record_diff = load_record_diff()
+    assert record_diff.compare([{"sha256": "0a"}], [{"sha256": "0a"}]) == {"class": "identical"}
+    assert record_diff.compare([{"sha256": "0a"}], [{"sha256": "0b"}]) == {"class": "changed"}

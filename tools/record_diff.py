@@ -17,14 +17,19 @@ field as hex floats.  The matrix is
 * ``estimate_fourth_moment`` of coordinate 0 of the same families and
   dimensions, at every N;
 * ``dependent_vs_independent`` of the balls at q in {1, 1.5, 2, 3}, at the
-  same dimensions, profiles and N, over the grid's orders from 3 up.
+  same dimensions, profiles and N, over the grid's orders from 3 up;
+* ``estimate_joint_tail`` of the same families at n = 4, the threshold 0.5
+  on every coordinate, at every N;
+* ``sample`` of 1000 vectors of the same families and dimensions.
 
 A call is ``identical`` when every field of every record has the same bits
 in both trees, ``last bits`` when every field is within 1e-13 relative, and
 ``changed`` otherwise; a changed call states the largest |value_1 -
-value_2| / sqrt(stderr_1^2 + stderr_2^2) over its records.  The tool writes
-every call's class as JSON (``--json``, default ``record_diff.json``) and
-prints a short Markdown table of the classes per call kind and family.  Both
+value_2| / sqrt(stderr_1^2 + stderr_2^2) over its records.  A ``sample``
+call compares the SHA-256 of its array's bytes, so it is identical or
+changed, with no z.  The tool writes every call's class as JSON (``--json``,
+default ``record_diff.json``) and prints a short Markdown table of the
+classes per call kind and family.  Both
 trees must run on one machine and one BLAS build, as a record depends on the
 BLAS kernels in its last bits.
 """
@@ -32,6 +37,7 @@ BLAS kernels in its last bits.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -48,6 +54,9 @@ PROFILES = ("one_hot", "flat", "geometric:rho=0.7", "power:alpha=1", "two_level"
 SAMPLE_COUNTS = (10_005, 10_006, 10_007, 20_000)
 ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 BALL_ORDERS = tuple(p for p in ORDERS if p >= 3.0)
+JOINT_DIMENSION = 4
+JOINT_THRESHOLD = 0.5
+SAMPLE_ROWS = 1000
 SEED = 11
 
 # a call is "last bits" when every field of every record is this close
@@ -92,23 +101,36 @@ def call_matrix() -> list[dict]:
                 calls += [{"kind": "dependent", "family": f"ball:q={q}", "label": f"ball:q={q}",
                            "n": n, "profile": profile_spec(profile, n), "samples": samples}
                           for profile in PROFILES]
+    for family in FAMILIES:
+        calls += [{"kind": "joint_tail", "family": family_spec(family, JOINT_DIMENSION),
+                   "label": family, "n": JOINT_DIMENSION, "samples": samples}
+                  for samples in SAMPLE_COUNTS]
+        calls += [{"kind": "sample", "family": family_spec(family, n), "label": family, "n": n,
+                   "samples": SAMPLE_ROWS} for n in DIMENSIONS]
     return calls
 
 
 def run_call(call: dict) -> list[dict]:
-    """The records of one call as dicts of hex-float fields (in the tree's
-    interpreter)."""
+    """The records of one call as dicts of hex-float fields, or for a
+    ``sample`` call the digest of its array (in the tree's interpreter)."""
+    import numpy as np
     from lcmoments.families import family_from_spec
     from lcmoments.harness import coefficient_profile
     from lcmoments.montecarlo import (dependent_vs_independent, estimate_fourth_moment,
-                                      estimate_pnorm)
+                                      estimate_joint_tail, estimate_pnorm, sample)
 
     family = family_from_spec(call["family"], call["n"])
+    if call["kind"] == "sample":
+        draws = sample(family, np.random.default_rng(SEED), call["samples"])
+        return [{"sha256": hashlib.sha256(draws.tobytes()).hexdigest()}]
     if call["kind"] == "pnorm":
         records = estimate_pnorm(family, coefficient_profile(call["profile"], call["n"]),
                                  ORDERS, call["samples"], SEED)
     elif call["kind"] == "fourth_moment":
         records = (estimate_fourth_moment(family, 0, call["samples"], SEED),)
+    elif call["kind"] == "joint_tail":
+        records = (estimate_joint_tail(family, np.full(call["n"], JOINT_THRESHOLD),
+                                       call["samples"], SEED),)
     else:
         deps, indeps = dependent_vs_independent(
             family, coefficient_profile(call["profile"], call["n"]), BALL_ORDERS,
@@ -145,6 +167,8 @@ def compare(base: list[dict], head: list[dict]) -> dict:
     """The class of one call from its records in both trees."""
     if base == head:
         return {"class": "identical"}
+    if "sha256" in base[0]:
+        return {"class": "changed"}
     pairs = [(float.fromhex(b[name]), float.fromhex(h[name]))
              for b, h in zip(base, head) for name in FIELDS]
     if len(base) == len(head) and all(
@@ -164,7 +188,7 @@ def table(results: list[dict]) -> str:
     for res in results:
         key = (res["call"]["kind"], res["call"]["label"])
         counts.setdefault(key, Counter())[res["class"]] += 1
-        if res["class"] == "changed":
+        if "max_abs_z" in res:
             worst[key] = max(worst.get(key, 0.0), res["max_abs_z"])
     lines = ["| call | family | identical | last bits | changed | max abs z |",
              "|---|---|---|---|---|---|"]
