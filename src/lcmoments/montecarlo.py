@@ -372,6 +372,19 @@ class _Plan(NamedTuple):
     factor: Callable[[float], float] = lambda p: 1.0
 
 
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of ``shape`` whose data start on a
+    64-byte boundary, for the arrays that the engine passes over once per
+    order: the draws, the weights e^l, the unit sums and the scratch w.
+    numpy aligns its arrays to 16 bytes only, so their offsets vary with
+    the heap; on a 48-byte offset the scratch w made a grid round's
+    per-order passes about 2 ms slower (on a 2-vCPU Xeon guest)."""
+    size = math.prod(shape)
+    buffer = np.empty(size + 7)
+    start = -buffer.ctypes.data % 64 // 8
+    return buffer[start:start + size].reshape(shape)
+
+
 def _blocks(size: int, width: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """(lo, hi, work) over the units [0, size) of a draw whose units take
     ``width`` matrix entries each: every block but the last has
@@ -487,7 +500,7 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
         # n >= 3, so every part has rows
         tied = n // 3
         units = n - 2 * tied
-        y = _fill(rng, np.empty((3, units)), tilts.width, tilts.rows)
+        y = _fill(rng, _aligned((3, units)), tilts.width, tilts.rows)
         # D e^{-g_2} = alpha_0 e^{-g_2} + alpha_1 e^{g_1 - g_2} / M(theta_1)
         # + alpha_2 / M(theta_2), its reciprocal times e^{-g_2} is e^l and
         # times e^{g_1 - g_2} / M(theta_1) is r_1
@@ -570,7 +583,8 @@ def _variance_mixture(scales: np.ndarray, shapes: np.ndarray,
         return s
 
     def factors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ref, gap = np.multiply(y, -eta_2), np.multiply(y, eta_1 - eta_2)
+        ref = np.multiply(y, -eta_2, out=_aligned(y.shape))
+        gap = np.multiply(y, eta_1 - eta_2)
         return np.exp(ref, out=ref), np.exp(gap, out=gap)
 
     return _mixture(_Tilts(scales.size, rows, tuple((-(np.log(gaps) @ shapes)).tolist()),
@@ -646,7 +660,7 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
         np.exp(a, out=a)
         d = np.multiply(x, theta_1 - theta_2, out=x)
         np.exp(d, out=d)
-        ref = np.multiply(a, d)
+        ref = np.multiply(a, d, out=_aligned(a.shape))
         shrink = np.square(ref)
         shrink += 1.0
         np.reciprocal(shrink, out=shrink)
@@ -762,18 +776,6 @@ def _validate_sample_count(n_samples: int) -> int:
         raise InvalidArgumentError(
             f"n_samples must be >= {MIN_SAMPLES} for a stable standard error, got {n_samples}")
     return int(n_samples)
-
-
-def _aligned(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array of ``shape`` whose data start on a
-    64-byte boundary.  numpy aligns its arrays to 16 bytes only, and the
-    engine's vector passes over a scratch array on a 48-byte offset ran
-    about a sixth slower (a grid round's per-order passes 2 ms more, on
-    the 2-vCPU guest)."""
-    size = math.prod(shape)
-    buffer = np.empty(size + 7)
-    start = -buffer.ctypes.data % 64 // 8
-    return buffer[start:start + size].reshape(shape)
 
 
 def _unit_sums(x: np.ndarray) -> np.ndarray:
@@ -894,7 +896,7 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
         # of its own as the loop below still takes it entry by entry, and row
         # 3 an order's unit sums W, centred, so that one product of the rows
         # with it gives the cross sums and the centred sum of squares
-        basis = np.empty((4, units))
+        basis = _aligned((4, units))
         for row, x in zip(basis, (likelihood, ratios, second)):
             np.add(x[0], x[1], out=row)
             row += x[2]
