@@ -469,15 +469,16 @@ class _Tilts(NamedTuple):
     0 <= g_1 <= g_2, and ``log_mgfs`` holds log M(theta_j); ``factors(y)``
     returns the arrays e^{-g_2(y)} and e^{g_1(y) - g_2(y)}, both in [0, 1],
     each computed the law's own way so that nothing overflows.
-    ``second(y, likelihood)`` returns a new array of e^l s^2 / E s^2 from y
-    and the weights e^l, with the law's exact second moment E s^2 of the
-    draws s, and ``finish(y)`` turns y in place into those draws."""
+    ``second(y, likelihood, out=...)`` writes e^l s^2 / E s^2 into ``out``
+    from y and the weights e^l, with the law's exact second moment E s^2 of
+    the draws s, and returns it, and ``finish(y)`` turns y in place into
+    those draws."""
 
     width: int
     rows: Callable[[np.random.Generator, np.ndarray, np.ndarray], None]
     log_mgfs: tuple[float, float]
     factors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    second: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    second: Callable[..., np.ndarray]
     finish: Callable[[np.ndarray], np.ndarray]
 
 
@@ -492,7 +493,7 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
     alpha_j = t / n, and r_1 = h_1 / D, both from the factors e^{-g_2} and
     e^{g_1 - g_2} of the largest exponent g_2 out, so that no term
     overflows: D e^{-g_2} >= alpha_2 / M(theta_2); and e^l s^2 / E s^2, from
-    the statistic before ``finish``.
+    the statistic before ``finish``, into the array that held 1 / D.
     """
     inv_mgfs = [math.exp(-v) for v in tilts.log_mgfs]
 
@@ -502,17 +503,17 @@ def _mixture(tilts: _Tilts, factor: Callable[[float], float]) -> _Plan:
         units = n - 2 * tied
         y = _fill(rng, _aligned((3, units)), tilts.width, tilts.rows)
         # D e^{-g_2} = alpha_0 e^{-g_2} + alpha_1 e^{g_1 - g_2} / M(theta_1)
-        # + alpha_2 / M(theta_2), its reciprocal times e^{-g_2} is e^l and
-        # times e^{g_1 - g_2} / M(theta_1) is r_1
+        # + alpha_2 / M(theta_2), alpha_1 = alpha_2 = t / n; its reciprocal
+        # times e^{-g_2} is e^l and times e^{g_1 - g_2} / M(theta_1) is r_1
         likelihood, ratio = tilts.factors(y)
         ratio *= inv_mgfs[0]
-        scaled = likelihood * (units / n)
-        scaled += ratio * (tied / n)
-        scaled += tied / n * inv_mgfs[1]
-        np.reciprocal(scaled, out=scaled)
+        scaled = likelihood * (units / tied)
+        scaled += ratio
+        scaled += inv_mgfs[1]
+        np.divide(n / tied, scaled, out=scaled)
         likelihood *= scaled
         ratio *= scaled
-        second = tilts.second(y, likelihood)
+        second = tilts.second(y, likelihood, out=scaled)
         s = tilts.finish(y)
         # the lone units' tilt rows are no samples: zero, they enter no sum
         for x in (s, likelihood, ratio, second):
@@ -675,11 +676,11 @@ def _cube_mixture(u: np.ndarray) -> _Plan:
     # E S^2 = sum_i c_i^2 / 3
     inv_mean = 3.0 / float(c @ c)
 
-    def second(s: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
-        squares = np.multiply(s, inv_mean)
-        squares *= s
-        squares *= likelihood
-        return squares
+    def second(s: np.ndarray, likelihood: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(s, inv_mean, out=out)
+        out *= s
+        out *= likelihood
+        return out
 
     return _mixture(_Tilts(c.size, rows, tuple(np.sum(np.log(np.sinh(b) / b), axis=1).tolist()),
                            factors, second, lambda s: s), lambda p: 1.0)
