@@ -107,38 +107,39 @@ plan is unweighted, l = 0.
 
 The engine takes L = log|S| in place over the one draw, and reduces each
 order in one pass over it: w = e^{p (L - max L)} e^l lies in [0, e^l],
-summed down the columns into the K unit sums W, and the p-norm is
-c_p max|a_i| e^{max L} R^{1/p} for an estimate R of E w.  An unweighted
-draw (l = 0) takes the sample mean R = sum w / N.  A weighted one takes
-e^l, r_1 and e^l s^2 / E s^2 as control variates (Owen and Zhou): their
-unit sums z_u = (E_u, R_u, Q_u) have totals of expectation N, and R is the
-regression estimate (sum W - g . c) / N, with the cross sums
-c = sum_u W_u x_u of the centred x_u = z_u - mean z, and
-g = G^{-1} (sum_u z_u - N) for their Gram matrix G = sum_u x_u x_u^T,
-built once per estimate (``_fit``).  So R = sum_u omega_u W_u / N with
-unit weights omega_u = 1 - g . x_u that do not depend on p and satisfy
-sum_u omega_u E_u = N: while every omega_u >= 0 the p-norm is a weighted
-power mean of |S| over the draw, nondecreasing in p.  Where one is
-negative (or G is singular) the estimate keeps at every order the
-self-normalised ratio R = sum W / sum E, a weighted power mean too.  At
-p = 2, W is Q times E s^2 / e^{2 max L}, so R is that constant to
-rounding.  The standard error of R is sqrt(K var) / N over the units,
-where var is the residual variance of the regression,
-(sum_u (W_u - mean W)^2 - b . c) / (K - 4) with the fitted slopes
-b = G^{-1} c, or that of the ratio residuals W - R E over mean(e^l)^2,
-(sum W^2 - 2 R sum W E + R^2 sum E^2) / (K - 1); both come from sums alone,
-taken by ``einsum``.  Where those sums cancel to less than
-``_CANCELLATION`` of the sum of squares they start from (a nearly constant
-w, or one the controls fit closely), the engine sums the residuals
-instead.  The regression's standard error is at least the bound
-``_ROUNDING`` (sum W + |g . c|) / N on the rounding of R, which is all of
-its error at p = 2.  With l = 0 every sample is a unit and this is the
-plain sample mean of |S|^p and its iid standard error.
+summed down the columns into the K unit sums W, and the p-norm is c_p
+max|a_i| e^{max L} R^{1/p} for an estimate R of E w.  R is the regression
+estimate on the draw's J control variates (Owen and Zhou): e^l, r_1 and e^l
+s^2 / E s^2 for a weighted draw, none for an unweighted one (l = 0).  Their
+unit sums z_u have totals of expectation N.  Once per estimate (``_fit``)
+Gram-Schmidt turns their centred rows x_u = z_u - mean z into orthonormal
+rows Q that sum to 0, x = U^T Q for an upper triangular U, with the slopes
+h = U^{-T} (sum_u z_u - N).  Per order, the products b = Q . W give R =
+(sum W - h . b) / N = sum_u omega_u W_u / N with unit weights
+omega_u = 1 - h . q_u that do not depend on p and satisfy sum_u omega_u E_u
+= N: while every omega_u >= 0 the p-norm is a weighted power mean of |S|
+over the draw, nondecreasing in p.  With J = 0 this is the sample mean sum
+W / N.  Where a weight omega_u is negative, or a control adds no direction
+to those before it, the estimate keeps at every order the self-normalised
+ratio R = sum W / sum E, a weighted power mean too.  At p = 2, W of a
+weighted draw is the unit sums of its third control times E s^2 / e^{2 max
+L}, so R is that constant to rounding.  The standard error of R is sqrt(K
+var) / N over the units, where var is the residual variance of the
+regression, (sum W^2 - (sum W)^2 / K - |b|^2) / (K - 1 - J), or that of the
+ratio residuals W - R E over mean(e^l)^2, (sum W^2 - 2 R sum W E + R^2 sum
+E^2) / (K - 1); both come from sums alone, taken by ``einsum``.  Where
+those sums cancel to less than ``_CANCELLATION`` of the sum W^2 they start
+from (a nearly constant w, or one the controls fit closely), the engine
+sums the residuals instead.  The regression's standard error is at least
+the bound ``_ROUNDING`` (sum W + |h . b|) / N on the rounding of R, which
+is all of its error at p = 2.  With l = 0 every sample is a unit and this
+is the plain sample mean of |S|^p and its iid standard error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -779,79 +780,77 @@ def _validate_sample_count(n_samples: int) -> int:
     return int(n_samples)
 
 
-def _unit_sums(x: np.ndarray) -> np.ndarray:
-    """The sums of the (parts, units) array ``x`` over its units: rows 1..
-    are added in place into row 0, which is returned."""
-    for row in x[1:]:
-        x[0] += row
-    return x[0]
-
-
 # the variance from sums loses about log10(S / spread) digits to
-# cancellation, where spread is the residual sum of squares and S the sum of
-# squares it starts from (sum W^2, or sum (W - mean W)^2 for the
-# regression); below this share of S the engine sums the residuals
-# themselves.  With the three correlated controls, 2^-8 let the error bar
-# drift 1.6e-13 from the two-pass formula, this share 5e-14
+# cancellation, where spread is the residual sum of squares and S the sum
+# W^2 it starts from; below this share of S the engine sums the residuals
+# themselves.  Over the five weighted families, the grid's profiles,
+# n in {4, 16, 64} and seeds 0-3 at 20 000 samples, 2^-8 let the error bar
+# drift 2.5e-13 from the two-pass formula, 2^-7 1.9e-13, this share 7.8e-14
 _CANCELLATION = 2.0 ** -6
 
 
-# a bound on the rounding of the regression estimate (sum W - g . c) / N as
-# a share of (sum W + |g . c|) / N: at p = 2, over the grid's weighted
-# families, profiles and n <= 64 at 8 seeds, the log-exp round trip of w and
-# the sums moved it by up to 5.2e-14, a quarter of the bound.  Its error bar
-# is at least this bound, as at p = 2 W is the third control times a
-# constant and the residuals are rounding noise; where the controls are
-# ill-conditioned their own rounding shows in the residuals
+# a bound on the rounding of the regression estimate (sum W - h . b) / N as
+# a share of (sum W + |h . b|) / N: at p = 2, over the same rows at seeds
+# 0-7, the log-exp round trip of w and the sums moved it by up to 0.12 of
+# the bound.  Its error bar is at least this bound, as at p = 2 W is the
+# third control times a constant and the residuals are rounding noise
 _ROUNDING = 2.0 ** -42
+
+# a control whose centred unit sums keep at most this share of their norm
+# after their projection on the controls before it adds no direction to
+# them, and the fit is refused; over the grid's weighted rows the smallest
+# share is 0.018
+_RANK = 2.0 ** -26
 
 
 class _Fit(NamedTuple):
-    """The regression of a weighted draw's unit sums on its three controls
-    (``_fit``): ``controls`` (3, K), the centred unit sums x_u = z_u - mean z
-    of z_u = (E_u, R_u, Q_u), the sums of e^l, of r_1 and of e^l s^2 / E s^2
-    over unit u; ``inverse``, the entries (00, 01, 02, 11, 12, 22) of G^{-1}
-    for their Gram matrix G = sum_u x_u x_u^T; and ``slopes``,
-    g = G^{-1} (sum_u z_u - N)."""
+    """The regression of a draw's unit sums on its J controls (``_fit``):
+    ``basis``, the (J, K) orthonormal rows Q, each summing to 0, of their
+    centred unit sums x_u = z_u - mean z, x = U^T Q for an upper triangular
+    U; and ``slopes``, the J numbers h = U^{-T} (sum_u z_u - N)."""
 
-    controls: np.ndarray
-    inverse: tuple[float, float, float, float, float, float]
-    slopes: tuple[float, float, float]
+    basis: np.ndarray
+    slopes: tuple[float, ...]
 
 
-def _solve(inverse: tuple[float, ...], v) -> tuple[float, float, float]:
-    """G^{-1} v for the entries ``inverse`` of a symmetric G^{-1}
-    (``_Fit``), in scalars."""
-    i00, i01, i02, i11, i12, i22 = inverse
-    v0, v1, v2 = v
-    return (i00 * v0 + i01 * v1 + i02 * v2, i01 * v0 + i11 * v1 + i12 * v2,
-            i02 * v0 + i12 * v1 + i22 * v2)
+def _fit(basis: np.ndarray, n: int) -> _Fit | None:
+    """The ``_Fit`` of a draw of n samples from the (J + 1, K) ``basis``,
+    whose row 0 is scratch and whose other rows hold the unit sums z_u of
+    the draw's J >= 0 controls (e^l, r_1 and e^l s^2 / E s^2 of a weighted
+    ``_Draw``, none of an unweighted one), which it turns in place into Q;
+    or None where a control adds no direction (``_RANK``) or a unit weight
+    omega_u = 1 - h . q_u is negative.
 
-
-def _fit(controls: np.ndarray, n: int) -> _Fit | None:
-    """The ``_Fit`` of the (3, K) unit sums z_u of a weighted draw of n
-    samples (the column sums of its e^l, r_1 and e^l s^2 / E s^2, ``_Draw``),
-    centred in place, or None where G is not positive definite or a unit
-    weight omega_u = 1 - g . x_u is negative.
-
-    The totals of each control over the units are those over the N real
-    rows, of expectation N.  sum_u omega_u = K and sum_u omega_u x_u = 0, so
-    sum_u omega_u z_u = sum z - G g = N."""
+    Gram-Schmidt takes the centred rows in turn, projects each twice on the
+    rows of Q before it and normalises it, and at the end centres every row
+    once more, in numpy reductions.  The totals of each control over the
+    units are those over the N real rows, of expectation N; the unit
+    weights satisfy sum_u omega_u = K and sum_u omega_u z_u = sum z - U^T h
+    = N."""
+    scratch, controls = basis[0], basis[1:]
     sums = np.einsum("ij->i", controls)
     controls -= (sums / controls.shape[1])[:, None]
-    (a, b, c), (_, d, e), (_, _, f) = np.einsum("ij,kj->ik", controls, controls).tolist()
-    # the cofactors of G; by Sylvester's criterion G is positive definite
-    # where a, a d - b^2 and det G are positive
-    cofactors = (d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c, b * c - a * e,
-                 a * d - b * b)
-    det = a * cofactors[0] + b * cofactors[1] + c * cofactors[2]
-    if not (a > 0.0 and cofactors[5] > 0.0 and det > 0.0):
+    slopes = (sums - n).tolist()
+    for j, row in enumerate(controls):
+        # column j of U above its diagonal, summed over both passes
+        column = [0.0] * j
+        for _ in range(2 if j else 0):
+            coefs = np.einsum("ij,j->i", controls[:j], row).tolist()
+            for i, c in enumerate(coefs):
+                row -= np.multiply(controls[i], c, out=scratch)
+                column[i] += c
+        after = math.sqrt(np.einsum("i,i->", row, row))
+        # x_j = sum_i U_ij q_i + after q_j, so |x_j| = |(column, after)|
+        if not after > _RANK * math.hypot(after, *column):
+            return None
+        row *= 1.0 / after
+        # forward substitution in U^T h = sum z - N
+        slopes[j] = (slopes[j] - sum(map(operator.mul, column, slopes))) / after
+    # the centring above leaves a sum of its rounding in every row
+    controls -= (np.einsum("ij->i", controls) / controls.shape[1])[:, None]
+    if slopes and not np.einsum("i,ij->j", np.array(slopes), controls, out=scratch).max() <= 1.0:
         return None
-    inverse = tuple(x / det for x in cofactors)
-    slopes = _solve(inverse, (sums - n).tolist())
-    if not float(np.max(np.einsum("i,ij->j", np.array(slopes), controls))) <= 1.0:
-        return None
-    return _Fit(controls, inverse, slopes)
+    return _Fit(controls, tuple(slopes))
 
 
 def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples: int,
@@ -860,25 +859,26 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
 
     ``plan`` is the draw plan of <X, u> for the nonzero vector's
     u = a / max|a_i| (``cv.unit``), built once per estimate by the caller.
-    A weighted plan's draw carries its weights e^l, the ratios r_1 and
-    e^l s^2 / E s^2 (``_Draw``), and its records are the regression
-    estimates on those three control variates (``_fit``) with the error bar
-    of the regression residuals, at least their rounding bound
-    (``_ROUNDING``), or, where a unit weight of that regression is
-    negative, the self-normalised ratio estimates with their delta-method
-    error bar; the ESS and top share are those of the weights e^l |S|^p
-    summed over the units (module docstring).  Either way a record is a
-    weighted power mean of the draws |S| with weights that do not depend on
-    p, so the records are nondecreasing in p.  Every record is multiplied by the plan's c_p, and
-    is max|a_i| times the norm of <X, u>, so scaling ``a`` by a power of two
-    scales the records by exactly that factor, however small or large, as
-    long as they stay normal doubles.  The inputs are checked by the caller
-    (``_moment_inputs``); the laws are continuous, so no draw is all zero.
+    Its records are the regression estimates on the J control variates of
+    its draw (``_fit``; J = 3 for a weighted plan, whose draw carries e^l,
+    r_1 and e^l s^2 / E s^2, and J = 0 for an unweighted one, whose
+    estimate is the sample mean) with the error bar of the regression
+    residuals, at least their rounding bound (``_ROUNDING``), or, where the
+    fit of a weighted draw is refused, the self-normalised ratio estimates
+    with their delta-method error bar; the ESS and top share are those of
+    the weights e^l |S|^p summed over the units (module docstring).  Either
+    way a record is a weighted power mean of the draws |S| with weights that
+    do not depend on p, so the records are nondecreasing in p.  Every record
+    is multiplied by the plan's c_p, and is max|a_i| times the norm of
+    <X, u>, so scaling ``a`` by a power of two scales the records by exactly
+    that factor, however small or large, as long as they stay normal
+    doubles.  The inputs are checked by the caller (``_moment_inputs``); the
+    laws are continuous, so no draw is all zero.
     """
     seed = _seed_word(seed)
-    s, likelihood, ratios, second = plan.draw(np.random.default_rng(_child_seed(seed, tag)),
-                                              n_samples)
-    units = s.shape[1]
+    draw = plan.draw(np.random.default_rng(_child_seed(seed, tag)), n_samples)
+    s, likelihood = draw.s, draw.likelihood
+    parts, units = s.shape
     # in place, as the engine owns the draws; a non-finite projection is
     # caught through the max below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -889,85 +889,69 @@ def _pnorm_engine(plan: _Plan, cv: CoefficientVector, ps: np.ndarray, n_samples:
     if not math.isfinite(top):
         raise overflow
     shifted = np.subtract(logs, top, out=logs)
-    # an unweighted plan has l = 0: e^l = 1 and its sums are n, so its
-    # records are the plain sample mean and its standard error
-    fit = None
-    if likelihood is not None:
-        # rows 0 to 2 take the controls summed over the units, e^l into a row
-        # of its own as the loop below still takes it entry by entry, and row
-        # 3 an order's unit sums W, centred, so that one product of the rows
-        # with it gives the cross sums and the centred sum of squares
-        basis = _aligned((4, units))
-        for row, x in zip(basis, (likelihood, ratios, second)):
-            np.add(x[0], x[1], out=row)
-            row += x[2]
-        fit = _fit(basis[:3], n_samples)
-    if fit is not None:
-        # the regression's omega_u E_u sum to N (``_fit``)
-        mean_likelihood = 1.0
-    elif likelihood is not None:
-        likelihoods = _unit_sums(likelihood.copy())
+    # the first rows take an order's w, summed over the parts into the last
+    # of them, W; the J rows after it the unit sums of the controls, which
+    # ``_fit`` turns into Q, so that one product of W and the rows from it
+    # gives sum W^2 and b = Q . W
+    controls = [x for x in draw[1:] if x is not None]
+    basis = _aligned((parts + len(controls), units))
+    w, stacked = basis[:parts], basis[parts - 1:]
+    for row, x in zip(stacked[1:], controls):
+        # the controls come with the three parts of the mixture
+        np.add(x[0], x[1], out=row)
+        row += x[2]
+    fit = _fit(stacked, n_samples)
+    if fit is None:
+        likelihoods = np.sum(likelihood, axis=0)
         mean_likelihood = float(np.sum(likelihoods)) / n_samples
         likelihood_square_sum = float(np.einsum("i,i->", likelihoods, likelihoods))
-    else:
-        mean_likelihood, likelihood_square_sum = 1.0, float(n_samples)
     records = []
-    w = _aligned(s.shape)
-    unit_w = w[0] if likelihood is None else basis[3]
+    unit_w, folds = w[-1], tuple(zip(w[:-1], w[1:]))
     for p in map(float, ps):
         # w = e^l |<X, u>|^p / e^{p top}, each in [0, e^l], summed over the
-        # units into W
+        # parts into W, each row in place into the next
         np.multiply(shifted, p, out=w)
         np.exp(w, out=w)
         if likelihood is not None:
             w *= likelihood
-            np.add(w[0], w[1], out=unit_w)
-            unit_w += w[2]
+        for before, row in folds:
+            row += before
         # sums only, by numpy rather than a BLAS dot so that their bits do
-        # not depend on BLAS threading: sum W, max W, sum W^2, and the cross
-        # sums with the controls or sum W E_u
+        # not depend on BLAS threading
         total = float(unit_w.sum())
-        largest = 1.0 if likelihood is None else float(unit_w.max())
-        rounding = 0.0
+        largest = float(unit_w.max())
         if fit is not None:
-            # the regression estimate sum_u omega_u W_u / N = (sum W - g . c)
-            # / N of E|<X, u>|^p / e^{p top}, with the cross sums
-            # c = sum_u W_u x_u, and its residual sum of squares
-            # sum_u (W_u - mean W)^2 - b . c, b = G^{-1} c the fitted slopes;
-            # W is centred first, so that the mean does not cancel in it
-            unit_w -= total / units
-            c0, c1, c2, centred = np.einsum("ij,j->i", basis, unit_w).tolist()
-            square_sum = centred + total * total / units
-            (g0, g1, g2), (b0, b1, b2) = fit.slopes, _solve(fit.inverse, (c0, c1, c2))
-            correction = g0 * c0 + g1 * c1 + g2 * c2
+            # the regression estimate sum_u omega_u W_u / N = (sum W - h . b)
+            # / N of E|<X, u>|^p / e^{p top}, with b = Q . W, which is
+            # Q . (W - mean W) as the rows of Q sum to 0, and its residual sum
+            # of squares sum_u (W_u - mean W)^2 - |b|^2 = sum W^2 - (sum W)^2
+            # / K - |b|^2 over K - 1 - J degrees of freedom
+            square_sum, *b = np.einsum("ij,j->i", stacked, unit_w).tolist()
+            correction = sum(map(operator.mul, fit.slopes, b))
             ratio = (total - correction) / n_samples
-            rounding = _ROUNDING * (total + abs(correction)) / n_samples
-            spread = centred - (b0 * c0 + b1 * c1 + b2 * c2)
-            if not spread > _CANCELLATION * centred:
-                # a close fit cancels in the sums: take the residuals, b . x_u
-                # - (W_u - mean W), into a row of w, which is free
-                residuals = np.einsum("i,ij->j", np.array([b0, b1, b2, -1.0]), basis,
-                                      out=w[1])
+            spread = square_sum - total * total / units - sum(map(operator.mul, b, b))
+            if not spread > _CANCELLATION * square_sum:
+                # a nearly constant w or a close fit cancels in the sums: take
+                # the residuals Q^T b - W_u + mean W
+                residuals = np.einsum("i,ij->j", np.array([-1.0, *b]), stacked)
+                residuals += total / units
                 spread = float(np.einsum("i,i->", residuals, residuals))
-            dof = units - 4
+            se = max(math.sqrt(spread / (units - 1 - len(b)) / units) * (units / n_samples),
+                     _ROUNDING * (total + abs(correction)) / n_samples)
         else:
             # the ratio estimate sum W / sum E of E|<X, u>|^p / e^{p top},
             # and its delta-method variance: the sample variance of the
             # unit sums of W - ratio E, expanded in the sums
             square_sum = float(np.einsum("i,i->", unit_w, unit_w))
-            cross = total if likelihood is None else float(
-                np.einsum("i,i->", unit_w, likelihoods))
+            cross = float(np.einsum("i,i->", unit_w, likelihoods))
             ratio = total / n_samples / mean_likelihood
             spread = square_sum - 2.0 * ratio * cross + ratio * ratio * likelihood_square_sum
             if not spread > _CANCELLATION * square_sum:
                 # a nearly constant w cancels in the sums: take the residuals
-                residuals = unit_w - (likelihoods * ratio if likelihood is not None else ratio)
+                residuals = likelihoods * ratio
+                residuals -= unit_w
                 spread = float(np.einsum("i,i->", residuals, residuals))
-            dof = units - 1
-        var = spread / dof
-        # units / n_samples is 1.0 for an unweighted plan, whose records so
-        # keep the bits of the iid formula
-        se = max(math.sqrt(var / units) * (units / n_samples) / mean_likelihood, rounding)
+            se = math.sqrt(spread / (units - 1) / units) * (units / n_samples) / mean_likelihood
         norm = math.exp(top + math.log(ratio) / p) * plan.factor(p)
         value, stderr = cv.scale * norm, cv.scale * (norm * se / (ratio * p))
         if not (math.isfinite(value) and math.isfinite(stderr)):

@@ -235,17 +235,18 @@ def _one_draw(plan, n_samples, seed, tag):
 
 
 def _real_rows(draw, n_samples):
-    """(S, e^l, r_1, e^l S^2 / E S^2, tied) over the N real rows of a draw of
-    N samples, laid out flat: the law's row of each of the K = N - 2 tied
-    units, tied = N // 3, the K - tied lone units first, then the tied rows
-    of each tilt, so that ``_unit_index`` gives each row's unit.  An
-    unweighted draw has e^l = 1 and no tied rows, and no controls."""
+    """(S, e^l, controls, tied) over the N real rows of a draw of N samples,
+    laid out flat: the law's row of each of the K = N - 2 tied units, tied =
+    N // 3, the K - tied lone units first, then the tied rows of each tilt,
+    so that ``_unit_index`` gives each row's unit; ``controls`` is the tuple
+    of the draw's J controls (e^l, r_1 and e^l S^2 / E S^2) on those rows.
+    An unweighted draw has e^l = 1, no tied rows and no controls."""
     if draw.likelihood is None:
-        return draw.s[0], np.ones(n_samples), None, None, 0
+        return draw.s[0], np.ones(n_samples), (), 0
     tied = n_samples // 3
     lone = n_samples - 3 * tied
-    return (*(np.concatenate([x[0], x[1, lone:], x[2, lone:]])
-              for x in (draw.s, draw.likelihood, draw.ratio, draw.second)), tied)
+    s, *controls = (np.concatenate([x[0], x[1, lone:], x[2, lone:]]) for x in draw)
+    return s, controls[0], tuple(controls), tied
 
 
 def _unit_index(n_samples, tied):
@@ -269,7 +270,7 @@ def _scipy_pnorm_records(plan, scale, p, draw):
     method for the stderr, both times the plan's c_p, and the unit sums of u
     for the ESS and the top share."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    drawn, likelihood, _, _, tied = draw
+    drawn, likelihood, _, tied = draw
     index, units = _unit_index(drawn.size, tied)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(drawn * scale))
@@ -292,39 +293,39 @@ def _scipy_pnorm_records(plan, scale, p, draw):
     return records
 
 
-def _regression(scale, order, drawn, likelihood, ratio, second, tied):
+def _regression(scale, order, drawn, likelihood, controls, tied):
     """(estimate, residuals, unit sums, rounding) of the two-pass
-    least-squares fit of a weighted draw at one order: the unit sums Y of
-    u = e^l |S|^p / max|S|^p regressed on 1 and the unit sums E of e^l, R of
-    r_1 and Q of e^l S^2 / E S^2 by ``numpy.linalg.lstsq``, whose estimate of
-    E u is (sum Y - b . (sum E - N, sum R - N, sum Q - N)) / N for the fitted
-    slopes b, and its rounding bound, ``_ROUNDING`` times (sum Y + |b . (sum E
-    - N, sum R - N, sum Q - N)|) / N."""
+    least-squares fit of a draw at one order: the unit sums Y of u = e^l
+    |S|^p / max|S|^p regressed on 1 and the unit sums Z of the J
+    ``controls`` (e^l, r_1 and e^l S^2 / E S^2 of a weighted draw, none of
+    an unweighted one) by ``numpy.linalg.lstsq``, whose estimate of E u is
+    (sum Y - b . (sum Z - N)) / N for the fitted slopes b, and its rounding
+    bound, ``_ROUNDING`` times (sum Y + |b . (sum Z - N)|) / N."""
     n_samples = drawn.size
     index, units = _unit_index(n_samples, tied)
     log_abs = np.log(np.abs(drawn * scale))
     u = likelihood * np.exp(order * (log_abs - np.max(log_abs)))
     unit_u = np.bincount(index, u, units)
-    controls = np.column_stack([np.bincount(index, x, units)
-                                for x in (likelihood, ratio, second)])
-    design = np.column_stack([np.ones(units), controls - controls.mean(axis=0)])
+    sums = np.column_stack([np.ones(units)] + [np.bincount(index, x, units)
+                                               for x in controls])
+    design = sums - np.concatenate([[0.0], sums[:, 1:].mean(axis=0)])
     coef = np.linalg.lstsq(design, unit_u, rcond=None)[0]
     total = float(np.sum(unit_u))
-    correction = float(coef[1:] @ (controls.sum(axis=0) - n_samples))
+    correction = float(coef[1:] @ (sums[:, 1:].sum(axis=0) - n_samples))
     return ((total - correction) / n_samples, unit_u - design @ coef, unit_u,
             mc._ROUNDING * (total + abs(correction)) / n_samples)
 
 
 def _lstsq_pnorm_records(plan, scale, p, draw):
     """(value, stderr, ess, top_share) per order of the regression estimate
-    over ``draw``, the ``_real_rows`` of a draw of the weighted plan of
-    <X, a / scale> (``_regression``): the value max|S| (estimate)^{1/p}
-    times the plan's c_p, the stderr the value times se / (p estimate) with
-    se the larger of sqrt(K var) / N, var = sum residual^2 / (K - 4) over
-    the K units, and the rounding bound, and the unit sums of u for the ESS
-    and the top share."""
+    over ``draw``, the ``_real_rows`` of a draw of the plan of <X, a /
+    scale> (``_regression``): the value max|S| (estimate)^{1/p} times the
+    plan's c_p, the stderr the value times se / (p estimate) with se the
+    larger of sqrt(K var) / N, var = sum residual^2 / (K - 1 - J) over the K
+    units and J controls, and the rounding bound, and the unit sums of u for
+    the ESS and the top share."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    drawn, _, _, _, tied = draw
+    drawn, _, controls, tied = draw
     n_samples = drawn.size
     units = n_samples - 2 * tied
     records = []
@@ -332,8 +333,8 @@ def _lstsq_pnorm_records(plan, scale, p, draw):
         estimate, residuals, unit_u, rounding = _regression(scale, order, *draw)
         value = float(np.max(np.abs(drawn * scale))) * estimate ** (1.0 / order)
         value *= plan.factor(order)
-        se = max(math.sqrt(float(np.sum(residuals * residuals)) / (units - 4) * units)
-                 / n_samples, rounding)
+        se = max(math.sqrt(float(np.sum(residuals * residuals)) / (units - 1 - len(controls))
+                           * units) / n_samples, rounding)
         total = float(np.sum(unit_u))
         records.append((value, value * se / (estimate * order),
                         total ** 2 / float(np.sum(unit_u * unit_u)),
@@ -405,34 +406,41 @@ def test_dependent_vs_independent_matches_the_scipy_reduction(q):
     ("cube", (1.0, -0.5, 0.25, 0.0, 3.0)),
 ], ids=["unweighted", "weighted", "nearly-constant", "weighted-cancelling"])
 def test_the_stderr_from_sums_matches_the_two_pass_formula(spec, a):
-    # the engine expands the residual sum of squares in sums of w: of the
-    # ratio residuals w - R for an unweighted draw, of the regression on the
-    # controls for a weighted one; the reference sums the residuals
-    # themselves, exactly rounded
+    # the engine expands the residual sum of squares of its regression on
+    # the draw's J controls (none for an unweighted draw, whose residuals
+    # are w - R) in sums of w; the reference sums the residuals themselves,
+    # exactly rounded
     fam = family_from_spec(spec, 5)
     cv = as_coefficients(a)
     orders = np.array(GRID_ORDERS)
     records = estimate_pnorm(fam, a, orders, ODD_SAMPLES, SEED + 35)
-    plan = mc._projector(fam, cv.unit)
-    draw = _one_draw(plan, ODD_SAMPLES, SEED + 35, mc._TAG_PNORM)
-    weighted = draw.likelihood is not None
-    draw = _real_rows(draw, ODD_SAMPLES)
-    drawn, _, _, _, tied = draw
+    draw = _real_rows(_one_draw(mc._projector(fam, cv.unit), ODD_SAMPLES, SEED + 35,
+                                mc._TAG_PNORM), ODD_SAMPLES)
+    _, _, controls, tied = draw
     units = ODD_SAMPLES - 2 * tied
-    log_abs = np.log(np.abs(drawn))
     for order, rec in zip(orders, records):
-        rounding = 0.0
-        if weighted:
-            mean, residuals, _, rounding = _regression(1.0, order, *draw)
-            dof = units - 4
-        else:
-            w = np.exp(order * (log_abs - np.max(log_abs)))
-            mean = math.fsum(w) / ODD_SAMPLES
-            residuals = w - mean
-            dof = units - 1
-        se = max(math.sqrt(math.fsum(residuals * residuals) / dof * units) / ODD_SAMPLES,
-                 rounding)
+        mean, residuals, _, rounding = _regression(1.0, order, *draw)
+        se = max(math.sqrt(math.fsum(residuals * residuals) / (units - 1 - len(controls))
+                           * units) / ODD_SAMPLES, rounding)
         assert rec.stderr == pytest.approx(rec.value * se / (mean * order), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec,n,profile", [
+    ("exp", 16, "flat"), ("exp", 64, "flat"), ("ball:q=1", 16, "flat"),
+    ("exp", 64, "geometric:rho=0.7"), ("cube", 16, "one_hot"),
+])
+def test_the_stderr_of_closely_correlated_controls_matches_the_lstsq_fit(spec, n, profile):
+    # on these grid rows the controls are closely correlated: an error bar
+    # from the Gram matrix's inverse drifted up to 2e-13 from the two-pass
+    # least-squares fit, one from the orthonormal basis stays within 1e-13
+    fam = family_from_spec(spec, n)
+    cv = as_coefficients(coefficient_profile(profile, n))
+    plan = mc._projector(fam, cv.unit)
+    for seed in range(4):
+        records = estimate_pnorm(fam, cv.array, GRID_ORDERS, 20_000, seed)
+        expected = _reference_records(plan, cv.scale, GRID_ORDERS, 20_000, seed, mc._TAG_PNORM)
+        np.testing.assert_allclose([rec.stderr for rec in records],
+                                   [ref[1] for ref in expected], rtol=1e-13, atol=0.0)
 
 
 # the Gaussian mixture draws one normal z per unit, whose three rows, one
@@ -746,7 +754,7 @@ def test_projection_has_the_moments_of_the_full_vector(build, n):
         plan = mc._projector(fam, a)
         # a weighted plan's rows carry their weights e^l; its moments are the
         # weighted means, whose noise is that of the units' ratio residuals
-        projected, likelihood, _, _, tied = _real_rows(
+        projected, likelihood, _, tied = _real_rows(
             plan.draw(np.random.default_rng(SEED + 40 + 2 * j), m), m)
         index, units = _unit_index(m, tied)
         full = sample(fam, np.random.default_rng(SEED + 41 + 2 * j), m) @ a
@@ -912,7 +920,7 @@ def test_mixture_draws_times_the_normal_moments_are_the_laplace_moments(profile)
     # units' residual sums
     n, m = 16, 400_000
     a = coefficient_profile(profile, n)
-    s, likelihood, _, _, tied = _real_rows(mc._projector(product_exponential(n), a).draw(
+    s, likelihood, _, tied = _real_rows(mc._projector(product_exponential(n), a).draw(
         np.random.default_rng(SEED + 63), m), m)
     index, units = _unit_index(m, tied)
     for k in (1, 2, 4, 8, 16):
@@ -983,7 +991,7 @@ def test_mixture_likelihood_ratios_have_mean_one(spec, n, profile):
     # the noise of its unit sums, and e^l <= 1 / alpha_0 = N / (N - 2 (N // 3))
     plan = mc._projector(family_from_spec(spec, n), coefficient_profile(profile, n))
     n_draws = 1_000_000
-    _, likelihood, _, _, tied = _real_rows(plan.draw(np.random.default_rng(SEED + 60), n_draws),
+    _, likelihood, _, tied = _real_rows(plan.draw(np.random.default_rng(SEED + 60), n_draws),
                                         n_draws)
     index, units = _unit_index(n_draws, tied)
     stderr = float(np.std(np.bincount(index, likelihood, units))) * math.sqrt(units) / n_draws
@@ -1038,7 +1046,7 @@ def test_mixture_part_ratios_partition_one(spec, a):
     fam = family_from_spec(spec, len(a))
     u = np.array(a) / np.max(np.abs(a))
     m = 300_000
-    s, likelihood, ratio, second, tied = _real_rows(
+    s, likelihood, (_, ratio, second), tied = _real_rows(
         mc._projector(fam, u).draw(np.random.default_rng(SEED + 65), m), m)
     units = m - 2 * tied
     log_alphas = np.log(np.array([units, tied, tied]) / m)
@@ -1107,10 +1115,30 @@ def test_control_variates_shrink_the_error_bar(spec):
     assert float(np.median(shrink)) <= 0.6, float(np.median(shrink))
 
 
+def _fit_of(draw, n_samples, controls=3):
+    """``mc._fit`` of the unit sums of the first ``controls`` controls of a
+    weighted draw of n samples, after a scratch row (row 0)."""
+    sums = [np.zeros(draw.s.shape[1])] + [x.sum(axis=0) for x in draw[1:1 + controls]]
+    return mc._fit(np.array(sums), n_samples)
+
+
+def _assert_the_fit_is_refused(cv, plan, seed):
+    """The fit of the plan's draw is refused, and the engine keeps the
+    self-normalised ratio estimate at every order, a weighted power mean,
+    nondecreasing in p."""
+    draw = _one_draw(plan, ODD_SAMPLES, seed, mc._TAG_PNORM)
+    assert _fit_of(draw, ODD_SAMPLES) is None
+    records = mc._pnorm_engine(plan, cv, np.array(GRID_ORDERS), ODD_SAMPLES, seed,
+                               mc._TAG_PNORM)
+    _assert_matches_scipy(records, _scipy_pnorm_records(plan, cv.scale, GRID_ORDERS,
+                                                        _real_rows(draw, ODD_SAMPLES)))
+    values = [rec.value for rec in records]
+    assert values == sorted(values)
+
+
 def test_a_negative_unit_weight_keeps_the_ratio_estimate():
     # r_1 + 1 has mean 2, not 1: the regression on it puts many unit
-    # weights below 0, and the engine keeps the self-normalised ratio
-    # estimate at every order, a weighted power mean, nondecreasing in p
+    # weights below 0
     cv = as_coefficients((1.0, -0.5, 0.25, 2.0))
     plan = mc._projector(GaussianStd(4), cv.unit)
 
@@ -1121,15 +1149,44 @@ def test_a_negative_unit_weight_keeps_the_ratio_estimate():
         draw.ratio[1:, :draw.s.shape[1] - n // 3] = 0.0
         return draw
 
-    biased_plan = plan._replace(draw=biased)
-    draw = _one_draw(biased_plan, ODD_SAMPLES, SEED + 66, mc._TAG_PNORM)
-    assert mc._fit(np.stack([x.sum(axis=0) for x in draw[1:]]), ODD_SAMPLES) is None
-    records = mc._pnorm_engine(biased_plan, cv, np.array(GRID_ORDERS), ODD_SAMPLES, SEED + 66,
-                               mc._TAG_PNORM)
-    _assert_matches_scipy(records, _scipy_pnorm_records(biased_plan, cv.scale, GRID_ORDERS,
-                                                        _real_rows(draw, ODD_SAMPLES)))
-    values = [rec.value for rec in records]
-    assert values == sorted(values)
+    _assert_the_fit_is_refused(cv, plan._replace(draw=biased), SEED + 66)
+
+
+def test_a_duplicated_control_keeps_the_ratio_estimate():
+    # a third control that repeats the first adds no direction to the fit:
+    # projected on it, it keeps a rounding-noise share of its norm, below
+    # _RANK, and the fit is refused
+    cv = as_coefficients((1.0, -0.5, 0.25, 2.0))
+    plan = mc._projector(GaussianStd(4), cv.unit)
+
+    def duplicated(rng, n):
+        draw = plan.draw(rng, n)
+        return draw._replace(second=draw.likelihood.copy())
+
+    _assert_the_fit_is_refused(cv, plan._replace(draw=duplicated), SEED + 67)
+
+
+@pytest.mark.parametrize("controls", [0, 1, 2, 3])
+def test_the_fit_basis_is_orthonormal_and_sums_to_zero(controls):
+    # on the flat exp row at n = 16, whose controls are closely correlated,
+    # the rows of Q of the first J controls are orthonormal and sum to 0,
+    # and the unit weights omega_u = 1 - h . q_u sum to K and weight the
+    # unit sums of every control to N
+    n = 16
+    cv = as_coefficients(coefficient_profile("flat", n))
+    draw = _one_draw(mc._projector(family_from_spec("exp", n), cv.unit), 20_000, 0,
+                     mc._TAG_PNORM)
+    units = draw.s.shape[1]
+    sums = np.array([x.sum(axis=0) for x in draw[1:1 + controls]]).reshape(controls, units)
+    fit = _fit_of(draw, 20_000, controls)
+    q = fit.basis
+    assert q.shape == (controls, units) and len(fit.slopes) == controls
+    np.testing.assert_allclose(np.einsum("ij,kj->ik", q, q), np.eye(controls), rtol=0.0,
+                               atol=1e-14)
+    assert np.all(np.abs(q.sum(axis=1)) <= 1e-14)
+    omega = 1.0 - np.einsum("i,ij->j", np.array(fit.slopes), q)
+    assert float(np.sum(omega)) == pytest.approx(units, rel=1e-13)
+    np.testing.assert_allclose(sums @ omega, 20_000.0, rtol=1e-12, atol=0.0)
 
 
 class _FarDraws:
@@ -1171,7 +1228,7 @@ def test_mixture_log_weights_do_not_overflow(spec, a, uniform, limit):
     for n_samples in (600, 602):
         draw = plan.draw(_FarDraws(uniform), n_samples)
         assert all(np.all(np.isfinite(x)) for x in draw)
-        _, likelihood, _, _, _ = _real_rows(draw, n_samples)
+        _, likelihood, _, _ = _real_rows(draw, n_samples)
         # the weights e^l come in linear space: every l is finite where it
         # is above -745, and below it e^l underflows to 0
         if limit is None:

@@ -13,11 +13,14 @@ field as hex floats.  The matrix is
   profiles and a two-level tied vector (the first n/2 coefficients 1, the
   others 1/2), and N in {10 005, 10 006, 10 007, 20 000}, which leave 0, 1,
   2 and 2 lone units in the defensive mixture, every call over the grid's
-  nine orders;
+  nine orders, and the flat profile at n = 64 and N = 200 000, whose
+  mixture fits its controls over K = 66 668 units and whose wide rows
+  draw in several blocks;
 * ``estimate_fourth_moment`` of coordinate 0 of the same families and
   dimensions, at every N;
 * ``dependent_vs_independent`` of the balls at q in {1, 1.5, 2, 3}, at the
-  same dimensions, profiles and N, over the grid's orders from 3 up;
+  same dimensions, profiles and N and at the flat n = 64, N = 200 000 call,
+  over the grid's orders from 3 up;
 * ``estimate_joint_tail`` of the same families at n = 4, the threshold 0.5
   on every coordinate, at every N;
 * ``sample`` of 1000 vectors of the same families and dimensions.
@@ -52,6 +55,8 @@ BALLS = (1, 1.5, 2, 3)
 DIMENSIONS = (4, 16, 64)
 PROFILES = ("one_hot", "flat", "geometric:rho=0.7", "power:alpha=1", "two_level")
 SAMPLE_COUNTS = (10_005, 10_006, 10_007, 20_000)
+# the flat profile at n = 64 runs once more at this N
+LARGE = {"n": 64, "profile": "flat", "samples": 200_000}
 ORDERS = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 BALL_ORDERS = tuple(p for p in ORDERS if p >= 3.0)
 JOINT_DIMENSION = 4
@@ -95,12 +100,16 @@ def call_matrix() -> list[dict]:
                           for profile in PROFILES]
                 calls.append({"kind": "fourth_moment", "family": spec, "label": family,
                               "n": n, "samples": samples})
+        calls.append({"kind": "pnorm", "family": family_spec(family, LARGE["n"]),
+                      "label": family, **LARGE})
     for q in BALLS:
         for n in DIMENSIONS:
             for samples in SAMPLE_COUNTS:
                 calls += [{"kind": "dependent", "family": f"ball:q={q}", "label": f"ball:q={q}",
                            "n": n, "profile": profile_spec(profile, n), "samples": samples}
                           for profile in PROFILES]
+        calls.append({"kind": "dependent", "family": f"ball:q={q}", "label": f"ball:q={q}",
+                      **LARGE})
     for family in FAMILIES:
         calls += [{"kind": "joint_tail", "family": family_spec(family, JOINT_DIMENSION),
                    "label": family, "n": JOINT_DIMENSION, "samples": samples}
